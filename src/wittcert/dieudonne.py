@@ -63,10 +63,24 @@ def _denominator_exponent(p: int, w: Fraction) -> int:
     return weight_pair(p, w)[1]
 
 
-class DieudonneModel:
-    """Weight-truncated Dieudonne complex with partial d, F, V."""
+def _unit_vectors(k: int, scale: int = 1) -> list[tuple[int, ...]]:
+    """scale * e_j for j < k: the columns of scale times the k x k identity."""
+    return [tuple(scale if i == j else 0 for i in range(k)) for j in range(k)]
 
-    __slots__ = ("p", "exponent", "basis", "elements", "maps", "weight_cap", "depth_cap")
+
+class DieudonneModel:
+    """Weight-truncated Dieudonne complex with partial d, F, V.
+
+    The graded structure is indexed once, at construction: the labels of
+    each (degree, weight) block, the weights of each degree and the
+    coefficient modulus are lookups.  An operator's coordinate columns on
+    a block are computed on first use and kept, which is safe because the
+    maps never change.  Check results are never cached: every checker
+    call does its own linear algebra.
+    """
+
+    __slots__ = ("p", "exponent", "modulus", "basis", "elements", "maps", "weight_cap",
+                 "depth_cap", "_blocks", "_weights", "_column_cache")
 
     def __init__(
         self,
@@ -81,21 +95,30 @@ class DieudonneModel:
     ):
         self.p = p
         self.exponent = exponent
-        modulus = Modulus(p, exponent)
+        self.modulus = modulus = Modulus(p, exponent)
         self.basis = tuple(basis)
         self.elements = {b.label: b for b in self.basis}
         if len(self.elements) != len(self.basis):
             raise ValueError("duplicate basis labels")
+        blocks: dict[tuple[int, Fraction], list[str]] = {}
         for b in self.basis:
             if b.weight < 0:
                 raise ValueError(f"negative weight on {b.label}")
             weight_pair(p, b.weight)  # validates the denominator
+            blocks.setdefault((b.degree, b.weight), []).append(b.label)
+        self._blocks = {key: tuple(sorted(labels)) for key, labels in blocks.items()}
+        self._weights: dict[int, list[Fraction]] = {}
+        for degree, weight in self._blocks:
+            self._weights.setdefault(degree, []).append(weight)
+        for weights in self._weights.values():
+            weights.sort()
+        self._column_cache: dict = {}
         if weight_cap is None:
             weight_cap = max((b.weight for b in self.basis), default=Fraction(0))
         self.weight_cap = weight_cap
         self.depth_cap = depth_cap
 
-        def clean(name: str, mapping: Mapping[str, Mapping[str, int]], shift):
+        def clean(name: str, mapping: Mapping[str, Mapping[str, int]]):
             out: dict[str, dict[str, int]] = {}
             for src, row in mapping.items():
                 if src not in self.elements:
@@ -109,7 +132,7 @@ class DieudonneModel:
                     if dst not in self.elements:
                         raise ValueError(f"{name}({src}) hits unknown label {dst}")
                     dst_el = self.elements[dst]
-                    expected = shift(src_el)
+                    expected = self._target(name, src_el.degree, src_el.weight)
                     if (dst_el.degree, dst_el.weight) != expected:
                         raise ValueError(
                             f"{name}({src}) -> {dst} violates the grading: "
@@ -119,28 +142,24 @@ class DieudonneModel:
                 out[src] = cleaned
             return out
 
-        self.maps = {
-            "d": clean("d", d, lambda b: (b.degree + 1, b.weight)),
-            "F": clean("F", frobenius, lambda b: (b.degree, b.weight * p)),
-            "V": clean("V", verschiebung, lambda b: (b.degree, b.weight / p)),
-        }
+        self.maps = {"d": clean("d", d), "F": clean("F", frobenius), "V": clean("V", verschiebung)}
 
     # -- structure queries --------------------------------------------------
 
-    @property
-    def modulus(self) -> Modulus:
-        return Modulus(self.p, self.exponent)
-
     def degrees(self) -> list[int]:
-        return sorted({b.degree for b in self.basis})
+        return sorted(self._weights)
 
     def weights(self, degree: int) -> list[Fraction]:
-        return sorted({b.weight for b in self.basis if b.degree == degree})
+        return list(self._weights.get(degree, ()))
 
     def block(self, degree: int, weight: Fraction) -> tuple[str, ...]:
-        return tuple(
-            sorted(b.label for b in self.basis if b.degree == degree and b.weight == weight)
-        )
+        return self._blocks.get((degree, weight), ())
+
+    def _target(self, op: str, degree: int, weight: Fraction) -> tuple[int, Fraction]:
+        """The (degree, weight) block that `op` maps the given block into."""
+        if op == "d":
+            return degree + 1, weight
+        return degree, weight * self.p if op == "F" else weight / self.p
 
     def defined(self, op: str, label: str) -> bool:
         return label in self.maps[op]
@@ -162,7 +181,7 @@ class DieudonneModel:
                 if v:
                     out[dst] = v
                 else:
-                    del out[dst]
+                    out.pop(dst, None)
         return out
 
     def apply_chain(self, ops: Sequence[str], vec: Vector) -> Optional[Vector]:
@@ -187,25 +206,28 @@ class DieudonneModel:
     def coords_to_vector(self, coords: Sequence[int], block: Sequence[str]) -> Vector:
         return {lbl: c for lbl, c in zip(block, coords) if c}
 
+    def _columns(self, op: str, degree: int, weight: Fraction) -> Optional[tuple[tuple[int, ...], ...]]:
+        """Coordinates of `op` on each label of the (degree, weight) block, in
+        the basis of its target block; None when `op` is undefined somewhere
+        on the block.  Memoised per model: the maps are immutable."""
+        key = (op, degree, weight)
+        if key not in self._column_cache:
+            target = self.block(*self._target(op, degree, weight))
+            rows = [self.maps[op].get(lbl) for lbl in self.block(degree, weight)]
+            self._column_cache[key] = None if None in rows else tuple(
+                self.vector_to_coords(row, target) for row in rows
+            )
+        return self._column_cache[key]
+
     def op_matrix(self, op: str, degree: int, weight: Fraction,
                   modulus: Optional[Modulus] = None) -> Optional[ModularMatrix]:
         """Matrix of an operator on the (degree, weight) block, or None if
         the operator is undefined somewhere on the block."""
-        modulus = modulus or self.modulus
-        src = self.block(degree, weight)
-        if op == "d":
-            dst = self.block(degree + 1, weight)
-        elif op == "F":
-            dst = self.block(degree, weight * self.p)
-        else:
-            dst = self.block(degree, weight / self.p)
-        cols = []
-        for lbl in src:
-            image = self.apply(op, {lbl: 1})
-            if image is None:
-                return None
-            cols.append(self.vector_to_coords(image, dst))
-        return ModularMatrix.from_columns(modulus, cols, len(dst))
+        cols = self._columns(op, degree, weight)
+        if cols is None:
+            return None
+        target = self.block(*self._target(op, degree, weight))
+        return ModularMatrix.from_columns(modulus or self.modulus, cols, len(target))
 
     # -- serialization -------------------------------------------------------
 
@@ -472,28 +494,15 @@ def check_axioms(model: DieudonneModel) -> CheckReport:
 def _mod_p_cycle_generators(model: DieudonneModel, degree: int, weight: Fraction) -> Optional[list[tuple[int, ...]]]:
     """Generators over Z/p^N of {x in the block : dx = 0 mod p}; None when
     d is undefined somewhere on the block."""
-    block = model.block(degree, weight)
-    if not block:
+    k = len(model.block(degree, weight))
+    if not k:
         return []
-    target = model.block(degree + 1, weight)
-    cols = []
-    for lbl in block:
-        img = model.apply("d", {lbl: 1})
-        if img is None:
-            return None
-        cols.append(model.vector_to_coords(img, target))
-    gens: list[tuple[int, ...]] = []
-    k = len(block)
-    if not target:
-        gens.extend(tuple(1 if i == j else 0 for i in range(k)) for j in range(k))
-    else:
-        mod_p = Modulus(model.p, 1)
-        d_mod_p = ModularMatrix.from_columns(mod_p, [tuple(c % model.p for c in col) for col in cols], len(target))
-        gens.extend(tuple(int(x) for x in g) for g in kernel_basis(d_mod_p))
-        gens.extend(
-            tuple(model.p if i == j else 0 for i in range(k)) for j in range(k)
-        )
-    return gens
+    d_mod_p = model.op_matrix("d", degree, weight, Modulus(model.p, 1))
+    if d_mod_p is None:
+        return None
+    if not d_mod_p.rows:
+        return _unit_vectors(k)
+    return [tuple(int(x) for x in g) for g in kernel_basis(d_mod_p)] + _unit_vectors(k, model.p)
 
 
 def saturation_witness(model: DieudonneModel) -> CheckReport:
@@ -564,19 +573,15 @@ def _wr_relation_vectors(model: DieudonneModel, degree: int, weight: Fraction, r
     block = model.block(degree, weight)
     source_weight = weight * model.p ** r
     complete = source_weight <= model.weight_cap
+    chains = [(lbl, ["V"] * r) for lbl in model.block(degree, source_weight)]
+    chains += [(lbl, ["V"] * r + ["d"]) for lbl in model.block(degree - 1, source_weight)]
     vectors: list[tuple[int, ...]] = []
-    for lbl in model.block(degree, source_weight):
-        img = model.apply_chain(["V"] * r, {lbl: 1})
+    for lbl, ops in chains:
+        img = model.apply_chain(ops, {lbl: 1})
         if img is None:
             complete = False
-            continue
-        vectors.append(model.vector_to_coords(img, block))
-    for lbl in model.block(degree - 1, source_weight):
-        img = model.apply_chain(["V"] * r + ["d"], {lbl: 1})
-        if img is None:
-            complete = False
-            continue
-        vectors.append(model.vector_to_coords(img, block))
+        else:
+            vectors.append(model.vector_to_coords(img, block))
     return vectors, complete
 
 
@@ -596,11 +601,14 @@ def _cokernel_factors(modulus: Modulus, ambient: int, relations: list[tuple[int,
 
 @dataclass(frozen=True)
 class QuotientBlock:
+    """One weight block of a presentation.  A cohomology block is presented
+    on its cycle `generators`; a W_r block on its labels, with none."""
+
     labels: tuple[str, ...]
-    generators: tuple[tuple[int, ...], ...]
     relations: SubmoduleBasis
     factors: tuple[int, ...]
     complete: bool
+    generators: tuple[tuple[int, ...], ...] = ()
 
     @property
     def rank(self) -> int:
@@ -660,8 +668,7 @@ def wr_quotient(model: DieudonneModel, degree: int, r: int) -> QuotientPresentat
         relations, complete = _wr_relation_vectors(model, degree, weight, r)
         basis = SubmoduleBasis(modulus, len(labels), relations)
         factors = _cokernel_factors(modulus, len(labels), relations)
-        identity = tuple(tuple(1 if i == j else 0 for i in range(len(labels))) for j in range(len(labels)))
-        blocks[weight] = QuotientBlock(labels, identity, basis, factors, complete)
+        blocks[weight] = QuotientBlock(labels, basis, factors, complete)
     return QuotientPresentation(degree, modulus, blocks)
 
 
@@ -695,29 +702,17 @@ def _cohomology_block(model: DieudonneModel, degree: int, weight: Fraction, r: i
     modulus = Modulus(model.p, r)
     labels = model.block(degree, weight)
     if not labels:
-        return QuotientBlock((), (), SubmoduleBasis(modulus, 0, []), (), True)
-    out_block = model.block(degree + 1, weight)
-    in_block = model.block(degree - 1, weight)
-    out_cols = []
-    for lbl in labels:
-        img = model.apply("d", {lbl: 1})
-        if img is None:
-            return None
-        out_cols.append(model.vector_to_coords(img, out_block))
-    boundaries = []
-    for lbl in in_block:
-        img = model.apply("d", {lbl: 1})
-        if img is None:
-            return None
-        boundaries.append(model.vector_to_coords(img, labels))
-
-    if out_block:
-        d_out = ModularMatrix.from_columns(modulus, out_cols, len(out_block))
+        return QuotientBlock((), SubmoduleBasis(modulus, 0, []), (), True)
+    d_out = model.op_matrix("d", degree, weight, modulus)
+    boundaries = model._columns("d", degree - 1, weight)
+    if d_out is None or boundaries is None:
+        return None
+    if d_out.rows:
         cycles = kernel_basis(d_out)
     else:
-        cycles = [tuple(1 if i == j else 0 for i in range(len(labels))) for j in range(len(labels))]
+        cycles = _unit_vectors(len(labels))
     if not cycles:
-        return QuotientBlock(labels, (), SubmoduleBasis(modulus, 0, []), (), True)
+        return QuotientBlock(labels, SubmoduleBasis(modulus, 0, []), (), True)
     cycle_matrix = ModularMatrix.from_columns(modulus, cycles, len(labels))
     relations = [tuple(int(x) for x in syz) for syz in kernel_basis(cycle_matrix)]
     for b in boundaries:
@@ -729,10 +724,10 @@ def _cohomology_block(model: DieudonneModel, degree: int, weight: Fraction, r: i
     factors = _cokernel_factors(modulus, len(cycles), relations)
     return QuotientBlock(
         labels,
-        tuple(tuple(c) for c in cycles),
         SubmoduleBasis(modulus, len(cycles), relations),
         factors,
         True,
+        tuple(tuple(c) for c in cycles),
     )
 
 
@@ -747,7 +742,7 @@ def hn_mod_pr(model: DieudonneModel, degree: int, r: int) -> QuotientPresentatio
         block = _cohomology_block(model, degree, weight, r)
         if block is None:
             labels = model.block(degree, weight)
-            blocks[weight] = QuotientBlock(labels, (), SubmoduleBasis(modulus, 0, []), (), False)
+            blocks[weight] = QuotientBlock(labels, SubmoduleBasis(modulus, 0, []), (), False)
         else:
             blocks[weight] = block
     return QuotientPresentation(degree, modulus, blocks)
@@ -796,7 +791,7 @@ def _preimage_generators(f_matrix: ModularMatrix, target: SubmoduleBasis) -> lis
     modulus = f_matrix.modulus
     n_src = f_matrix.cols
     if f_matrix.rows == 0:
-        return [tuple(1 if i == j else 0 for i in range(n_src)) for j in range(n_src)]
+        return _unit_vectors(n_src)
     stacked_cols = [f_matrix.column(j) for j in range(n_src)]
     for g in target.echelon:
         stacked_cols.append(tuple((-x) % modulus.char for x in g))
@@ -809,18 +804,12 @@ def _f_preimage_of_span(model: DieudonneModel, degree: int, weight: Fraction,
     """Generators of {x in the block : F x in span(target_vectors)}, or None
     when F is undefined somewhere on the block.  An empty F-target block
     means F is the zero map there, so the preimage is the whole block."""
-    block = model.block(degree, weight)
-    target_block = model.block(degree, weight * model.p)
-    cols = []
-    for lbl in block:
-        img = model.apply("F", {lbl: 1})
-        if img is None:
-            return None
-        cols.append(model.vector_to_coords(img, target_block))
-    if not target_block:
-        return [tuple(1 if i == j else 0 for i in range(len(block))) for j in range(len(block))]
-    f_matrix = ModularMatrix.from_columns(model.modulus, cols, len(target_block))
-    span = SubmoduleBasis(model.modulus, len(target_block), target_vectors)
+    f_matrix = model.op_matrix("F", degree, weight)
+    if f_matrix is None:
+        return None
+    if not f_matrix.rows:
+        return _unit_vectors(len(model.block(degree, weight)))
+    span = SubmoduleBasis(model.modulus, f_matrix.rows, target_vectors)
     return _preimage_generators(f_matrix, span)
 
 
@@ -830,12 +819,15 @@ def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckRepo
     source-side relation span."""
     p = model.p
     for degree in degrees:
-        for weight in model.weights(degree):
+        weights = model.weights(degree)
+        # each weight's relations serve as the target at w / p and the source at w
+        relations = {
+            w: _wr_relation_vectors(model, degree, w, r) for w in {*weights, *(w * p for w in weights)}
+        }
+        for weight in weights:
             block = model.block(degree, weight)
-            if not block:
-                continue
-            target_vectors, target_complete = _wr_relation_vectors(model, degree, weight * p, r)
-            source_vectors, source_complete = _wr_relation_vectors(model, degree, weight, r)
+            target_vectors, target_complete = relations[weight * p]
+            source_vectors, source_complete = relations[weight]
             if not (target_complete and source_complete):
                 report.inconclusive.append(
                     {"degree": degree, "weight": str(weight), "reason": "truncation boundary"}
@@ -967,7 +959,7 @@ def _les_exactness_failure(
     mod_mid = Modulus(p, r)
     s_mid = len(h_mid.generators)
     if s_mid == 0:
-        kernel_gens = [tuple(1 if i == j else 0 for i in range(s_top)) for j in range(s_top)]
+        kernel_gens = _unit_vectors(s_top)
     else:
         mid_matrix = ModularMatrix.from_columns(mod_mid, h_mid.generators, len(labels))
         beta_cols = []
@@ -979,9 +971,7 @@ def _les_exactness_failure(
             beta_cols.append(tuple(coords))
         # Preimage of (relations of H_mid, lifted) + p^r * ambient under beta.
         lifted_relations = [tuple(int(x) for x in row) for row in h_mid.relations.echelon]
-        lifted_relations.extend(
-            tuple(p ** r if i == j else 0 for i in range(s_mid)) for j in range(s_mid)
-        )
+        lifted_relations.extend(_unit_vectors(s_mid, p ** r))
         target = SubmoduleBasis(mod_top, s_mid, lifted_relations)
         beta = ModularMatrix.from_columns(mod_top, beta_cols, s_mid)
         kernel_gens = _preimage_generators(beta, target)

@@ -146,9 +146,6 @@ class ModularMatrix:
                 raise ValueError("column length mismatch")
         return cls(modulus, [[columns[j][i] for j in range(len(columns))] for i in range(ambient)])
 
-    def entry(self, i: int, j: int) -> Residue:
-        return Residue(self.entries[i][j], self.modulus)
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
 

@@ -130,6 +130,16 @@ def test_dieudonne_check_passes_on_a1_and_fails_on_adversarial():
     assert "saturation: FAIL" in adversarial.stdout
 
 
+def test_dieudonne_check_at_level_three_with_small_exponent():
+    # products that vanish mod p^N (V^3(1) at p = 2, N = 3) once crashed this run
+    result = run_cli(
+        "dieudonne-check", "--model", "a1", "--p", "2", "--wmax", "4", "--coeff-exp", "3",
+        "--r", "3", "--rmax", "2",
+    )
+    assert result.returncode == 0, result.stderr
+    assert "overall: pass" in result.stdout
+
+
 def test_json_outputs_reparse():
     for args in [
         ("certify", "--preset", "cusp", "--format", "json"),

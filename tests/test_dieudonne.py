@@ -6,11 +6,13 @@ for the construction), and the checkers themselves are shown to have
 teeth on a hand-written non-saturated model.
 """
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wittcert.dieudonne import (
     BasisElement,
@@ -62,6 +64,97 @@ def test_grading_discipline_enforced():
     assert good.defined("F", "a") and good.apply("F", {"a": 1}) == {}
     assert not good.defined("F", "b")
     assert good.apply("F", {"b": 1}) is None
+
+
+def test_products_vanishing_mod_pn_are_dropped():
+    # V^3(1) = 8 * 1 = 0 mod 2^3: the zero coefficient is removed, not looked up
+    m = a1_model(2, 4, 3)
+    assert m.apply_chain(["V"] * 3, {"1": 1}) == {}
+    cancellation = f_cancellation_check(m, 3)
+    assert cancellation.passed, cancellation.violations
+    compared = compare_wr_with_cohomology(m, 0, 3)
+    assert compared.passed, compared.violations
+
+
+# -- the graded-block index ---------------------------------------------------------
+
+
+def assert_index_matches_basis_scans(m):
+    """degrees(), weights() and block() must agree with full-basis scans."""
+    degrees = sorted({b.degree for b in m.basis})
+    assert m.degrees() == degrees
+    for degree in range(min(degrees, default=0) - 1, max(degrees, default=0) + 2):
+        weights = sorted({b.weight for b in m.basis if b.degree == degree})
+        assert m.weights(degree) == weights
+        absent = Fraction(1, m.p ** 9)
+        for weight in weights + [w + absent for w in weights] + [absent]:
+            scanned = sorted(b.label for b in m.basis if b.degree == degree and b.weight == weight)
+            assert m.block(degree, weight) == tuple(scanned)
+
+
+@pytest.mark.parametrize("p,wmax,exponent", [(2, 1, 2), (2, 4, 3), (3, 2, 4), (5, 2, 2)])
+def test_block_index_matches_scans_on_a1(p, wmax, exponent):
+    assert_index_matches_basis_scans(a1_model(p, wmax, exponent))
+
+
+def test_block_index_matches_scans_on_small_models():
+    for m in (trivial_model(3, 3), zero_model(2, 3), nonsaturated_model()):
+        assert_index_matches_basis_scans(m)
+    assert zero_model(2, 3).block(0, Fraction(0)) == ()
+    assert zero_model(2, 3).weights(0) == []
+
+
+@settings(max_examples=60, derandomize=True)
+@given(
+    st.sampled_from([2, 3]),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-1, max_value=2),
+            st.integers(min_value=0, max_value=6),
+            st.integers(min_value=0, max_value=2),
+        ),
+        max_size=24,
+    ),
+)
+def test_block_index_matches_scans_on_generated_bases(p, cells):
+    basis = [BasisElement(f"b{i}", degree, Fraction(m, p ** j)) for i, (degree, m, j) in enumerate(cells)]
+    assert_index_matches_basis_scans(DieudonneModel(p, 2, basis, {}, {}, {}))
+
+
+def test_models_do_not_share_their_index_or_columns():
+    first = a1_model(2, 4, 3)
+    assert first.op_matrix("V", 0, Fraction(1)) is not None
+    second = nonsaturated_model()
+    assert second.block(0, Fraction(1)) == ("a",)
+    assert first.block(0, Fraction(1)) == ("[T^1]",)
+    assert_index_matches_basis_scans(first)
+    # V = p on the trivial model: the columns are per model, not per block key
+    assert trivial_model(2, 3).op_matrix("V", 0, Fraction(0)).entries == ((2,),)
+    assert trivial_model(3, 3).op_matrix("V", 0, Fraction(0)).entries == ((3,),)
+
+
+# Sha256 over the canonical JSON of every report of the benchmark's checker
+# set, plus the W_2 and H(M/p^2) presentations in degrees 0 and 1, on the
+# benchmark's three A^1 models.  Computed before the block index existed;
+# any change in a report's bytes changes it.
+GOLDEN_REPORT_DIGEST = "dd543b794069dc4b21b54a6ca29ecf2b23a9ee53de075bca162c6a53163e1ef1"
+
+
+def test_checker_reports_match_golden_digest():
+    h = hashlib.sha256()
+    for p, wmax, exponent in ((2, 4, 4), (3, 1, 4), (2, 8, 4)):
+        m = a1_model(p, wmax, exponent)
+        docs = [check_axioms(m).to_json(), saturation_witness(m).to_json()]
+        for r in (1, 3):
+            docs.append(f_cancellation_check(m, r).to_json())
+            docs.extend(compare_wr_with_cohomology(m, degree, r).to_json() for degree in (0, 1))
+        docs.extend(w1_vanishing_propagation_check(m, degree, 3).to_json() for degree in (0, 1))
+        docs.append(frobenius_injectivity_degree0_check(m).to_json())
+        for degree in (0, 1):
+            docs.extend([wr_quotient(m, degree, 2).to_json(), hn_mod_pr(m, degree, 2).to_json()])
+        for doc in docs:
+            h.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_REPORT_DIGEST
 
 
 def test_trivial_model_axioms_and_quotient():
