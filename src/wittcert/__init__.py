@@ -7,8 +7,8 @@ Layers, bottom up: `modarith` (Z/p^N linear algebra), `polyring`
 Dieudonne-complex models), `vanish` (descent certificates), `cli`.
 """
 
-from .modarith import ModularMatrix, Modulus, Residue, SubmoduleBasis, smith_normal_form, solve_linear, submodule_membership
-from .polyring import Ideal, Polynomial, PolyRing, TermOrder, buchberger, eliminate, krull_dim, normal_form, parse_polynomial, pth_root_ideal, pth_root_poly
+from .modarith import ModularMatrix, Modulus, SubmoduleBasis, smith_normal_form, solve_linear
+from .polyring import Ideal, Polynomial, PolyRing, TermOrder, buchberger, eliminate, krull_dim, normal_form, parse_polynomial, pth_root_ideal
 from .derham import DifferentialForm, PresentedRing, TopFormPresentation, exterior_d, top_form_is_zero_in_omega, top_form_presentation, wedge
 from .wittvec import WittVector, build_witt_table, frobenius, ghost, teichmuller, verschiebung, witt_add, witt_mul, witt_neg
 from .dieudonne import DieudonneModel, a1_model, check_axioms, f_cancellation_check, hn_mod_pr, saturation_witness, wr_quotient

@@ -9,6 +9,7 @@ across runs: nothing here consults time, environment, or hash order.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -134,6 +135,9 @@ def _render_witt(x: wittvec.WittVector, config: SessionConfig) -> tuple[list[str
 def cmd_witt(args: argparse.Namespace) -> int:
     config = _config(args)
     domain = _witt_domain(args, config)
+    if domain.char_p:
+        # A --ring presentation carries its own prime, which wins over --p.
+        config = dataclasses.replace(config, p=domain.characteristic)
     op = args.operation
     if op in ("add", "mul"):
         x = _parse_witt_operand(args.x, domain, config)

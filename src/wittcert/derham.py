@@ -62,15 +62,26 @@ class PresentedRing:
 
     @staticmethod
     def from_json(doc: Mapping) -> "PresentedRing":
+        """Raises ValueError (or PolyParseError) on a malformed document."""
         from .polyring import parse_polynomial, poly_from_json
 
-        ring = PolyRing(int(doc["p"]), tuple(doc["vars"]))
-        gens = []
-        for entry in doc.get("generators", []):
-            if isinstance(entry, str):
-                gens.append(parse_polynomial(entry, ring))
-            else:
-                gens.append(poly_from_json(entry, ring))
+        try:
+            if not isinstance(doc, Mapping):
+                raise TypeError(f"expected an object, got {type(doc).__name__}")
+            names = tuple(doc["vars"])
+            if not all(isinstance(name, str) for name in names):
+                raise TypeError("variable names must be strings")
+            ring = PolyRing(int(doc["p"]), names)
+            gens = []
+            for entry in doc.get("generators", []):
+                if isinstance(entry, str):
+                    gens.append(parse_polynomial(entry, ring))
+                elif isinstance(entry, Mapping):
+                    gens.append(poly_from_json(entry, ring))
+                else:
+                    raise TypeError(f"a generator is a string or an object, not {type(entry).__name__}")
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed ring document ({type(exc).__name__}: {exc})") from exc
         return PresentedRing.make(ring, gens)
 
 

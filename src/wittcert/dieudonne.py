@@ -594,7 +594,7 @@ def _cokernel_factors(modulus: Modulus, ambient: int, relations: list[tuple[int,
         return tuple([modulus.exponent] * ambient)
     matrix = ModularMatrix.from_columns(modulus, relations, ambient)
     snf = smith_normal_form(matrix)
-    exps = [d.valuation() for d in snf.diag]
+    exps = [modulus.valuation(d) for d in snf.diag]
     exps.extend([modulus.exponent] * (ambient - len(exps)))
     return tuple(sorted((e for e in exps if e > 0), reverse=True))
 
@@ -707,10 +707,7 @@ def _cohomology_block(model: DieudonneModel, degree: int, weight: Fraction, r: i
     boundaries = model._columns("d", degree - 1, weight)
     if d_out is None or boundaries is None:
         return None
-    if d_out.rows:
-        cycles = kernel_basis(d_out)
-    else:
-        cycles = _unit_vectors(len(labels))
+    cycles = kernel_basis(d_out)
     if not cycles:
         return QuotientBlock(labels, SubmoduleBasis(modulus, 0, []), (), True)
     cycle_matrix = ModularMatrix.from_columns(modulus, cycles, len(labels))
@@ -790,8 +787,6 @@ def _preimage_generators(f_matrix: ModularMatrix, target: SubmoduleBasis) -> lis
     """Generators of {x : F x in span(target)} over Z/p^N."""
     modulus = f_matrix.modulus
     n_src = f_matrix.cols
-    if f_matrix.rows == 0:
-        return _unit_vectors(n_src)
     stacked_cols = [f_matrix.column(j) for j in range(n_src)]
     for g in target.echelon:
         stacked_cols.append(tuple((-x) % modulus.char for x in g))
@@ -807,8 +802,6 @@ def _f_preimage_of_span(model: DieudonneModel, degree: int, weight: Fraction,
     f_matrix = model.op_matrix("F", degree, weight)
     if f_matrix is None:
         return None
-    if not f_matrix.rows:
-        return _unit_vectors(len(model.block(degree, weight)))
     span = SubmoduleBasis(model.modulus, f_matrix.rows, target_vectors)
     return _preimage_generators(f_matrix, span)
 

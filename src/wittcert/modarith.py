@@ -74,58 +74,20 @@ class Modulus:
         return pow(v, -1, self.char)
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/p^N."""
-
-    value: int
-    modulus: Modulus
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.modulus.reduce(self.value))
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def inverse(self) -> "Residue":
-        return Residue(self.modulus.inverse(self.value), self.modulus)
-
-    def valuation(self) -> int:
-        return self.modulus.valuation(self.value)
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.modulus.p}^{self.modulus.exponent})"
-
-
 class ModularMatrix:
     """Dense matrix over Z/p^N.  Immutable after construction."""
 
     __slots__ = ("modulus", "rows", "cols", "entries")
 
-    def __init__(self, modulus: Modulus, entries: Sequence[Sequence[int]]):
+    def __init__(self, modulus: Modulus, entries: Sequence[Sequence[int]], cols: Optional[int] = None):
+        """`cols` fixes the column count, which a matrix with no rows cannot
+        carry in its entries; by default it is read from the first row."""
         self.modulus = modulus
         grid = tuple(tuple(modulus.reduce(x) for x in row) for row in entries)
         self.rows = len(grid)
-        self.cols = len(grid[0]) if grid else 0
+        if cols is None:
+            cols = len(grid[0]) if grid else 0
+        self.cols = cols
         if any(len(row) != self.cols for row in grid):
             raise ValueError("ragged matrix")
         self.entries = grid
@@ -136,7 +98,7 @@ class ModularMatrix:
 
     @classmethod
     def zero(cls, modulus: Modulus, rows: int, cols: int) -> "ModularMatrix":
-        return cls(modulus, [[0] * cols for _ in range(rows)])
+        return cls(modulus, [[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def from_columns(cls, modulus: Modulus, columns: Sequence[Sequence[int]], ambient: int) -> "ModularMatrix":
@@ -144,7 +106,7 @@ class ModularMatrix:
         for c in columns:
             if len(c) != ambient:
                 raise ValueError("column length mismatch")
-        return cls(modulus, [[columns[j][i] for j in range(len(columns))] for i in range(ambient)])
+        return cls(modulus, [[columns[j][i] for j in range(len(columns))] for i in range(ambient)], len(columns))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i]
@@ -156,11 +118,12 @@ class ModularMatrix:
         return (
             isinstance(other, ModularMatrix)
             and self.modulus == other.modulus
+            and self.cols == other.cols
             and self.entries == other.entries
         )
 
     def __hash__(self) -> int:
-        return hash((self.modulus, self.entries))
+        return hash((self.modulus, self.cols, self.entries))
 
     def __matmul__(self, other: "ModularMatrix") -> "ModularMatrix":
         if self.modulus != other.modulus:
@@ -174,7 +137,7 @@ class ModularMatrix:
             out.append(
                 [sum(row[k] * other.entries[k][j] for k in range(self.cols)) % q for j in range(other.cols)]
             )
-        return ModularMatrix(self.modulus, out)
+        return ModularMatrix(self.modulus, out, other.cols)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -217,7 +180,7 @@ class SmithDecomposition:
     into the left transform) and sorted by increasing valuation, zeros last.
     """
 
-    diag: tuple[Residue, ...]
+    diag: tuple[int, ...]
     left: ModularMatrix
     right: ModularMatrix
 
@@ -225,8 +188,8 @@ class SmithDecomposition:
         modulus = self.left.modulus
         grid = [[0] * cols for _ in range(rows)]
         for i, d in enumerate(self.diag):
-            grid[i][i] = d.value
-        return ModularMatrix(modulus, grid)
+            grid[i][i] = d
+        return ModularMatrix(modulus, grid, cols)
 
 
 def smith_normal_form(m: ModularMatrix) -> SmithDecomposition:
@@ -305,7 +268,7 @@ def smith_normal_form(m: ModularMatrix) -> SmithDecomposition:
             swap_rows(pos, best)
             swap_cols(pos, best)
 
-    diag = tuple(Residue(a[i][i], mod) for i in range(limit))
+    diag = tuple(a[i][i] for i in range(limit))
     return SmithDecomposition(diag, ModularMatrix(mod, left), ModularMatrix(mod, right))
 
 
@@ -320,7 +283,7 @@ def solve_linear(m: ModularMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]
     y = [0] * m.cols
     for i in range(m.rows):
         rhs = c[i]
-        d = snf.diag[i].value if i < len(snf.diag) else 0
+        d = snf.diag[i] if i < len(snf.diag) else 0
         if d == 0:
             if rhs % q != 0:
                 return None
@@ -339,7 +302,7 @@ def kernel_basis(m: ModularMatrix) -> list[tuple[int, ...]]:
     gens = []
     for j in range(m.cols):
         if j < len(snf.diag):
-            v = snf.diag[j].valuation()
+            v = mod.valuation(snf.diag[j])
             if v == 0:
                 continue
             scale = mod.p ** (mod.exponent - v)
@@ -361,7 +324,7 @@ class SubmoduleBasis:
     the row span.  Two submodules are equal iff their forms are equal.
     """
 
-    __slots__ = ("modulus", "ambient", "generators", "echelon", "echelonized")
+    __slots__ = ("modulus", "ambient", "echelon")
 
     def __init__(self, modulus: Modulus, ambient: int, generators: Iterable[Sequence[int]]):
         self.modulus = modulus
@@ -371,9 +334,7 @@ class SubmoduleBasis:
             if len(g) != ambient:
                 raise ValueError("generator length mismatch")
             gens.append(tuple(modulus.reduce(x) for x in g))
-        self.generators = tuple(gens)
-        self.echelon = self._howell(list(self.generators))
-        self.echelonized = True
+        self.echelon = self._howell(gens)
 
     def _howell(self, rows: list[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
         mod = self.modulus
@@ -450,7 +411,3 @@ class SubmoduleBasis:
     def __repr__(self) -> str:
         return f"SubmoduleBasis(ambient={self.ambient}, pivots={len(self.echelon)})"
 
-
-def submodule_membership(vec: Sequence[int], basis: SubmoduleBasis) -> bool:
-    """True iff vec lies in the span of the basis over Z/p^N."""
-    return basis.contains(vec)

@@ -1,6 +1,9 @@
 """Sparse multivariate polynomials over F_p (and Z/p^N for Witt plumbing).
 
 Polynomials are dictionaries from exponent tuples to nonzero residues.
+The term-dict kernel (`terms_add`, `terms_mul`, `terms_scale`,
+`terms_pow`) works on such dictionaries with plain integer coefficients;
+`Polynomial` arithmetic and the universal Witt tables both run on it.
 Groebner machinery (division, Buchberger, elimination, dimension) is
 restricted to field mode (N = 1); plain ring arithmetic works for any N.
 The Buchberger loop is deliberately plain — coprime-leading-term pruning
@@ -139,6 +142,48 @@ def _exp_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
+# -- term-dict kernel: {exponent tuple: int}, no zero coefficients ---------
+
+
+def terms_add(a: Mapping, b: Mapping) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) + c
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def terms_mul(a: Mapping, b: Mapping) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            v = out.get(e, 0) + c1 * c2
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
+
+
+def terms_scale(a: Mapping, k: int) -> dict:
+    if k == 0:
+        return {}
+    return {e: c * k for e, c in a.items()}
+
+
+def terms_pow(a: Mapping, n: int, nvars: int) -> dict:
+    # Repeated multiplication: the Witt table bases stay small while the
+    # powers grow, so this beats binary powering there.
+    result = {(0,) * nvars: 1}
+    for _ in range(n):
+        result = terms_mul(result, a)
+    return result
+
+
 class Polynomial:
     """Immutable sparse polynomial; no zero coefficients are stored."""
 
@@ -200,39 +245,20 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out = dict(self.terms)
-        q = self.ring.char
-        for e, c in other.terms.items():
-            v = (out.get(e, 0) + c) % q
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, terms_add(self.terms, other.terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        q = self.ring.char
-        return Polynomial(self.ring, {e: q - c for e, c in self.terms.items()})
+        return self.scale(-1)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        q = self.ring.char
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _exp_mul(e1, e2)
-                v = (out.get(e, 0) + c1 * c2) % q
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return Polynomial(self.ring, out)
+        return Polynomial(self.ring, terms_mul(self.terms, other.terms))
 
     def scale(self, c: int) -> "Polynomial":
-        return Polynomial(self.ring, {e: c * v for e, v in self.terms.items()})
+        return Polynomial(self.ring, terms_scale(self.terms, c))
 
     def mul_term(self, exp: tuple[int, ...], coef: int) -> "Polynomial":
         return Polynomial(self.ring, {_exp_mul(e, exp): v * coef for e, v in self.terms.items()})
@@ -529,7 +555,6 @@ class Ideal:
     generators: tuple[Polynomial, ...]
     basis: Optional[tuple[Polynomial, ...]] = None
     basis_order: Optional[TermOrder] = None
-    reduced: bool = False
 
     @staticmethod
     def from_polys(ring: PolyRing, gens: Iterable[Polynomial]) -> "Ideal":
@@ -540,10 +565,7 @@ class Ideal:
         return Ideal(ring, cleaned)
 
     def with_cache(self, basis: tuple[Polynomial, ...], order: TermOrder) -> "Ideal":
-        return Ideal(self.ring, self.generators, basis, order, True)
-
-    def is_trivial_zero(self) -> bool:
-        return not self.generators
+        return Ideal(self.ring, self.generators, basis, order)
 
     def contains_one(self) -> bool:
         if self.basis is None:
@@ -643,48 +665,46 @@ def eliminate(ideal: Ideal, keep: Iterable[int]) -> Ideal:
     return buchberger(out, TermOrder.grevlex(ring.nvars))
 
 
-def partial_derivative(f: Polynomial, i: int) -> Polynomial:
-    return f.partial(i)
+def graph_kernel(ideal: Ideal, images: Sequence[Polynomial], target: PolyRing) -> Ideal:
+    """Kernel of target -> ring/I, t_i -> images[i], with its reduced basis.
 
-
-def pth_root_poly(f: Polynomial) -> Optional[Polynomial]:
-    return f.pth_root()
-
-
-def pth_root_ideal(ideal: Ideal) -> Ideal:
-    """{g : g^p ∈ I}, the preimage of I under x_i -> x_i^p.
-
-    Computed on the graph: in k[x, u] eliminate x from I + (u_i - x_i^p),
-    then rename the u-variables back.  Over F_p, g(x)^p = g(x_1^p..x_n^p).
+    Computed on the graph: in k[x, t] eliminate x from I + (t_i - images[i]),
+    then narrow to the t-variables.  The widened ring's variable names are
+    only made distinct; term orders use indices, so they change nothing.
     """
     ring = ideal.ring
     _require_field(ring)
-    if not ideal.generators:
-        return buchberger(Ideal.from_polys(ring, ()))
     n = ring.nvars
     taken = set(ring.names)
-    unames = []
-    for name in ring.names:
-        candidate = "u_" + name
-        while candidate in taken:
-            candidate = "_" + candidate
-        taken.add(candidate)
-        unames.append(candidate)
-    big = PolyRing(ring.p, ring.names + tuple(unames))
+    tnames = []
+    for name in target.names:
+        while name in taken:
+            name = "_" + name
+        taken.add(name)
+        tnames.append(name)
+    big = PolyRing(ring.p, ring.names + tuple(tnames))
+    pad = (0,) * target.nvars
 
     def widen(f: Polynomial) -> Polynomial:
-        return Polynomial(big, {exp + (0,) * n: c for exp, c in f.terms.items()})
+        return Polynomial(big, {exp + pad: c for exp, c in f.terms.items()})
 
     gens = [widen(g) for g in ideal.generators]
-    for i in range(n):
-        u_i = big.variable(n + i)
-        gens.append(u_i - big.variable(i) ** ring.p)
-    graph = Ideal.from_polys(big, gens)
-    kept = eliminate(graph, range(n, 2 * n))
-    out = []
-    for g in kept.basis or ():
-        out.append(Polynomial(ring, {exp[n:]: c for exp, c in g.terms.items()}))
-    return buchberger(Ideal.from_polys(ring, out))
+    gens += [big.variable(n + i) - widen(g) for i, g in enumerate(images)]
+    kept = eliminate(Ideal.from_polys(big, gens), range(n, n + target.nvars))
+    out = [Polynomial(target, {exp[n:]: c for exp, c in g.terms.items()}) for g in kept.basis]
+    return buchberger(Ideal.from_polys(target, out))
+
+
+def pth_root_ideal(ideal: Ideal) -> Ideal:
+    """{g : g^p ∈ I}, the kernel of x_i -> x_i^p into k[x]/I.
+
+    Over F_p, g(x)^p = g(x_1^p..x_n^p), so this is the graph kernel of the
+    Frobenius images.
+    """
+    ring = ideal.ring
+    if not ideal.generators:
+        return buchberger(Ideal.from_polys(ring, ()))
+    return graph_kernel(ideal, [ring.variable(i) ** ring.p for i in range(ring.nvars)], ring)
 
 
 def krull_dim(ideal: Ideal) -> int:

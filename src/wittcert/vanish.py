@@ -21,7 +21,7 @@ from .polyring import (
     PolyRing,
     TermOrder,
     buchberger,
-    eliminate,
+    graph_kernel,
     krull_dim,
     normal_form,
     poly_from_json,
@@ -91,21 +91,25 @@ class VanishingCertificate:
 
     @staticmethod
     def from_json(doc) -> "VanishingCertificate":
-        presentation = PresentedRing.from_json(doc["ring"])
-        ring = presentation.ring
-        steps = []
-        for s in doc["steps"]:
-            op = "pth_root" if s["op"] == "pthRoot" else "partial"
-            steps.append(
-                DescentStep(op, s.get("var"), poly_from_json(s["in"], ring), poly_from_json(s["out"], ring))
+        """Raises ValueError (or PolyParseError) on a malformed document."""
+        try:
+            presentation = PresentedRing.from_json(doc["ring"])
+            ring = presentation.ring
+            steps = []
+            for s in doc["steps"]:
+                op = "pth_root" if s["op"] == "pthRoot" else "partial"
+                steps.append(
+                    DescentStep(op, s.get("var"), poly_from_json(s["in"], ring), poly_from_json(s["out"], ring))
+                )
+            return VanishingCertificate(
+                presentation,
+                poly_from_json(doc["seed"], ring),
+                tuple(steps),
+                int(doc["terminal"]),
+                tuple(doc.get("provenance", PROVENANCE)),
             )
-        return VanishingCertificate(
-            presentation,
-            poly_from_json(doc["seed"], ring),
-            tuple(steps),
-            int(doc["terminal"]),
-            tuple(doc.get("provenance", PROVENANCE)),
-        )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed certificate ({type(exc).__name__}: {exc})") from exc
 
 
 def descend_to_unit(f: Polynomial) -> tuple[tuple[DescentStep, ...], int]:
@@ -261,32 +265,11 @@ def kernel_of_tuple(presentation: PresentedRing, elements: Sequence[Polynomial])
     The result lives in a fresh polynomial ring with variables t1..tn.
     """
     ring = presentation.ring
-    n = len(elements)
     for g in elements:
         if g.ring != ring:
             raise ValueError("tuple element from the wrong ring")
-    taken = set(ring.names)
-    tnames = []
-    for i in range(1, n + 1):
-        candidate = f"t{i}"
-        while candidate in taken:
-            candidate = "_" + candidate
-        taken.add(candidate)
-        tnames.append(candidate)
-    big = PolyRing(ring.p, ring.names + tuple(tnames))
-    nx = ring.nvars
-
-    def widen(f: Polynomial) -> Polynomial:
-        return Polynomial(big, {exp + (0,) * n: c for exp, c in f.terms.items()})
-
-    gens = [widen(g) for g in presentation.ideal.generators]
-    for i, g in enumerate(elements):
-        gens.append(big.variable(nx + i) - widen(g))
-    graph = Ideal.from_polys(big, gens)
-    kept = eliminate(graph, range(nx, nx + n))
-    target = PolyRing(ring.p, tuple(f"t{i}" for i in range(1, n + 1)))
-    out = [Polynomial(target, {exp[nx:]: c for exp, c in g.terms.items()}) for g in kept.basis or ()]
-    return buchberger(Ideal.from_polys(target, out))
+    target = PolyRing(ring.p, tuple(f"t{i}" for i in range(1, len(elements) + 1)))
+    return graph_kernel(presentation.ideal, elements, target)
 
 
 def vanishing_degree_bound(presentation: PresentedRing) -> int:

@@ -1,7 +1,8 @@
 """Truncated p-typical Witt vectors.
 
 The universal sum/product/negation/Frobenius polynomials are produced by
-the ghost recursion over arbitrary-precision integers: at level i the
+the ghost recursion over arbitrary-precision integers, as term dicts on
+the `polyring` kernel: at level i the
 recursion divides by p^i, and that division must be exact — a failed
 division is a construction bug, not user error, so it asserts.
 
@@ -18,48 +19,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .modarith import is_prime
-from .polyring import Polynomial
+from .polyring import Polynomial, terms_add, terms_mul, terms_pow, terms_scale
 
-# -- integer polynomial helpers (exponent tuple -> int coefficient) -------
-
-
-def _ip_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            v = out.get(e, 0) + c1 * c2
-            if v:
-                out[e] = v
-            else:
-                del out[e]
-    return out
-
-
-def _ip_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        else:
-            del out[e]
-    return out
-
-
-def _ip_scale(a: dict, k: int) -> dict:
-    if k == 0:
-        return {}
-    return {e: c * k for e, c in a.items()}
-
-
-def _ip_pow(a: dict, n: int, nvars: int) -> dict:
-    # Repeated multiplication: table bases stay small while the powers
-    # grow, so this beats binary powering here.
-    result = {(0,) * nvars: 1}
-    for _ in range(n):
-        result = _ip_mul(result, a)
-    return result
+# -- universal tables: integer term dicts (exponent tuple -> int) -----------
 
 
 def _ip_divexact(a: dict, k: int) -> dict:
@@ -87,8 +49,8 @@ def _solve_coordinates(p: int, r: int, nvars: int, targets: list[dict]) -> tuple
     for i in range(r):
         acc = dict(targets[i])
         for j in range(i):
-            term = _ip_scale(_ip_pow(coords[j], p ** (i - j), nvars), -(p ** j))
-            acc = _ip_add(acc, term)
+            term = terms_scale(terms_pow(coords[j], p ** (i - j), nvars), -(p ** j))
+            acc = terms_add(acc, term)
         coords.append(_ip_divexact(acc, p ** i))
     return tuple(coords)
 
@@ -139,10 +101,10 @@ def build_witt_table(p: int, r: int, allow_large: bool = False) -> WittPolynomia
         n2 = 2 * r
         ghost_a2 = [_ghost_poly(p, i, 0, n2) for i in range(r)]
         ghost_b2 = [_ghost_poly(p, i, r, n2) for i in range(r)]
-        sums = _solve_coordinates(p, r, n2, [_ip_add(ghost_a2[i], ghost_b2[i]) for i in range(r)])
-        prods = _solve_coordinates(p, r, n2, [_ip_mul(ghost_a2[i], ghost_b2[i]) for i in range(r)])
+        sums = _solve_coordinates(p, r, n2, [terms_add(ghost_a2[i], ghost_b2[i]) for i in range(r)])
+        prods = _solve_coordinates(p, r, n2, [terms_mul(ghost_a2[i], ghost_b2[i]) for i in range(r)])
         ghost_a1 = [_ghost_poly(p, i, 0, r) for i in range(r)]
-        negs = _solve_coordinates(p, r, r, [_ip_scale(ghost_a1[i], -1) for i in range(r)])
+        negs = _solve_coordinates(p, r, r, [terms_scale(ghost_a1[i], -1) for i in range(r)])
         frobs = _solve_coordinates(p, r - 1, r, [ghost_a1[i + 1] for i in range(r - 1)]) if r > 1 else ()
         table = WittPolynomialTable(p, r, sums, prods, negs, frobs)
         _TABLE_CACHE[key] = table
@@ -284,6 +246,9 @@ class WittVector:
             raise ValueError("level must be >= 1")
         if len(self.coords) != self.level:
             raise ValueError("coordinate count does not match level")
+        characteristic = self.domain.characteristic
+        if characteristic and characteristic != self.p:
+            raise ValueError(f"p = {self.p} differs from the domain's characteristic {characteristic}")
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(c) for c in self.coords)

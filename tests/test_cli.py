@@ -174,3 +174,52 @@ def test_closure_of_zero_ideal_is_zero():
 
 def test_missing_presentation_is_parse_error():
     assert run_cli("dim").returncode == 2
+
+
+def test_witt_takes_the_prime_from_the_ring():
+    ring = '{"p":3,"vars":["x"],"generators":[]}'
+    for extra in ((), ("--p", "5"), ("--p", "3")):
+        result = run_cli("witt", "add", *extra, "--ring", ring, "--x", "x;0", "--y", "x;0")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "(2*x, x^3)"
+    frob = run_cli("witt", "check-frobenius", "--level", "3", "--g", "x + y",
+                   "--ring", '{"p":3,"vars":["x","y"],"generators":["y^2 - x^3"]}')
+    assert frob.returncode == 0, frob.stderr
+    assert "true" in frob.stdout
+
+
+MALFORMED_RINGS = [
+    '{"vars":["x"],"generators":[]}',
+    '{"p":5,"generators":[]}',
+    '{"p":5,"vars":["x"],"generators":[3]}',
+    '{"p":5,"vars":["x"],"generators":[{"terms":[{"exp":[1]}]}]}',
+    '{"p":5,"vars":[1],"generators":[]}',
+    '{"p":5,"vars":["x"],"generators":5}',
+    '[1]',
+]
+
+
+@pytest.mark.parametrize("ring", MALFORMED_RINGS)
+def test_malformed_ring_json_exits_two(ring):
+    result = run_cli("certify", "--ring", ring)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "malformed ring document" in result.stderr
+
+
+def test_malformed_certificate_json_exits_two(tmp_path):
+    produced = json.loads(run_cli("certify", "--preset", "cusp", "--format", "json").stdout)
+    broken = []
+    for ring in MALFORMED_RINGS:
+        doc = dict(produced)
+        doc["ring"] = json.loads(ring)
+        broken.append(doc)
+    broken.append({k: v for k, v in produced.items() if k != "steps"})
+    broken.append(dict(produced, steps=[3]))
+    for i, doc in enumerate(broken):
+        path = tmp_path / f"broken{i}.json"
+        path.write_text(json.dumps(doc))
+        result = run_cli("certify", "--verify", str(path))
+        assert result.returncode == 2, (doc, result.stderr)
+        assert "Traceback" not in result.stderr
+        assert "malformed" in result.stderr

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from wittcert.dieudonne import (
     BasisElement,
     DieudonneModel,
+    _preimage_generators,
     a1_model,
     check_axioms,
     compare_wr_with_cohomology,
@@ -32,6 +33,7 @@ from wittcert.dieudonne import (
     wr_quotient,
     zero_model,
 )
+from wittcert.modarith import ModularMatrix, Modulus, SubmoduleBasis
 
 DATA = Path(__file__).parent / "data"
 
@@ -318,3 +320,12 @@ def test_report_json_shape():
     assert doc["passed"] is False
     assert all("witness" in v for v in doc["violations"])
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_preimage_generators_of_a_map_to_the_zero_module():
+    # F into an empty block is the zero map: every source vector is a preimage
+    m = Modulus(2, 3)
+    f_matrix = ModularMatrix.from_columns(m, [(), (), ()], 0)
+    assert (f_matrix.rows, f_matrix.cols) == (0, 3)
+    expected = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert _preimage_generators(f_matrix, SubmoduleBasis(m, 0, [])) == expected

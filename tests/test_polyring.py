@@ -27,7 +27,6 @@ from wittcert.polyring import (
     parse_polynomial,
     poly_from_json,
     pth_root_ideal,
-    pth_root_poly,
 )
 
 
@@ -120,6 +119,41 @@ def test_partial_derivative_leibniz(seed, data):
         assert (f * g).partial(i) == f.partial(i) * g + f * g.partial(i)
 
 
+def evaluate(f, point):
+    """f at an integer point, reduced mod p^N: an oracle independent of the kernel."""
+    total = 0
+    for exp, c in f.terms.items():
+        term = c
+        for x, e in zip(point, exp):
+            term *= x ** e
+        total += term
+    return total % f.ring.char
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([2, 3, 5]), st.sampled_from([1, 2, 3]))
+def test_arithmetic_commutes_with_evaluation_mod_pn(seed, p, exponent):
+    ring = PolyRing(p, ("x", "y", "z"), exponent)
+    q = ring.char
+    rng = random.Random(seed)
+    f = random_poly(rng, ring, max_terms=5, allow_zero=True)
+    g = random_poly(rng, ring, max_terms=5, allow_zero=True)
+    c = rng.randint(-2 * q, 2 * q)
+    exp = tuple(rng.randint(0, 3) for _ in range(3))
+    for _ in range(4):
+        point = [rng.randint(-50, 50) for _ in range(3)]
+        fx, gx = evaluate(f, point), evaluate(g, point)
+        assert evaluate(f + g, point) == (fx + gx) % q
+        assert evaluate(f - g, point) == (fx - gx) % q
+        assert evaluate(f * g, point) == (fx * gx) % q
+        assert evaluate(f.scale(c), point) == (c * fx) % q
+        monomial = 1
+        for x, e in zip(point, exp):
+            monomial *= x ** e
+        assert evaluate(f.mul_term(exp, c), point) == (c * monomial * fx) % q
+    assert all(0 < v < q for v in (f * g).terms.values())
+
+
 def test_partial_examples():
     ring = PolyRing(5, ("x", "y"))
     f = parse_polynomial("y^2 - x^3", ring)
@@ -133,10 +167,10 @@ def test_partial_examples():
 
 def test_pth_root_examples():
     ring2 = PolyRing(2, ("x", "y"))
-    assert pth_root_poly(parse_polynomial("x^2 + y^2", ring2)) == parse_polynomial("x + y", ring2)
-    assert pth_root_poly(ring2.variable(0)) is None
+    assert parse_polynomial("x^2 + y^2", ring2).pth_root() == parse_polynomial("x + y", ring2)
+    assert ring2.variable(0).pth_root() is None
     ring5 = PolyRing(5, ("x",))
-    assert pth_root_poly(parse_polynomial("x^5", ring5)) == ring5.variable(0)
+    assert parse_polynomial("x^5", ring5).pth_root() == ring5.variable(0)
 
 
 @settings(max_examples=40, derandomize=True)
@@ -146,9 +180,9 @@ def test_pth_root_inverts_frobenius_power(seed, p):
     f = random_poly(random.Random(seed), ring)
     power = f.frobenius_power()
     assert power == f ** p
-    root = pth_root_poly(power)
+    root = power.pth_root()
     assert root == f
-    maybe = pth_root_poly(f)
+    maybe = f.pth_root()
     if maybe is not None:
         assert maybe ** p == f
 

@@ -1,12 +1,13 @@
 """Descent certificates, the differential p-closure, and tuple kernels."""
 
+import hashlib
 import json
 import random
 
 import pytest
 
 from wittcert.derham import PresentedRing
-from wittcert.polyring import Ideal, PolyRing, Polynomial, normal_form, parse_polynomial
+from wittcert.polyring import Ideal, PolyRing, Polynomial, normal_form, parse_polynomial, pth_root_ideal
 from wittcert.vanish import (
     ClosureBudgetError,
     DescentStep,
@@ -306,3 +307,36 @@ def test_full_coordinate_tuple_on_affine_space_has_zero_kernel():
         R = presented(3, names, [])
         K = kernel_of_tuple(R, [R.ring.variable(i) for i in range(n)])
         assert K.basis == ()
+
+
+# Reduced bases of pth_root_ideal and kernel_of_tuple on a fixed catalogue
+# (cusp, node and a smooth plane cubic at p in {2, 3, 5}; two- and three-element
+# tuples), hashed as canonical JSON.  Reduced bases are unique, so any
+# rewrite of the elimination plumbing must reproduce this digest.
+GOLDEN_ELIMINATION_DIGEST = "3eff10fee8afd949c55385e77a72b3cde9e3d3dd230948db425cfd7e8a37cf72"
+ELIMINATION_CURVES = {"cusp": "y^2 - x^3", "node": "x*y", "plane": "y^2 - x^3 - x"}
+ELIMINATION_TUPLES = (("x + y", "x*y"), ("x^2 + y", "y^2"), ("x", "y", "x*y + y^2"), ("x + y^2", "x*y", "y"))
+
+
+def elimination_catalogue_docs():
+    for p in (2, 3, 5):
+        for name, relation in ELIMINATION_CURVES.items():
+            R = presented(p, ("x", "y"), [relation])
+            f = R.ideal.generators[0]
+            for ideal in (
+                R.ideal,
+                Ideal.from_polys(R.ring, [f, f.partial(0), f.partial(1)]),
+                Ideal.from_polys(R.ring, [f.frobenius_power(), R.ring.variable(0) ** (2 * p)]),
+            ):
+                root = pth_root_ideal(ideal)
+                yield {"vars": list(root.ring.names), "basis": [g.to_json() for g in root.basis]}
+            for texts in ELIMINATION_TUPLES:
+                kernel = kernel_of_tuple(R, [parse_polynomial(t, R.ring) for t in texts])
+                yield {"vars": list(kernel.ring.names), "basis": [g.to_json() for g in kernel.basis]}
+
+
+def test_elimination_bases_match_golden_digest():
+    h = hashlib.sha256()
+    for doc in elimination_catalogue_docs():
+        h.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_ELIMINATION_DIGEST

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittcert.derham import PresentedRing
-from wittcert.polyring import PolyRing, parse_polynomial
+from wittcert.polyring import PolyRing, parse_polynomial, terms_add, terms_mul, terms_pow, terms_scale
 from wittcert.wittvec import (
     IntegerCoefficients,
     PresentedCoefficients,
@@ -33,10 +33,6 @@ from wittcert.wittvec import (
     witt_vector,
     witt_zero,
     _ghost_poly,
-    _ip_add,
-    _ip_mul,
-    _ip_pow,
-    _ip_scale,
 )
 
 Z = IntegerCoefficients()
@@ -104,16 +100,16 @@ def test_ghost_identities_hold_formally(p, r):
     def ghost_of(coords, i, nvars):
         acc = {}
         for j in range(i + 1):
-            acc = _ip_add(acc, _ip_scale(_ip_pow(coords[j], p ** (i - j), nvars), p ** j))
+            acc = terms_add(acc, terms_scale(terms_pow(coords[j], p ** (i - j), nvars), p ** j))
         return acc
 
     for i in range(r):
         ga = _ghost_poly(p, i, 0, n2)
         gb = _ghost_poly(p, i, r, n2)
-        assert ghost_of(t.sum_polys, i, n2) == _ip_add(ga, gb)
-        assert ghost_of(t.prod_polys, i, n2) == _ip_mul(ga, gb)
+        assert ghost_of(t.sum_polys, i, n2) == terms_add(ga, gb)
+        assert ghost_of(t.prod_polys, i, n2) == terms_mul(ga, gb)
         g1 = _ghost_poly(p, i, 0, r)
-        assert ghost_of(t.neg_polys, i, r) == _ip_scale(g1, -1)
+        assert ghost_of(t.neg_polys, i, r) == terms_scale(g1, -1)
         if i < r - 1:
             assert ghost_of(t.frob_polys, i, r) == _ghost_poly(p, i + 1, 0, r)
 
@@ -287,3 +283,21 @@ def test_witt_json():
     domain = TEST_RINGS["x3"](3)
     doc2 = witt_to_json(teichmuller(domain, domain.presentation.ring.variable(0), 2, p=3))
     assert doc2["p"] == 3 and doc2["r"] == 2 and len(doc2["coords"]) == 2
+
+
+def test_vector_prime_must_match_the_domain_characteristic():
+    with pytest.raises(ValueError):
+        witt_vector(PrimeFieldCoefficients(5), 3, [1, 2])
+    cusp = TEST_RINGS["cusp"](3)
+    x = cusp.presentation.ring.variable(0)
+    with pytest.raises(ValueError):
+        witt_vector(cusp, 5, [x, cusp.zero()])
+    with pytest.raises(ValueError):
+        teichmuller(cusp, x, 2, p=2)
+    # the integer oracle has characteristic 0 and serves every prime
+    assert witt_vector(Z, 7, [1, 2]).p == 7
+    # the right prime gives the known sum (x, 0) + (x, 0) = (2x, x^3) over F_3[x]
+    line = fp_quotient(3, names=("x",))
+    y = line.presentation.ring.variable(0)
+    total = witt_add(witt_vector(line, 3, [y, line.zero()]), witt_vector(line, 3, [y, line.zero()]))
+    assert total.coords == (y.scale(2), y ** 3)
