@@ -27,7 +27,6 @@ from .modarith import (
     SubmoduleBasis,
     kernel_basis,
     smith_normal_form,
-    solve_linear,
 )
 
 Vector = dict[str, int]
@@ -260,24 +259,26 @@ class DieudonneModel:
 
     @staticmethod
     def from_json(doc: Mapping) -> "DieudonneModel":
-        p = int(doc["p"])
-        exponent = int(doc["N"])
-        basis = [
-            BasisElement(str(b["label"]), int(b["degree"]), weight_from_pair(p, b["weight"]))
-            for b in doc["basis"]
-        ]
-        cap = weight_from_pair(p, doc["weight_cap"]) if "weight_cap" in doc else None
-        depth = int(doc["depth_cap"]) if "depth_cap" in doc else None
-        return DieudonneModel(
-            p,
-            exponent,
-            basis,
-            {k: dict(v) for k, v in doc.get("d", {}).items()},
-            {k: dict(v) for k, v in doc.get("F", {}).items()},
-            {k: dict(v) for k, v in doc.get("V", {}).items()},
-            weight_cap=cap,
-            depth_cap=depth,
-        )
+        """Raises ValueError on a malformed document."""
+        try:
+            if not isinstance(doc, Mapping):
+                raise TypeError(f"expected an object, got {type(doc).__name__}")
+            p = int(doc["p"])
+            exponent = int(doc["N"])
+            basis = [
+                BasisElement(str(b["label"]), int(b["degree"]), weight_from_pair(p, b["weight"]))
+                for b in doc["basis"]
+            ]
+            cap = weight_from_pair(p, doc["weight_cap"]) if "weight_cap" in doc else None
+            depth = int(doc["depth_cap"]) if "depth_cap" in doc else None
+            maps = [
+                {src: {dst: int(c) for dst, c in dict(row).items()}
+                 for src, row in dict(doc.get(op, {})).items()}
+                for op in ("d", "F", "V")
+            ]
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"malformed model document ({type(exc).__name__}: {exc})") from exc
+        return DieudonneModel(p, exponent, basis, *maps, weight_cap=cap, depth_cap=depth)
 
     def __repr__(self) -> str:
         return (
@@ -524,8 +525,7 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                 )
                 continue
             src_weight = weight / p
-            src_block = model.block(degree, src_weight)
-            if not src_block:
+            if not model.block(degree, src_weight):
                 depth = model.depth_cap
                 if depth is not None and _denominator_exponent(p, src_weight) > depth:
                     if any(any(g) for g in gens):
@@ -537,23 +537,22 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                             }
                         )
                     continue
-                f_matrix = ModularMatrix.from_columns(model.modulus, [], len(block))
-            else:
-                f_matrix = model.op_matrix("F", degree, src_weight)
-                if f_matrix is None:
-                    report.inconclusive.append(
-                        {
-                            "degree": degree,
-                            "weight": str(weight),
-                            "reason": "F undefined on the source block",
-                        }
-                    )
-                    continue
+            f_cols = model._columns("F", degree, src_weight)
+            if f_cols is None:
+                report.inconclusive.append(
+                    {
+                        "degree": degree,
+                        "weight": str(weight),
+                        "reason": "F undefined on the source block",
+                    }
+                )
+                continue
+            f_image = SubmoduleBasis(model.modulus, len(block), f_cols)
             for g in gens:
                 if not any(g):
                     continue
                 report.checked += 1
-                if solve_linear(f_matrix, g) is None:
+                if not f_image.contains(g):
                     report.violations.append(
                         {
                             "degree": degree,
@@ -622,14 +621,6 @@ class QuotientPresentation:
     degree: int
     modulus: Modulus
     blocks: dict[Fraction, QuotientBlock]
-
-    @property
-    def ambient_rank(self) -> int:
-        return sum(len(b.labels) for b in self.blocks.values())
-
-    def rank_at(self, weight: Fraction) -> int:
-        block = self.blocks.get(weight)
-        return block.rank if block else 0
 
     def factors_at(self, weight: Fraction) -> tuple[int, ...]:
         block = self.blocks.get(weight)
@@ -710,21 +701,18 @@ def _cohomology_block(model: DieudonneModel, degree: int, weight: Fraction, r: i
     cycles = kernel_basis(d_out)
     if not cycles:
         return QuotientBlock(labels, SubmoduleBasis(modulus, 0, []), (), True)
-    cycle_matrix = ModularMatrix.from_columns(modulus, cycles, len(labels))
-    relations = [tuple(int(x) for x in syz) for syz in kernel_basis(cycle_matrix)]
-    for b in boundaries:
-        coords = solve_linear(cycle_matrix, b)
-        if coords is None:
-            # d of the lower block is not a cycle: d^2 fails mod p^r here.
-            return None
-        relations.append(tuple(coords))
+    if any(any(d_out.apply(b)) for b in boundaries):
+        # d of the lower block is not a cycle: d^2 fails mod p^r here.
+        return None
+    span = SubmoduleBasis(modulus, len(labels), boundaries)
+    relations = _preimage_generators(modulus, cycles, len(labels), span)
     factors = _cokernel_factors(modulus, len(cycles), relations)
     return QuotientBlock(
         labels,
         SubmoduleBasis(modulus, len(cycles), relations),
         factors,
         True,
-        tuple(tuple(c) for c in cycles),
+        tuple(cycles),
     )
 
 
@@ -783,27 +771,15 @@ def compare_wr_with_cohomology(model: DieudonneModel, degree: int, r: int) -> Ch
 # -- the section-2 checkers --------------------------------------------------
 
 
-def _preimage_generators(f_matrix: ModularMatrix, target: SubmoduleBasis) -> list[tuple[int, ...]]:
-    """Generators of {x : F x in span(target)} over Z/p^N."""
-    modulus = f_matrix.modulus
-    n_src = f_matrix.cols
-    stacked_cols = [f_matrix.column(j) for j in range(n_src)]
-    for g in target.echelon:
-        stacked_cols.append(tuple((-x) % modulus.char for x in g))
-    stacked = ModularMatrix.from_columns(modulus, stacked_cols, f_matrix.rows)
-    return [tuple(k[:n_src]) for k in kernel_basis(stacked) if any(k[:n_src])]
-
-
-def _f_preimage_of_span(model: DieudonneModel, degree: int, weight: Fraction,
-                        target_vectors: list[tuple[int, ...]]) -> Optional[list[tuple[int, ...]]]:
-    """Generators of {x in the block : F x in span(target_vectors)}, or None
-    when F is undefined somewhere on the block.  An empty F-target block
-    means F is the zero map there, so the preimage is the whole block."""
-    f_matrix = model.op_matrix("F", degree, weight)
-    if f_matrix is None:
-        return None
-    span = SubmoduleBasis(model.modulus, f_matrix.rows, target_vectors)
-    return _preimage_generators(f_matrix, span)
+def _preimage_generators(modulus: Modulus, columns: Sequence[Sequence[int]], ambient: int,
+                         target: SubmoduleBasis) -> list[tuple[int, ...]]:
+    """Generators of {x : sum_j x_j columns[j] in span(target)} over `modulus`,
+    for columns of length `ambient`.  With no rows (ambient 0) the map is
+    zero and the preimage is everything."""
+    n_src = len(columns)
+    stacked = list(columns) + [tuple((-x) % modulus.char for x in g) for g in target.echelon]
+    matrix = ModularMatrix.from_columns(modulus, stacked, ambient)
+    return [k[:n_src] for k in kernel_basis(matrix) if any(k[:n_src])]
 
 
 def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckReport) -> None:
@@ -826,12 +802,16 @@ def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckRepo
                     {"degree": degree, "weight": str(weight), "reason": "truncation boundary"}
                 )
                 continue
-            preimage = _f_preimage_of_span(model, degree, weight, target_vectors)
-            if preimage is None:
+            f_cols = model._columns("F", degree, weight)
+            if f_cols is None:
                 report.inconclusive.append(
                     {"degree": degree, "weight": str(weight), "reason": "F undefined on block"}
                 )
                 continue
+            # an empty F-target block makes F zero, so the preimage is the whole block
+            f_target = len(model.block(degree, weight * p))
+            span = SubmoduleBasis(model.modulus, f_target, target_vectors)
+            preimage = _preimage_generators(model.modulus, f_cols, f_target, span)
             source_span = SubmoduleBasis(model.modulus, len(block), source_vectors)
             for x in preimage:
                 report.checked += 1
@@ -907,7 +887,7 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
                         "factors": list(blocks[r + 1].factors),
                     }
                 )
-            failure = _les_exactness_failure(model, degree, weight, r, blocks[1], blocks[r + 1], blocks[r])
+            failure = _les_exactness_failure(model, degree, weight, r, blocks[1], blocks[r + 1])
             if failure is not None:
                 report.violations.append(
                     {"weight": str(weight), "kind": "les_exactness", "r": r, "detail": failure}
@@ -922,56 +902,33 @@ def _les_exactness_failure(
     r: int,
     h1: QuotientBlock,
     h_top: QuotientBlock,
-    h_mid: QuotientBlock,
 ) -> Optional[str]:
     """Exactness of H(M/p) --p^r--> H(M/p^(r+1)) --reduce--> H(M/p^r) at the middle.
 
-    Both the image of the first map and the kernel of the second are computed
-    as submodules of the generator coordinates of H(M/p^(r+1)) and compared
-    via canonical Howell forms.
+    The image of the first map is the cycle classes of p^r * (h1 generators)
+    and the kernel of the second those of the boundaries mod p^r; both are
+    pulled back to the generator coordinates of H(M/p^(r+1)), together with
+    the boundaries there, and compared via canonical Howell forms.
     """
     p = model.p
     mod_top = Modulus(p, r + 1)
-    s_top = len(h_top.generators)
-    if s_top == 0:
+    gens = h_top.generators
+    if not gens:
         # middle is zero: exact iff nothing to check
         return None
-    labels = model.block(degree, weight)
-    top_matrix = ModularMatrix.from_columns(mod_top, h_top.generators, len(labels))
+    ambient = len(model.block(degree, weight))
+    lifted = [tuple(p ** r * x for x in g) for g in h1.generators]
+    d_top = model.op_matrix("d", degree, weight, mod_top)
+    if any(any(d_top.apply(g)) for g in lifted):
+        return "multiplication-by-p^r image is not a cycle combination"
+    boundaries = list(model._columns("d", degree - 1, weight))
 
-    image_gens: list[tuple[int, ...]] = []
-    scale = p ** r
-    for g in h1.generators:
-        lifted = tuple((scale * int(x)) % mod_top.char for x in g)
-        coords = solve_linear(top_matrix, lifted)
-        if coords is None:
-            return "multiplication-by-p^r image is not a cycle combination"
-        image_gens.append(tuple(coords))
+    def pulled_back(vectors: list[tuple[int, ...]]) -> SubmoduleBasis:
+        span = SubmoduleBasis(mod_top, ambient, vectors)
+        return SubmoduleBasis(mod_top, len(gens), _preimage_generators(mod_top, gens, ambient, span))
 
-    # Kernel of the reduction map, pulled back to generator coordinates.
-    mod_mid = Modulus(p, r)
-    s_mid = len(h_mid.generators)
-    if s_mid == 0:
-        kernel_gens = _unit_vectors(s_top)
-    else:
-        mid_matrix = ModularMatrix.from_columns(mod_mid, h_mid.generators, len(labels))
-        beta_cols = []
-        for g in h_top.generators:
-            reduced = tuple(int(x) % mod_mid.char for x in g)
-            coords = solve_linear(mid_matrix, reduced)
-            if coords is None:
-                return "reduction image is not a cycle combination"
-            beta_cols.append(tuple(coords))
-        # Preimage of (relations of H_mid, lifted) + p^r * ambient under beta.
-        lifted_relations = [tuple(int(x) for x in row) for row in h_mid.relations.echelon]
-        lifted_relations.extend(_unit_vectors(s_mid, p ** r))
-        target = SubmoduleBasis(mod_top, s_mid, lifted_relations)
-        beta = ModularMatrix.from_columns(mod_top, beta_cols, s_mid)
-        kernel_gens = _preimage_generators(beta, target)
-
-    relations = [tuple(int(x) for x in row) for row in h_top.relations.echelon]
-    image_side = SubmoduleBasis(mod_top, s_top, image_gens + relations)
-    kernel_side = SubmoduleBasis(mod_top, s_top, list(kernel_gens) + relations)
+    image_side = pulled_back(lifted + boundaries)
+    kernel_side = pulled_back(boundaries + _unit_vectors(ambient, p ** r))
     if image_side != kernel_side:
         return "im(p^r) != ker(reduction) in the middle cohomology"
     return None

@@ -108,12 +108,6 @@ class ModularMatrix:
                 raise ValueError("column length mismatch")
         return cls(modulus, [[columns[j][i] for j in range(len(columns))] for i in range(ambient)], len(columns))
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ModularMatrix)

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON round trips, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -130,6 +131,20 @@ def test_dieudonne_check_passes_on_a1_and_fails_on_adversarial():
     assert "saturation: FAIL" in adversarial.stdout
 
 
+# sha256 of the JSON report on the adversarial model at r = 2, computed
+# before the checkers moved to Howell membership and one preimage helper.
+ADVERSARIAL_REPORT_DIGEST = "4d0f7bea06b79aec094672e9dcbf1e5cf527a37664489ec9bf2ac6218b8bd335"
+
+
+def test_adversarial_model_report_is_pinned():
+    result = run_cli(
+        "dieudonne-check", "--model-file", str(ROOT / "tests/data/nonsaturated_model.json"),
+        "--r", "2", "--format", "json",
+    )
+    assert result.returncode == 4, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == ADVERSARIAL_REPORT_DIGEST
+
+
 def test_dieudonne_check_at_level_three_with_small_exponent():
     # products that vanish mod p^N (V^3(1) at p = 2, N = 3) once crashed this run
     result = run_cli(
@@ -223,3 +238,23 @@ def test_malformed_certificate_json_exits_two(tmp_path):
         assert result.returncode == 2, (doc, result.stderr)
         assert "Traceback" not in result.stderr
         assert "malformed" in result.stderr
+
+
+MALFORMED_MODELS = [
+    '{"p": 2}',
+    '{"p": 2, "N": 3, "basis": [{"label": "a", "degree": 0}]}',
+    '[1]',
+    '{"p": 2, "N": 3, "basis": [{"label": "a", "degree": 0, "weight": [0, 0]}], "d": {"a": 5}}',
+    '{"p": 2, "N": 3, "basis": [{"label": "a", "degree": 0, "weight": [1]}]}',
+    '{"p": 2, "N": 3, "basis": [{"label": "a", "degree": 0, "weight": [0, 0]}], "d": {"a": {"a": "x"}}}',
+    '{"p": 2, "N": 3, "basis": [{"label": "a", "degree": 0, "weight": [0, 0]}], "d": [1]}',
+]
+
+
+@pytest.mark.parametrize("model", MALFORMED_MODELS)
+def test_malformed_model_json_exits_two(model, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(model)
+    result = run_cli("dieudonne-check", "--model-file", str(path))
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr

@@ -6,6 +6,7 @@ for the construction), and the checkers themselves are shown to have
 teeth on a hand-written non-saturated model.
 """
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from wittcert.dieudonne import (
     BasisElement,
     DieudonneModel,
+    _les_exactness_failure,
     _preimage_generators,
     a1_model,
     check_axioms,
@@ -33,7 +35,7 @@ from wittcert.dieudonne import (
     wr_quotient,
     zero_model,
 )
-from wittcert.modarith import ModularMatrix, Modulus, SubmoduleBasis
+from wittcert.modarith import Modulus, SubmoduleBasis
 
 DATA = Path(__file__).parent / "data"
 
@@ -277,6 +279,34 @@ def test_propagation_needs_enough_precision():
         w1_vanishing_propagation_check(m, 0, 3)  # needs N >= 4
 
 
+def test_les_exactness_detects_a_missing_image():
+    # exactness holds on every valid model, so the check is fed a doctored
+    # H(M/p): with no generators, im(p^r) misses ker(Z/4 -> Z/2) = 2Z/4
+    m = a1_model(2, 4, 4)
+    h1 = hn_mod_pr(m, 0, 1).blocks[Fraction(0)]
+    h_top = hn_mod_pr(m, 0, 2).blocks[Fraction(0)]
+    assert _les_exactness_failure(m, 0, Fraction(0), 1, h1, h_top) is None
+    empty = dataclasses.replace(h1, generators=())
+    assert _les_exactness_failure(m, 0, Fraction(0), 1, empty, h_top) == (
+        "im(p^r) != ker(reduction) in the middle cohomology"
+    )
+
+
+def test_les_exactness_rejects_a_non_cycle_generator():
+    # the a1 blocks are one label wide, so any nonzero H(M/p^2) forces d = 0
+    # mod p there; here d x = z, d y = 0 leaves x a non-cycle beside the cycle y
+    w = Fraction(0)
+    basis = [BasisElement("x", 0, w), BasisElement("y", 0, w), BasisElement("z", 1, w)]
+    m = DieudonneModel(2, 3, basis, {"x": {"z": 1}, "y": {}, "z": {}}, {}, {})
+    h1 = hn_mod_pr(m, 0, 1).blocks[w]
+    h_top = hn_mod_pr(m, 0, 2).blocks[w]
+    assert _les_exactness_failure(m, 0, w, 1, h1, h_top) is None
+    doctored = dataclasses.replace(h1, generators=((1, 0),))
+    assert _les_exactness_failure(m, 0, w, 1, doctored, h_top) == (
+        "multiplication-by-p^r image is not a cycle combination"
+    )
+
+
 # -- the adversarial model ---------------------------------------------------------
 
 
@@ -325,7 +355,5 @@ def test_report_json_shape():
 def test_preimage_generators_of_a_map_to_the_zero_module():
     # F into an empty block is the zero map: every source vector is a preimage
     m = Modulus(2, 3)
-    f_matrix = ModularMatrix.from_columns(m, [(), (), ()], 0)
-    assert (f_matrix.rows, f_matrix.cols) == (0, 3)
     expected = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert _preimage_generators(f_matrix, SubmoduleBasis(m, 0, [])) == expected
+    assert _preimage_generators(m, [(), (), ()], 0, SubmoduleBasis(m, 0, [])) == expected
