@@ -80,7 +80,7 @@ class PresentedRing:
                     gens.append(poly_from_json(entry, ring))
                 else:
                     raise TypeError(f"a generator is a string or an object, not {type(entry).__name__}")
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed ring document ({type(exc).__name__}: {exc})") from exc
         return PresentedRing.make(ring, gens)
 

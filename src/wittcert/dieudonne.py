@@ -265,6 +265,7 @@ class DieudonneModel:
                 raise TypeError(f"expected an object, got {type(doc).__name__}")
             p = int(doc["p"])
             exponent = int(doc["N"])
+            Modulus(p, exponent)  # validates p first: p = 0 would divide by zero in the weights
             basis = [
                 BasisElement(str(b["label"]), int(b["degree"]), weight_from_pair(p, b["weight"]))
                 for b in doc["basis"]
@@ -276,7 +277,7 @@ class DieudonneModel:
                  for src, row in dict(doc.get(op, {})).items()}
                 for op in ("d", "F", "V")
             ]
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, OverflowError) as exc:
             raise ValueError(f"malformed model document ({type(exc).__name__}: {exc})") from exc
         return DieudonneModel(p, exponent, basis, *maps, weight_cap=cap, depth_cap=depth)
 

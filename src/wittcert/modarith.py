@@ -9,7 +9,7 @@ p-adic valuation divides every remaining entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 
@@ -34,16 +34,15 @@ class Modulus:
 
     p: int
     exponent: int
+    # p^N, computed once: reduce and valuation read it per entry.
+    char: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
             raise ValueError(f"modulus base {self.p} is not prime")
         if self.exponent < 1:
             raise ValueError("modulus exponent must be >= 1")
-
-    @property
-    def char(self) -> int:
-        return self.p ** self.exponent
+        object.__setattr__(self, "char", self.p ** self.exponent)
 
     def reduce(self, value: int) -> int:
         return value % self.char

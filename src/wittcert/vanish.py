@@ -108,7 +108,7 @@ class VanishingCertificate:
                 int(doc["terminal"]),
                 tuple(doc.get("provenance", PROVENANCE)),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed certificate ({type(exc).__name__}: {exc})") from exc
 
 

@@ -9,7 +9,12 @@ division is a construction bug, not user error, so it asserts.
 Two coordinate domains are supported: plain integers (the p-torsion-free
 ghost-oracle mode used by tests) and finitely presented F_p-algebras,
 where coordinates are polynomials kept in normal form mod the defining
-ideal.
+ideal.  Over the integers every op evaluates the universal tables.  Over
+an F_p-algebra A no table is needed: x = sum_i V^i [x_i], so addition
+comes from the coordinates eta_k(a, b) of [a] + [b] alone, and
+multiplication, negation and Frobenius from Teichmuller lifts
+(V^i [a] * V^j [b] = V^(i+j) [a^(p^j) b^(p^i)], F [a] = [a^p]).  The
+tables then serve as the test oracle for this characteristic-p path.
 """
 
 from __future__ import annotations
@@ -79,8 +84,8 @@ DEFAULT_MAX_PRIME = 13
 DEFAULT_MAX_LEVEL = 6
 
 
-def build_witt_table(p: int, r: int, allow_large: bool = False) -> WittPolynomialTable:
-    """Build (and memoize) the universal tables for W_r at the prime p."""
+def _check_caps(p: int, r: int, allow_large: bool = False) -> None:
+    """The prime, level and size checks shared by both arithmetic paths."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
@@ -90,6 +95,11 @@ def build_witt_table(p: int, r: int, allow_large: bool = False) -> WittPolynomia
             f"table for (p={p}, r={r}) exceeds the default caps "
             f"(p <= {DEFAULT_MAX_PRIME}, r <= {DEFAULT_MAX_LEVEL}); pass allow_large=True"
         )
+
+
+def build_witt_table(p: int, r: int, allow_large: bool = False) -> WittPolynomialTable:
+    """Build (and memoize) the universal tables for W_r at the prime p."""
+    _check_caps(p, r, allow_large)
     key = (p, r)
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
@@ -180,6 +190,9 @@ class PrimeFieldCoefficients:
     def pth_power(self, x):
         return x % self.p  # Fermat: the Frobenius fixes F_p
 
+    def is_zero(self, x) -> bool:
+        return x % self.p == 0
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeFieldCoefficients) and self.p == other.p
 
@@ -221,6 +234,9 @@ class PresentedCoefficients:
 
     def pth_power(self, x: Polynomial):
         return self.presentation.normal(x.frobenius_power())
+
+    def is_zero(self, x: Polynomial) -> bool:
+        return x.is_zero()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PresentedCoefficients) and self.presentation == other.presentation
@@ -269,9 +285,11 @@ def witt_one(domain, p: int, r: int) -> WittVector:
 
 
 def teichmuller(domain, g, r: int, p: Optional[int] = None) -> WittVector:
-    """The multiplicative lift (g, 0, ..., 0)."""
+    """The multiplicative lift (g, 0, ..., 0); p defaults to the domain's characteristic."""
     if p is None:
-        p = domain.presentation.ring.p  # presented mode carries its prime
+        if not domain.char_p:
+            raise ValueError("the Teichmuller lift over Z needs the prime p")
+        p = domain.characteristic
     coords = [g] + [domain.zero() for _ in range(r - 1)]
     return WittVector(p, r, domain, tuple(coords))
 
@@ -279,35 +297,6 @@ def teichmuller(domain, g, r: int, p: Optional[int] = None) -> WittVector:
 def _check_pair(x: WittVector, y: WittVector) -> None:
     if x.p != y.p or x.level != y.level or x.domain != y.domain:
         raise ValueError("Witt vectors from different rings or levels")
-
-
-_REDUCED_CACHE: dict[tuple[int, int, str, int], tuple[dict, ...]] = {}
-
-
-def _table_polys(p: int, r: int, kind: str, characteristic: int) -> tuple[dict, ...]:
-    """Table polynomials with coefficients reduced into the target ring.
-
-    Over a characteristic-p domain many table coefficients vanish, so the
-    reduced tables are often far smaller than the integer ones.
-    """
-    table = build_witt_table(p, r)
-    polys = {
-        "sum": table.sum_polys,
-        "prod": table.prod_polys,
-        "neg": table.neg_polys,
-        "frob": table.frob_polys,
-    }[kind]
-    if characteristic == 0:
-        return polys
-    key = (p, r, kind, characteristic)
-    cached = _REDUCED_CACHE.get(key)
-    if cached is None:
-        cached = tuple(
-            {e: c % characteristic for e, c in poly.items() if c % characteristic}
-            for poly in polys
-        )
-        _REDUCED_CACHE[key] = cached
-    return cached
 
 
 def _eval_table_poly(poly: dict, args: Sequence, domain) -> object:
@@ -330,25 +319,115 @@ def _eval_table_poly(poly: dict, args: Sequence, domain) -> object:
     return acc
 
 
+def _eval_table(polys: Sequence[dict], args: Sequence, domain) -> tuple:
+    return tuple(_eval_table_poly(poly, args, domain) for poly in polys)
+
+
+# -- characteristic p: Teichmuller lifts instead of tables ------------------------
+
+_ETA_CACHE: dict[tuple[int, int], tuple[dict, ...]] = {}
+
+
+def _eta_polys(p: int, r: int) -> tuple[dict, ...]:
+    """eta_1..eta_{r-1} mod p: [a] + [b] = (a + b, eta_1(a, b), ..., eta_{r-1}(a, b)).
+
+    Solved from the ghost components a^(p^i) + b^(p^i) of [a] + [b],
+    independently of the universal sum table.  The first call for (p, r)
+    runs the cap check the tables share; two threads racing on it build
+    the same value twice.
+    """
+    key = (p, r)
+    cached = _ETA_CACHE.get(key)
+    if cached is None:
+        _check_caps(p, r)
+        targets = [{(p ** i, 0): 1, (0, p ** i): 1} for i in range(r)]
+        coords = _solve_coordinates(p, r, 2, targets)
+        cached = tuple({e: c % p for e, c in poly.items() if c % p} for poly in coords[1:])
+        _ETA_CACHE[key] = cached
+    return cached
+
+
+def _fp_add_lift(x: tuple, c, domain, eta: tuple[dict, ...]) -> tuple:
+    """x + [c] = (x0 + c) :: (eta(x0, c) + x'); eta(x0, c) = 0 when x0 or c is 0."""
+    x0, rest = x[0], x[1:]
+    if rest and not domain.is_zero(x0) and not domain.is_zero(c):
+        rest = _fp_add(_eval_table(eta[: len(rest)], (x0, c), domain), rest, domain, eta)
+    return (domain.add(x0, c),) + rest
+
+
+def _fp_add(x: tuple, y: tuple, domain, eta: tuple[dict, ...]) -> tuple:
+    """x + y = (x + [y0]) + V(y'), and s + V(y') = s0 :: (s' + y')."""
+    if not x:
+        return ()
+    head = _fp_add_lift(x, y[0], domain, eta)
+    return head[:1] + _fp_add(head[1:], y[1:], domain, eta)
+
+
+def _frobenius_powers(c, count: int, domain) -> list:
+    """[c, c^p, ..., c^(p^(count-1))]."""
+    out = [c]
+    for _ in range(count - 1):
+        out.append(domain.pth_power(out[-1]))
+    return out
+
+
+def _fp_mul(x: tuple, y: tuple, domain, eta: tuple[dict, ...]) -> tuple:
+    """x * y = sum_{i+j<r} V^(i+j) [x_i^(p^j) * y_j^(p^i)], skipping zero coordinates."""
+    r = len(x)
+    xs = [None if domain.is_zero(c) else _frobenius_powers(c, r - i, domain) for i, c in enumerate(x)]
+    ys = [None if domain.is_zero(c) else _frobenius_powers(c, r - j, domain) for j, c in enumerate(y)]
+    acc = tuple(domain.zero() for _ in range(r))
+    for i in range(r):
+        if xs[i] is None:
+            continue
+        for j in range(r - i):
+            if ys[j] is None:
+                continue
+            k = i + j
+            acc = acc[:k] + _fp_add_lift(acc[k:], domain.mul(xs[i][j], ys[j][i]), domain, eta)
+    return acc
+
+
+def _fp_neg(x: tuple, p: int, domain, eta: tuple[dict, ...]) -> tuple:
+    """-x coordinatewise for odd p; at p = 2, -[a] = (a, a^2, a^4, ...), so
+    -x = x0 :: ((x0^2, x0^4, ...) + (-x'))."""
+    if p != 2:
+        return tuple(domain.neg(c) for c in x)
+    if not x:
+        return ()
+    x0 = x[0]
+    rest = _fp_neg(x[1:], p, domain, eta)
+    if rest and not domain.is_zero(x0):
+        rest = _fp_add(tuple(_frobenius_powers(x0, len(x), domain)[1:]), rest, domain, eta)
+    return (domain.neg(x0),) + rest
+
+
+# -- public ops: the tables over Z, Teichmuller lifts over F_p-algebras -----------
+
+
 def witt_add(x: WittVector, y: WittVector) -> WittVector:
     _check_pair(x, y)
-    polys = _table_polys(x.p, x.level, "sum", x.domain.characteristic)
-    args = x.coords + y.coords
-    coords = tuple(_eval_table_poly(s, args, x.domain) for s in polys)
+    if x.domain.char_p:
+        coords = _fp_add(x.coords, y.coords, x.domain, _eta_polys(x.p, x.level))
+    else:
+        coords = _eval_table(build_witt_table(x.p, x.level).sum_polys, x.coords + y.coords, x.domain)
     return WittVector(x.p, x.level, x.domain, coords)
 
 
 def witt_mul(x: WittVector, y: WittVector) -> WittVector:
     _check_pair(x, y)
-    polys = _table_polys(x.p, x.level, "prod", x.domain.characteristic)
-    args = x.coords + y.coords
-    coords = tuple(_eval_table_poly(s, args, x.domain) for s in polys)
+    if x.domain.char_p:
+        coords = _fp_mul(x.coords, y.coords, x.domain, _eta_polys(x.p, x.level))
+    else:
+        coords = _eval_table(build_witt_table(x.p, x.level).prod_polys, x.coords + y.coords, x.domain)
     return WittVector(x.p, x.level, x.domain, coords)
 
 
 def witt_neg(x: WittVector) -> WittVector:
-    polys = _table_polys(x.p, x.level, "neg", x.domain.characteristic)
-    coords = tuple(_eval_table_poly(s, x.coords, x.domain) for s in polys)
+    if x.domain.char_p:
+        coords = _fp_neg(x.coords, x.p, x.domain, _eta_polys(x.p, x.level))
+    else:
+        coords = _eval_table(build_witt_table(x.p, x.level).neg_polys, x.coords, x.domain)
     return WittVector(x.p, x.level, x.domain, coords)
 
 
@@ -357,13 +436,17 @@ def witt_sub(x: WittVector, y: WittVector) -> WittVector:
 
 
 def frobenius(x: WittVector) -> WittVector:
-    """Ghost-compatible Frobenius W_r -> W_{r-1} via the table polynomials."""
+    """Ghost-compatible Frobenius W_r -> W_{r-1}: the table polynomials over
+    Z, the p-th power of the first r - 1 coordinates over an F_p-algebra."""
     if x.level < 2:
         raise ValueError(
             "table Frobenius needs level >= 2; use frobenius_coordinatewise over an F_p-algebra"
         )
-    polys = _table_polys(x.p, x.level, "frob", x.domain.characteristic)
-    coords = tuple(_eval_table_poly(s, x.coords, x.domain) for s in polys)
+    if x.domain.char_p:
+        _check_caps(x.p, x.level)
+        coords = tuple(x.domain.pth_power(c) for c in x.coords[:-1])
+    else:
+        coords = _eval_table(build_witt_table(x.p, x.level).frob_polys, x.coords, x.domain)
     return WittVector(x.p, x.level - 1, x.domain, coords)
 
 

@@ -1,6 +1,8 @@
 """CLI surface: exit codes, JSON round trips, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from wittcert.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -114,6 +118,66 @@ def test_closure_kernel_omega_subcommands():
     omega = run_cli("omega-top", "--preset", "cusp", "--coeff", "y")
     assert omega.returncode == 0
     assert "true" in omega.stdout
+
+
+def _witt_golden_commands():
+    """witt add/mul/neg/frobenius/check-frobenius over F_p, F_p[x]/(x^3)
+    and the cusp at p = 2, 3, 5; operands with zero leading coordinates
+    and, over F_p and x^3, at level 4."""
+    rings = {
+        "fp": ([], ("1;0;2", "2;1;1", "0;1;1"), ("3;1;0;2", "1;0;4;1"), "2"),
+        "x3": (None, ("x;1;x^2", "x + 1;x;0", "0;x^2;1"), ("x + 2;0;x;1", "1;x^2;0;x"), "x + 1"),
+        "cusp": (["--preset", "cusp"], ("x;y;x*y", "y + 1;x;0", "0;x^2;y"), (), "x + y"),
+    }
+    for p in (2, 3, 5):
+        for flags, (a, b, c), deep, g in rings.values():
+            if flags is None:
+                flags = ["--ring", json.dumps({"p": p, "vars": ["x"], "generators": ["x^3"]})]
+            base = ["--p", str(p), *flags]
+            for op in ("add", "mul"):
+                for x, y in ((a, b), (c, b), (b, c), (c, c), *([deep] if deep else [])):
+                    yield ["witt", op, *base, "--x", x, "--y", y]
+            for x in (a, b, c, *deep):
+                yield ["witt", "neg", *base, "--x", x]
+                yield ["witt", "frobenius", *base, "--x", x]
+            yield ["witt", "check-frobenius", *base, "--level", "3", "--g", g]
+
+
+# sha256 over the stdout of every command above, computed while every
+# characteristic-p Witt op still evaluated the universal tables.
+WITT_GOLDEN_DIGEST = "09825145a719046ec1803eecf3d647a94aff01014000e431d9ec82b73f47896e"
+
+
+def test_witt_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for argv in _witt_golden_commands():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == WITT_GOLDEN_DIGEST
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--p", "17", "--x", "1;2", "--y", "3;4"],
+     "table for (p=17, r=2) exceeds the default caps (p <= 13, r <= 6); pass allow_large=True"),
+    # the level of add comes from the operands; --level alone does not set it
+    (["--level", "7", "--x", "1;2;3;4;0;1;2", "--y", "1;1;1;1;1;1;1"],
+     "table for (p=5, r=7) exceeds the default caps (p <= 13, r <= 6); pass allow_large=True"),
+])
+def test_witt_add_beyond_the_caps_exits_two(args, message):
+    result = run_cli("witt", "add", *args)
+    assert result.returncode == 2
+    assert result.stderr == f"invalid input: {message}\n"
+
+
+def test_witt_frobenius_at_level_one_exits_two():
+    result = run_cli("witt", "frobenius", "--level", "1", "--x", "3")
+    assert result.returncode == 2
+    assert result.stderr == (
+        "invalid input: table Frobenius needs level >= 2; "
+        "use frobenius_coordinatewise over an F_p-algebra\n"
+    )
 
 
 def test_dieudonne_check_passes_on_a1_and_fails_on_adversarial():

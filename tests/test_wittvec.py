@@ -3,7 +3,8 @@
 The universal tables are checked twice over: formally (the ghost
 identities hold as polynomial identities for small p, r) and numerically
 (integer-coordinate vectors, where the ghost map must be a ring
-homomorphism on the nose).
+homomorphism on the nose).  The tables are then the oracle for the
+characteristic-p path, which computes from Teichmuller lifts.
 """
 
 import random
@@ -32,6 +33,7 @@ from wittcert.wittvec import (
     witt_to_json,
     witt_vector,
     witt_zero,
+    _eval_table,
     _ghost_poly,
 )
 
@@ -208,6 +210,41 @@ def test_ring_axioms_on_random_triples(p, r, ring_key, count):
         assert witt_mul(x, one) == x
 
 
+@pytest.mark.parametrize("p,r,ring_key,count", AXIOM_GRID)
+def test_char_p_path_matches_the_tables(p, r, ring_key, count):
+    """add, mul, neg and Frobenius from Teichmuller lifts equal the table
+    polynomials reduced into the domain, with zero leading coordinates
+    (which skip the eta evaluation) in every other operand."""
+    domain = TEST_RINGS[ring_key](p)
+    table = build_witt_table(p, r)
+    rng = random.Random(p * 7919 + r * 13 + len(ring_key))
+    for n in range(6):
+        x = random_witt(rng, domain, p, r)
+        y = random_witt(rng, domain, p, r)
+        if n % 2:
+            x = witt_vector(domain, p, (domain.zero(),) + x.coords[1:])
+        if n % 3 == 2:
+            y = witt_vector(domain, p, (domain.zero(),) + y.coords[1:])
+        pair = x.coords + y.coords
+        assert witt_add(x, y).coords == _eval_table(table.sum_polys, pair, domain)
+        assert witt_mul(x, y).coords == _eval_table(table.prod_polys, pair, domain)
+        assert witt_neg(x).coords == _eval_table(table.neg_polys, x.coords, domain)
+        assert witt_neg(y).coords == _eval_table(table.neg_polys, y.coords, domain)
+        if r > 1:
+            assert frobenius(x).coords == _eval_table(table.frob_polys, x.coords, domain)
+
+
+def test_char_p_path_keeps_the_table_caps():
+    with pytest.raises(ValueError, match=r"table for \(p=17, r=2\) exceeds the default caps"):
+        witt_add(witt_one(PrimeFieldCoefficients(17), 17, 2), witt_one(PrimeFieldCoefficients(17), 17, 2))
+    f2 = PrimeFieldCoefficients(2)
+    for op in (lambda x: witt_add(x, x), lambda x: witt_mul(x, x), witt_neg, frobenius):
+        with pytest.raises(ValueError, match=r"table for \(p=2, r=7\) exceeds the default caps"):
+            op(witt_one(f2, 2, 7))
+    with pytest.raises(ValueError, match="table Frobenius needs level >= 2"):
+        frobenius(witt_one(f2, 2, 1))
+
+
 # -- multiplicative lifts ---------------------------------------------------------
 
 
@@ -223,6 +260,17 @@ def test_teichmuller_is_multiplicative():
             assert lhs == rhs
     assert teichmuller(Z, 1, 3, p=2) == witt_one(Z, 2, 3)
     assert teichmuller(Z, 0, 3, p=2) == witt_zero(Z, 2, 3)
+
+
+def test_teichmuller_takes_the_prime_from_the_domain():
+    f5 = PrimeFieldCoefficients(5)
+    assert teichmuller(f5, 3, 2) == witt_vector(f5, 5, [3, 0])
+    cusp = TEST_RINGS["cusp"](3)
+    x = cusp.presentation.ring.variable(0)
+    assert teichmuller(cusp, x, 2) == teichmuller(cusp, x, 2, p=3)
+    with pytest.raises(ValueError, match="needs the prime p"):
+        teichmuller(Z, 7, 3)
+    assert teichmuller(Z, 7, 3, p=2).p == 2
 
 
 def test_frobenius_of_lift_is_lift_of_power():
