@@ -31,6 +31,10 @@ from .modarith import (
 
 Vector = dict[str, int]
 
+# The largest N and weight exponent j a model document may carry: the
+# loader computes p^N and p^j from them, so it bounds them first.
+MAX_MODEL_EXPONENT = 64
+
 
 @dataclass(frozen=True)
 class BasisElement:
@@ -55,6 +59,8 @@ def weight_from_pair(p: int, pair: Sequence[int]) -> Fraction:
     m, j = int(pair[0]), int(pair[1])
     if j < 0 or m < 0:
         raise ValueError(f"bad weight encoding {pair}")
+    if j > MAX_MODEL_EXPONENT:
+        raise ValueError(f"weight exponent {j} exceeds the cap {MAX_MODEL_EXPONENT}")
     return Fraction(m, p ** j)
 
 
@@ -265,7 +271,12 @@ class DieudonneModel:
                 raise TypeError(f"expected an object, got {type(doc).__name__}")
             p = int(doc["p"])
             exponent = int(doc["N"])
-            Modulus(p, exponent)  # validates p first: p = 0 would divide by zero in the weights
+            # bounded before Modulus tests p by trial division and computes p^N
+            if not 2 <= p < 2 ** 16:
+                raise ValueError(f"model prime must lie in [2, 2^16), got {p}")
+            if exponent > MAX_MODEL_EXPONENT:
+                raise ValueError(f"model exponent N = {exponent} exceeds the cap {MAX_MODEL_EXPONENT}")
+            Modulus(p, exponent)  # tests that p is prime before the weights divide by its powers
             basis = [
                 BasisElement(str(b["label"]), int(b["degree"]), weight_from_pair(p, b["weight"]))
                 for b in doc["basis"]

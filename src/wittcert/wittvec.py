@@ -1,25 +1,28 @@
 """Truncated p-typical Witt vectors.
 
-The universal sum/product/negation/Frobenius polynomials are produced by
-the ghost recursion over arbitrary-precision integers, as term dicts on
-the `polyring` kernel: at level i the
-recursion divides by p^i, and that division must be exact — a failed
-division is a construction bug, not user error, so it asserts.
-
 Two coordinate domains are supported: plain integers (the p-torsion-free
-ghost-oracle mode used by tests) and finitely presented F_p-algebras,
-where coordinates are polynomials kept in normal form mod the defining
-ideal.  Over the integers every op evaluates the universal tables.  Over
-an F_p-algebra A no table is needed: x = sum_i V^i [x_i], so addition
-comes from the coordinates eta_k(a, b) of [a] + [b] alone, and
-multiplication, negation and Frobenius from Teichmuller lifts
-(V^i [a] * V^j [b] = V^(i+j) [a^(p^j) b^(p^i)], F [a] = [a^p]).  The
-tables then serve as the test oracle for this characteristic-p path.
+ghost-oracle mode) and finitely presented F_p-algebras, where coordinates
+are polynomials kept in normal form mod the defining ideal.  Both share
+one arithmetic built on x = sum_i V^i [x_i], whose identities hold over
+any ring: addition needs only the coordinates eta_k(a, b) of [a] + [b];
+multiplication is x * y = sum_i V^i([x_i] * F^i y) with
+[a] * z = (a z_0, a^p z_1, a^(p^2) z_2, ...); negation is coordinatewise
+for odd p.  Frobenius is the one step that depends on the domain: the
+p-th power of each coordinate in characteristic p, [x0^p] + p * x' over Z.
+
+The universal sum/product/negation/Frobenius polynomials
+(`build_witt_table`) are produced by the ghost recursion over
+arbitrary-precision integers, as term dicts on the `polyring` kernel: at
+level i the recursion divides by p^i, and that division must be exact — a
+failed division is a construction bug, not user error, so it asserts.  No
+op evaluates them; they are the test oracle for both domains.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -77,15 +80,12 @@ class WittPolynomialTable:
     frob_polys: tuple[dict, ...]
 
 
-_TABLE_CACHE: dict[tuple[int, int], WittPolynomialTable] = {}
-_TABLE_LOCK = threading.Lock()
-
 DEFAULT_MAX_PRIME = 13
 DEFAULT_MAX_LEVEL = 6
 
 
 def _check_caps(p: int, r: int, allow_large: bool = False) -> None:
-    """The prime, level and size checks shared by both arithmetic paths."""
+    """The prime, level and size checks shared by the tables and the ops."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
@@ -100,25 +100,20 @@ def _check_caps(p: int, r: int, allow_large: bool = False) -> None:
 def build_witt_table(p: int, r: int, allow_large: bool = False) -> WittPolynomialTable:
     """Build (and memoize) the universal tables for W_r at the prime p."""
     _check_caps(p, r, allow_large)
-    key = (p, r)
-    cached = _TABLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    with _TABLE_LOCK:
-        cached = _TABLE_CACHE.get(key)
-        if cached is not None:
-            return cached
-        n2 = 2 * r
-        ghost_a2 = [_ghost_poly(p, i, 0, n2) for i in range(r)]
-        ghost_b2 = [_ghost_poly(p, i, r, n2) for i in range(r)]
-        sums = _solve_coordinates(p, r, n2, [terms_add(ghost_a2[i], ghost_b2[i]) for i in range(r)])
-        prods = _solve_coordinates(p, r, n2, [terms_mul(ghost_a2[i], ghost_b2[i]) for i in range(r)])
-        ghost_a1 = [_ghost_poly(p, i, 0, r) for i in range(r)]
-        negs = _solve_coordinates(p, r, r, [terms_scale(ghost_a1[i], -1) for i in range(r)])
-        frobs = _solve_coordinates(p, r - 1, r, [ghost_a1[i + 1] for i in range(r - 1)]) if r > 1 else ()
-        table = WittPolynomialTable(p, r, sums, prods, negs, frobs)
-        _TABLE_CACHE[key] = table
-        return table
+    return _solve_table(p, r)
+
+
+@functools.lru_cache(maxsize=None)
+def _solve_table(p: int, r: int) -> WittPolynomialTable:
+    n2 = 2 * r
+    ghost_a2 = [_ghost_poly(p, i, 0, n2) for i in range(r)]
+    ghost_b2 = [_ghost_poly(p, i, r, n2) for i in range(r)]
+    sums = _solve_coordinates(p, r, n2, [terms_add(ghost_a2[i], ghost_b2[i]) for i in range(r)])
+    prods = _solve_coordinates(p, r, n2, [terms_mul(ghost_a2[i], ghost_b2[i]) for i in range(r)])
+    ghost_a1 = [_ghost_poly(p, i, 0, r) for i in range(r)]
+    negs = _solve_coordinates(p, r, r, [terms_scale(ghost_a1[i], -1) for i in range(r)])
+    frobs = _solve_coordinates(p, r - 1, r, [ghost_a1[i + 1] for i in range(r - 1)]) if r > 1 else ()
+    return WittPolynomialTable(p, r, sums, prods, negs, frobs)
 
 
 # -- coordinate domains ----------------------------------------------------
@@ -147,6 +142,12 @@ class IntegerCoefficients:
 
     def neg(self, x):
         return -x
+
+    def pth_power(self, x, p: int):
+        return x ** p
+
+    # a builtin, not a method: the shared routines test every coordinate
+    is_zero = staticmethod(operator.not_)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntegerCoefficients)
@@ -187,7 +188,7 @@ class PrimeFieldCoefficients:
     def neg(self, x):
         return (-x) % self.p
 
-    def pth_power(self, x):
+    def pth_power(self, x, p: int):
         return x % self.p  # Fermat: the Frobenius fixes F_p
 
     def is_zero(self, x) -> bool:
@@ -230,13 +231,12 @@ class PresentedCoefficients:
         return self.presentation.normal(x * y)
 
     def neg(self, x: Polynomial):
-        return -x
+        return x if self.characteristic == 2 else -x
 
-    def pth_power(self, x: Polynomial):
-        return self.presentation.normal(x.frobenius_power())
+    is_zero = staticmethod(Polynomial.is_zero)
 
-    def is_zero(self, x: Polynomial) -> bool:
-        return x.is_zero()
+    def pth_power(self, x: Polynomial, p: int):
+        return x if x.is_zero() else self.presentation.normal(x.frobenius_power())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PresentedCoefficients) and self.presentation == other.presentation
@@ -299,154 +299,152 @@ def _check_pair(x: WittVector, y: WittVector) -> None:
         raise ValueError("Witt vectors from different rings or levels")
 
 
-def _eval_table_poly(poly: dict, args: Sequence, domain) -> object:
-    """Evaluate an integer-coefficient table polynomial on domain elements."""
-    powers: dict[int, list] = {}
-
-    def power(i: int, e: int):
-        ladder = powers.setdefault(i, [domain.one()])
-        while len(ladder) <= e:
-            ladder.append(domain.mul(ladder[-1], args[i]))
-        return ladder[e]
-
-    acc = domain.zero()
-    for exp, coef in poly.items():
-        term = domain.from_int(coef)
-        for i, e in enumerate(exp):
-            if e:
-                term = domain.mul(term, power(i, e))
-        acc = domain.add(acc, term)
-    return acc
-
-
 def _eval_table(polys: Sequence[dict], args: Sequence, domain) -> tuple:
-    return tuple(_eval_table_poly(poly, args, domain) for poly in polys)
+    """Evaluate integer-coefficient polynomials on domain elements, sharing
+    the powers of each argument between the polynomials."""
+    mul, add, from_int = domain.mul, domain.add, domain.from_int
+    ladders = [[domain.one(), a] for a in args]
+    out = []
+    for poly in polys:
+        acc = domain.zero()
+        for exp, coef in poly.items():
+            term = from_int(coef)
+            for ladder, e in zip(ladders, exp):
+                if e:
+                    while len(ladder) <= e:
+                        ladder.append(mul(ladder[-1], ladder[1]))
+                    term = mul(term, ladder[e])
+            acc = add(acc, term)
+        out.append(acc)
+    return tuple(out)
 
 
-# -- characteristic p: Teichmuller lifts instead of tables ------------------------
-
-_ETA_CACHE: dict[tuple[int, int], tuple[dict, ...]] = {}
+# -- one arithmetic for every domain: x = sum_i V^i [x_i] -------------------------
 
 
-def _eta_polys(p: int, r: int) -> tuple[dict, ...]:
-    """eta_1..eta_{r-1} mod p: [a] + [b] = (a + b, eta_1(a, b), ..., eta_{r-1}(a, b)).
+@functools.lru_cache(maxsize=None)
+def _eta_polys(p: int, r: int, characteristic: int) -> tuple[dict, ...]:
+    """eta_1..eta_{r-1}: [a] + [b] = (a + b, eta_1(a, b), ..., eta_{r-1}(a, b)).
 
-    Solved from the ghost components a^(p^i) + b^(p^i) of [a] + [b],
-    independently of the universal sum table.  The first call for (p, r)
-    runs the cap check the tables share; two threads racing on it build
-    the same value twice.
+    Solved once per (p, r) over Z from the ghost components a^(p^i) + b^(p^i)
+    of [a] + [b], independently of the universal sum table; a domain of
+    characteristic p gets that solve reduced mod p.  The first call for
+    (p, r) runs the cap check the tables share; two threads racing on it
+    build the same value twice.
     """
-    key = (p, r)
-    cached = _ETA_CACHE.get(key)
-    if cached is None:
-        _check_caps(p, r)
-        targets = [{(p ** i, 0): 1, (0, p ** i): 1} for i in range(r)]
-        coords = _solve_coordinates(p, r, 2, targets)
-        cached = tuple({e: c % p for e, c in poly.items() if c % p} for poly in coords[1:])
-        _ETA_CACHE[key] = cached
-    return cached
+    if characteristic:
+        return tuple({e: c % p for e, c in poly.items() if c % p} for poly in _eta_polys(p, r, 0))
+    _check_caps(p, r)
+    targets = [{(p ** i, 0): 1, (0, p ** i): 1} for i in range(r)]
+    return _solve_coordinates(p, r, 2, targets)[1:]
 
 
-def _fp_add_lift(x: tuple, c, domain, eta: tuple[dict, ...]) -> tuple:
-    """x + [c] = (x0 + c) :: (eta(x0, c) + x'); eta(x0, c) = 0 when x0 or c is 0."""
-    x0, rest = x[0], x[1:]
-    if rest and not domain.is_zero(x0) and not domain.is_zero(c):
-        rest = _fp_add(_eval_table(eta[: len(rest)], (x0, c), domain), rest, domain, eta)
-    return (domain.add(x0, c),) + rest
+def _add(x: tuple, y: tuple, domain, eta: tuple[dict, ...]) -> tuple:
+    """x + y = x + sum_k V^k [y_k]; adding V^k [c] changes coordinates k on
+    only, and s + [c] = (s0 + c) :: (s' + eta(s0, c)), with eta(0, c) = 0."""
+    for k, c in enumerate(y):
+        if domain.is_zero(c):
+            continue
+        s0, rest = x[k], x[k + 1:]
+        if rest and not domain.is_zero(s0):
+            rest = _add(rest, _eval_table(eta[: len(rest)], (s0, c), domain), domain, eta)
+        x = x[:k] + (domain.add(s0, c),) + rest
+    return x
 
 
-def _fp_add(x: tuple, y: tuple, domain, eta: tuple[dict, ...]) -> tuple:
-    """x + y = (x + [y0]) + V(y'), and s + V(y') = s0 :: (s' + y')."""
-    if not x:
-        return ()
-    head = _fp_add_lift(x, y[0], domain, eta)
-    return head[:1] + _fp_add(head[1:], y[1:], domain, eta)
+@functools.lru_cache(maxsize=None)
+def _p_in_witt(p: int, n: int) -> tuple[int, ...]:
+    """The coordinates of p = p * 1 in W_n(Z), solved like eta from their
+    ghost components (p, p, ..., p)."""
+    return tuple(c.get((), 0) for c in _solve_coordinates(p, n, 0, [{(): p}] * n))
 
 
-def _frobenius_powers(c, count: int, domain) -> list:
+def _frobenius_powers(c, count: int, p: int, domain) -> list:
     """[c, c^p, ..., c^(p^(count-1))]."""
     out = [c]
     for _ in range(count - 1):
-        out.append(domain.pth_power(out[-1]))
+        out.append(domain.pth_power(out[-1], p))
     return out
 
 
-def _fp_mul(x: tuple, y: tuple, domain, eta: tuple[dict, ...]) -> tuple:
-    """x * y = sum_{i+j<r} V^(i+j) [x_i^(p^j) * y_j^(p^i)], skipping zero coordinates."""
-    r = len(x)
-    xs = [None if domain.is_zero(c) else _frobenius_powers(c, r - i, domain) for i, c in enumerate(x)]
-    ys = [None if domain.is_zero(c) else _frobenius_powers(c, r - j, domain) for j, c in enumerate(y)]
-    acc = tuple(domain.zero() for _ in range(r))
-    for i in range(r):
-        if xs[i] is None:
+def _frobenius(x: tuple, p: int, domain, eta: tuple[dict, ...]) -> tuple:
+    """F: W_r -> W_{r-1}, the one step that depends on the domain.  In
+    characteristic p it is the p-th power of each coordinate.  Over Z,
+    F x = F[x0] + FV(x') = [x0^p] + p * x', and p * x' = x' * p is a product
+    with a vector that F fixes, so every F^i p in it is p itself."""
+    if domain.char_p:
+        return tuple(domain.pth_power(c, p) for c in x[:-1])
+    rest = x[1:]
+    p_rest = _mul(rest, itertools.repeat(_p_in_witt(p, len(rest))), p, domain, eta)
+    return _add(p_rest, (domain.pth_power(x[0], p),), domain, eta)
+
+
+def _mul(x: tuple, orbit, p: int, domain, eta: tuple[dict, ...]) -> tuple:
+    """x * y = sum_i V^i([x_i] * F^i y), where orbit yields y, F y, F^2 y, ... and
+    [a] * z = (a z_0, a^p z_1, a^(p^2) z_2, ...).  In characteristic p the
+    terms are V^(i+j) [x_i^(p^j) y_j^(p^i)]."""
+    acc = None
+    for i, (a, fy) in enumerate(zip(x, orbit)):
+        if domain.is_zero(a):
             continue
-        for j in range(r - i):
-            if ys[j] is None:
-                continue
-            k = i + j
-            acc = acc[:k] + _fp_add_lift(acc[k:], domain.mul(xs[i][j], ys[j][i]), domain, eta)
-    return acc
+        powers = _frobenius_powers(a, len(x) - i, p, domain)
+        term = tuple(c if domain.is_zero(c) else domain.mul(ap, c) for ap, c in zip(powers, fy))
+        if acc is None:
+            acc = (domain.zero(),) * i + term
+        else:
+            acc = acc[:i] + _add(acc[i:], term, domain, eta)
+    return tuple(domain.zero() for _ in x) if acc is None else acc
 
 
-def _fp_neg(x: tuple, p: int, domain, eta: tuple[dict, ...]) -> tuple:
-    """-x coordinatewise for odd p; at p = 2, -[a] = (a, a^2, a^4, ...), so
-    -x = x0 :: ((x0^2, x0^4, ...) + (-x'))."""
+def _neg(x: tuple, p: int, domain, eta: tuple[dict, ...]) -> tuple:
+    """-x coordinatewise for odd p; at p = 2, -[a] = (-a, -a^2, -a^4, ...), so
+    -x = (-x0) :: ((-x0^2, -x0^4, ...) + (-x'))."""
     if p != 2:
         return tuple(domain.neg(c) for c in x)
-    if not x:
-        return ()
-    x0 = x[0]
-    rest = _fp_neg(x[1:], p, domain, eta)
-    if rest and not domain.is_zero(x0):
-        rest = _fp_add(tuple(_frobenius_powers(x0, len(x), domain)[1:]), rest, domain, eta)
+    x0, rest = x[0], x[1:]
+    if rest:
+        rest = _neg(rest, p, domain, eta)
+        if not domain.is_zero(x0):
+            tail = tuple(domain.neg(c) for c in _frobenius_powers(x0, len(x), p, domain)[1:])
+            rest = _add(tail, rest, domain, eta)
     return (domain.neg(x0),) + rest
 
 
-# -- public ops: the tables over Z, Teichmuller lifts over F_p-algebras -----------
+# -- public ops ---------------------------------------------------------------------
+
+
+def _eta_of(x: WittVector) -> tuple[dict, ...]:
+    return _eta_polys(x.p, x.level, x.domain.characteristic)
 
 
 def witt_add(x: WittVector, y: WittVector) -> WittVector:
     _check_pair(x, y)
-    if x.domain.char_p:
-        coords = _fp_add(x.coords, y.coords, x.domain, _eta_polys(x.p, x.level))
-    else:
-        coords = _eval_table(build_witt_table(x.p, x.level).sum_polys, x.coords + y.coords, x.domain)
-    return WittVector(x.p, x.level, x.domain, coords)
+    return WittVector(x.p, x.level, x.domain, _add(x.coords, y.coords, x.domain, _eta_of(x)))
 
 
 def witt_mul(x: WittVector, y: WittVector) -> WittVector:
     _check_pair(x, y)
-    if x.domain.char_p:
-        coords = _fp_mul(x.coords, y.coords, x.domain, _eta_polys(x.p, x.level))
-    else:
-        coords = _eval_table(build_witt_table(x.p, x.level).prod_polys, x.coords + y.coords, x.domain)
-    return WittVector(x.p, x.level, x.domain, coords)
+    eta = _eta_of(x)
+    # y, F y, ..., F^(r-1) y, each computed when _mul first asks for it
+    orbit = itertools.accumulate(
+        range(x.level - 1), lambda z, _: _frobenius(z, x.p, x.domain, eta), initial=y.coords
+    )
+    return WittVector(x.p, x.level, x.domain, _mul(x.coords, orbit, x.p, x.domain, eta))
 
 
 def witt_neg(x: WittVector) -> WittVector:
-    if x.domain.char_p:
-        coords = _fp_neg(x.coords, x.p, x.domain, _eta_polys(x.p, x.level))
-    else:
-        coords = _eval_table(build_witt_table(x.p, x.level).neg_polys, x.coords, x.domain)
-    return WittVector(x.p, x.level, x.domain, coords)
-
-
-def witt_sub(x: WittVector, y: WittVector) -> WittVector:
-    return witt_add(x, witt_neg(y))
+    return WittVector(x.p, x.level, x.domain, _neg(x.coords, x.p, x.domain, _eta_of(x)))
 
 
 def frobenius(x: WittVector) -> WittVector:
-    """Ghost-compatible Frobenius W_r -> W_{r-1}: the table polynomials over
-    Z, the p-th power of the first r - 1 coordinates over an F_p-algebra."""
+    """Ghost-compatible Frobenius W_r -> W_{r-1}: the p-th power of the first
+    r - 1 coordinates over an F_p-algebra, [x0^p] + p * (x_1, ..., x_{r-1})
+    over Z."""
     if x.level < 2:
         raise ValueError(
             "table Frobenius needs level >= 2; use frobenius_coordinatewise over an F_p-algebra"
         )
-    if x.domain.char_p:
-        _check_caps(x.p, x.level)
-        coords = tuple(x.domain.pth_power(c) for c in x.coords[:-1])
-    else:
-        coords = _eval_table(build_witt_table(x.p, x.level).frob_polys, x.coords, x.domain)
+    coords = _frobenius(x.coords, x.p, x.domain, _eta_of(x))
     return WittVector(x.p, x.level - 1, x.domain, coords)
 
 
@@ -456,9 +454,9 @@ def frobenius_coordinatewise(x: WittVector) -> WittVector:
     Over a characteristic-p domain this is the map induced by the ring
     Frobenius; composed with restriction it agrees with `frobenius`.
     """
-    if not getattr(x.domain, "char_p", False):
+    if not x.domain.char_p:
         raise ValueError("coordinatewise Frobenius requires an F_p-algebra domain")
-    coords = tuple(x.domain.pth_power(c) for c in x.coords)
+    coords = tuple(x.domain.pth_power(c, x.p) for c in x.coords)
     return WittVector(x.p, x.level, x.domain, coords)
 
 
@@ -469,7 +467,7 @@ def verschiebung(x: WittVector) -> WittVector:
 
 def ghost(x: WittVector) -> tuple[int, ...]:
     """Ghost components (w_0, ..., w_{r-1}); integer-coordinate oracle mode."""
-    if not isinstance(x.domain, IntegerCoefficients):
+    if x.domain.characteristic:
         raise ValueError("ghost components are exact only over p-torsion-free coefficients")
     p = x.p
     out = []

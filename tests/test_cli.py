@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -156,6 +157,41 @@ def test_witt_outputs_are_pinned():
             assert main(argv) == 0, argv
         digest.update(out.getvalue().encode())
     assert digest.hexdigest() == WITT_GOLDEN_DIGEST
+
+
+def _witt_integer_golden_commands():
+    """witt add/mul/neg/frobenius/ghost --integer at p = 2, 3, 5 and levels
+    2-4, on operands with zero and negative leading coordinates (passed as
+    --x=... so that argparse does not read "-2;4" as a flag)."""
+    operands = {
+        2: ("3;-1", "0;5", "-2;4"),
+        3: ("1;-2;3", "0;4;-1", "-3;0;2"),
+        4: ("2;-1;0;3", "0;0;1;-2", "-1;3;-2;1"),
+    }
+    for p in (2, 3, 5):
+        for level, (a, b, c) in operands.items():
+            base = ["--integer", "--p", str(p), "--level", str(level)]
+            for op in ("add", "mul"):
+                for x, y in ((a, b), (b, c), (c, a), (c, c)):
+                    yield ["witt", op, *base, f"--x={x}", f"--y={y}"]
+            for x in (a, b, c):
+                for op in ("neg", "frobenius", "ghost"):
+                    yield ["witt", op, *base, f"--x={x}"]
+
+
+# sha256 over the stdout of every command above, computed while integer
+# Witt ops still evaluated the universal tables.
+WITT_INTEGER_GOLDEN_DIGEST = "0da596b40717a499ffb35baa5e475b87c5f256e31c22654b96c080d3afbcf602"
+
+
+def test_witt_integer_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for argv in _witt_integer_golden_commands():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0, argv
+        digest.update(out.getvalue().encode())
+    assert digest.hexdigest() == WITT_INTEGER_GOLDEN_DIGEST
 
 
 @pytest.mark.parametrize("args,message", [
@@ -322,3 +358,22 @@ def test_malformed_model_json_exits_two(model, tmp_path):
     result = run_cli("dieudonne-check", "--model-file", str(path))
     assert result.returncode == 2, result.stderr
     assert "Traceback" not in result.stderr
+
+
+UNBOUNDED_MODELS = {
+    # trial division on a prime near 2^61 would take minutes
+    "p": {"p": 2 ** 61 - 1, "N": 3, "basis": []},
+    "N": {"p": 2, "N": 10 ** 9, "basis": []},
+    "weight": {"p": 2, "N": 3, "basis": [{"label": "a", "degree": 0, "weight": [1, 10 ** 9]}]},
+    "weight_cap": {"p": 2, "N": 3, "basis": [], "weight_cap": [1, 10 ** 9]},
+}
+
+
+@pytest.mark.parametrize("field", sorted(UNBOUNDED_MODELS))
+def test_unbounded_model_json_exits_two_at_once(field, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(UNBOUNDED_MODELS[field]))
+    start = time.perf_counter()
+    assert main(["dieudonne-check", "--model-file", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "invalid input" in capsys.readouterr().err

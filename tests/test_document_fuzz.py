@@ -5,10 +5,10 @@ tree: replaces it with an arbitrary JSON value, deletes it, or wraps it
 in a list.  The loader must then either return or raise ValueError (the
 CLI maps that to exit 2); any other exception is a defect.
 
-Integers and floats are drawn within +-2^20.  A model document's p, N
-and weight exponents are not bounded yet, and values far beyond that
-cost unbounded time in the loader (trial division on p, p^N); bounding
-them is part of the open resource-budget work.
+Integers and floats are drawn within +-2^20, except that model documents
+get integers within +-2^64 (and the prime 2^61 - 1 as an edge): the model
+loader bounds p, N and the weight exponents before it tests p by trial
+division or computes p^N and p^j, so such values must cost it nothing.
 """
 
 import json
@@ -25,23 +25,31 @@ from wittcert.vanish import VanishingCertificate, certify_top_vanishing
 DATA = Path(__file__).resolve().parent / "data"
 
 BOUND = 2 ** 20
+MODEL_BOUND = 2 ** 64
 TEXTS = ["", "x", "y", "y^2 - x^3", "x*y", "1", "0", "~", "x^", "pthRoot", "partial", "e", "[T^1]"]
 
 # Values that sit at a type or range edge of some field, drawn as often as
 # arbitrary JSON.
 EDGES = [None, True, -1, 0, 1.5, BOUND, math.inf, -math.inf, math.nan, "", "x", [], {}]
+MODEL_EDGES = EDGES + [2 ** 61 - 1, MODEL_BOUND]
 
-json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers(-BOUND, BOUND)
-    | st.floats(-BOUND, BOUND)
-    | st.sampled_from([math.inf, -math.inf, math.nan])
-    | st.sampled_from(TEXTS)
-    | st.text(max_size=6),
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=6,
-)
+
+def _json_values(int_bound):
+    return st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-int_bound, int_bound)
+        | st.floats(-BOUND, BOUND)
+        | st.sampled_from([math.inf, -math.inf, math.nan])
+        | st.sampled_from(TEXTS)
+        | st.text(max_size=6),
+        lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+        max_leaves=6,
+    )
+
+
+json_values = _json_values(BOUND)
+model_json_values = _json_values(MODEL_BOUND)
 
 
 def _cusp_ring_doc() -> dict:
@@ -74,13 +82,13 @@ def _paths(node, prefix=()):
 
 
 @st.composite
-def mutated(draw, base):
+def mutated(draw, base, edges=EDGES, values=json_values):
     """`base` with one to three nodes replaced, deleted or wrapped in a list."""
     doc = json.loads(json.dumps(base))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
         kind = draw(st.sampled_from(["replace", "delete", "wrap"]))
-        value = draw(st.sampled_from(EDGES) | json_values) if kind == "replace" else None
+        value = draw(st.sampled_from(edges) | values) if kind == "replace" else None
         if not path:
             doc = value if kind == "replace" else [doc]
             continue
@@ -124,4 +132,4 @@ def test_mutated_certificate_documents(data):
 @given(st.data())
 def test_mutated_model_documents(data):
     base = data.draw(st.sampled_from(_model_docs()))
-    _parses_or_value_error(DieudonneModel.from_json, data.draw(mutated(base)))
+    _parses_or_value_error(DieudonneModel.from_json, data.draw(mutated(base, MODEL_EDGES, model_json_values)))

@@ -4,7 +4,8 @@ The universal tables are checked twice over: formally (the ghost
 identities hold as polynomial identities for small p, r) and numerically
 (integer-coordinate vectors, where the ghost map must be a ring
 homomorphism on the nose).  The tables are then the oracle for the
-characteristic-p path, which computes from Teichmuller lifts.
+arithmetic itself, which computes from Teichmuller lifts and
+Verschiebung over Z and over F_p-algebras alike and never builds them.
 """
 
 import random
@@ -12,6 +13,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittcert import wittvec
 from wittcert.derham import PresentedRing
 from wittcert.polyring import PolyRing, parse_polynomial, terms_add, terms_mul, terms_pow, terms_scale
 from wittcert.wittvec import (
@@ -234,6 +236,53 @@ def test_char_p_path_matches_the_tables(p, r, ring_key, count):
             assert frobenius(x).coords == _eval_table(table.frob_polys, x.coords, domain)
 
 
+INTEGER_GRID = sorted({(p, r) for p, r, _, _ in AXIOM_GRID})
+
+
+@pytest.mark.parametrize("p,r", INTEGER_GRID)
+def test_integer_path_matches_the_tables(p, r):
+    """The same identities over Z: add, mul, neg of both operands and
+    Frobenius equal the table polynomials, on operands with negative
+    coordinates and with zero leading coordinates."""
+    table = build_witt_table(p, r)
+    rng = random.Random(p * 7907 + r * 17)
+    for n in range(6):
+        x = random_witt(rng, Z, p, r)
+        y = random_witt(rng, Z, p, r)
+        if n % 2:
+            x = witt_vector(Z, p, (0,) + x.coords[1:])
+        if n % 3 == 2:
+            y = witt_vector(Z, p, (0,) + y.coords[1:])
+        if n == 4:
+            y = witt_vector(Z, p, tuple(-abs(c) - 1 for c in y.coords))
+        pair = x.coords + y.coords
+        assert witt_add(x, y).coords == _eval_table(table.sum_polys, pair, Z)
+        assert witt_mul(x, y).coords == _eval_table(table.prod_polys, pair, Z)
+        assert witt_neg(x).coords == _eval_table(table.neg_polys, x.coords, Z)
+        assert witt_neg(y).coords == _eval_table(table.neg_polys, y.coords, Z)
+        if r > 1:
+            assert frobenius(x).coords == _eval_table(table.frob_polys, x.coords, Z)
+            assert frobenius(y).coords == _eval_table(table.frob_polys, y.coords, Z)
+
+
+def test_ops_never_build_the_tables(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an op reached the universal tables")
+
+    monkeypatch.setattr(wittvec, "build_witt_table", refuse)
+    monkeypatch.setattr(wittvec, "_solve_table", refuse)
+    rng = random.Random(12)
+    for p in (2, 3, 5, 7):
+        for r in (2, 3, 4):
+            x = random_witt(rng, Z, p, r)
+            y = random_witt(rng, Z, p, r)
+            gx, gy = ghost(x), ghost(y)
+            assert ghost(witt_add(x, y)) == tuple(a + b for a, b in zip(gx, gy))
+            assert ghost(witt_mul(x, y)) == tuple(a * b for a, b in zip(gx, gy))
+            assert ghost(witt_neg(x)) == tuple(-a for a in gx)
+            assert ghost(frobenius(x)) == gx[1:]
+
+
 def test_char_p_path_keeps_the_table_caps():
     with pytest.raises(ValueError, match=r"table for \(p=17, r=2\) exceeds the default caps"):
         witt_add(witt_one(PrimeFieldCoefficients(17), 17, 2), witt_one(PrimeFieldCoefficients(17), 17, 2))
@@ -280,7 +329,7 @@ def test_frobenius_of_lift_is_lift_of_power():
         for _ in range(10):
             g = random_element(rng, domain)
             lift = teichmuller(domain, g, 3, p=p)
-            expected = teichmuller(domain, domain.pth_power(g), 2, p=p)
+            expected = teichmuller(domain, domain.pth_power(g, p), 2, p=p)
             assert frobenius(lift) == expected
             # [g]^p agrees after truncation to level 2
             power = witt_one(domain, p, 3)
