@@ -6,15 +6,33 @@ The term-dict kernel (`terms_add`, `terms_mul`, `terms_scale`,
 `Polynomial` arithmetic and the universal Witt tables both run on it.
 Groebner machinery (division, Buchberger, elimination, dimension) is
 restricted to field mode (N = 1); plain ring arithmetic works for any N.
-The Buchberger loop is deliberately plain — coprime-leading-term pruning
-only, desk-scale inputs — and fully deterministic, so reduced bases can
-be used as golden values.
+
+No Groebner step rescans a polynomial to find its leading term:
+
+- each `Polynomial` caches its leading term for the last order asked;
+- `buchberger` keeps its S-pairs in a heap, each keyed once by
+  (lcm degree, lcm, i, j), so pairs are taken in that order;
+- new pairs pass the Gebauer-Moller update (Gebauer & Moeller, "On an
+  installation of Buchberger's algorithm", 1988): the product criterion,
+  the M and F criteria on new pairs, the B criterion on old pairs, and an
+  active set of elements that new pairs may use;
+- division pops leading monomials from a min-heap on
+  `TermOrder.heap_key`, one key computed per monomial pushed (after Yan,
+  "The geobucket data structure for polynomials", 1998);
+- generators enter monic and the result is reduced in one pass: drop the
+  non-minimal leading monomials, then tail-reduce each element once
+  against the others, which is exact for a Groebner basis.
+
+Everything is deterministic and reduced bases are unique, so they serve
+as golden values.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import add, le, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .modarith import is_prime
@@ -121,25 +139,40 @@ class TermOrder:
         head, tail = e[: self.split], e[self.split:]
         return (_grevlex_key(head), _grevlex_key(tail))
 
+    def heap_key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
+        """Min-heap key: smaller key = bigger monomial, the reverse of `key`.
+
+        A flat tuple of ints: `key` with every entry negated, the grevlex
+        (degree, reversed negated exponents) pairs spliced in place, which
+        keeps the comparison because each block has a fixed length.
+        """
+        e = [exp[i] for i in self.perm]
+        if self.kind == "lex":
+            return tuple([-x for x in e])
+        if self.kind == "grevlex":
+            return (-sum(e), *reversed(e))
+        head, tail = e[: self.split], e[self.split:]
+        return (-sum(head), *reversed(head), -sum(tail), *reversed(tail))
+
 
 def _grevlex_key(e: tuple[int, ...]):
     return (sum(e), tuple(-x for x in reversed(e)))
 
 
 def _exp_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _exp_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exp_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 # -- term-dict kernel: {exponent tuple: int}, no zero coefficients ---------
@@ -185,12 +218,16 @@ def terms_pow(a: Mapping, n: int, nvars: int) -> dict:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; no zero coefficients are stored."""
+    """Immutable sparse polynomial; no zero coefficients are stored.
 
-    __slots__ = ("ring", "terms")
+    `_lead` caches (order, leading term) for the last order asked.
+    """
+
+    __slots__ = ("ring", "terms", "_lead")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], int]):
         self.ring = ring
+        self._lead = None
         q = ring.char
         clean: dict[tuple[int, ...], int] = {}
         for exp, c in terms.items():
@@ -229,10 +266,15 @@ class Polynomial:
         return frozenset(used)
 
     def leading(self, order: TermOrder) -> tuple[tuple[int, ...], int]:
+        cached = self._lead
+        if cached is not None and (cached[0] is order or cached[0] == order):
+            return cached[1]
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         lm = max(self.terms, key=order.key)
-        return lm, self.terms[lm]
+        lead = (lm, self.terms[lm])
+        self._lead = (order, lead)
+        return lead
 
     def sorted_terms(self, order: TermOrder) -> list[tuple[tuple[int, ...], int]]:
         return [(e, self.terms[e]) for e in sorted(self.terms, key=order.key, reverse=True)]
@@ -482,65 +524,59 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
 # -- division and Groebner bases -----------------------------------------
 
 
-def _reduce(f: Polynomial, basis: Sequence[Polynomial], order: TermOrder) -> Polynomial:
-    """Remainder of multivariate division of f by the basis (full reduction)."""
-    ring = f.ring
-    p = ring.char
-    leads = [(g.leading(order)) for g in basis]
-    work = dict(f.terms)
-    remainder: dict[tuple[int, ...], int] = {}
-    while work:
-        lm = max(work, key=order.key)
-        lc = work[lm]
-        for g, (glm, glc) in zip(basis, leads):
-            if _exp_divides(glm, lm):
-                qexp = _exp_div(lm, glm)
-                qc = (lc * pow(glc, -1, p)) % p
-                for e, c in g.terms.items():
-                    te = _exp_mul(e, qexp)
-                    v = (work.get(te, 0) - qc * c) % p
-                    if v:
-                        work[te] = v
+def _reducer(g: Polynomial, order: TermOrder, p: int) -> tuple:
+    """(leading monomial, inverse leading coefficient, tail terms) of g."""
+    lm, lc = g.leading(order)
+    return lm, pow(lc, -1, p), [(e, c) for e, c in g.terms.items() if e != lm]
+
+
+def _reduce_terms(work: dict, reducers: Sequence[tuple], order: TermOrder, p: int) -> dict:
+    """Remainder of the term dict `work` (consumed) on division by `reducers`.
+
+    Leading monomials come off a min-heap on `order.heap_key`.  The heap
+    and `work` hold the same monomials: a term that cancels stays in
+    `work` as 0 until it is popped, so no monomial is pushed twice.  The
+    first reducer whose leading monomial divides is used.  The remainder
+    lists its terms in decreasing order, so its first key is its leading
+    monomial.
+    """
+    heap_key = order.heap_key
+    heap = [(heap_key(e), e) for e in work]
+    heapify(heap)
+    remainder = {}
+    while heap:
+        lm = heappop(heap)[1]
+        lc = work.pop(lm)
+        if not lc:
+            continue
+        for glm, ginv, tail in reducers:
+            if all(map(le, glm, lm)):
+                q = tuple(map(sub, lm, glm))
+                qc = lc * ginv % p
+                for e, c in tail:
+                    te = tuple(map(add, e, q))
+                    old = work.get(te)
+                    if old is None:
+                        work[te] = -qc * c % p
+                        heappush(heap, (heap_key(te), te))
                     else:
-                        work.pop(te, None)
+                        work[te] = (old - qc * c) % p
                 break
         else:
             remainder[lm] = lc
-            del work[lm]
-    return Polynomial(ring, remainder)
+    return remainder
+
+
+def _reduce(f: Polynomial, basis: Sequence[Polynomial], order: TermOrder) -> Polynomial:
+    """Remainder of multivariate division of f by the basis (full reduction)."""
+    p = f.ring.char
+    reducers = [_reducer(g, order, p) for g in basis]
+    return Polynomial(f.ring, _reduce_terms(dict(f.terms), reducers, order, p))
 
 
 def _require_field(ring: PolyRing) -> None:
     if not ring.field_mode:
         raise FieldModeError("Groebner operations require coefficient exponent N = 1")
-
-
-def _autoreduce(basis: list[Polynomial], order: TermOrder) -> tuple[Polynomial, ...]:
-    """Minimal, tail-reduced, monic basis sorted by leading monomial."""
-    p = basis[0].ring.p if basis else 0
-    polys = [g for g in basis if not g.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        polys.sort(key=lambda g: order.key(g.leading(order)[0]))
-        for i, g in enumerate(polys):
-            others = polys[:i] + polys[i + 1:]
-            if not others:
-                continue
-            r = _reduce(g, others, order)
-            if r.terms != g.terms:
-                changed = True
-                if r.is_zero():
-                    polys.pop(i)
-                else:
-                    polys[i] = r
-                break
-    monic = []
-    for g in polys:
-        _, lc = g.leading(order)
-        monic.append(g.scale(pow(lc, -1, p)))
-    monic.sort(key=lambda g: order.key(g.leading(order)[0]))
-    return tuple(monic)
 
 
 @dataclass(frozen=True)
@@ -574,11 +610,12 @@ class Ideal:
 
 
 def buchberger(ideal: Ideal, order: Optional[TermOrder] = None) -> Ideal:
-    """Reduced Groebner basis via Buchberger with coprime-pair pruning.
+    """Reduced Groebner basis: Buchberger with the Gebauer-Moller update.
 
-    Deterministic: pairs are processed in order of (lcm degree, lcm, i, j),
-    and the reduced basis is unique for a fixed order, so rerunning or
-    permuting the generators reproduces the identical cache.
+    Returns `ideal` itself when it already caches a basis for `order`.
+    Pairs come off a heap in order of (lcm degree, lcm, i, j).  The
+    reduced basis is unique for a fixed order, so rerunning or permuting
+    the generators reproduces the identical cache.
     """
     ring = ideal.ring
     _require_field(ring)
@@ -588,39 +625,77 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None) -> Ideal:
     gens = [g for g in ideal.generators if not g.is_zero()]
     if not gens:
         return ideal.with_cache((), order)
-    basis = list(_autoreduce(gens, order))
-    if any(g.is_constant() for g in basis):
+    if any(g.is_constant() for g in gens):
         return ideal.with_cache((ring.one(),), order)
+    p = ring.p
+    # Every element added stays a reducer, in the order added: dividing by
+    # the active ones only lets later, longer elements do the work of the
+    # short ones they retired, which made intermediate polynomials of
+    # thousands of terms on plane cubics.  Only new pairs are limited to
+    # the active set.
+    leads: list[tuple[int, ...]] = []  # of every element added, by index
+    reducers: list[tuple] = []  # (lead, 1, monic tail) of every element
+    active: list[int] = []  # the elements new pairs may use
+    pairs: list[tuple] = []  # heap of (lcm degree, lcm key, i, j, lcm)
 
-    def pair_key(i: int, j: int):
-        lcm = _exp_lcm(basis[i].leading(order)[0], basis[j].leading(order)[0])
-        return (sum(lcm), order.key(lcm), i, j)
+    def update(terms: Mapping[tuple[int, ...], int], lm: tuple[int, ...]) -> None:
+        """Add the element (made monic) and apply the Gebauer-Moller update."""
+        inv = pow(terms[lm], -1, p)
+        h = len(leads)
+        leads.append(lm)
+        reducers.append((lm, 1, [(e, c * inv % p) for e, c in terms.items() if e != lm]))
+        new = [(k, _exp_lcm(leads[k], lm)) for k in active]
+        # Criteria M and F (Becker & Weispfenning's UPDATE): a new pair goes
+        # when the lcm of a later or kept new pair divides its lcm, so of
+        # equal lcms the last stays.  Coprime pairs are kept as witnesses,
+        # then dropped by the product criterion.
+        kept = []
+        for n, (k, lcm) in enumerate(new):
+            coprime = lcm == _exp_mul(leads[k], lm)
+            if coprime or not (
+                any(_exp_divides(m, lcm) for _, m in new[n + 1:])
+                or any(_exp_divides(m, lcm) for _, m, _ in kept)
+            ):
+                kept.append((k, lcm, coprime))
+        # Criterion B: an old pair goes when lm divides its lcm and the lcm
+        # differs from the lcms of both of its elements with lm.
+        pairs[:] = [
+            pair for pair in pairs
+            if not _exp_divides(lm, pair[4])
+            or _exp_lcm(leads[pair[2]], lm) == pair[4]
+            or _exp_lcm(leads[pair[3]], lm) == pair[4]
+        ]
+        pairs.extend((sum(lcm), order.key(lcm), k, h, lcm) for k, lcm, coprime in kept if not coprime)
+        heapify(pairs)
+        active[:] = [k for k in active if not _exp_divides(lm, leads[k])]
+        active.append(h)
 
-    pairs = {(j, i) for i in range(len(basis)) for j in range(i)}
+    for g in gens:
+        update(g.terms, g.leading(order)[0])
     while pairs:
-        i, j = min(pairs, key=lambda ij: pair_key(*ij))
-        pairs.discard((i, j))
-        gi, gj = basis[i], basis[j]
-        lmi, lci = gi.leading(order)
-        lmj, lcj = gj.leading(order)
-        if _exp_mul(lmi, lmj) == _exp_lcm(lmi, lmj):
-            continue  # coprime leading terms: S-polynomial reduces to zero
-        lcm = _exp_lcm(lmi, lmj)
-        p = ring.p
-        s = gi.mul_term(_exp_div(lcm, lmi), pow(lci, -1, p)) - gj.mul_term(
-            _exp_div(lcm, lmj), pow(lcj, -1, p)
-        )
-        r = _reduce(s, basis, order)
-        if r.is_zero():
+        _, _, i, j, lcm = heappop(pairs)
+        ui, uj = _exp_div(lcm, leads[i]), _exp_div(lcm, leads[j])
+        s = {_exp_mul(e, ui): c for e, c in reducers[i][2]}
+        for e, c in reducers[j][2]:
+            te = _exp_mul(e, uj)
+            s[te] = (s.get(te, 0) - c) % p
+        r = _reduce_terms(s, reducers, order, p)
+        if not r:
             continue
-        if r.is_constant():
+        lm = next(iter(r))
+        if not any(lm):
             return ideal.with_cache((ring.one(),), order)
-        _, lc = r.leading(order)
-        basis.append(r.scale(pow(lc, -1, p)))
-        new = len(basis) - 1
-        pairs.update((k, new) for k in range(new))
-    reduced = _autoreduce(basis, order)
-    result = ideal.with_cache(reduced, order)
+        update(r, lm)
+    # Reduce in one pass: drop non-minimal leading monomials, then reduce
+    # each tail against the other elements, which leaves the lead alone.
+    minimal = [k for k in active if not any(m != k and _exp_divides(leads[m], leads[k]) for m in active)]
+    basis = []
+    for k in minimal:
+        terms = _reduce_terms(dict(reducers[k][2]), [reducers[m] for m in minimal if m != k], order, p)
+        terms[leads[k]] = 1
+        basis.append(Polynomial(ring, terms))
+    basis.sort(key=lambda g: order.key(g.leading(order)[0]))
+    result = ideal.with_cache(tuple(basis), order)
     _verify_cache(result)
     return result
 
@@ -712,7 +787,7 @@ def krull_dim(ideal: Ideal) -> int:
     modulo the leading-term ideal of a Groebner basis.  Unit ideal: -1."""
     ring = ideal.ring
     _require_field(ring)
-    gb = buchberger(Ideal.from_polys(ring, ideal.generators))
+    gb = buchberger(ideal)
     if gb.contains_one():
         return -1
     supports = [frozenset(i for i, e in enumerate(g.leading(gb.basis_order)[0]) if e) for g in gb.basis]

@@ -224,13 +224,14 @@ class ClosureState:
 def closure_state(ideal: Ideal, max_generations: int = 64) -> ClosureState:
     """Least ideal containing I closed under partial derivatives and p-th roots.
 
-    Each generation recomputes a reduced Groebner basis.  Partials are tried
+    Starts from the grevlex basis `ideal` caches, if it has one; each
+    generation then computes a reduced Groebner basis.  Partials are tried
     first (cheap); the p-th-root preimage (a 2n-variable elimination) is only
     computed when partials alone are stable.  Termination is guaranteed by
     the ascending chain condition; the generation cap is a tripwire.
     """
     ring = ideal.ring
-    current = buchberger(Ideal.from_polys(ring, ideal.generators))
+    current = buchberger(ideal)
     generations = 0
     while True:
         if current.contains_one():

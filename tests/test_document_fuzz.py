@@ -9,10 +9,14 @@ Integers and floats are drawn within +-2^20, except that model documents
 get integers within +-2^64 (and the prime 2^61 - 1 as an edge): the model
 loader bounds p, N and the weight exponents before it tests p by trial
 division or computes p^N and p^j, so such values must cost it nothing.
+Model mutations also put the first value past each bound at the path it
+guards, and a model document must load within LOAD_SECONDS.
 """
 
 import json
 import math
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -32,6 +36,17 @@ TEXTS = ["", "x", "y", "y^2 - x^3", "x*y", "1", "0", "~", "x^", "pthRoot", "part
 # arbitrary JSON.
 EDGES = [None, True, -1, 0, 1.5, BOUND, math.inf, -math.inf, math.nan, "", "x", [], {}]
 MODEL_EDGES = EDGES + [2 ** 61 - 1, MODEL_BOUND]
+# (path, value): the first values past the loader's bounds on p (2^16, and
+# the prime 2^61 - 1, which trial division would take minutes to pass), on
+# N and on a weight exponent (both capped at 64), where they are read.
+MODEL_TARGETED_EDGES = [
+    (("p",), 2 ** 16),
+    (("p",), 2 ** 61 - 1),
+    (("N",), 65),
+    (("basis", 0, "weight", 1), 65),
+    (("weight_cap", 1), 65),
+]
+LOAD_SECONDS = 2.0
 
 
 def _json_values(int_bound):
@@ -82,13 +97,22 @@ def _paths(node, prefix=()):
 
 
 @st.composite
-def mutated(draw, base, edges=EDGES, values=json_values):
-    """`base` with one to three nodes replaced, deleted or wrapped in a list."""
+def mutated(draw, base, edges=EDGES, values=json_values, targeted=()):
+    """`base` with one to three nodes replaced, deleted or wrapped in a list.
+
+    With `targeted` edges, a replacement may instead put one of them at its
+    path, if that path is still in the document.
+    """
     doc = json.loads(json.dumps(base))
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_paths(doc))))
+        paths = list(_paths(doc))
         kind = draw(st.sampled_from(["replace", "delete", "wrap"]))
-        value = draw(st.sampled_from(edges) | values) if kind == "replace" else None
+        reachable = [(path, value) for path, value in targeted if path in paths]
+        if kind == "replace" and reachable and draw(st.booleans()):
+            path, value = draw(st.sampled_from(reachable))
+        else:
+            path = draw(st.sampled_from(paths))
+            value = draw(st.sampled_from(edges) | values) if kind == "replace" else None
         if not path:
             doc = value if kind == "replace" else [doc]
             continue
@@ -128,8 +152,30 @@ def test_mutated_certificate_documents(data):
     _parses_or_value_error(VanishingCertificate.from_json, data.draw(mutated(_certificate_doc())))
 
 
+class LoadTooSlow(Exception):
+    pass
+
+
+def _too_slow(signum, frame):
+    raise LoadTooSlow(f"a model document took over {LOAD_SECONDS} s to load")
+
+
+@contextmanager
+def _load_deadline():
+    """A load that overruns LOAD_SECONDS raises LoadTooSlow (SIGALRM timer)."""
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.setitimer(signal.ITIMER_REAL, LOAD_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @FUZZ
 @given(st.data())
 def test_mutated_model_documents(data):
     base = data.draw(st.sampled_from(_model_docs()))
-    _parses_or_value_error(DieudonneModel.from_json, data.draw(mutated(base, MODEL_EDGES, model_json_values)))
+    doc = data.draw(mutated(base, MODEL_EDGES, model_json_values, MODEL_TARGETED_EDGES))
+    with _load_deadline():
+        _parses_or_value_error(DieudonneModel.from_json, doc)

@@ -209,24 +209,53 @@ def test_buchberger_trivial_cases():
     assert unit.basis == (ring.one(),)
 
 
-def test_buchberger_is_a_groebner_basis():
-    # all S-polynomials of the reduced basis reduce to zero
-    ring = PolyRing(3, ("x", "y", "z"))
-    rng = random.Random(5)
-    for _ in range(15):
-        gens = [random_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(2)]
-        gb = buchberger(Ideal.from_polys(ring, gens))
-        order = gb.basis_order
+def _order(kind, nvars):
+    if kind == "grevlex":
+        return TermOrder.grevlex(nvars)
+    if kind == "lex":
+        return TermOrder.lex(nvars, perm=tuple(reversed(range(nvars))))
+    return TermOrder.elimination([nvars - 1], nvars)  # eliminates the last variable first
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex", "block"])
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_buchberger_is_a_groebner_basis(p, nvars, kind):
+    # Every S-polynomial of the result reduces to zero, so no pair the
+    # criteria pruned was needed; the result is monic and reduced, and it
+    # contains the generators.
+    ring = PolyRing(p, tuple("xyz"[:nvars]))
+    order = _order(kind, nvars)
+    rng = random.Random(100 * p + 10 * nvars + len(kind))
+    for _ in range(6):
+        gens = [random_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(rng.randint(1, 3))]
+        gb = buchberger(Ideal.from_polys(ring, gens), order)
         basis = gb.basis
+        leads = [g.leading(order) for g in basis]
+        for g, (lm, lc) in zip(basis, leads):
+            assert lc == 1
+            for other, _ in leads:
+                assert other == lm or not any(all(a <= b for a, b in zip(other, e)) for e in g.terms)
+        for g in gens:
+            assert normal_form(g, gb).is_zero()
         for i in range(len(basis)):
             for j in range(i):
-                lm_i, lc_i = basis[i].leading(order)
-                lm_j, lc_j = basis[j].leading(order)
+                lm_i, lc_i = leads[i]
+                lm_j, lc_j = leads[j]
                 lcm = tuple(max(a, b) for a, b in zip(lm_i, lm_j))
                 s = basis[i].mul_term(
-                    tuple(a - b for a, b in zip(lcm, lm_i)), pow(lc_i, -1, 3)
-                ) - basis[j].mul_term(tuple(a - b for a, b in zip(lcm, lm_j)), pow(lc_j, -1, 3))
+                    tuple(a - b for a, b in zip(lcm, lm_i)), pow(lc_i, -1, p)
+                ) - basis[j].mul_term(tuple(a - b for a, b in zip(lcm, lm_j)), pow(lc_j, -1, p))
                 assert normal_form(s, gb).is_zero()
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex", "block"])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 5])
+def test_heap_key_reverses_the_order_key(kind, nvars):
+    rng = random.Random(nvars)
+    exps = list({tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(200)})
+    order = _order(kind, nvars)
+    assert sorted(exps, key=order.heap_key) == sorted(exps, key=order.key, reverse=True)
 
 
 def test_buchberger_order_stable_and_permutation_invariant():

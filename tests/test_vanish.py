@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -340,3 +341,26 @@ def test_elimination_bases_match_golden_digest():
     for doc in elimination_catalogue_docs():
         h.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_ELIMINATION_DIGEST
+
+
+# pth_root_ideal on two F_5 plane cubics, whose graph ideals in four
+# variables once took Buchberger 26 s and over 118 s.  Both curves are
+# reduced, so each root ideal is the curve's own ideal, (f) with f monic;
+# the digests pin the exact bases.
+F5_CUBIC_ROOT_DIGESTS = {
+    "x^2*y + y^2 + x": "f378da6855ded9480aa889601728830a652cf3f76c947acb5fe8f86b195df22f",
+    "x^2*y + y^3 + x + 1": "b115971f28f976ae19e1fb3d49681ee08d96ceae8178277d114367122dea9020",
+}
+F5_CUBIC_SECONDS = 10.0
+
+
+def test_pth_root_ideal_of_f5_plane_cubics_is_pinned_and_fast():
+    ring = PolyRing(5, ("x", "y"))
+    start = time.perf_counter()
+    for text, digest in F5_CUBIC_ROOT_DIGESTS.items():
+        f = parse_polynomial(text, ring)
+        root = pth_root_ideal(Ideal.from_polys(ring, [f]))
+        assert root.basis == (f,)
+        doc = {"vars": list(root.ring.names), "basis": [g.to_json() for g in root.basis]}
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest() == digest
+    assert time.perf_counter() - start < F5_CUBIC_SECONDS
