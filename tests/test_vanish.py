@@ -344,7 +344,7 @@ def test_elimination_bases_match_golden_digest():
 
 
 # pth_root_ideal on two F_5 plane cubics, whose graph ideals in four
-# variables once took Buchberger 26 s and over 118 s.  Both curves are
+# variables once took Buchberger 26 s and more than 24 minutes.  Both curves are
 # reduced, so each root ideal is the curve's own ideal, (f) with f monic;
 # the digests pin the exact bases.
 F5_CUBIC_ROOT_DIGESTS = {
