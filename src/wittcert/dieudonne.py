@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .modarith import (
@@ -34,6 +36,11 @@ Vector = dict[str, int]
 # The largest N and weight exponent j a model document may carry: the
 # loader computes p^N and p^j from them, so it bounds them first.
 MAX_MODEL_EXPONENT = 64
+
+# The largest basis `a1_model` builds.  a1_model(p, wmax, N, depth) has
+# 1 + 2 * wmax * p^depth elements, and the CLI takes p, wmax, N and depth
+# from flags; the bound admits a1_model(3, 12, 5) (5833 elements).
+MAX_A1_BASIS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,12 @@ def weight_from_pair(p: int, pair: Sequence[int]) -> Fraction:
     return Fraction(m, p ** j)
 
 
+def _check_exponent(exponent: int) -> None:
+    """Bound N before anything computes p^N."""
+    if exponent > MAX_MODEL_EXPONENT:
+        raise ValueError(f"model exponent N = {exponent} exceeds the cap {MAX_MODEL_EXPONENT}")
+
+
 def _denominator_exponent(p: int, w: Fraction) -> int:
     return weight_pair(p, w)[1]
 
@@ -78,14 +91,19 @@ class DieudonneModel:
 
     The graded structure is indexed once, at construction: the labels of
     each (degree, weight) block, the weights of each degree and the
-    coefficient modulus are lookups.  An operator's coordinate columns on
-    a block are computed on first use and kept, which is safe because the
-    maps never change.  Check results are never cached: every checker
-    call does its own linear algebra.
+    coefficient modulus are lookups.  Internally a weight w is keyed by
+    the integer w * p^e, where p^e is the largest denominator among the
+    basis weights; `weights()`, `block()`, JSON and reports speak in
+    `Fraction`s.  An operator's coordinate columns on a block are computed
+    on first use and kept, and so are the W_r quotient and mod-p^r
+    cohomology presentations (`wr_quotient`, `hn_mod_pr`) per (degree, r),
+    which is safe because the maps never change and presentations are
+    immutable.  Check reports are never cached: every checker call builds
+    its own.
     """
 
     __slots__ = ("p", "exponent", "modulus", "basis", "elements", "maps", "weight_cap",
-                 "depth_cap", "_blocks", "_weights", "_column_cache")
+                 "depth_cap", "_scale", "_cap_key", "_blocks", "_weights", "_column_cache", "_memo")
 
     def __init__(
         self,
@@ -98,6 +116,7 @@ class DieudonneModel:
         weight_cap: Optional[Fraction] = None,
         depth_cap: Optional[int] = None,
     ):
+        _check_exponent(exponent)
         self.p = p
         self.exponent = exponent
         self.modulus = modulus = Modulus(p, exponent)
@@ -105,22 +124,30 @@ class DieudonneModel:
         self.elements = {b.label: b for b in self.basis}
         if len(self.elements) != len(self.basis):
             raise ValueError("duplicate basis labels")
-        blocks: dict[tuple[int, Fraction], list[str]] = {}
+        pairs = []
         for b in self.basis:
             if b.weight < 0:
                 raise ValueError(f"negative weight on {b.label}")
-            weight_pair(p, b.weight)  # validates the denominator
-            blocks.setdefault((b.degree, b.weight), []).append(b.label)
+            pairs.append(weight_pair(p, b.weight))  # validates the denominator
+        top = max((j for _, j in pairs), default=0)
+        self._scale = scale = p ** top
+        keys = {b.label: m * p ** (top - j) for b, (m, j) in zip(self.basis, pairs)}
+        blocks: dict[tuple[int, int], list[str]] = {}
+        for b in self.basis:
+            blocks.setdefault((b.degree, keys[b.label]), []).append(b.label)
         self._blocks = {key: tuple(sorted(labels)) for key, labels in blocks.items()}
-        self._weights: dict[int, list[Fraction]] = {}
-        for degree, weight in self._blocks:
-            self._weights.setdefault(degree, []).append(weight)
-        for weights in self._weights.values():
-            weights.sort()
+        self._weights: dict[int, list[int]] = {}
+        for degree, key in self._blocks:
+            self._weights.setdefault(degree, []).append(key)
+        for weight_keys in self._weights.values():
+            weight_keys.sort()
         self._column_cache: dict = {}
+        self._memo: dict = {}
         if weight_cap is None:
             weight_cap = max((b.weight for b in self.basis), default=Fraction(0))
         self.weight_cap = weight_cap
+        cap = Fraction(weight_cap)
+        self._cap_key = cap.numerator * scale // cap.denominator  # key <= this iff weight <= cap
         self.depth_cap = depth_cap
 
         def clean(name: str, mapping: Mapping[str, Mapping[str, int]]):
@@ -129,6 +156,7 @@ class DieudonneModel:
                 if src not in self.elements:
                     raise ValueError(f"{name} defined on unknown label {src}")
                 src_el = self.elements[src]
+                expected = self._target(name, src_el.degree, keys[src])
                 cleaned: dict[str, int] = {}
                 for dst, coeff in row.items():
                     c = modulus.reduce(coeff)
@@ -136,12 +164,10 @@ class DieudonneModel:
                         continue
                     if dst not in self.elements:
                         raise ValueError(f"{name}({src}) hits unknown label {dst}")
-                    dst_el = self.elements[dst]
-                    expected = self._target(name, src_el.degree, src_el.weight)
-                    if (dst_el.degree, dst_el.weight) != expected:
+                    if (self.elements[dst].degree, keys[dst]) != expected:
                         raise ValueError(
-                            f"{name}({src}) -> {dst} violates the grading: "
-                            f"expected (degree, weight) = {expected}"
+                            f"{name}({src}) -> {dst} violates the grading: expected (degree, weight) = "
+                            f"{self._target_weight(name, src_el.degree, src_el.weight)}"
                         )
                     cleaned[dst] = c
                 out[src] = cleaned
@@ -155,16 +181,44 @@ class DieudonneModel:
         return sorted(self._weights)
 
     def weights(self, degree: int) -> list[Fraction]:
-        return list(self._weights.get(degree, ()))
+        return [self._weight(key) for key in self._weights.get(degree, ())]
 
     def block(self, degree: int, weight: Fraction) -> tuple[str, ...]:
-        return self._blocks.get((degree, weight), ())
+        scaled = Fraction(weight) * self._scale
+        if scaled.denominator != 1:
+            return ()
+        return self._labels(degree, scaled.numerator)
 
-    def _target(self, op: str, degree: int, weight: Fraction) -> tuple[int, Fraction]:
+    def _weight(self, key: int) -> Fraction:
+        """The weight of an integer weight key."""
+        return Fraction(key, self._scale)
+
+    def _labels(self, degree: int, key: Optional[int]) -> tuple[str, ...]:
+        """The (degree, weight key) block; a key of None names no block."""
+        return self._blocks.get((degree, key), ())
+
+    def _target_weight(self, op: str, degree: int, weight: Fraction) -> tuple[int, Fraction]:
         """The (degree, weight) block that `op` maps the given block into."""
         if op == "d":
             return degree + 1, weight
         return degree, weight * self.p if op == "F" else weight / self.p
+
+    def _target(self, op: str, degree: int, key: int) -> tuple[int, Optional[int]]:
+        """The (degree, weight key) block that `op` maps the given block into;
+        the key is None when that weight has a denominator beyond p^e, where
+        no basis element lives."""
+        if op == "d":
+            return degree + 1, key
+        if op == "F":
+            return degree, key * self.p
+        return degree, None if key % self.p else key // self.p
+
+    def _level(self, r: int) -> Modulus:
+        """The modulus Z/p^r, built once per model."""
+        key = ("modulus", r)
+        if key not in self._memo:
+            self._memo[key] = self.modulus if r == self.exponent else Modulus(self.p, r)
+        return self._memo[key]
 
     def defined(self, op: str, label: str) -> bool:
         return label in self.maps[op]
@@ -211,28 +265,41 @@ class DieudonneModel:
     def coords_to_vector(self, coords: Sequence[int], block: Sequence[str]) -> Vector:
         return {lbl: c for lbl, c in zip(block, coords) if c}
 
-    def _columns(self, op: str, degree: int, weight: Fraction) -> Optional[tuple[tuple[int, ...], ...]]:
-        """Coordinates of `op` on each label of the (degree, weight) block, in
-        the basis of its target block; None when `op` is undefined somewhere
-        on the block.  Memoised per model: the maps are immutable."""
-        key = (op, degree, weight)
-        if key not in self._column_cache:
-            target = self.block(*self._target(op, degree, weight))
-            rows = [self.maps[op].get(lbl) for lbl in self.block(degree, weight)]
-            self._column_cache[key] = None if None in rows else tuple(
+    def _columns(self, op: str, degree: int, key: int) -> Optional[tuple[tuple[int, ...], ...]]:
+        """Coordinates of `op` on each label of the (degree, weight key)
+        block, in the basis of its target block; None when `op` is undefined
+        somewhere on the block.  Memoised per model: the maps are immutable."""
+        cache_key = (op, degree, key)
+        if cache_key not in self._column_cache:
+            target = self._labels(*self._target(op, degree, key))
+            rows = [self.maps[op].get(lbl) for lbl in self._labels(degree, key)]
+            self._column_cache[cache_key] = None if None in rows else tuple(
                 self.vector_to_coords(row, target) for row in rows
             )
-        return self._column_cache[key]
+        return self._column_cache[cache_key]
 
     def op_matrix(self, op: str, degree: int, weight: Fraction,
                   modulus: Optional[Modulus] = None) -> Optional[ModularMatrix]:
         """Matrix of an operator on the (degree, weight) block, or None if
         the operator is undefined somewhere on the block."""
-        cols = self._columns(op, degree, weight)
+        scaled = Fraction(weight) * self._scale
+        if scaled.denominator == 1:
+            return self._matrix(op, degree, scaled.numerator, modulus)
+        # no basis element has this weight: the matrix has no columns
+        target = self.block(*self._target_weight(op, degree, weight))
+        return ModularMatrix.from_columns(modulus or self.modulus, (), len(target))
+
+    def _matrix(self, op: str, degree: int, key: int,
+                modulus: Optional[Modulus] = None) -> Optional[ModularMatrix]:
+        """`op_matrix` on the block of a weight key."""
+        cols = self._columns(op, degree, key)
         if cols is None:
             return None
-        target = self.block(*self._target(op, degree, weight))
-        return ModularMatrix.from_columns(modulus or self.modulus, cols, len(target))
+        ambient = len(self._labels(*self._target(op, degree, key)))
+        if modulus is None or modulus == self.modulus:
+            # the columns are residues mod p^N already
+            return ModularMatrix._trusted_columns(self.modulus, cols, ambient)
+        return ModularMatrix.from_columns(modulus, cols, ambient)
 
     # -- serialization -------------------------------------------------------
 
@@ -274,8 +341,7 @@ class DieudonneModel:
             # bounded before Modulus tests p by trial division and computes p^N
             if not 2 <= p < 2 ** 16:
                 raise ValueError(f"model prime must lie in [2, 2^16), got {p}")
-            if exponent > MAX_MODEL_EXPONENT:
-                raise ValueError(f"model exponent N = {exponent} exceeds the cap {MAX_MODEL_EXPONENT}")
+            _check_exponent(exponent)
             Modulus(p, exponent)  # tests that p is prime before the weights divide by its powers
             basis = [
                 BasisElement(str(b["label"]), int(b["degree"]), weight_from_pair(p, b["weight"]))
@@ -340,16 +406,25 @@ def a1_model(p: int, wmax: int, exponent: int, depth: Optional[int] = None) -> D
     and Leibniz; `check_axioms` is the oracle that the outcome is right.
 
     Weights are truncated at wmax and V-depth at `depth` (default N):
-    beyond that, V is undefined rather than wrong.
+    beyond that, V is undefined rather than wrong.  Raises ValueError when
+    N exceeds MAX_MODEL_EXPONENT or the basis would exceed MAX_A1_BASIS,
+    before building anything.
     """
     if wmax < 1:
         raise ValueError("wmax must be >= 1")
     if exponent < 2:
         raise ValueError("coefficient exponent must be >= 2 for level-1 statements")
+    _check_exponent(exponent)
     if depth is None:
         depth = exponent
     modulus = Modulus(p, exponent)
     q = modulus.char
+    # the basis has 1 + 2 * wmax * p^depth elements; p^15 alone passes the cap
+    if 1 + 2 * wmax * p ** min(max(depth, 0), 15) > MAX_A1_BASIS:
+        raise ValueError(
+            f"A^1 model with p = {p}, wmax = {wmax}, V-depth {depth} exceeds the cap of "
+            f"{MAX_A1_BASIS} basis elements"
+        )
 
     index: list[tuple[int, int]] = [(0, 0)]  # (m, j); (0, 0) encodes the unit / weight 0
     for m in range(1, wmax + 1):
@@ -504,13 +579,13 @@ def check_axioms(model: DieudonneModel) -> CheckReport:
     return report
 
 
-def _mod_p_cycle_generators(model: DieudonneModel, degree: int, weight: Fraction) -> Optional[list[tuple[int, ...]]]:
+def _mod_p_cycle_generators(model: DieudonneModel, degree: int, key: int) -> Optional[list[tuple[int, ...]]]:
     """Generators over Z/p^N of {x in the block : dx = 0 mod p}; None when
     d is undefined somewhere on the block."""
-    k = len(model.block(degree, weight))
+    k = len(model._labels(degree, key))
     if not k:
         return []
-    d_mod_p = model.op_matrix("d", degree, weight, Modulus(model.p, 1))
+    d_mod_p = model._matrix("d", degree, key, model._level(1))
     if d_mod_p is None:
         return None
     if not d_mod_p.rows:
@@ -528,33 +603,33 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
     report = CheckReport("saturation")
     p = model.p
     for degree in model.degrees():
-        for weight in model.weights(degree):
-            block = model.block(degree, weight)
-            gens = _mod_p_cycle_generators(model, degree, weight)
+        for key in model._weights[degree]:
+            block = model._labels(degree, key)
+            gens = _mod_p_cycle_generators(model, degree, key)
             if gens is None:
                 report.inconclusive.append(
-                    {"degree": degree, "weight": str(weight), "reason": "d undefined on block"}
+                    {"degree": degree, "weight": str(model._weight(key)), "reason": "d undefined on block"}
                 )
                 continue
-            src_weight = weight / p
-            if not model.block(degree, src_weight):
+            src = None if key % p else key // p  # None: weight / p has no key, nor any block
+            if not model._labels(degree, src):
                 depth = model.depth_cap
-                if depth is not None and _denominator_exponent(p, src_weight) > depth:
+                if depth is not None and _denominator_exponent(p, Fraction(key, model._scale * p)) > depth:
                     if any(any(g) for g in gens):
                         report.inconclusive.append(
                             {
                                 "degree": degree,
-                                "weight": str(weight),
+                                "weight": str(model._weight(key)),
                                 "reason": "F-source weight beyond depth truncation",
                             }
                         )
                     continue
-            f_cols = model._columns("F", degree, src_weight)
+            f_cols = () if src is None else model._columns("F", degree, src)
             if f_cols is None:
                 report.inconclusive.append(
                     {
                         "degree": degree,
-                        "weight": str(weight),
+                        "weight": str(model._weight(key)),
                         "reason": "F undefined on the source block",
                     }
                 )
@@ -568,7 +643,7 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                     report.violations.append(
                         {
                             "degree": degree,
-                            "weight": str(weight),
+                            "weight": str(model._weight(key)),
                             "witness": _vec_json(model.coords_to_vector(g, block)),
                         }
                     )
@@ -578,14 +653,14 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
 # -- level-r quotients and cohomology ---------------------------------------
 
 
-def _wr_relation_vectors(model: DieudonneModel, degree: int, weight: Fraction, r: int) -> tuple[list[tuple[int, ...]], bool]:
-    """Vectors spanning (im V^r + im dV^r) inside the (degree, weight) block,
-    plus a completeness flag: False when truncation may hide relations."""
-    block = model.block(degree, weight)
-    source_weight = weight * model.p ** r
-    complete = source_weight <= model.weight_cap
-    chains = [(lbl, ["V"] * r) for lbl in model.block(degree, source_weight)]
-    chains += [(lbl, ["V"] * r + ["d"]) for lbl in model.block(degree - 1, source_weight)]
+def _wr_relation_vectors(model: DieudonneModel, degree: int, key: int, r: int) -> tuple[list[tuple[int, ...]], bool]:
+    """Vectors spanning (im V^r + im dV^r) inside the (degree, weight key)
+    block, plus a completeness flag: False when truncation may hide relations."""
+    block = model._labels(degree, key)
+    source = key * model.p ** r
+    complete = source <= model._cap_key
+    chains = [(lbl, ["V"] * r) for lbl in model._labels(degree, source)]
+    chains += [(lbl, ["V"] * r + ["d"]) for lbl in model._labels(degree - 1, source)]
     vectors: list[tuple[int, ...]] = []
     for lbl, ops in chains:
         img = model.apply_chain(ops, {lbl: 1})
@@ -596,15 +671,22 @@ def _wr_relation_vectors(model: DieudonneModel, degree: int, weight: Fraction, r
     return vectors, complete
 
 
-def _cokernel_factors(modulus: Modulus, ambient: int, relations: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Invariant factor exponents of (Z/p^N)^ambient / span(relations),
-    sorted descending, zeros dropped (a factor p^e contributes e)."""
+def _cokernel_factors(relations: SubmoduleBasis) -> tuple[int, ...]:
+    """Invariant factor exponents of (Z/p^N)^ambient / relations, sorted
+    descending, zeros dropped (a factor p^e contributes e).
+
+    The Smith form runs on the rows of the Howell form the span already
+    holds (Storjohann & Mulders, "Fast algorithms for linear algebra modulo
+    N", 1998): they span the same module, so the factors are the same, and
+    no transform is built.
+    """
+    modulus, ambient = relations.modulus, relations.ambient
     if ambient == 0:
         return ()
-    if not relations:
+    if not relations.echelon:
         return tuple([modulus.exponent] * ambient)
-    matrix = ModularMatrix.from_columns(modulus, relations, ambient)
-    snf = smith_normal_form(matrix)
+    matrix = ModularMatrix._trusted(modulus, relations.echelon, ambient)
+    snf = smith_normal_form(matrix, left=False, right=False)
     exps = [modulus.valuation(d) for d in snf.diag]
     exps.extend([modulus.exponent] * (ambient - len(exps)))
     return tuple(sorted((e for e in exps if e > 0), reverse=True))
@@ -626,20 +708,34 @@ class QuotientBlock:
         return len(self.factors)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuotientPresentation:
-    """Presentation of a graded quotient (or subquotient), one block per weight."""
+    """Presentation of a graded quotient (or subquotient), one block per weight.
+
+    Immutable, because a model keeps the presentations it builds: `by_key`
+    holds the blocks under the model's integer weight keys (weight * scale)
+    in ascending order, and `blocks` is the same read-only mapping keyed by
+    `Fraction` weight.
+    """
 
     degree: int
     modulus: Modulus
-    blocks: dict[Fraction, QuotientBlock]
+    scale: int
+    by_key: Mapping[int, QuotientBlock]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "by_key", MappingProxyType(dict(self.by_key)))
+
+    @cached_property
+    def blocks(self) -> Mapping[Fraction, QuotientBlock]:
+        return MappingProxyType({Fraction(k, self.scale): b for k, b in self.by_key.items()})
 
     def factors_at(self, weight: Fraction) -> tuple[int, ...]:
         block = self.blocks.get(weight)
         return block.factors if block else ()
 
     def total_rank(self) -> int:
-        return sum(b.rank for b in self.blocks.values())
+        return sum(b.rank for b in self.by_key.values())
 
     def is_zero(self) -> bool:
         return self.total_rank() == 0
@@ -647,11 +743,11 @@ class QuotientPresentation:
     def to_json(self) -> dict:
         p = self.modulus.p
         out = []
-        for w in sorted(self.blocks):
-            b = self.blocks[w]
+        for key in sorted(self.by_key):
+            b = self.by_key[key]
             out.append(
                 {
-                    "weight": list(weight_pair(p, w)),
+                    "weight": list(weight_pair(p, Fraction(key, self.scale))),
                     "ambient": list(b.labels),
                     "factors": list(b.factors),
                     "complete": b.complete,
@@ -660,19 +756,35 @@ class QuotientPresentation:
         return {"degree": self.degree, "modulus_exponent": self.modulus.exponent, "blocks": out}
 
 
+def _memoized(model: DieudonneModel, kind: str, degree: int, r: int, build) -> QuotientPresentation:
+    """The model's presentation of `kind` at (degree, r), built on first use.
+    Only levels r <= N of degrees next to the model's are kept, so a model
+    holds at most a few presentations per (degree, r)."""
+    key = (kind, degree, r)
+    found = model._memo.get(key)
+    if found is None:
+        found = build(model, degree, r)
+        if r <= model.exponent and (degree in model._weights or degree - 1 in model._weights):
+            model._memo[key] = found
+    return found
+
+
 def wr_quotient(model: DieudonneModel, degree: int, r: int) -> QuotientPresentation:
     """Presentation of M^degree / (im V^r + im dV^r) within the truncation."""
     if r < 1:
         raise ValueError("level r must be >= 1")
+    return _memoized(model, "wr", degree, r, _build_wr_quotient)
+
+
+def _build_wr_quotient(model: DieudonneModel, degree: int, r: int) -> QuotientPresentation:
     modulus = model.modulus
-    blocks: dict[Fraction, QuotientBlock] = {}
-    for weight in model.weights(degree):
-        labels = model.block(degree, weight)
-        relations, complete = _wr_relation_vectors(model, degree, weight, r)
+    blocks: dict[int, QuotientBlock] = {}
+    for key in model._weights.get(degree, ()):
+        labels = model._labels(degree, key)
+        relations, complete = _wr_relation_vectors(model, degree, key, r)
         basis = SubmoduleBasis(modulus, len(labels), relations)
-        factors = _cokernel_factors(modulus, len(labels), relations)
-        blocks[weight] = QuotientBlock(labels, basis, factors, complete)
-    return QuotientPresentation(degree, modulus, blocks)
+        blocks[key] = QuotientBlock(labels, basis, _cokernel_factors(basis), complete)
+    return QuotientPresentation(degree, modulus, model._scale, blocks)
 
 
 def quotient_image(presentation: QuotientPresentation, model: DieudonneModel, vec: Vector) -> dict[Fraction, tuple[int, ...]]:
@@ -697,17 +809,17 @@ def quotient_is_zero(presentation: QuotientPresentation, model: DieudonneModel, 
     return all(not any(r) for r in quotient_image(presentation, model, vec).values())
 
 
-def _cohomology_block(model: DieudonneModel, degree: int, weight: Fraction, r: int) -> Optional[QuotientBlock]:
+def _cohomology_block(model: DieudonneModel, degree: int, key: int, r: int) -> Optional[QuotientBlock]:
     """H^degree(M/p^r) on one weight block, presented on cycle generators.
 
     Returns None when d is undefined somewhere it is needed.
     """
-    modulus = Modulus(model.p, r)
-    labels = model.block(degree, weight)
+    modulus = model._level(r)
+    labels = model._labels(degree, key)
     if not labels:
         return QuotientBlock((), SubmoduleBasis(modulus, 0, []), (), True)
-    d_out = model.op_matrix("d", degree, weight, modulus)
-    boundaries = model._columns("d", degree - 1, weight)
+    d_out = model._matrix("d", degree, key, modulus)
+    boundaries = model._columns("d", degree - 1, key)
     if d_out is None or boundaries is None:
         return None
     cycles = kernel_basis(d_out)
@@ -717,32 +829,26 @@ def _cohomology_block(model: DieudonneModel, degree: int, weight: Fraction, r: i
         # d of the lower block is not a cycle: d^2 fails mod p^r here.
         return None
     span = SubmoduleBasis(modulus, len(labels), boundaries)
-    relations = _preimage_generators(modulus, cycles, len(labels), span)
-    factors = _cokernel_factors(modulus, len(cycles), relations)
-    return QuotientBlock(
-        labels,
-        SubmoduleBasis(modulus, len(cycles), relations),
-        factors,
-        True,
-        tuple(cycles),
-    )
+    relations = SubmoduleBasis(modulus, len(cycles), _preimage_generators(modulus, cycles, len(labels), span))
+    return QuotientBlock(labels, relations, _cokernel_factors(relations), True, tuple(cycles))
 
 
 def hn_mod_pr(model: DieudonneModel, degree: int, r: int) -> QuotientPresentation:
     """Cohomology H^degree(M/p^r) as a presentation, one block per weight."""
     if not 1 <= r <= model.exponent:
         raise ValueError(f"need 1 <= r <= N = {model.exponent}")
-    modulus = Modulus(model.p, r)
-    blocks: dict[Fraction, QuotientBlock] = {}
-    weights = set(model.weights(degree)) | set(model.weights(degree - 1))
-    for weight in sorted(weights):
-        block = _cohomology_block(model, degree, weight, r)
+    return _memoized(model, "hn", degree, r, _build_hn_mod_pr)
+
+
+def _build_hn_mod_pr(model: DieudonneModel, degree: int, r: int) -> QuotientPresentation:
+    modulus = model._level(r)
+    blocks: dict[int, QuotientBlock] = {}
+    for key in sorted({*model._weights.get(degree, ()), *model._weights.get(degree - 1, ())}):
+        block = _cohomology_block(model, degree, key, r)
         if block is None:
-            labels = model.block(degree, weight)
-            blocks[weight] = QuotientBlock(labels, SubmoduleBasis(modulus, 0, []), (), False)
-        else:
-            blocks[weight] = block
-    return QuotientPresentation(degree, modulus, blocks)
+            block = QuotientBlock(model._labels(degree, key), SubmoduleBasis(modulus, 0, []), (), False)
+        blocks[key] = block
+    return QuotientPresentation(degree, modulus, model._scale, blocks)
 
 
 def compare_wr_with_cohomology(model: DieudonneModel, degree: int, r: int) -> CheckReport:
@@ -752,28 +858,28 @@ def compare_wr_with_cohomology(model: DieudonneModel, degree: int, r: int) -> Ch
     wr = wr_quotient(model, degree, r)
     hn = hn_mod_pr(model, degree, r)
     shift = model.p ** r
-    for weight in sorted(wr.blocks):
-        wr_block = wr.blocks[weight]
-        hn_weight = weight * shift
-        if not wr_block.complete or hn_weight > model.weight_cap:
+    for key in sorted(wr.by_key):
+        wr_block = wr.by_key[key]
+        hn_key = key * shift
+        if not wr_block.complete or hn_key > model._cap_key:
             report.inconclusive.append(
-                {"weight": str(weight), "reason": "truncation boundary"}
+                {"weight": str(model._weight(key)), "reason": "truncation boundary"}
             )
             continue
-        hn_block = hn.blocks.get(hn_weight)
+        hn_block = hn.by_key.get(hn_key)
         hn_factors = hn_block.factors if hn_block else ()
         if hn_block is not None and not hn_block.complete:
             report.inconclusive.append(
-                {"weight": str(weight), "reason": "cohomology undetermined (d undefined)"}
+                {"weight": str(model._weight(key)), "reason": "cohomology undetermined (d undefined)"}
             )
             continue
         report.checked += 1
         if tuple(wr_block.factors) != tuple(hn_factors):
             report.violations.append(
                 {
-                    "weight": str(weight),
+                    "weight": str(model._weight(key)),
                     "wr_factors": list(wr_block.factors),
-                    "cohomology_weight": str(hn_weight),
+                    "cohomology_weight": str(model._weight(hn_key)),
                     "cohomology_factors": list(hn_factors),
                 }
             )
@@ -786,11 +892,11 @@ def compare_wr_with_cohomology(model: DieudonneModel, degree: int, r: int) -> Ch
 def _preimage_generators(modulus: Modulus, columns: Sequence[Sequence[int]], ambient: int,
                          target: SubmoduleBasis) -> list[tuple[int, ...]]:
     """Generators of {x : sum_j x_j columns[j] in span(target)} over `modulus`,
-    for columns of length `ambient`.  With no rows (ambient 0) the map is
-    zero and the preimage is everything."""
+    for columns of residues mod `modulus` of length `ambient`.  With no rows
+    (ambient 0) the map is zero and the preimage is everything."""
     n_src = len(columns)
     stacked = list(columns) + [tuple((-x) % modulus.char for x in g) for g in target.echelon]
-    matrix = ModularMatrix.from_columns(modulus, stacked, ambient)
+    matrix = ModularMatrix._trusted_columns(modulus, stacked, ambient)
     return [k[:n_src] for k in kernel_basis(matrix) if any(k[:n_src])]
 
 
@@ -800,28 +906,28 @@ def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckRepo
     source-side relation span."""
     p = model.p
     for degree in degrees:
-        weights = model.weights(degree)
+        keys = model._weights.get(degree, ())
         # each weight's relations serve as the target at w / p and the source at w
         relations = {
-            w: _wr_relation_vectors(model, degree, w, r) for w in {*weights, *(w * p for w in weights)}
+            k: _wr_relation_vectors(model, degree, k, r) for k in {*keys, *(k * p for k in keys)}
         }
-        for weight in weights:
-            block = model.block(degree, weight)
-            target_vectors, target_complete = relations[weight * p]
-            source_vectors, source_complete = relations[weight]
+        for key in keys:
+            block = model._labels(degree, key)
+            target_vectors, target_complete = relations[key * p]
+            source_vectors, source_complete = relations[key]
             if not (target_complete and source_complete):
                 report.inconclusive.append(
-                    {"degree": degree, "weight": str(weight), "reason": "truncation boundary"}
+                    {"degree": degree, "weight": str(model._weight(key)), "reason": "truncation boundary"}
                 )
                 continue
-            f_cols = model._columns("F", degree, weight)
+            f_cols = model._columns("F", degree, key)
             if f_cols is None:
                 report.inconclusive.append(
-                    {"degree": degree, "weight": str(weight), "reason": "F undefined on block"}
+                    {"degree": degree, "weight": str(model._weight(key)), "reason": "F undefined on block"}
                 )
                 continue
             # an empty F-target block makes F zero, so the preimage is the whole block
-            f_target = len(model.block(degree, weight * p))
+            f_target = len(model._labels(degree, key * p))
             span = SubmoduleBasis(model.modulus, f_target, target_vectors)
             preimage = _preimage_generators(model.modulus, f_cols, f_target, span)
             source_span = SubmoduleBasis(model.modulus, len(block), source_vectors)
@@ -831,7 +937,7 @@ def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckRepo
                     report.violations.append(
                         {
                             "degree": degree,
-                            "weight": str(weight),
+                            "weight": str(model._weight(key)),
                             "witness": _vec_json(model.coords_to_vector(x, block)),
                         }
                     )
@@ -871,11 +977,11 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
         raise ValueError(f"level-{rmax} statements need coefficient exponent >= {rmax + 1}")
     report = CheckReport(f"w1_vanishing_propagation(degree={degree}, rmax={rmax})")
     presentations = {r: hn_mod_pr(model, degree, r) for r in range(1, rmax + 2)}
-    weights = sorted(presentations[1].blocks)
-    for weight in weights:
-        blocks = {r: presentations[r].blocks.get(weight) for r in presentations}
+    for key in sorted(presentations[1].by_key):
+        weight = str(model._weight(key))
+        blocks = {r: presentations[r].by_key.get(key) for r in presentations}
         if any(b is None or not b.complete for b in blocks.values()):
-            report.inconclusive.append({"weight": str(weight), "reason": "d undefined on block"})
+            report.inconclusive.append({"weight": weight, "reason": "d undefined on block"})
             continue
         report.checked += 1
         if not blocks[1].factors:
@@ -883,7 +989,7 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
                 if blocks[r].factors:
                     report.violations.append(
                         {
-                            "weight": str(weight),
+                            "weight": weight,
                             "kind": "vanishing_propagation",
                             "r": r,
                             "factors": list(blocks[r].factors),
@@ -893,16 +999,16 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
             if not blocks[1].factors and not blocks[r].factors and blocks[r + 1].factors:
                 report.violations.append(
                     {
-                        "weight": str(weight),
+                        "weight": weight,
                         "kind": "inductive_step",
                         "r": r,
                         "factors": list(blocks[r + 1].factors),
                     }
                 )
-            failure = _les_exactness_failure(model, degree, weight, r, blocks[1], blocks[r + 1])
+            failure = _les_exactness_failure(model, degree, key, r, blocks[1], blocks[r + 1])
             if failure is not None:
                 report.violations.append(
-                    {"weight": str(weight), "kind": "les_exactness", "r": r, "detail": failure}
+                    {"weight": weight, "kind": "les_exactness", "r": r, "detail": failure}
                 )
     return report
 
@@ -910,12 +1016,13 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
 def _les_exactness_failure(
     model: DieudonneModel,
     degree: int,
-    weight: Fraction,
+    key: int,
     r: int,
     h1: QuotientBlock,
     h_top: QuotientBlock,
 ) -> Optional[str]:
-    """Exactness of H(M/p) --p^r--> H(M/p^(r+1)) --reduce--> H(M/p^r) at the middle.
+    """Exactness of H(M/p) --p^r--> H(M/p^(r+1)) --reduce--> H(M/p^r) at the
+    middle, on the block of weight key `key`.
 
     The image of the first map is the cycle classes of p^r * (h1 generators)
     and the kernel of the second those of the boundaries mod p^r; both are
@@ -923,17 +1030,17 @@ def _les_exactness_failure(
     the boundaries there, and compared via canonical Howell forms.
     """
     p = model.p
-    mod_top = Modulus(p, r + 1)
+    mod_top = model._level(r + 1)
     gens = h_top.generators
     if not gens:
         # middle is zero: exact iff nothing to check
         return None
-    ambient = len(model.block(degree, weight))
+    ambient = len(model._labels(degree, key))
     lifted = [tuple(p ** r * x for x in g) for g in h1.generators]
-    d_top = model.op_matrix("d", degree, weight, mod_top)
+    d_top = model._matrix("d", degree, key, mod_top)
     if any(any(d_top.apply(g)) for g in lifted):
         return "multiplication-by-p^r image is not a cycle combination"
-    boundaries = list(model._columns("d", degree - 1, weight))
+    boundaries = list(model._columns("d", degree - 1, key))
 
     def pulled_back(vectors: list[tuple[int, ...]]) -> SubmoduleBasis:
         span = SubmoduleBasis(mod_top, ambient, vectors)

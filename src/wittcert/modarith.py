@@ -92,6 +92,19 @@ class ModularMatrix:
         self.entries = grid
 
     @classmethod
+    def _trusted(cls, modulus: Modulus, entries: tuple[tuple[int, ...], ...], cols: int) -> "ModularMatrix":
+        """Wrap rows that are already tuples of residues in [0, p^N), each of
+        length `cols`, without reducing, copying or checking them."""
+        m = object.__new__(cls)
+        m.modulus, m.rows, m.cols, m.entries = modulus, len(entries), cols, entries
+        return m
+
+    @classmethod
+    def _trusted_columns(cls, modulus: Modulus, columns: Sequence[tuple[int, ...]], ambient: int) -> "ModularMatrix":
+        """`from_columns` for columns already reduced mod p^N, unchecked."""
+        return cls._trusted(modulus, tuple(zip(*columns)) if columns else ((),) * ambient, len(columns))
+
+    @classmethod
     def identity(cls, modulus: Modulus, n: int) -> "ModularMatrix":
         return cls(modulus, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -171,71 +184,86 @@ class SmithDecomposition:
 
     Diagonal entries are normalized to pure powers of p (units absorbed
     into the left transform) and sorted by increasing valuation, zeros last.
+    A transform that was not asked for is None.
     """
 
     diag: tuple[int, ...]
-    left: ModularMatrix
-    right: ModularMatrix
+    left: Optional[ModularMatrix]
+    right: Optional[ModularMatrix]
+    modulus: Modulus
 
     def diagonal_matrix(self, rows: int, cols: int) -> ModularMatrix:
-        modulus = self.left.modulus
+        modulus = self.modulus
         grid = [[0] * cols for _ in range(rows)]
         for i, d in enumerate(self.diag):
             grid[i][i] = d
         return ModularMatrix(modulus, grid, cols)
 
 
-def smith_normal_form(m: ModularMatrix) -> SmithDecomposition:
+def smith_normal_form(m: ModularMatrix, left: bool = True, right: bool = True) -> SmithDecomposition:
     """Smith normal form over Z/p^N.
 
     Pivot selection: entry of minimal p-adic valuation, ties broken by
     row-major position.  Every other entry has valuation >= the pivot's,
     so elimination quotients are exact integer divisions of canonical
-    representatives.
+    representatives.  `left=False` or `right=False` skips building that
+    transform; the diagonal and the other transform do not change.
     """
     mod = m.modulus
-    q = mod.char
+    p, q = mod.p, mod.char
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
-    left = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    lt = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if left else None
+    rt = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if right else None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
+        if lt is not None:
+            lt[i], lt[j] = lt[j], lt[i]
 
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in right:
+        for r in rt or ():
             r[i], r[j] = r[j], r[i]
 
     def scale_row(i, u):
         a[i] = [(x * u) % q for x in a[i]]
-        left[i] = [(x * u) % q for x in left[i]]
+        if lt is not None:
+            lt[i] = [(x * u) % q for x in lt[i]]
 
     def add_row(dst, src, factor):
         a[dst] = [(x + factor * y) % q for x, y in zip(a[dst], a[src])]
-        left[dst] = [(x + factor * y) % q for x, y in zip(left[dst], left[src])]
+        if lt is not None:
+            lt[dst] = [(x + factor * y) % q for x, y in zip(lt[dst], lt[src])]
 
     def add_col(dst, src, factor):
         for r in a:
             r[dst] = (r[dst] + factor * r[src]) % q
-        for r in right:
+        for r in rt or ():
             r[dst] = (r[dst] + factor * r[src]) % q
+
+    def pivot(k):
+        # the first unit in row-major order wins outright: valuation 0 is minimal
+        best = None
+        best_val = mod.exponent
+        for i in range(k, rows):
+            row = a[i]
+            for j in range(k, cols):
+                x = row[j]
+                if x:
+                    if x % p:
+                        return i, j
+                    v = mod.valuation(x)
+                    if v < best_val:
+                        best_val = v
+                        best = (i, j)
+        return best
 
     k = 0
     limit = min(rows, cols)
     while k < limit:
-        best = None
-        best_val = mod.exponent
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if a[i][j] != 0:
-                    v = mod.valuation(a[i][j])
-                    if v < best_val:
-                        best_val = v
-                        best = (i, j)
+        best = pivot(k)
         if best is None:
             break
         bi, bj = best
@@ -244,7 +272,9 @@ def smith_normal_form(m: ModularMatrix) -> SmithDecomposition:
         if bj != k:
             swap_cols(k, bj)
         # Normalize pivot to p^v exactly.
-        scale_row(k, mod.inverse(mod.unit_part(a[k][k])))
+        unit = mod.unit_part(a[k][k])
+        if unit != 1:
+            scale_row(k, mod.inverse(unit))
         piv = a[k][k]
         for i in range(k + 1, rows):
             if a[i][k]:
@@ -255,14 +285,21 @@ def smith_normal_form(m: ModularMatrix) -> SmithDecomposition:
         k += 1
 
     # Sort diagonal by valuation (zeros, valuation N, go last).
+    vals = [mod.valuation(a[i][i]) for i in range(limit)]
     for pos in range(limit):
-        best = min(range(pos, limit), key=lambda i: (mod.valuation(a[i][i]), i))
+        best = min(range(pos, limit), key=lambda i: (vals[i], i))
         if best != pos:
             swap_rows(pos, best)
             swap_cols(pos, best)
+            vals[pos], vals[best] = vals[best], vals[pos]
 
     diag = tuple(a[i][i] for i in range(limit))
-    return SmithDecomposition(diag, ModularMatrix(mod, left), ModularMatrix(mod, right))
+    return SmithDecomposition(
+        diag,
+        ModularMatrix._trusted(mod, tuple(map(tuple, lt)), rows) if left else None,
+        ModularMatrix._trusted(mod, tuple(map(tuple, rt)), cols) if right else None,
+        mod,
+    )
 
 
 def solve_linear(m: ModularMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -291,7 +328,7 @@ def solve_linear(m: ModularMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]
 def kernel_basis(m: ModularMatrix) -> list[tuple[int, ...]]:
     """Generators of {x : m @ x = 0} over Z/p^N."""
     mod = m.modulus
-    snf = smith_normal_form(m)
+    snf = smith_normal_form(m, left=False)
     gens = []
     for j in range(m.cols):
         if j < len(snf.diag):
@@ -322,11 +359,12 @@ class SubmoduleBasis:
     def __init__(self, modulus: Modulus, ambient: int, generators: Iterable[Sequence[int]]):
         self.modulus = modulus
         self.ambient = ambient
+        q = modulus.char
         gens = []
         for g in generators:
             if len(g) != ambient:
                 raise ValueError("generator length mismatch")
-            gens.append(tuple(modulus.reduce(x) for x in g))
+            gens.append(tuple(x % q for x in g))
         self.echelon = self._howell(gens)
 
     def _howell(self, rows: list[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -350,8 +388,10 @@ class SubmoduleBasis:
                         continue
                     # Lower valuation wins the pivot; recycle the old row.
                     todo.append(pc)
-                u = mod.inverse(mod.unit_part(r[col]))
-                r = [(x * u) % q for x in r]
+                unit = mod.unit_part(r[col])
+                if unit != 1:
+                    u = mod.inverse(unit)
+                    r = [(x * u) % q for x in r]
                 pivots[col] = r
                 if v > 0:
                     ann = mod.p ** (mod.exponent - v)

@@ -377,3 +377,19 @@ def test_unbounded_model_json_exits_two_at_once(field, tmp_path, capsys):
     assert main(["dieudonne-check", "--model-file", str(path)]) == 2
     assert time.perf_counter() - start < 1.0
     assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    # about wmax * p^depth = 4 * 13^6, 10^7 basis elements
+    ["--model", "a1", "--p", "13", "--wmax", "4", "--vdepth", "6"],
+    ["--model", "a1", "--p", "2", "--wmax", "4", "--vdepth", "1000000000"],
+    ["--model", "a1", "--p", "2", "--wmax", "1000000000000"],
+    # the depth defaults to N, and p^N is computed before the model is built
+    ["--model", "a1", "--p", "5", "--coeff-exp", "1000000000", "--vdepth", "2"],
+    ["--model", "trivial", "--p", "5", "--coeff-exp", "1000000000"],
+])
+def test_oversized_model_flags_exit_two_at_once(flags, capsys):
+    start = time.perf_counter()
+    assert main(["dieudonne-check", *flags]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the cap" in capsys.readouterr().err

@@ -9,6 +9,7 @@ teeth on a hand-written non-saturated model.
 import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,8 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittcert.dieudonne import (
+    MAX_A1_BASIS,
     BasisElement,
     DieudonneModel,
+    _cokernel_factors,
     _les_exactness_failure,
     _preimage_generators,
     a1_model,
@@ -35,7 +38,7 @@ from wittcert.dieudonne import (
     wr_quotient,
     zero_model,
 )
-from wittcert.modarith import Modulus, SubmoduleBasis
+from wittcert.modarith import ModularMatrix, Modulus, SubmoduleBasis, smith_normal_form
 
 DATA = Path(__file__).parent / "data"
 
@@ -159,6 +162,96 @@ def test_checker_reports_match_golden_digest():
         for doc in docs:
             h.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_REPORT_DIGEST
+
+
+# Sha256 over the canonical JSON of criterion 5's full check set on the
+# 769-element model a1(2, 12, 5): r <= 4, comparison in degrees 0-2,
+# propagation up to rmax 4.  Computed before presentations were memoized
+# or weights keyed by integers; `scripts/a1_model_report.py --p 2 --wmax 12
+# --N 5` prints the same digest.
+MODEL_SCALE_DIGEST = "2dc49f2a4aeac40ba334d98fddc0f1be7fe0ffd6de0cbdaca31d1ebba3f00184"
+
+
+def test_model_scale_check_set_matches_golden_digest():
+    m = a1_model(2, 12, 5)
+    assert len(m.basis) == 769
+    reports = [check_axioms(m), saturation_witness(m), frobenius_injectivity_degree0_check(m)]
+    for r in range(1, 5):
+        reports.append(f_cancellation_check(m, r))
+        reports.extend(compare_wr_with_cohomology(m, degree, r) for degree in (0, 1, 2))
+    reports.extend(w1_vanishing_propagation_check(m, degree, 4) for degree in (0, 1))
+    h = hashlib.sha256()
+    for report in reports:
+        assert report.passed, report.violations
+        h.update(json.dumps(report.to_json(), sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    assert h.hexdigest() == MODEL_SCALE_DIGEST
+
+
+def test_a1_model_size_is_bounded_before_it_is_built():
+    assert len(a1_model(3, 12, 5).basis) == 5833 <= MAX_A1_BASIS
+    for args, kwargs in [((13, 4, 6), {}), ((2, 4, 3), {"depth": 10 ** 9}), ((2, 10 ** 12, 3), {}),
+                         ((5, 4, 10 ** 9), {"depth": 2})]:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            a1_model(*args, **kwargs)
+
+
+# -- kept presentations --------------------------------------------------------------
+
+
+def test_presentations_are_kept_per_model_and_read_only():
+    m = a1_model(2, 4, 4)
+    hn = hn_mod_pr(m, 0, 2)
+    wr = wr_quotient(m, 1, 3)
+    assert hn_mod_pr(m, 0, 2) is hn and wr_quotient(m, 1, 3) is wr
+    before = json.dumps([hn.to_json(), wr.to_json()])
+    for presentation in (hn, wr):
+        weight = next(iter(presentation.blocks))
+        with pytest.raises(TypeError):
+            presentation.blocks[weight] = presentation.blocks[weight]
+        with pytest.raises(TypeError):
+            del presentation.blocks[weight]
+        with pytest.raises(TypeError):
+            presentation.by_key[0] = None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            presentation.degree = 5
+    assert json.dumps([hn_mod_pr(m, 0, 2).to_json(), wr_quotient(m, 1, 3).to_json()]) == before
+    compared = compare_wr_with_cohomology(m, 0, 2)
+    assert compared.passed and compared.checked > 0
+    # a degree with no blocks nearby and a level beyond N are built, not kept
+    assert wr_quotient(m, 7, 9) is not wr_quotient(m, 7, 9)
+
+
+def test_presentation_json_does_not_depend_on_what_was_built_first():
+    keys = [(degree, r) for degree in (0, 1, 2) for r in (1, 2, 3)]
+
+    def presentations(order):
+        m = a1_model(3, 2, 4)
+        return {
+            (kind, degree, r): build(m, degree, r).to_json()
+            for degree, r in order
+            for kind, build in (("wr", wr_quotient), ("hn", hn_mod_pr))
+        }
+
+    cold = {}
+    for degree, r in keys:
+        cold.update(presentations([(degree, r)]))
+    assert presentations(keys) == cold
+    assert presentations(keys[::-1]) == cold
+
+
+def test_cokernel_factors_from_the_howell_rows_match_the_relations():
+    rng = random.Random(11)
+    for mod in (Modulus(2, 3), Modulus(3, 2), Modulus(5, 1)):
+        for _ in range(20):
+            ambient = rng.randint(0, 4)
+            relations = [tuple(rng.randrange(mod.char) for _ in range(ambient)) for _ in range(rng.randint(0, 4))]
+            if relations and ambient:
+                diag = smith_normal_form(ModularMatrix.from_columns(mod, relations, ambient)).diag
+            else:
+                diag = ()
+            exps = [mod.valuation(d) for d in diag] + [mod.exponent] * (ambient - len(diag))
+            expected = tuple(sorted((e for e in exps if e > 0), reverse=True))
+            assert _cokernel_factors(SubmoduleBasis(mod, ambient, relations)) == expected
 
 
 def test_trivial_model_axioms_and_quotient():

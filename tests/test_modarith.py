@@ -108,6 +108,32 @@ def test_smith_transform_identity_random(seed):
                 assert d == mod.p ** mod.valuation(d)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_smith_without_transforms_matches_the_full_form(seed):
+    rng = random.Random(300 + seed)
+    for mod in DESK_MODULI:
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        mat = ModularMatrix(mod, [[rng.randrange(mod.char) for _ in range(cols)] for _ in range(rows)], cols)
+        full = smith_normal_form(mat)
+        right_only = smith_normal_form(mat, left=False)
+        left_only = smith_normal_form(mat, right=False)
+        bare = smith_normal_form(mat, left=False, right=False)
+        assert full.diag == right_only.diag == left_only.diag == bare.diag
+        assert right_only.right == full.right and right_only.left is None
+        assert left_only.left == full.left and left_only.right is None
+        assert bare.left is None and bare.right is None
+        assert bare.diagonal_matrix(rows, cols) == full.diagonal_matrix(rows, cols)
+
+
+def test_trusted_columns_match_from_columns():
+    mod = Modulus(3, 2)
+    for columns, ambient in [([(1, 8), (0, 3), (4, 4)], 2), ([], 3), ([(), ()], 0), ([], 0)]:
+        trusted = ModularMatrix._trusted_columns(mod, columns, ambient)
+        checked = ModularMatrix.from_columns(mod, columns, ambient)
+        assert trusted == checked
+        assert (trusted.rows, trusted.cols) == (checked.rows, checked.cols) == (ambient, len(columns))
+
+
 def test_membership_trivial_cases():
     m = Modulus(5, 2)
     s = SubmoduleBasis(m, 2, [(5, 0)])
