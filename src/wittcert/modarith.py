@@ -352,20 +352,25 @@ class SubmoduleBasis:
     entries above a pivot p^v are reduced into [0, p^v), and for every
     pivot row with v > 0 the annihilator row p^(N-v) * row is itself in
     the row span.  Two submodules are equal iff their forms are equal.
+    Immutable: its attributes cannot be rebound (TypeError), so a span
+    held in a memoized presentation cannot change under later readers.
     """
 
     __slots__ = ("modulus", "ambient", "echelon")
 
     def __init__(self, modulus: Modulus, ambient: int, generators: Iterable[Sequence[int]]):
-        self.modulus = modulus
-        self.ambient = ambient
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "ambient", ambient)
         q = modulus.char
         gens = []
         for g in generators:
             if len(g) != ambient:
                 raise ValueError("generator length mismatch")
             gens.append(tuple(x % q for x in g))
-        self.echelon = self._howell(gens)
+        object.__setattr__(self, "echelon", self._howell(gens))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise TypeError("SubmoduleBasis is immutable")
 
     def _howell(self, rows: list[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
         mod = self.modulus

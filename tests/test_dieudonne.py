@@ -214,6 +214,8 @@ def test_presentations_are_kept_per_model_and_read_only():
             presentation.by_key[0] = None
         with pytest.raises(dataclasses.FrozenInstanceError):
             presentation.degree = 5
+        with pytest.raises(TypeError):
+            presentation.blocks[weight].relations.echelon = ()
     assert json.dumps([hn_mod_pr(m, 0, 2).to_json(), wr_quotient(m, 1, 3).to_json()]) == before
     compared = compare_wr_with_cohomology(m, 0, 2)
     assert compared.passed and compared.checked > 0
