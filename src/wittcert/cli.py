@@ -150,6 +150,7 @@ def cmd_witt(args: argparse.Namespace) -> int:
     elif op == "verschiebung":
         result = wittvec.verschiebung(_parse_witt_operand(args.x, domain, config))
     elif op == "teich":
+        wittvec._check_caps(config.p, args.level)  # before the level-long tuple is built
         if not args.g:
             raise PolyParseError("teich needs --g", 0)
         if isinstance(domain, wittvec.IntegerCoefficients):
@@ -159,6 +160,7 @@ def cmd_witt(args: argparse.Namespace) -> int:
         result = wittvec.teichmuller(domain, g, args.level, p=config.p)
     elif op == "ghost":
         x = _parse_witt_operand(args.x, domain, config)
+        wittvec._check_caps(x.p, x.level)  # x_0^(p^(r-1)) grows without bound in r
         values = wittvec.ghost(x)
         _emit(config, ["(" + ", ".join(str(v) for v in values) + ")"], {"ghost": list(values)})
         return EXIT_OK
@@ -167,9 +169,10 @@ def cmd_witt(args: argparse.Namespace) -> int:
             raise PolyParseError("check-frobenius needs an F_p-algebra ring", 0)
         if not args.g:
             raise PolyParseError("check-frobenius needs --g", 0)
+        r = args.level
+        wittvec._check_caps(config.p, r)
         presentation = domain.presentation
         g = presentation.normal(parse_polynomial(args.g, presentation.ring))
-        r = args.level
         lift = wittvec.teichmuller(domain, g, r, p=config.p)
         f_of_lift = wittvec.frobenius(lift)
         lift_of_power = wittvec.teichmuller(domain, presentation.normal(g ** config.p), r - 1, p=config.p)

@@ -77,10 +77,6 @@ def _check_exponent(exponent: int) -> None:
         raise ValueError(f"model exponent N = {exponent} exceeds the cap {MAX_MODEL_EXPONENT}")
 
 
-def _denominator_exponent(p: int, w: Fraction) -> int:
-    return weight_pair(p, w)[1]
-
-
 def _unit_vectors(k: int, scale: int = 1) -> list[tuple[int, ...]]:
     """scale * e_j for j < k: the columns of scale times the k x k identity."""
     return [tuple(scale if i == j else 0 for i in range(k)) for j in range(k)]
@@ -94,16 +90,16 @@ class DieudonneModel:
     coefficient modulus are lookups.  Internally a weight w is keyed by
     the integer w * p^e, where p^e is the largest denominator among the
     basis weights; `weights()`, `block()`, JSON and reports speak in
-    `Fraction`s.  An operator's coordinate columns on a block are computed
-    on first use and kept, and so are the W_r quotient and mod-p^r
-    cohomology presentations (`wr_quotient`, `hn_mod_pr`) per (degree, r),
-    which is safe because the maps never change and presentations are
-    immutable.  Check reports are never cached: every checker call builds
-    its own.
+    `Fraction`s.  One memo per model keeps what is computed on first use:
+    an operator's coordinate columns on a block, and the W_r quotient and
+    mod-p^r cohomology presentations (`wr_quotient`, `hn_mod_pr`) per
+    (degree, r), which is safe because the maps never change and
+    presentations are immutable.  Check reports are never cached: every
+    checker call builds its own.
     """
 
     __slots__ = ("p", "exponent", "modulus", "basis", "elements", "maps", "weight_cap",
-                 "depth_cap", "_scale", "_cap_key", "_blocks", "_weights", "_column_cache", "_memo")
+                 "depth_cap", "_scale", "_cap_key", "_blocks", "_weights", "_memo")
 
     def __init__(
         self,
@@ -141,7 +137,6 @@ class DieudonneModel:
             self._weights.setdefault(degree, []).append(key)
         for weight_keys in self._weights.values():
             weight_keys.sort()
-        self._column_cache: dict = {}
         self._memo: dict = {}
         if weight_cap is None:
             weight_cap = max((b.weight for b in self.basis), default=Fraction(0))
@@ -251,9 +246,6 @@ class DieudonneModel:
             current = self.apply(op, current)
         return current
 
-    def basis_vector(self, label: str) -> Vector:
-        return {label: 1}
-
     def vector_to_coords(self, vec: Vector, block: Sequence[str]) -> tuple[int, ...]:
         q = self.modulus.char
         rest = {k: v % q for k, v in vec.items() if v % q}
@@ -269,14 +261,14 @@ class DieudonneModel:
         """Coordinates of `op` on each label of the (degree, weight key)
         block, in the basis of its target block; None when `op` is undefined
         somewhere on the block.  Memoised per model: the maps are immutable."""
-        cache_key = (op, degree, key)
-        if cache_key not in self._column_cache:
+        memo_key = ("columns", op, degree, key)
+        if memo_key not in self._memo:
             target = self._labels(*self._target(op, degree, key))
             rows = [self.maps[op].get(lbl) for lbl in self._labels(degree, key)]
-            self._column_cache[cache_key] = None if None in rows else tuple(
+            self._memo[memo_key] = None if None in rows else tuple(
                 self.vector_to_coords(row, target) for row in rows
             )
-        return self._column_cache[cache_key]
+        return self._memo[memo_key]
 
     def op_matrix(self, op: str, degree: int, weight: Fraction,
                   modulus: Optional[Modulus] = None) -> Optional[ModularMatrix]:
@@ -552,7 +544,7 @@ def check_axioms(model: DieudonneModel) -> CheckReport:
         return {lbl: (c * k) % q for lbl, c in vec.items() if (c * k) % q}
 
     for b in model.basis:
-        x = model.basis_vector(b.label)
+        x = {b.label: 1}
         cases = [
             ("d_squared", model.apply_chain(["d", "d"], x), {}),
             ("dF_equals_pFd", model.apply_chain(["F", "d"], x),
@@ -611,10 +603,10 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                     {"degree": degree, "weight": str(model._weight(key)), "reason": "d undefined on block"}
                 )
                 continue
-            src = None if key % p else key // p  # None: weight / p has no key, nor any block
+            _, src = model._target("V", degree, key)
             if not model._labels(degree, src):
                 depth = model.depth_cap
-                if depth is not None and _denominator_exponent(p, Fraction(key, model._scale * p)) > depth:
+                if depth is not None and weight_pair(p, Fraction(key, model._scale * p))[1] > depth:
                     if any(any(g) for g in gens):
                         report.inconclusive.append(
                             {
@@ -653,24 +645,6 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
 # -- level-r quotients and cohomology ---------------------------------------
 
 
-def _wr_relation_vectors(model: DieudonneModel, degree: int, key: int, r: int) -> tuple[list[tuple[int, ...]], bool]:
-    """Vectors spanning (im V^r + im dV^r) inside the (degree, weight key)
-    block, plus a completeness flag: False when truncation may hide relations."""
-    block = model._labels(degree, key)
-    source = key * model.p ** r
-    complete = source <= model._cap_key
-    chains = [(lbl, ["V"] * r) for lbl in model._labels(degree, source)]
-    chains += [(lbl, ["V"] * r + ["d"]) for lbl in model._labels(degree - 1, source)]
-    vectors: list[tuple[int, ...]] = []
-    for lbl, ops in chains:
-        img = model.apply_chain(ops, {lbl: 1})
-        if img is None:
-            complete = False
-        else:
-            vectors.append(model.vector_to_coords(img, block))
-    return vectors, complete
-
-
 def _cokernel_factors(relations: SubmoduleBasis) -> tuple[int, ...]:
     """Invariant factor exponents of (Z/p^N)^ambient / relations, sorted
     descending, zeros dropped (a factor p^e contributes e).
@@ -703,10 +677,6 @@ class QuotientBlock:
     complete: bool
     generators: tuple[tuple[int, ...], ...] = ()
 
-    @property
-    def rank(self) -> int:
-        return len(self.factors)
-
 
 @dataclass(frozen=True)
 class QuotientPresentation:
@@ -734,11 +704,8 @@ class QuotientPresentation:
         block = self.blocks.get(weight)
         return block.factors if block else ()
 
-    def total_rank(self) -> int:
-        return sum(b.rank for b in self.by_key.values())
-
     def is_zero(self) -> bool:
-        return self.total_rank() == 0
+        return not any(b.factors for b in self.by_key.values())
 
     def to_json(self) -> dict:
         p = self.modulus.p
@@ -777,18 +744,32 @@ def wr_quotient(model: DieudonneModel, degree: int, r: int) -> QuotientPresentat
 
 
 def _build_wr_quotient(model: DieudonneModel, degree: int, r: int) -> QuotientPresentation:
-    modulus = model.modulus
-    blocks: dict[int, QuotientBlock] = {}
-    for key in model._weights.get(degree, ()):
-        labels = model._labels(degree, key)
-        relations, complete = _wr_relation_vectors(model, degree, key, r)
-        basis = SubmoduleBasis(modulus, len(labels), relations)
-        blocks[key] = QuotientBlock(labels, basis, _cokernel_factors(basis), complete)
-    return QuotientPresentation(degree, modulus, model._scale, blocks)
+    blocks = {key: _wr_block(model, degree, key, r) for key in model._weights.get(degree, ())}
+    return QuotientPresentation(degree, model.modulus, model._scale, blocks)
 
 
-def quotient_image(presentation: QuotientPresentation, model: DieudonneModel, vec: Vector) -> dict[Fraction, tuple[int, ...]]:
-    """Canonical representative of an element per weight block."""
+def _wr_block(model: DieudonneModel, degree: int, key: int, r: int) -> QuotientBlock:
+    """W_r on the (degree, weight key) block: the span of (im V^r + im dV^r)
+    there, its invariant factors, and completeness, False when truncation
+    may hide relations.  The only place V^r / dV^r relation images are made."""
+    labels = model._labels(degree, key)
+    source = key * model.p ** r
+    complete = source <= model._cap_key
+    chains = [(lbl, ["V"] * r) for lbl in model._labels(degree, source)]
+    chains += [(lbl, ["V"] * r + ["d"]) for lbl in model._labels(degree - 1, source)]
+    vectors: list[tuple[int, ...]] = []
+    for lbl, ops in chains:
+        img = model.apply_chain(ops, {lbl: 1})
+        if img is None:
+            complete = False
+        else:
+            vectors.append(model.vector_to_coords(img, labels))
+    relations = SubmoduleBasis(model.modulus, len(labels), vectors)
+    return QuotientBlock(labels, relations, _cokernel_factors(relations), complete)
+
+
+def quotient_is_zero(presentation: QuotientPresentation, model: DieudonneModel, vec: Vector) -> bool:
+    """Whether `vec` vanishes in the quotient, reduced block by block."""
     q = presentation.modulus.char
     split: dict[Fraction, Vector] = {}
     for lbl, c in vec.items():
@@ -797,16 +778,11 @@ def quotient_image(presentation: QuotientPresentation, model: DieudonneModel, ve
             raise ValueError(f"{lbl} is not in degree {presentation.degree}")
         if c % q:
             split.setdefault(element.weight, {})[lbl] = c % q
-    out = {}
     for w, piece in split.items():
         block = presentation.blocks[w]
-        coords = model.vector_to_coords(piece, block.labels)
-        out[w] = block.relations.reduce_vector(coords)
-    return out
-
-
-def quotient_is_zero(presentation: QuotientPresentation, model: DieudonneModel, vec: Vector) -> bool:
-    return all(not any(r) for r in quotient_image(presentation, model, vec).values())
+        if any(block.relations.reduce_vector(model.vector_to_coords(piece, block.labels))):
+            return False
+    return True
 
 
 def _cohomology_block(model: DieudonneModel, degree: int, key: int, r: int) -> Optional[QuotientBlock]:
@@ -903,19 +879,15 @@ def _preimage_generators(modulus: Modulus, columns: Sequence[Sequence[int]], amb
 def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckReport) -> None:
     """Shared body of the F-cancellation style checks: per weight, pull the
     level-r relation span back through F and demand it lands in the
-    source-side relation span."""
+    source-side relation span.  Both spans come from the kept W_r
+    presentation; a target weight with no block of its own is built, not kept."""
     p = model.p
     for degree in degrees:
-        keys = model._weights.get(degree, ())
-        # each weight's relations serve as the target at w / p and the source at w
-        relations = {
-            k: _wr_relation_vectors(model, degree, k, r) for k in {*keys, *(k * p for k in keys)}
-        }
-        for key in keys:
-            block = model._labels(degree, key)
-            target_vectors, target_complete = relations[key * p]
-            source_vectors, source_complete = relations[key]
-            if not (target_complete and source_complete):
+        wr = wr_quotient(model, degree, r).by_key
+        for key, source in wr.items():
+            block = source.labels
+            target = wr.get(key * p) or _wr_block(model, degree, key * p, r)
+            if not (target.complete and source.complete):
                 report.inconclusive.append(
                     {"degree": degree, "weight": str(model._weight(key)), "reason": "truncation boundary"}
                 )
@@ -927,13 +899,10 @@ def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckRepo
                 )
                 continue
             # an empty F-target block makes F zero, so the preimage is the whole block
-            f_target = len(model._labels(degree, key * p))
-            span = SubmoduleBasis(model.modulus, f_target, target_vectors)
-            preimage = _preimage_generators(model.modulus, f_cols, f_target, span)
-            source_span = SubmoduleBasis(model.modulus, len(block), source_vectors)
+            preimage = _preimage_generators(model.modulus, f_cols, len(target.labels), target.relations)
             for x in preimage:
                 report.checked += 1
-                if not source_span.contains(x):
+                if not source.relations.contains(x):
                     report.violations.append(
                         {
                             "degree": degree,
@@ -948,6 +917,7 @@ def f_cancellation_check(model: DieudonneModel, r: int) -> CheckReport:
 
     Works per weight block on the full preimage submodule F^{-1}(span),
     so the conclusion covers every element, not only basis vectors.
+    Raises ValueError for r < 1, as `wr_quotient` does.
     """
     report = CheckReport(f"f_cancellation(r={r})")
     _cancellation_scan(model, r, model.degrees(), report)

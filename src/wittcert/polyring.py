@@ -129,22 +129,18 @@ class TermOrder:
         keep = [i for i in range(nvars) if i not in set(elim)]
         return TermOrder("block", tuple(elim + keep), split=len(elim))
 
-    def key(self, exp: tuple[int, ...]):
-        """Sort key; bigger key = bigger monomial."""
-        e = tuple(exp[i] for i in self.perm)
-        if self.kind == "lex":
-            return e
-        if self.kind == "grevlex":
-            return _grevlex_key(e)
-        head, tail = e[: self.split], e[self.split:]
-        return (_grevlex_key(head), _grevlex_key(tail))
+    def key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
+        """Sort key; bigger key = bigger monomial: `heap_key` negated."""
+        return tuple([-x for x in self.heap_key(exp)])
 
     def heap_key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
         """Min-heap key: smaller key = bigger monomial, the reverse of `key`.
 
-        A flat tuple of ints: `key` with every entry negated, the grevlex
-        (degree, reversed negated exponents) pairs spliced in place, which
-        keeps the comparison because each block has a fixed length.
+        The one encoding of the orders, a flat tuple of ints: lex compares
+        the negated ranked exponents; grevlex compares the negated total
+        degree, then the exponents from the least significant variable on,
+        the smaller the bigger; a block order does grevlex on each block in
+        turn, which compares correctly because each block has a fixed length.
         """
         e = [exp[i] for i in self.perm]
         if self.kind == "lex":
@@ -153,10 +149,6 @@ class TermOrder:
             return (-sum(e), *reversed(e))
         head, tail = e[: self.split], e[self.split:]
         return (-sum(head), *reversed(head), -sum(tail), *reversed(tail))
-
-
-def _grevlex_key(e: tuple[int, ...]):
-    return (sum(e), tuple(-x for x in reversed(e)))
 
 
 def _exp_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

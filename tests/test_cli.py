@@ -207,6 +207,30 @@ def test_witt_add_beyond_the_caps_exits_two(args, message):
     assert result.stderr == f"invalid input: {message}\n"
 
 
+@pytest.mark.parametrize("args,message", [
+    (["teich", "--level", "7", "--g", "1"],
+     "table for (p=5, r=7) exceeds the default caps (p <= 13, r <= 6); pass allow_large=True"),
+    # the ghost level comes from the operand; x_0^(13^6) alone has 6.2M digits
+    (["ghost", "--integer", "--p", "13", "--x", "2;0;0;0;0;0;0"],
+     "table for (p=13, r=7) exceeds the default caps (p <= 13, r <= 6); pass allow_large=True"),
+])
+def test_witt_levels_beyond_the_caps_exit_two(args, message):
+    result = run_cli("witt", *args)
+    assert result.returncode == 2
+    assert result.stderr == f"invalid input: {message}\n"
+    assert result.stdout == ""
+
+
+def test_witt_check_frobenius_refuses_a_huge_level_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["witt", "check-frobenius", "--preset", "cusp", "--g", "x", "--level", "100000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "invalid input: table for (p=5, r=100000) exceeds the default caps "
+        "(p <= 13, r <= 6); pass allow_large=True\n"
+    )
+
+
 def test_witt_frobenius_at_level_one_exits_two():
     result = run_cli("witt", "frobenius", "--level", "1", "--x", "3")
     assert result.returncode == 2

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittcert import dieudonne
 from wittcert.dieudonne import (
     MAX_A1_BASIS,
     BasisElement,
@@ -241,6 +242,47 @@ def test_presentation_json_does_not_depend_on_what_was_built_first():
     assert presentations(keys[::-1]) == cold
 
 
+def test_cancellation_builds_no_span_the_kept_presentation_holds(monkeypatch):
+    m = a1_model(2, 4, 4)
+    for r in (1, 2, 3):
+        for degree in m.degrees():
+            wr_quotient(m, degree, r)
+    ambients = []
+
+    def counting(modulus, ambient, generators):
+        ambients.append(ambient)
+        return SubmoduleBasis(modulus, ambient, generators)
+
+    monkeypatch.setattr(dieudonne, "SubmoduleBasis", counting)
+    for r in (1, 2, 3):
+        assert f_cancellation_check(m, r).checked > 0
+    assert not any(ambients)  # only the block-free F-targets, each of ambient 0
+
+
+def _block_free_target_model(weight_cap=None):
+    """p = 2, labels a (weight 1) and c (weight 4) in degree 0, d = 0,
+    F(a) = 0, V(c) = 0: F maps a to weight 2, where no block is, and W_1's
+    relations at weight 2 come from V on weight 4."""
+    basis = [BasisElement("a", 0, Fraction(1)), BasisElement("c", 0, Fraction(4))]
+    return DieudonneModel(2, 3, basis, {"a": {}, "c": {}}, {"a": {}}, {"c": {}}, weight_cap=weight_cap)
+
+
+def test_cancellation_through_a_complete_target_weight_with_no_block():
+    report = f_cancellation_check(_block_free_target_model(), 1)
+    assert report.checked == 1
+    assert report.violations == [{"degree": 0, "weight": "1", "witness": {"a": 1}}]
+    assert report.inconclusive == [{"degree": 0, "weight": "4", "reason": "truncation boundary"}]
+    # below the cap 3, V on weight 4 no longer counts, so weight 2 is incomplete
+    capped = f_cancellation_check(_block_free_target_model(Fraction(3)), 1)
+    assert (capped.checked, capped.violations) == (0, [])
+    assert capped.inconclusive == [
+        {"degree": 0, "weight": "1", "reason": "truncation boundary"},
+        {"degree": 0, "weight": "4", "reason": "truncation boundary"},
+    ]
+    with pytest.raises(ValueError, match="level r must be >= 1"):
+        f_cancellation_check(_block_free_target_model(), 0)
+
+
 def test_cokernel_factors_from_the_howell_rows_match_the_relations():
     rng = random.Random(11)
     for mod in (Modulus(2, 3), Modulus(3, 2), Modulus(5, 1)):
@@ -380,9 +422,9 @@ def test_les_exactness_detects_a_missing_image():
     m = a1_model(2, 4, 4)
     h1 = hn_mod_pr(m, 0, 1).blocks[Fraction(0)]
     h_top = hn_mod_pr(m, 0, 2).blocks[Fraction(0)]
-    assert _les_exactness_failure(m, 0, Fraction(0), 1, h1, h_top) is None
+    assert _les_exactness_failure(m, 0, 0, 1, h1, h_top) is None
     empty = dataclasses.replace(h1, generators=())
-    assert _les_exactness_failure(m, 0, Fraction(0), 1, empty, h_top) == (
+    assert _les_exactness_failure(m, 0, 0, 1, empty, h_top) == (
         "im(p^r) != ker(reduction) in the middle cohomology"
     )
 
@@ -395,9 +437,9 @@ def test_les_exactness_rejects_a_non_cycle_generator():
     m = DieudonneModel(2, 3, basis, {"x": {"z": 1}, "y": {}, "z": {}}, {}, {})
     h1 = hn_mod_pr(m, 0, 1).blocks[w]
     h_top = hn_mod_pr(m, 0, 2).blocks[w]
-    assert _les_exactness_failure(m, 0, w, 1, h1, h_top) is None
+    assert _les_exactness_failure(m, 0, 0, 1, h1, h_top) is None
     doctored = dataclasses.replace(h1, generators=((1, 0),))
-    assert _les_exactness_failure(m, 0, w, 1, doctored, h_top) == (
+    assert _les_exactness_failure(m, 0, 0, 1, doctored, h_top) == (
         "multiplication-by-p^r image is not a cycle combination"
     )
 

@@ -6,6 +6,7 @@ reduction of monomial multiples of the generators), which shares no
 code with the division algorithm.
 """
 
+import functools
 import itertools
 import random
 
@@ -249,13 +250,41 @@ def test_buchberger_is_a_groebner_basis(p, nvars, kind):
                 assert normal_form(s, gb).is_zero()
 
 
+def _textbook_compare(order, a, b):
+    """-1, 0 or 1 as a < b, a == b or a > b by the textbook definitions:
+    lex by the first differing ranked exponent; grevlex by total degree,
+    then the smaller last differing ranked exponent is the bigger monomial;
+    a block order by grevlex on the first block, then on the second."""
+    a = [a[i] for i in order.perm]
+    b = [b[i] for i in order.perm]
+
+    def lex(u, v):
+        diff = [x - y for x, y in zip(u, v) if x != y]
+        return (diff[0] > 0) - (diff[0] < 0) if diff else 0
+
+    def grevlex(u, v):
+        if sum(u) != sum(v):
+            return 1 if sum(u) > sum(v) else -1
+        return -lex(u[::-1], v[::-1])
+
+    if order.kind == "lex":
+        return lex(a, b)
+    if order.kind == "grevlex":
+        return grevlex(a, b)
+    s = order.split
+    return grevlex(a[:s], b[:s]) or grevlex(a[s:], b[s:])
+
+
 @pytest.mark.parametrize("kind", ["grevlex", "lex", "block"])
 @pytest.mark.parametrize("nvars", [1, 2, 3, 5])
 def test_heap_key_reverses_the_order_key(kind, nvars):
+    """Both keys sort as the textbook order does, in opposite directions."""
     rng = random.Random(nvars)
     exps = list({tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(200)})
     order = _order(kind, nvars)
-    assert sorted(exps, key=order.heap_key) == sorted(exps, key=order.key, reverse=True)
+    expected = sorted(exps, key=functools.cmp_to_key(lambda a, b: _textbook_compare(order, a, b)))
+    assert sorted(exps, key=order.key) == expected
+    assert sorted(exps, key=order.heap_key) == expected[::-1]
 
 
 def test_buchberger_order_stable_and_permutation_invariant():
