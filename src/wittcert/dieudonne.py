@@ -886,8 +886,10 @@ def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckRepo
         wr = wr_quotient(model, degree, r).by_key
         for key, source in wr.items():
             block = source.labels
-            target = wr.get(key * p) or _wr_block(model, degree, key * p, r)
-            if not (target.complete and source.complete):
+            target = wr.get(key * p)
+            if target is None and source.complete:  # only a complete source reads it
+                target = _wr_block(model, degree, key * p, r)
+            if not (source.complete and target.complete):
                 report.inconclusive.append(
                     {"degree": degree, "weight": str(model._weight(key)), "reason": "truncation boundary"}
                 )

@@ -256,7 +256,7 @@ def test_cancellation_builds_no_span_the_kept_presentation_holds(monkeypatch):
     monkeypatch.setattr(dieudonne, "SubmoduleBasis", counting)
     for r in (1, 2, 3):
         assert f_cancellation_check(m, r).checked > 0
-    assert not any(ambients)  # only the block-free F-targets, each of ambient 0
+    assert not any(ambients)  # a block-free F-target has ambient 0
 
 
 def _block_free_target_model(weight_cap=None):
