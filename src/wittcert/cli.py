@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -132,6 +133,30 @@ def _render_witt(x: wittvec.WittVector, config: SessionConfig) -> tuple[list[str
     return [line], doc
 
 
+def _check_ghost_digits(x: wittvec.WittVector) -> None:
+    """Refuse, before computing, ghost components too long to print.
+
+    w_i = sum_j p^j x_j^(p^(i-j)) has at most log2(i+1) + max_j (j log2 p +
+    p^(i-j) log2 |x_j|) bits.  The digit count read from that bound is never
+    too small, and too large by at most one unless the terms cancel.  Python
+    refuses to print integers beyond
+    sys.get_int_max_str_digits() digits (0 means no limit).
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    p = x.p
+    for i in range(x.level):
+        bits = max((j * math.log2(p) + p ** (i - j) * math.log2(abs(c))
+                    for j, c in enumerate(x.coords[: i + 1]) if c), default=0.0)
+        digits = int((bits + math.log2(i + 1)) * math.log10(2)) + 1
+        if digits > limit:
+            raise ValueError(
+                f"ghost component w_{i} would have about {digits} digits, "
+                f"more than the {limit} that integers may print"
+            )
+
+
 def cmd_witt(args: argparse.Namespace) -> int:
     config = _config(args)
     domain = _witt_domain(args, config)
@@ -161,6 +186,7 @@ def cmd_witt(args: argparse.Namespace) -> int:
     elif op == "ghost":
         x = _parse_witt_operand(args.x, domain, config)
         wittvec._check_caps(x.p, x.level)  # x_0^(p^(r-1)) grows without bound in r
+        _check_ghost_digits(x)
         values = wittvec.ghost(x)
         _emit(config, ["(" + ", ".join(str(v) for v in values) + ")"], {"ghost": list(values)})
         return EXIT_OK

@@ -91,10 +91,11 @@ class DieudonneModel:
     the integer w * p^e, where p^e is the largest denominator among the
     basis weights; `weights()`, `block()`, JSON and reports speak in
     `Fraction`s.  One memo per model keeps what is computed on first use:
-    an operator's coordinate columns on a block, and the W_r quotient and
+    an operator's coordinate columns on a block, the W_r quotient and
     mod-p^r cohomology presentations (`wr_quotient`, `hn_mod_pr`) per
-    (degree, r), which is safe because the maps never change and
-    presentations are immutable.  Check reports are never cached: every
+    (degree, r), and the kernel of reduction mod p^r per block and r
+    (`_reduction_kernel`), which is safe because the maps never change and
+    what is kept is immutable.  Check reports are never cached: every
     checker call builds its own.
     """
 
@@ -723,16 +724,15 @@ class QuotientPresentation:
         return {"degree": self.degree, "modulus_exponent": self.modulus.exponent, "blocks": out}
 
 
-def _memoized(model: DieudonneModel, kind: str, degree: int, r: int, build) -> QuotientPresentation:
-    """The model's presentation of `kind` at (degree, r), built on first use.
-    Only levels r <= N of degrees next to the model's are kept, so a model
-    holds at most a few presentations per (degree, r)."""
-    key = (kind, degree, r)
-    found = model._memo.get(key)
+def _memoized(model: DieudonneModel, memo_key: tuple, degree: int, level: int, build):
+    """The model's `build()` under `memo_key`, built on first use.  Only
+    levels <= N of degrees next to the model's are kept, so a model holds
+    at most a few entries per (degree, level) and weight block."""
+    found = model._memo.get(memo_key)
     if found is None:
-        found = build(model, degree, r)
-        if r <= model.exponent and (degree in model._weights or degree - 1 in model._weights):
-            model._memo[key] = found
+        found = build()
+        if level <= model.exponent and (degree in model._weights or degree - 1 in model._weights):
+            model._memo[memo_key] = found
     return found
 
 
@@ -740,7 +740,7 @@ def wr_quotient(model: DieudonneModel, degree: int, r: int) -> QuotientPresentat
     """Presentation of M^degree / (im V^r + im dV^r) within the truncation."""
     if r < 1:
         raise ValueError("level r must be >= 1")
-    return _memoized(model, "wr", degree, r, _build_wr_quotient)
+    return _memoized(model, ("wr", degree, r), degree, r, lambda: _build_wr_quotient(model, degree, r))
 
 
 def _build_wr_quotient(model: DieudonneModel, degree: int, r: int) -> QuotientPresentation:
@@ -813,7 +813,7 @@ def hn_mod_pr(model: DieudonneModel, degree: int, r: int) -> QuotientPresentatio
     """Cohomology H^degree(M/p^r) as a presentation, one block per weight."""
     if not 1 <= r <= model.exponent:
         raise ValueError(f"need 1 <= r <= N = {model.exponent}")
-    return _memoized(model, "hn", degree, r, _build_hn_mod_pr)
+    return _memoized(model, ("hn", degree, r), degree, r, lambda: _build_hn_mod_pr(model, degree, r))
 
 
 def _build_hn_mod_pr(model: DieudonneModel, degree: int, r: int) -> QuotientPresentation:
@@ -994,35 +994,51 @@ def _les_exactness_failure(
     h_top: QuotientBlock,
 ) -> Optional[str]:
     """Exactness of H(M/p) --p^r--> H(M/p^(r+1)) --reduce--> H(M/p^r) at the
-    middle, on the block of weight key `key`.
+    middle, on the block of weight key `key`, compared in block coordinates.
 
-    The image of the first map is the cycle classes of p^r * (h1 generators)
-    and the kernel of the second those of the boundaries mod p^r; both are
-    pulled back to the generator coordinates of H(M/p^(r+1)), together with
-    the boundaries there, and compared via canonical Howell forms.
+    Write Z for the cycles and B for the boundaries of the block of
+    M/p^(r+1), and L for p^r * (h1 generators), lifted.  The image of p^r
+    is span(L + B) / B and the kernel of reduction is (Z ∩ (B + p^r M)) / B,
+    so exactness is span(L + B) == Z ∩ (B + p^r M) once L lies in Z (the
+    guard below) and B does (a complete h_top block).  This is the
+    middle-cohomology statement: the h_top generators span Z, and two
+    submodules of Z agree iff their pull-backs to those generators agree.
+    Z ∩ (B + p^r M) is kept per block by `_reduction_kernel`, so a call
+    costs one Howell form.
     """
-    p = model.p
-    mod_top = model._level(r + 1)
-    gens = h_top.generators
-    if not gens:
+    if not h_top.generators:
         # middle is zero: exact iff nothing to check
         return None
-    ambient = len(model._labels(degree, key))
-    lifted = [tuple(p ** r * x for x in g) for g in h1.generators]
+    mod_top = model._level(r + 1)
+    lifted = [tuple(model.p ** r * x for x in g) for g in h1.generators]
     d_top = model._matrix("d", degree, key, mod_top)
     if any(any(d_top.apply(g)) for g in lifted):
         return "multiplication-by-p^r image is not a cycle combination"
     boundaries = list(model._columns("d", degree - 1, key))
-
-    def pulled_back(vectors: list[tuple[int, ...]]) -> SubmoduleBasis:
-        span = SubmoduleBasis(mod_top, ambient, vectors)
-        return SubmoduleBasis(mod_top, len(gens), _preimage_generators(mod_top, gens, ambient, span))
-
-    image_side = pulled_back(lifted + boundaries)
-    kernel_side = pulled_back(boundaries + _unit_vectors(ambient, p ** r))
-    if image_side != kernel_side:
+    image = SubmoduleBasis(mod_top, len(model._labels(degree, key)), lifted + boundaries)
+    if image != _reduction_kernel(model, degree, key, r):
         return "im(p^r) != ker(reduction) in the middle cohomology"
     return None
+
+
+def _reduction_kernel(model: DieudonneModel, degree: int, key: int, r: int) -> SubmoduleBasis:
+    """Z ∩ (B + p^r M) on the (degree, weight key) block of M/p^(r+1): the
+    cycles that reduce to boundaries mod p^r, spanned by the combinations of
+    the boundaries and p^r e_i that d kills.  Depends on the model alone, so
+    it is kept under the retention rule of `_memoized`; d must be defined on
+    the block and the one below."""
+
+    def build() -> SubmoduleBasis:
+        mod_top = model._level(r + 1)
+        ambient = len(model._labels(degree, key))
+        d_top = model._matrix("d", degree, key, mod_top)
+        spanning = list(model._columns("d", degree - 1, key)) + _unit_vectors(ambient, model.p ** r)
+        images = [d_top.apply(v) for v in spanning]
+        kernel = kernel_basis(ModularMatrix._trusted_columns(mod_top, images, d_top.rows))
+        cycles = [[sum(c * v[i] for c, v in zip(k, spanning)) for i in range(ambient)] for k in kernel]
+        return SubmoduleBasis(mod_top, ambient, cycles)
+
+    return _memoized(model, ("reduction_kernel", degree, key, r), degree, r + 1, build)
 
 
 def model_from_json_file(path: str) -> DieudonneModel:

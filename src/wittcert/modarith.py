@@ -402,10 +402,11 @@ class SubmoduleBasis:
                     ann = mod.p ** (mod.exponent - v)
                     todo.append([(ann * x) % q for x in r])
                 break
-        # Reduce entries above each pivot into [0, p^v).
+        # Reduce entries above each pivot into [0, p^v), left to right: a
+        # pivot row changes only its own and later columns, so the columns
+        # already reduced stay reduced.
         cols = sorted(pivots)
-        for idx in range(len(cols) - 1, -1, -1):
-            c = cols[idx]
+        for idx, c in enumerate(cols):
             piv = pivots[c]
             pval = piv[c]
             for c2 in cols[:idx]:

@@ -93,12 +93,16 @@ def _check_caps(p: int, r: int, allow_large: bool = False) -> None:
     if not allow_large and (p > DEFAULT_MAX_PRIME or r > DEFAULT_MAX_LEVEL):
         raise ValueError(
             f"table for (p={p}, r={r}) exceeds the default caps "
-            f"(p <= {DEFAULT_MAX_PRIME}, r <= {DEFAULT_MAX_LEVEL}); pass allow_large=True"
+            f"(p <= {DEFAULT_MAX_PRIME}, r <= {DEFAULT_MAX_LEVEL})"
         )
 
 
 def build_witt_table(p: int, r: int, allow_large: bool = False) -> WittPolynomialTable:
-    """Build (and memoize) the universal tables for W_r at the prime p."""
+    """Build (and memoize) the universal tables for W_r at the prime p.
+
+    Raises ValueError beyond the default caps (p <= 13, r <= 6); a library
+    caller that accepts the cost lifts them with allow_large=True.
+    """
     _check_caps(p, r, allow_large)
     return _solve_table(p, r)
 

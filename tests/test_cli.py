@@ -196,10 +196,10 @@ def test_witt_integer_outputs_are_pinned():
 
 @pytest.mark.parametrize("args,message", [
     (["--p", "17", "--x", "1;2", "--y", "3;4"],
-     "table for (p=17, r=2) exceeds the default caps (p <= 13, r <= 6); pass allow_large=True"),
+     "table for (p=17, r=2) exceeds the default caps (p <= 13, r <= 6)"),
     # the level of add comes from the operands; --level alone does not set it
     (["--level", "7", "--x", "1;2;3;4;0;1;2", "--y", "1;1;1;1;1;1;1"],
-     "table for (p=5, r=7) exceeds the default caps (p <= 13, r <= 6); pass allow_large=True"),
+     "table for (p=5, r=7) exceeds the default caps (p <= 13, r <= 6)"),
 ])
 def test_witt_add_beyond_the_caps_exits_two(args, message):
     result = run_cli("witt", "add", *args)
@@ -209,10 +209,10 @@ def test_witt_add_beyond_the_caps_exits_two(args, message):
 
 @pytest.mark.parametrize("args,message", [
     (["teich", "--level", "7", "--g", "1"],
-     "table for (p=5, r=7) exceeds the default caps (p <= 13, r <= 6); pass allow_large=True"),
+     "table for (p=5, r=7) exceeds the default caps (p <= 13, r <= 6)"),
     # the ghost level comes from the operand; x_0^(13^6) alone has 6.2M digits
     (["ghost", "--integer", "--p", "13", "--x", "2;0;0;0;0;0;0"],
-     "table for (p=13, r=7) exceeds the default caps (p <= 13, r <= 6); pass allow_large=True"),
+     "table for (p=13, r=7) exceeds the default caps (p <= 13, r <= 6)"),
 ])
 def test_witt_levels_beyond_the_caps_exit_two(args, message):
     result = run_cli("witt", *args)
@@ -221,13 +221,25 @@ def test_witt_levels_beyond_the_caps_exit_two(args, message):
     assert result.stdout == ""
 
 
+def test_witt_ghost_refuses_a_component_too_long_to_print_at_once(capsys):
+    # w_4 = 2^(13^4) has 8,598 digits; w_5 = 2^(13^5) would have 111,771
+    start = time.perf_counter()
+    assert main(["witt", "ghost", "--integer", "--p", "13", "--x", "2;0;0;0;0;0"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "",
+        "invalid input: ghost component w_4 would have about 8599 digits, "
+        "more than the 4300 that integers may print\n",
+    )
+
+
 def test_witt_check_frobenius_refuses_a_huge_level_at_once(capsys):
     start = time.perf_counter()
     assert main(["witt", "check-frobenius", "--preset", "cusp", "--g", "x", "--level", "100000"]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err == (
         "invalid input: table for (p=5, r=100000) exceeds the default caps "
-        "(p <= 13, r <= 6); pass allow_large=True\n"
+        "(p <= 13, r <= 6)\n"
     )
 
 

@@ -39,7 +39,7 @@ from wittcert.dieudonne import (
     wr_quotient,
     zero_model,
 )
-from wittcert.modarith import ModularMatrix, Modulus, SubmoduleBasis, smith_normal_form
+from wittcert.modarith import ModularMatrix, Modulus, SubmoduleBasis, kernel_basis, smith_normal_form
 
 DATA = Path(__file__).parent / "data"
 
@@ -442,6 +442,146 @@ def test_les_exactness_rejects_a_non_cycle_generator():
     assert _les_exactness_failure(m, 0, 0, 1, doctored, h_top) == (
         "multiplication-by-p^r image is not a cycle combination"
     )
+
+
+def _pulled_back_les_failure(model, degree, key, r, h1, h_top):
+    """The exactness check as it was first written, kept as an oracle: both
+    sides pulled back to the generator coordinates of H(M/p^(r+1))."""
+    mod_top = Modulus(model.p, r + 1)
+    gens = h_top.generators
+    if not gens:
+        return None
+    ambient = len(h_top.labels)
+    lifted = [tuple(model.p ** r * x for x in g) for g in h1.generators]
+    d_top = model.op_matrix("d", degree, model._weight(key), mod_top)
+    if any(any(d_top.apply(g)) for g in lifted):
+        return "multiplication-by-p^r image is not a cycle combination"
+    boundaries = list(model._columns("d", degree - 1, key))
+    units = [tuple(model.p ** r if i == j else 0 for j in range(ambient)) for i in range(ambient)]
+
+    def pulled_back(vectors):
+        span = SubmoduleBasis(mod_top, ambient, vectors)
+        return SubmoduleBasis(mod_top, len(gens), _preimage_generators(mod_top, gens, ambient, span))
+
+    if pulled_back(lifted + boundaries) != pulled_back(boundaries + units):
+        return "im(p^r) != ker(reduction) in the middle cohomology"
+    return None
+
+
+def _doctored(h1, p):
+    """h1 as given, with each generator dropped, with each multiplied by p,
+    and with no generators."""
+    gens = h1.generators
+    yield h1
+    for i, g in enumerate(gens):
+        yield dataclasses.replace(h1, generators=gens[:i] + gens[i + 1:])
+        yield dataclasses.replace(h1, generators=gens[:i] + (tuple(p * x for x in g),) + gens[i + 1:])
+    yield dataclasses.replace(h1, generators=())
+
+
+def assert_les_matches_the_pulled_back_oracle(m):
+    """Agreement on every (degree, key, r) the propagation check reaches,
+    for the true H(M/p) block and its doctored copies; returns how many
+    comparisons failed exactness."""
+    failures = 0
+    for degree in range(min(m.degrees(), default=0), max(m.degrees(), default=0) + 2):
+        for r in range(1, m.exponent):
+            h1s, tops = hn_mod_pr(m, degree, 1).by_key, hn_mod_pr(m, degree, r + 1).by_key
+            for key, h1 in h1s.items():
+                h_top = tops.get(key)
+                if not (h1.complete and h_top is not None and h_top.complete):
+                    continue
+                assert _les_exactness_failure(m, degree, key, r, h1, h_top) is None
+                for doctored in _doctored(h1, m.p):
+                    found = _les_exactness_failure(m, degree, key, r, doctored, h_top)
+                    assert found == _pulled_back_les_failure(m, degree, key, r, doctored, h_top), (
+                        degree, key, r, doctored.generators)
+                    failures += found is not None
+    return failures
+
+
+@pytest.mark.parametrize("p,wmax,exponent", [(2, 4, 4), (3, 1, 4), (2, 8, 4)])
+def test_les_exactness_in_block_coordinates_matches_the_pulled_back_oracle(p, wmax, exponent):
+    assert assert_les_matches_the_pulled_back_oracle(a1_model(p, wmax, exponent)) > 0
+
+
+def _entry(p, exponent):
+    """u * p^v with v in [0, N]: p^N is 0, so zero entries come up too."""
+    return st.builds(lambda u, v: u * p ** v, st.integers(1, p - 1), st.integers(0, exponent))
+
+
+@st.composite
+def three_term_complexes(draw):
+    """A weight-0 complex a -> b -> c over Z/p^N with d^2 = 0 over Z: d0 is
+    [A; 0] and d1 is [0 | C], conjugated by random row operations on b."""
+    p = draw(st.sampled_from([2, 3]))
+    exponent = draw(st.integers(2, 4))
+    a, b, c = (draw(st.integers(0, 3)) for _ in range(3))
+    k = draw(st.integers(0, b))
+    entry = _entry(p, exponent)
+    d0 = [[draw(entry) for _ in range(a)] if i < k else [0] * a for i in range(b)]  # b x a
+    d1 = [[draw(entry) if j >= k else 0 for j in range(b)] for _ in range(c)]  # c x b
+    if b > 1:
+        for i, j, f in draw(st.lists(st.tuples(st.integers(0, b - 1), st.integers(0, b - 1),
+                                               st.integers(1, p ** exponent - 1)), max_size=4)):
+            if i != j:  # d0 <- E d0 and d1 <- d1 E^-1 for E = 1 + f e_i e_j^T
+                d0[i] = [x + f * y for x, y in zip(d0[i], d0[j])]
+                for row in d1:
+                    row[j] -= f * row[i]
+    names = [[f"{n}{i}" for i in range(size)] for n, size in zip("abc", (a, b, c))]
+    basis = [BasisElement(lbl, degree, Fraction(0)) for degree, lbls in enumerate(names) for lbl in lbls]
+    d = {lbl: {} for lbl in names[2]}
+    for src, tgt, matrix in ((names[0], names[1], d0), (names[1], names[2], d1)):
+        for j, lbl in enumerate(src):
+            d[lbl] = {t: matrix[i][j] for i, t in enumerate(tgt) if matrix[i][j]}
+    return DieudonneModel(p, exponent, basis, d, {}, {})
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(three_term_complexes())
+def test_les_exactness_in_block_coordinates_matches_the_oracle_on_drawn_complexes(m):
+    assert_les_matches_the_pulled_back_oracle(m)
+
+
+def test_les_exactness_where_the_howell_form_must_reduce_left_to_right():
+    # d b0 = 2(c0 + c1 + c2), d b1 = c1 + c2 over Z/4: in degree 2, span(L + B)
+    # and ker(reduction) are both <2e_i, c1 + c2>, which a right-to-left
+    # reduction above the pivots wrote as two different echelon forms
+    basis = [BasisElement(lbl, degree, Fraction(0))
+             for lbl, degree in (("b0", 1), ("b1", 1), ("c0", 2), ("c1", 2), ("c2", 2))]
+    d = {"b0": {"c0": 2, "c1": 2, "c2": 2}, "b1": {"c1": 1, "c2": 1}, "c0": {}, "c1": {}, "c2": {}}
+    m = DieudonneModel(2, 2, basis, d, {}, {})
+    assert assert_les_matches_the_pulled_back_oracle(m) > 0
+    assert w1_vanishing_propagation_check(m, 2, 1).passed
+
+
+def test_propagation_reuses_the_kept_reduction_kernels(monkeypatch):
+    m = a1_model(2, 4, 4)
+    first = w1_vanishing_propagation_check(m, 1, 3)
+    assert first.passed and first.checked > 0
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return kernel_basis(matrix)
+
+    monkeypatch.setattr(dieudonne, "kernel_basis", counting)
+    again = w1_vanishing_propagation_check(m, 1, 3)
+    assert again.to_json() == first.to_json() and again is not first
+    assert calls == []
+
+
+def test_reduction_kernels_are_kept_only_next_to_the_model():
+    m = a1_model(2, 4, 4)
+    assert w1_vanishing_propagation_check(m, 0, 3).passed
+    kept = {k[1:] for k in m._memo if k[0] == "reduction_kernel"}
+    assert (0, 0, 1) in kept and all(degree == 0 and r <= 3 for degree, _, r in kept)
+    # degree 7 has no blocks next to it, and r + 1 = 5 is beyond N = 4
+    assert dieudonne._reduction_kernel(m, 7, 0, 1).is_zero()
+    dieudonne._reduction_kernel(m, 0, 0, 4)
+    assert {k[1:] for k in m._memo if k[0] == "reduction_kernel"} == kept
+    assert w1_vanishing_propagation_check(m, 7, 3).checked == 0
+    assert not any(k[0] == "reduction_kernel" and k[1] == 7 for k in m._memo)
 
 
 # -- the adversarial model ---------------------------------------------------------

@@ -174,6 +174,37 @@ def test_howell_form_is_generator_independent(seed):
     assert a == SubmoduleBasis(mod, ambient, mixed)
 
 
+def test_howell_form_reduces_above_pivots_left_to_right():
+    # reducing (2, 2, 0) by the pivot row (0, 1, 1) puts 2 back above the
+    # pivot 2 of column 2, so that column must be reduced after column 1
+    mod = Modulus(2, 2)
+    spanned = SubmoduleBasis(mod, 3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (2, 2, 2), (0, 1, 1)])
+    assert spanned.echelon == ((2, 0, 0), (0, 1, 1), (0, 0, 2))
+    assert spanned == SubmoduleBasis(mod, 3, [(2, 0, 0), (0, 1, 1), (0, 0, 2)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_howell_form_is_canonical_on_random_spans(seed):
+    # the form of a span equals that of its own rows plus random combinations
+    rng = random.Random(500 + seed)
+    for _ in range(150):
+        mod = rng.choice([Modulus(2, 2), Modulus(2, 3), Modulus(3, 2), Modulus(5, 2)])
+        ambient = rng.randint(1, 5)
+        gens = [tuple(rng.randrange(mod.char) * rng.choice([1, mod.p]) for _ in range(ambient))
+                for _ in range(rng.randint(0, 5))]
+        form = SubmoduleBasis(mod, ambient, gens)
+        combos = []
+        for _ in range(3):
+            coeffs = [rng.randrange(mod.char) for _ in gens]
+            combos.append(tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(ambient)))
+        assert SubmoduleBasis(mod, ambient, list(form.echelon)[::-1] + combos) == form
+        for row in form.echelon:
+            pivot = next(j for j, x in enumerate(row) if x)
+            for other in form.echelon:
+                if other is not row and other[pivot]:
+                    assert other[pivot] < row[pivot]
+
+
 def test_solve_trivial_and_zero_divisor():
     m = Modulus(5, 2)
     ident = ModularMatrix.identity(m, 3)
