@@ -139,8 +139,8 @@ def _check_ghost_digits(x: wittvec.WittVector) -> None:
     w_i = sum_j p^j x_j^(p^(i-j)) has at most log2(i+1) + max_j (j log2 p +
     p^(i-j) log2 |x_j|) bits.  The digit count read from that bound is never
     too small, and too large by at most one unless the terms cancel.  Python
-    refuses to print integers beyond
-    sys.get_int_max_str_digits() digits (0 means no limit).
+    refuses to print integers beyond sys.get_int_max_str_digits() digits (0
+    means no limit).
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
