@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from operator import add, le, sub
 from typing import Iterable, Mapping, Optional, Sequence
@@ -68,7 +69,7 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.names)
 
-    @property
+    @cached_property
     def char(self) -> int:
         return self.p ** self.exponent
 
@@ -185,7 +186,7 @@ def terms_mul(a: Mapping, b: Mapping) -> dict:
     out: dict = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             v = out.get(e, 0) + c1 * c2
             if v:
                 out[e] = v
@@ -229,6 +230,18 @@ class Polynomial:
             if c:
                 clean[exp] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, ring: PolyRing, terms: Mapping[tuple[int, ...], int]) -> "Polynomial":
+        """A polynomial from kernel output, whose exponent tuples are valid
+        for `ring` by construction: they are not checked again, but the
+        coefficients are still reduced mod p^N and zeros dropped."""
+        poly = cls.__new__(cls)
+        poly.ring = ring
+        poly._lead = None
+        q = ring.char
+        poly.terms = {e: v for e, c in terms.items() if (v := c % q)}
+        return poly
 
     # -- queries ---------------------------------------------------------
 
@@ -274,12 +287,12 @@ class Polynomial:
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "Polynomial") -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("polynomials from different rings")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        return Polynomial(self.ring, terms_add(self.terms, other.terms))
+        return Polynomial._trusted(self.ring, terms_add(self.terms, other.terms))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -289,10 +302,10 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        return Polynomial(self.ring, terms_mul(self.terms, other.terms))
+        return Polynomial._trusted(self.ring, terms_mul(self.terms, other.terms))
 
     def scale(self, c: int) -> "Polynomial":
-        return Polynomial(self.ring, terms_scale(self.terms, c))
+        return Polynomial._trusted(self.ring, terms_scale(self.terms, c))
 
     def mul_term(self, exp: tuple[int, ...], coef: int) -> "Polynomial":
         return Polynomial(self.ring, {_exp_mul(e, exp): v * coef for e, v in self.terms.items()})
@@ -372,7 +385,7 @@ class Polynomial:
         if not self.ring.field_mode:
             return self ** self.ring.p
         p = self.ring.p
-        return Polynomial(self.ring, {tuple(e * p for e in exp): c for exp, c in self.terms.items()})
+        return Polynomial._trusted(self.ring, {tuple(e * p for e in exp): c for exp, c in self.terms.items()})
 
     # -- presentation ------------------------------------------------------
 
@@ -563,7 +576,7 @@ def _reduce(f: Polynomial, basis: Sequence[Polynomial], order: TermOrder) -> Pol
     """Remainder of multivariate division of f by the basis (full reduction)."""
     p = f.ring.char
     reducers = [_reducer(g, order, p) for g in basis]
-    return Polynomial(f.ring, _reduce_terms(dict(f.terms), reducers, order, p))
+    return Polynomial._trusted(f.ring, _reduce_terms(dict(f.terms), reducers, order, p))
 
 
 def _require_field(ring: PolyRing) -> None:

@@ -10,6 +10,14 @@ multiplication is x * y = sum_i V^i([x_i] * F^i y) with
 for odd p.  Frobenius is the one step that depends on the domain: the
 p-th power of each coordinate in characteristic p, [x0^p] + p * x' over Z.
 
+eta_k is homogeneous of degree D = p^k in (a, b), so it is kept as a
+dense row of D + 1 integer coefficients and evaluated by Horner in a, the
+powers of b shared between the rows; each coefficient is applied with the
+domain's `scale`, not as a product with a domain constant.  Over an
+F_p-algebra the coordinates are held in normal form under a reduced
+Groebner basis.  Normal forms are closed under sums and scalar multiples,
+so only a product or a p-th power is reduced again.
+
 The universal sum/product/negation/Frobenius polynomials
 (`build_witt_table`) are produced by the ghost recursion over
 arbitrary-precision integers, as term dicts on the `polyring` kernel: at
@@ -144,6 +152,9 @@ class IntegerCoefficients:
     def mul(self, x, y):
         return x * y
 
+    def scale(self, x, c: int):
+        return x * c
+
     def neg(self, x):
         return -x
 
@@ -189,6 +200,9 @@ class PrimeFieldCoefficients:
     def mul(self, x, y):
         return (x * y) % self.p
 
+    def scale(self, x, c: int):
+        return (x * c) % self.p
+
     def neg(self, x):
         return (-x) % self.p
 
@@ -209,7 +223,15 @@ class PrimeFieldCoefficients:
 
 
 class PresentedCoefficients:
-    """Coordinates in a finitely presented F_p-algebra, held in normal form."""
+    """Coordinates in a finitely presented F_p-algebra.
+
+    Coordinates are held in normal form: every element this domain is given
+    or returns is its own normal form under the presentation's reduced
+    Groebner basis.  A normal form is a combination of standard monomials,
+    so sums and scalar multiples of normal forms are normal forms; only
+    `mul` and `pth_power` reduce.  Callers normalize what they bring in
+    (`presentation.normal`), as the CLI does with every operand.
+    """
 
     char_p = True
 
@@ -218,21 +240,26 @@ class PresentedCoefficients:
         # this module importable on its own.
         self.presentation = presentation
         self.characteristic = presentation.ring.p
+        # 0 when the presentation is the unit ideal
+        self._one = presentation.normal(presentation.ring.one())
 
     def zero(self):
         return self.presentation.ring.zero()
 
     def one(self):
-        return self.presentation.ring.one()
+        return self._one
 
     def from_int(self, n: int):
-        return self.presentation.ring.constant(n)
+        return self._one.scale(n)
 
     def add(self, x: Polynomial, y: Polynomial):
-        return self.presentation.normal(x + y)
+        return x + y
 
     def mul(self, x: Polynomial, y: Polynomial):
         return self.presentation.normal(x * y)
+
+    def scale(self, x: Polynomial, c: int):
+        return x.scale(c)
 
     def neg(self, x: Polynomial):
         return x if self.characteristic == 2 else -x
@@ -303,47 +330,57 @@ def _check_pair(x: WittVector, y: WittVector) -> None:
         raise ValueError("Witt vectors from different rings or levels")
 
 
-def _eval_table(polys: Sequence[dict], args: Sequence, domain) -> tuple:
-    """Evaluate integer-coefficient polynomials on domain elements, sharing
-    the powers of each argument between the polynomials."""
-    mul, add, from_int = domain.mul, domain.add, domain.from_int
-    ladders = [[domain.one(), a] for a in args]
+# -- one arithmetic for every domain: x = sum_i V^i [x_i] -------------------------
+
+EtaRows = tuple[tuple[int, ...], ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _eta_polys(p: int, r: int, characteristic: int) -> EtaRows:
+    """eta_1..eta_{r-1}: [a] + [b] = (a + b, eta_1(a, b), ..., eta_{r-1}(a, b)).
+
+    eta_k is homogeneous of degree D = p^k; it is returned as the dense row
+    of its coefficients of a^i b^(D-i) for i = D, ..., 0.  Solved once per
+    (p, r) over Z from the ghost components a^(p^i) + b^(p^i) of [a] + [b],
+    independently of the universal sum table; a domain of characteristic p
+    gets that solve reduced mod p.  The first call for (p, r) runs the cap
+    check the tables share; two threads racing on it build the same value
+    twice.
+    """
+    if characteristic:
+        return tuple(tuple(c % p for c in row) for row in _eta_polys(p, r, 0))
+    _check_caps(p, r)
+    targets = [{(p ** i, 0): 1, (0, p ** i): 1} for i in range(r)]
+    rows = []
+    for k, poly in enumerate(_solve_coordinates(p, r, 2, targets)[1:], start=1):
+        degree = p ** k
+        assert all(i + j == degree for i, j in poly), "eta is not homogeneous (internal defect)"
+        rows.append(tuple(poly.get((i, degree - i), 0) for i in range(degree, -1, -1)))
+    return tuple(rows)
+
+
+def _eval_eta(rows: Sequence[tuple[int, ...]], a, b, domain) -> tuple:
+    """(eta_1(a, b), ...) from the rows of `_eta_polys`, by Horner in a:
+    after step j the sum is sum_{i <= j} row[i] a^(j-i) b^i.  The powers of
+    b are shared between the rows and made only as far as a nonzero
+    coefficient needs them."""
+    mul, add, scale, is_zero = domain.mul, domain.add, domain.scale, domain.is_zero
+    powers = [domain.one(), b]
     out = []
-    for poly in polys:
+    for row in rows:
         acc = domain.zero()
-        for exp, coef in poly.items():
-            term = from_int(coef)
-            for ladder, e in zip(ladders, exp):
-                if e:
-                    while len(ladder) <= e:
-                        ladder.append(mul(ladder[-1], ladder[1]))
-                    term = mul(term, ladder[e])
-            acc = add(acc, term)
+        for j, c in enumerate(row):
+            if not is_zero(acc):
+                acc = mul(acc, a)
+            if c:
+                while len(powers) <= j:
+                    powers.append(mul(powers[-1], b))
+                acc = add(acc, scale(powers[j], c))
         out.append(acc)
     return tuple(out)
 
 
-# -- one arithmetic for every domain: x = sum_i V^i [x_i] -------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def _eta_polys(p: int, r: int, characteristic: int) -> tuple[dict, ...]:
-    """eta_1..eta_{r-1}: [a] + [b] = (a + b, eta_1(a, b), ..., eta_{r-1}(a, b)).
-
-    Solved once per (p, r) over Z from the ghost components a^(p^i) + b^(p^i)
-    of [a] + [b], independently of the universal sum table; a domain of
-    characteristic p gets that solve reduced mod p.  The first call for
-    (p, r) runs the cap check the tables share; two threads racing on it
-    build the same value twice.
-    """
-    if characteristic:
-        return tuple({e: c % p for e, c in poly.items() if c % p} for poly in _eta_polys(p, r, 0))
-    _check_caps(p, r)
-    targets = [{(p ** i, 0): 1, (0, p ** i): 1} for i in range(r)]
-    return _solve_coordinates(p, r, 2, targets)[1:]
-
-
-def _add(x: tuple, y: tuple, domain, eta: tuple[dict, ...]) -> tuple:
+def _add(x: tuple, y: tuple, domain, eta: EtaRows) -> tuple:
     """x + y = x + sum_k V^k [y_k]; adding V^k [c] changes coordinates k on
     only, and s + [c] = (s0 + c) :: (s' + eta(s0, c)), with eta(0, c) = 0."""
     for k, c in enumerate(y):
@@ -351,7 +388,7 @@ def _add(x: tuple, y: tuple, domain, eta: tuple[dict, ...]) -> tuple:
             continue
         s0, rest = x[k], x[k + 1:]
         if rest and not domain.is_zero(s0):
-            rest = _add(rest, _eval_table(eta[: len(rest)], (s0, c), domain), domain, eta)
+            rest = _add(rest, _eval_eta(eta[: len(rest)], s0, c, domain), domain, eta)
         x = x[:k] + (domain.add(s0, c),) + rest
     return x
 
@@ -371,7 +408,7 @@ def _frobenius_powers(c, count: int, p: int, domain) -> list:
     return out
 
 
-def _frobenius(x: tuple, p: int, domain, eta: tuple[dict, ...]) -> tuple:
+def _frobenius(x: tuple, p: int, domain, eta: EtaRows) -> tuple:
     """F: W_r -> W_{r-1}, the one step that depends on the domain.  In
     characteristic p it is the p-th power of each coordinate.  Over Z,
     F x = F[x0] + FV(x') = [x0^p] + p * x', and p * x' = x' * p is a product
@@ -383,7 +420,7 @@ def _frobenius(x: tuple, p: int, domain, eta: tuple[dict, ...]) -> tuple:
     return _add(p_rest, (domain.pth_power(x[0], p),), domain, eta)
 
 
-def _mul(x: tuple, orbit, p: int, domain, eta: tuple[dict, ...]) -> tuple:
+def _mul(x: tuple, orbit, p: int, domain, eta: EtaRows) -> tuple:
     """x * y = sum_i V^i([x_i] * F^i y), where orbit yields y, F y, F^2 y, ... and
     [a] * z = (a z_0, a^p z_1, a^(p^2) z_2, ...).  In characteristic p the
     terms are V^(i+j) [x_i^(p^j) y_j^(p^i)]."""
@@ -400,7 +437,7 @@ def _mul(x: tuple, orbit, p: int, domain, eta: tuple[dict, ...]) -> tuple:
     return tuple(domain.zero() for _ in x) if acc is None else acc
 
 
-def _neg(x: tuple, p: int, domain, eta: tuple[dict, ...]) -> tuple:
+def _neg(x: tuple, p: int, domain, eta: EtaRows) -> tuple:
     """-x coordinatewise for odd p; at p = 2, -[a] = (-a, -a^2, -a^4, ...), so
     -x = (-x0) :: ((-x0^2, -x0^4, ...) + (-x'))."""
     if p != 2:
@@ -417,7 +454,7 @@ def _neg(x: tuple, p: int, domain, eta: tuple[dict, ...]) -> tuple:
 # -- public ops ---------------------------------------------------------------------
 
 
-def _eta_of(x: WittVector) -> tuple[dict, ...]:
+def _eta_of(x: WittVector) -> EtaRows:
     return _eta_polys(x.p, x.level, x.domain.characteristic)
 
 

@@ -28,6 +28,9 @@ from wittcert.polyring import (
     parse_polynomial,
     poly_from_json,
     pth_root_ideal,
+    terms_add,
+    terms_mul,
+    terms_scale,
 )
 
 
@@ -153,6 +156,43 @@ def test_arithmetic_commutes_with_evaluation_mod_pn(seed, p, exponent):
             monomial *= x ** e
         assert evaluate(f.mul_term(exp, c), point) == (c * monomial * fx) % q
     assert all(0 < v < q for v in (f * g).terms.values())
+
+
+@pytest.mark.parametrize("p,exponent", [(2, 1), (3, 2), (5, 1), (5, 3)])
+def test_trusted_matches_the_checked_constructor(p, exponent):
+    """`Polynomial._trusted` skips only the exponent check: on kernel
+    outputs, coefficients that reduce to 0 included, it keeps the same
+    terms in the same order as the public constructor."""
+    ring = PolyRing(p, ("x", "y", "z"), exponent)
+    q = ring.char
+    rng = random.Random(p * 97 + exponent)
+
+    def raw():
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            exp = tuple(rng.randint(0, 3) for _ in range(3))
+            terms[exp] = rng.choice((0, q, -2 * q, rng.randint(-3 * q, 3 * q)))
+        return terms
+
+    for _ in range(60):
+        f, g = raw(), raw()
+        k = rng.choice((0, 1, -1, q, q + 2))
+        for terms in (f, terms_add(f, g), terms_mul(f, g), terms_scale(f, k)):
+            trusted, checked = Polynomial._trusted(ring, terms), Polynomial(ring, terms)
+            assert trusted == checked
+            assert list(trusted.terms.items()) == list(checked.terms.items())
+            assert all(0 < c < q for c in trusted.terms.values())
+
+
+@pytest.mark.parametrize("exp", [(-1, 0), (0, -2), (1,), (1, 0, 0), ()])
+def test_checked_entry_points_reject_bad_exponents(exp):
+    ring = PolyRing(5, ("x", "y"))
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        Polynomial(ring, {exp: 1})
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        ring.monomial(exp)
+    with pytest.raises(ValueError, match="bad exponent tuple"):
+        poly_from_json({"vars": ["x", "y"], "p": 5, "terms": [{"exp": list(exp), "coef": 1}]})
 
 
 def test_partial_examples():

@@ -6,6 +6,7 @@ identities hold as polynomial identities for small p, r) and numerically
 homomorphism on the nose).  The tables are then the oracle for the
 arithmetic itself, which computes from Teichmuller lifts and
 Verschiebung over Z and over F_p-algebras alike and never builds them.
+`eval_table` below, a term-by-term evaluation, is the oracle's evaluator.
 """
 
 import random
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from wittcert import wittvec
 from wittcert.derham import PresentedRing
-from wittcert.polyring import PolyRing, parse_polynomial, terms_add, terms_mul, terms_pow, terms_scale
+from wittcert.polyring import PolyRing, Polynomial, parse_polynomial, terms_add, terms_mul, terms_pow, terms_scale
 from wittcert.wittvec import (
     IntegerCoefficients,
     PresentedCoefficients,
@@ -35,11 +36,33 @@ from wittcert.wittvec import (
     witt_to_json,
     witt_vector,
     witt_zero,
-    _eval_table,
+    _eta_polys,
+    _eval_eta,
     _ghost_poly,
+    _solve_coordinates,
 )
 
 Z = IntegerCoefficients()
+
+
+def eval_table(polys, args, domain) -> tuple:
+    """Evaluate integer-coefficient polynomials on domain elements term by
+    term, sharing the powers of each argument between the polynomials."""
+    mul, add, from_int = domain.mul, domain.add, domain.from_int
+    ladders = [[domain.one(), a] for a in args]
+    out = []
+    for poly in polys:
+        acc = domain.zero()
+        for exp, coef in poly.items():
+            term = from_int(coef)
+            for ladder, e in zip(ladders, exp):
+                if e:
+                    while len(ladder) <= e:
+                        ladder.append(mul(ladder[-1], ladder[1]))
+                    term = mul(term, ladder[e])
+            acc = add(acc, term)
+        out.append(acc)
+    return tuple(out)
 
 
 def fp_quotient(p, relation_text=None, names=()):
@@ -66,8 +89,6 @@ def random_element(rng, domain, max_degree=2):
             if ring.nvars:
                 exp[rng.randrange(ring.nvars)] += 1
         terms[tuple(exp)] = rng.randint(0, ring.p - 1)
-    from wittcert.polyring import Polynomial
-
     return domain.presentation.normal(Polynomial(ring, terms))
 
 
@@ -228,12 +249,12 @@ def test_char_p_path_matches_the_tables(p, r, ring_key, count):
         if n % 3 == 2:
             y = witt_vector(domain, p, (domain.zero(),) + y.coords[1:])
         pair = x.coords + y.coords
-        assert witt_add(x, y).coords == _eval_table(table.sum_polys, pair, domain)
-        assert witt_mul(x, y).coords == _eval_table(table.prod_polys, pair, domain)
-        assert witt_neg(x).coords == _eval_table(table.neg_polys, x.coords, domain)
-        assert witt_neg(y).coords == _eval_table(table.neg_polys, y.coords, domain)
+        assert witt_add(x, y).coords == eval_table(table.sum_polys, pair, domain)
+        assert witt_mul(x, y).coords == eval_table(table.prod_polys, pair, domain)
+        assert witt_neg(x).coords == eval_table(table.neg_polys, x.coords, domain)
+        assert witt_neg(y).coords == eval_table(table.neg_polys, y.coords, domain)
         if r > 1:
-            assert frobenius(x).coords == _eval_table(table.frob_polys, x.coords, domain)
+            assert frobenius(x).coords == eval_table(table.frob_polys, x.coords, domain)
 
 
 INTEGER_GRID = sorted({(p, r) for p, r, _, _ in AXIOM_GRID})
@@ -256,13 +277,13 @@ def test_integer_path_matches_the_tables(p, r):
         if n == 4:
             y = witt_vector(Z, p, tuple(-abs(c) - 1 for c in y.coords))
         pair = x.coords + y.coords
-        assert witt_add(x, y).coords == _eval_table(table.sum_polys, pair, Z)
-        assert witt_mul(x, y).coords == _eval_table(table.prod_polys, pair, Z)
-        assert witt_neg(x).coords == _eval_table(table.neg_polys, x.coords, Z)
-        assert witt_neg(y).coords == _eval_table(table.neg_polys, y.coords, Z)
+        assert witt_add(x, y).coords == eval_table(table.sum_polys, pair, Z)
+        assert witt_mul(x, y).coords == eval_table(table.prod_polys, pair, Z)
+        assert witt_neg(x).coords == eval_table(table.neg_polys, x.coords, Z)
+        assert witt_neg(y).coords == eval_table(table.neg_polys, y.coords, Z)
         if r > 1:
-            assert frobenius(x).coords == _eval_table(table.frob_polys, x.coords, Z)
-            assert frobenius(y).coords == _eval_table(table.frob_polys, y.coords, Z)
+            assert frobenius(x).coords == eval_table(table.frob_polys, x.coords, Z)
+            assert frobenius(y).coords == eval_table(table.frob_polys, y.coords, Z)
 
 
 def test_ops_never_build_the_tables(monkeypatch):
@@ -292,6 +313,105 @@ def test_char_p_path_keeps_the_table_caps():
             op(witt_one(f2, 2, 7))
     with pytest.raises(ValueError, match="table Frobenius needs level >= 2"):
         frobenius(witt_one(f2, 2, 1))
+
+
+# -- eta rows, normal forms and the work of one addition ---------------------------
+
+
+def eta_operands(p, domain):
+    """(a, b) pairs for eta: a = 0, b = 0, a unit operand, and general ones."""
+    if isinstance(domain, IntegerCoefficients):
+        return [(0, 5), (-3, 0), (1, -2), (-3, 4), (2, 7)]
+    if isinstance(domain, PrimeFieldCoefficients):
+        return [(0, 2 % p), (p - 1, 0), (1, p - 1), (2 % p, 3 % p)]
+    ring = domain.presentation.ring
+    x, y = ring.variable(0), ring.variable(1)
+    pairs = [(domain.zero(), y), (x, domain.zero()), (domain.one(), y), (x, y)]
+    if p <= 5:  # two-term operands: their powers stay short enough to expand term by term
+        normal = domain.presentation.normal
+        pairs.append((normal(x.scale(2) + y), normal(x * y + ring.one())))
+    return pairs
+
+
+@pytest.mark.parametrize("p,r", [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3, 4)])
+def test_eta_rows_hold_the_solve_and_evaluate_like_it(p, r):
+    """The rows of `_eta_polys` rebuild the solved eta dicts, and `_eval_eta`
+    equals a term-by-term evaluation of those dicts over Z, F_p and the cusp."""
+    targets = [{(p ** i, 0): 1, (0, p ** i): 1} for i in range(r)]
+    solved = _solve_coordinates(p, r, 2, targets)[1:]
+
+    def rebuilt(row):
+        degree = len(row) - 1
+        return {(degree - j, j): c for j, c in enumerate(row) if c}
+
+    for characteristic in (0, p):
+        rows = _eta_polys(p, r, characteristic)
+        assert [len(row) for row in rows] == [p ** k + 1 for k in range(1, r)]
+        want = [{e: c % p for e, c in poly.items() if c % p} for poly in solved] if characteristic else list(solved)
+        assert [rebuilt(row) for row in rows] == want
+    for domain in (Z, PrimeFieldCoefficients(p), TEST_RINGS["cusp"](p)):
+        rows = _eta_polys(p, r, domain.characteristic)
+        for a, b in eta_operands(p, domain):
+            assert _eval_eta(rows, a, b, domain) == eval_table(solved, (a, b), domain), (domain, a, b)
+
+
+PRESENTED_GRID = [row for row in AXIOM_GRID if row[2] != "prime_field"]
+
+
+@pytest.mark.parametrize("p,r,ring_key,count", PRESENTED_GRID)
+def test_presented_coordinates_stay_in_normal_form(p, r, ring_key, count):
+    """Sums and scalar multiples of normal forms are not reduced again, so
+    they must already be normal forms, and so must every coordinate the
+    ops return."""
+    domain = TEST_RINGS[ring_key](p)
+    normal = domain.presentation.normal
+    rng = random.Random(p * 6007 + r * 11 + len(ring_key))
+    for _ in range(max(2, count // 4)):
+        for _ in range(4):
+            a, b = random_element(rng, domain, 5), random_element(rng, domain, 5)
+            assert domain.add(a, b) == normal(a + b)
+            c = rng.randrange(p)
+            assert domain.scale(a, c) == normal(a.scale(c))
+        x, y = random_witt(rng, domain, p, r), random_witt(rng, domain, p, r)
+        outputs = [witt_add(x, y), witt_mul(x, y), witt_neg(x)] + ([frobenius(x)] if r > 1 else [])
+        for z in outputs:
+            assert all(c == normal(c) for c in z.coords), z
+
+
+def test_unit_ideal_constants_are_normal_forms():
+    """Over the zero ring k[x]/(1) every coordinate is 0, the domain's one
+    and integers included."""
+    domain = fp_quotient(3, "1", ("x",))
+    assert domain.one().is_zero() and domain.from_int(2).is_zero()
+    one = witt_one(domain, 3, 2)
+    assert witt_add(one, one) == witt_zero(domain, 3, 2)
+
+
+def test_f5_level_four_addition_work_is_pinned(monkeypatch):
+    """A work count, not a timing: the domain multiplications and normal
+    forms of one F_5 level-4 addition with every coordinate nonzero.  The
+    table-free arithmetic with eta evaluated term by term and every sum
+    reduced again made 700 and 883 on these operands."""
+    domain = fp_quotient(5)
+    calls = {"mul": 0, "normal": 0}
+    real_mul, real_normal = domain.mul, PresentedRing.normal
+
+    def counting_mul(x, y):
+        calls["mul"] += 1
+        return real_mul(x, y)
+
+    def counting_normal(presentation, f):
+        calls["normal"] += 1
+        return real_normal(presentation, f)
+
+    x = witt_vector(domain, 5, [domain.from_int(v) for v in (3, 2, 1, 3)])
+    y = witt_vector(domain, 5, [domain.from_int(v) for v in (1, 1, 1, 1)])
+    want = eval_table(build_witt_table(5, 4).sum_polys, x.coords + y.coords, domain)
+    monkeypatch.setattr(domain, "mul", counting_mul)
+    monkeypatch.setattr(PresentedRing, "normal", counting_normal)
+    assert witt_add(x, y).coords == want
+    assert (calls["mul"], calls["normal"]) == (350, 350)
+    assert calls["mul"] < 700 and calls["normal"] < 883
 
 
 # -- multiplicative lifts ---------------------------------------------------------
