@@ -353,6 +353,7 @@ def test_eta_rows_hold_the_solve_and_evaluate_like_it(p, r):
         rows = _eta_polys(p, r, domain.characteristic)
         for a, b in eta_operands(p, domain):
             assert _eval_eta(rows, a, b, domain) == eval_table(solved, (a, b), domain), (domain, a, b)
+            assert domain.scale(a, 7) == domain.mul(a, domain.from_int(7))
 
 
 PRESENTED_GRID = [row for row in AXIOM_GRID if row[2] != "prime_field"]
