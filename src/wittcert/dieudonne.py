@@ -661,7 +661,7 @@ def _cokernel_factors(relations: SubmoduleBasis) -> tuple[int, ...]:
     if not relations.echelon:
         return tuple([modulus.exponent] * ambient)
     matrix = ModularMatrix._trusted(modulus, relations.echelon, ambient)
-    snf = smith_normal_form(matrix, left=False, right=False)
+    snf = smith_normal_form(matrix, right=False)
     exps = [modulus.valuation(d) for d in snf.diag]
     exps.extend([modulus.exponent] * (ambient - len(exps)))
     return tuple(sorted((e for e in exps if e > 0), reverse=True))

@@ -105,14 +105,6 @@ class ModularMatrix:
         return cls._trusted(modulus, tuple(zip(*columns)) if columns else ((),) * ambient, len(columns))
 
     @classmethod
-    def identity(cls, modulus: Modulus, n: int) -> "ModularMatrix":
-        return cls(modulus, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, modulus: Modulus, rows: int, cols: int) -> "ModularMatrix":
-        return cls(modulus, [[0] * cols for _ in range(rows)], cols)
-
-    @classmethod
     def from_columns(cls, modulus: Modulus, columns: Sequence[Sequence[int]], ambient: int) -> "ModularMatrix":
         """Matrix whose columns are the given vectors of length `ambient`."""
         for c in columns:
@@ -131,20 +123,6 @@ class ModularMatrix:
     def __hash__(self) -> int:
         return hash((self.modulus, self.cols, self.entries))
 
-    def __matmul__(self, other: "ModularMatrix") -> "ModularMatrix":
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        q = self.modulus.char
-        out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out.append(
-                [sum(row[k] * other.entries[k][j] for k in range(self.cols)) % q for j in range(other.cols)]
-            )
-        return ModularMatrix(self.modulus, out, other.cols)
-
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
@@ -153,26 +131,6 @@ class ModularMatrix:
             sum(self.entries[i][k] * vec[k] for k in range(self.cols)) % q for i in range(self.rows)
         )
 
-    def is_invertible(self) -> bool:
-        """A square matrix over the local ring Z/p^N is invertible iff it is mod p."""
-        if self.rows != self.cols:
-            return False
-        p = self.modulus.p
-        grid = [[x % p for x in row] for row in self.entries]
-        n = self.rows
-        for col in range(n):
-            piv = next((r for r in range(col, n) if grid[r][col] % p != 0), None)
-            if piv is None:
-                return False
-            grid[col], grid[piv] = grid[piv], grid[col]
-            inv = pow(grid[col][col], -1, p)
-            grid[col] = [(x * inv) % p for x in grid[col]]
-            for r in range(n):
-                if r != col and grid[r][col]:
-                    f = grid[r][col]
-                    grid[r] = [(a - f * b) % p for a, b in zip(grid[r], grid[col])]
-        return True
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"ModularMatrix({self.modulus.p}^{self.modulus.exponent}, [{body}])"
@@ -180,62 +138,45 @@ class ModularMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """left @ m @ right == diagonal(diag), with invertible transforms.
+    """The Smith form of m over Z/p^N and its column transform.
 
-    Diagonal entries are normalized to pure powers of p (units absorbed
-    into the left transform) and sorted by increasing valuation, zeros last.
-    A transform that was not asked for is None.
+    Some invertible row transform L, which is not built, gives
+    L @ m @ right == diagonal(diag), with `right` invertible: column j of
+    m @ right is diag[j] times column j of L^-1, and its columns past the
+    diagonal are zero.  Diagonal entries are pure powers of p (units absorbed
+    into L) or zero, sorted by increasing valuation, zeros last.  `right`
+    is None when it was not asked for.
     """
 
     diag: tuple[int, ...]
-    left: Optional[ModularMatrix]
     right: Optional[ModularMatrix]
-    modulus: Modulus
-
-    def diagonal_matrix(self, rows: int, cols: int) -> ModularMatrix:
-        modulus = self.modulus
-        grid = [[0] * cols for _ in range(rows)]
-        for i, d in enumerate(self.diag):
-            grid[i][i] = d
-        return ModularMatrix(modulus, grid, cols)
 
 
-def smith_normal_form(m: ModularMatrix, left: bool = True, right: bool = True) -> SmithDecomposition:
+def smith_normal_form(m: ModularMatrix, right: bool = True) -> SmithDecomposition:
     """Smith normal form over Z/p^N.
 
     Pivot selection: entry of minimal p-adic valuation, ties broken by
     row-major position.  Every other entry has valuation >= the pivot's,
     so elimination quotients are exact integer divisions of canonical
-    representatives.  `left=False` or `right=False` skips building that
-    transform; the diagonal and the other transform do not change.
+    representatives.  Only columns are eliminated: once the pivot row is
+    cleared to the right of the pivot, the entries below the pivot are
+    never read again, so clearing them (the row transform) would change
+    neither the diagonal nor `right`.  Elimination keeps every remaining
+    valuation >= the pivot's, so the diagonal comes out sorted.
+    `right=False` skips building the column transform; the diagonal does
+    not change.
     """
     mod = m.modulus
     p, q = mod.p, mod.char
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
-    lt = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)] if left else None
     rt = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if right else None
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if lt is not None:
-            lt[i], lt[j] = lt[j], lt[i]
 
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
         for r in rt or ():
             r[i], r[j] = r[j], r[i]
-
-    def scale_row(i, u):
-        a[i] = [(x * u) % q for x in a[i]]
-        if lt is not None:
-            lt[i] = [(x * u) % q for x in lt[i]]
-
-    def add_row(dst, src, factor):
-        a[dst] = [(x + factor * y) % q for x, y in zip(a[dst], a[src])]
-        if lt is not None:
-            lt[dst] = [(x + factor * y) % q for x, y in zip(lt[dst], lt[src])]
 
     def add_col(dst, src, factor):
         for r in a:
@@ -260,75 +201,53 @@ def smith_normal_form(m: ModularMatrix, left: bool = True, right: bool = True) -
                         best = (i, j)
         return best
 
-    k = 0
     limit = min(rows, cols)
-    while k < limit:
+    for k in range(limit):
         best = pivot(k)
         if best is None:
             break
         bi, bj = best
-        if bi != k:
-            swap_rows(k, bi)
+        a[k], a[bi] = a[bi], a[k]
         if bj != k:
             swap_cols(k, bj)
         # Normalize pivot to p^v exactly.
         unit = mod.unit_part(a[k][k])
         if unit != 1:
-            scale_row(k, mod.inverse(unit))
-        piv = a[k][k]
-        for i in range(k + 1, rows):
-            if a[i][k]:
-                add_row(i, k, -(a[i][k] // piv))
+            u = mod.inverse(unit)
+            a[k] = [(x * u) % q for x in a[k]]
+        piv = a[k]
         for j in range(k + 1, cols):
-            if a[k][j]:
-                add_col(j, k, -(a[k][j] // piv))
-        k += 1
-
-    # Sort diagonal by valuation (zeros, valuation N, go last).
-    vals = [mod.valuation(a[i][i]) for i in range(limit)]
-    for pos in range(limit):
-        best = min(range(pos, limit), key=lambda i: (vals[i], i))
-        if best != pos:
-            swap_rows(pos, best)
-            swap_cols(pos, best)
-            vals[pos], vals[best] = vals[best], vals[pos]
+            if piv[j]:
+                add_col(j, k, -(piv[j] // piv[k]))
 
     diag = tuple(a[i][i] for i in range(limit))
-    return SmithDecomposition(
-        diag,
-        ModularMatrix._trusted(mod, tuple(map(tuple, lt)), rows) if left else None,
-        ModularMatrix._trusted(mod, tuple(map(tuple, rt)), cols) if right else None,
-        mod,
-    )
+    return SmithDecomposition(diag, ModularMatrix._trusted(mod, tuple(map(tuple, rt)), cols) if right else None)
 
 
 def solve_linear(m: ModularMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """One solution x of m @ x = b over Z/p^N, or None when none exists."""
+    """One solution x of m @ x = b over Z/p^N, or None when none exists.
+
+    A kernel vector (x, t) of the augmented matrix [m | -b] gives
+    m @ x = t * b, so x / t solves the system when t is a unit; a solution
+    x gives the kernel vector (x, 1).  The non-units of Z/p^N form the
+    ideal (p), so some kernel vector has a unit t exactly when some
+    generator from `kernel_basis` does.
+    """
     if len(b) != m.rows:
         raise ValueError("dimension mismatch")
     mod = m.modulus
-    q = mod.char
-    snf = smith_normal_form(m)
-    c = snf.left.apply(b)
-    y = [0] * m.cols
-    for i in range(m.rows):
-        rhs = c[i]
-        d = snf.diag[i] if i < len(snf.diag) else 0
-        if d == 0:
-            if rhs % q != 0:
-                return None
-            continue
-        v = mod.valuation(d)
-        if mod.valuation(rhs) < v:
-            return None
-        y[i] = (rhs // (mod.p ** v)) % q
-    return snf.right.apply(y)
+    augmented = ModularMatrix(mod, [row + (-c,) for row, c in zip(m.entries, b)], m.cols + 1)
+    for gen in kernel_basis(augmented):
+        if gen[-1] % mod.p:
+            t = mod.inverse(gen[-1])
+            return tuple(x * t % mod.char for x in gen[:-1])
+    return None
 
 
 def kernel_basis(m: ModularMatrix) -> list[tuple[int, ...]]:
     """Generators of {x : m @ x = 0} over Z/p^N."""
     mod = m.modulus
-    snf = smith_normal_form(m, left=False)
+    snf = smith_normal_form(m)
     gens = []
     for j in range(m.cols):
         if j < len(snf.diag):

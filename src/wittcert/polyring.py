@@ -33,6 +33,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import combinations
 from operator import add, le, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -796,25 +797,10 @@ def krull_dim(ideal: Ideal) -> int:
     if gb.contains_one():
         return -1
     supports = [frozenset(i for i, e in enumerate(g.leading(gb.basis_order)[0]) if e) for g in gb.basis]
-    n = ring.nvars
-    best = 0
-    for size in range(n, -1, -1):
-        if size <= best:
-            break
-        for subset_bits in range(1 << n):
-            subset = frozenset(i for i in range(n) if subset_bits >> i & 1)
-            if len(subset) != size:
-                continue
-            if all(not s <= subset for s in supports):
-                best = size
-                break
-        if best == size:
-            break
-    return best
-
-
-def ideal_equal(a: Ideal, b: Ideal) -> bool:
-    """Ideal equality via reduced bases under grevlex."""
-    ga = buchberger(Ideal.from_polys(a.ring, a.generators))
-    gb = buchberger(Ideal.from_polys(b.ring, b.generators))
-    return ga.basis == gb.basis
+    # a subset of an independent set is independent, so the first size
+    # with an independent subset, scanning down, is the dimension
+    for size in range(ring.nvars, 0, -1):
+        for subset in combinations(range(ring.nvars), size):
+            if not any(s.issubset(subset) for s in supports):
+                return size
+    return 0

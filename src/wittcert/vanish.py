@@ -48,6 +48,9 @@ PROVENANCE = (
     "a unit in the annihilator forces the top-form class to vanish",
 )
 
+# certificate JSON step names -> DescentStep.op
+STEP_OPS = {"partial": "partial", "pthRoot": "pth_root"}
+
 
 @dataclass(frozen=True)
 class DescentStep:
@@ -63,6 +66,8 @@ class DescentStep:
             raise ValueError(f"unknown descent operation {self.op!r}")
         if (self.op == "partial") != (self.var is not None):
             raise ValueError("partial steps carry a variable index; root steps do not")
+        if self.var is not None and (not isinstance(self.var, int) or isinstance(self.var, bool)):
+            raise TypeError(f"variable index {self.var!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -97,7 +102,7 @@ class VanishingCertificate:
             ring = presentation.ring
             steps = []
             for s in doc["steps"]:
-                op = "pth_root" if s["op"] == "pthRoot" else "partial"
+                op = STEP_OPS[s["op"]]
                 steps.append(
                     DescentStep(op, s.get("var"), poly_from_json(s["in"], ring), poly_from_json(s["out"], ring))
                 )

@@ -92,26 +92,25 @@ DEFAULT_MAX_PRIME = 13
 DEFAULT_MAX_LEVEL = 6
 
 
-def _check_caps(p: int, r: int, allow_large: bool = False) -> None:
+def _check_caps(p: int, r: int) -> None:
     """The prime, level and size checks shared by the tables and the ops."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1:
         raise ValueError("level must be >= 1")
-    if not allow_large and (p > DEFAULT_MAX_PRIME or r > DEFAULT_MAX_LEVEL):
+    if p > DEFAULT_MAX_PRIME or r > DEFAULT_MAX_LEVEL:
         raise ValueError(
             f"table for (p={p}, r={r}) exceeds the default caps "
             f"(p <= {DEFAULT_MAX_PRIME}, r <= {DEFAULT_MAX_LEVEL})"
         )
 
 
-def build_witt_table(p: int, r: int, allow_large: bool = False) -> WittPolynomialTable:
+def build_witt_table(p: int, r: int) -> WittPolynomialTable:
     """Build (and memoize) the universal tables for W_r at the prime p.
 
-    Raises ValueError beyond the default caps (p <= 13, r <= 6); a library
-    caller that accepts the cost lifts them with allow_large=True.
+    Raises ValueError beyond the default caps (p <= 13, r <= 6).
     """
-    _check_caps(p, r, allow_large)
+    _check_caps(p, r)
     return _solve_table(p, r)
 
 
@@ -172,54 +171,6 @@ class IntegerCoefficients:
 
     def __repr__(self) -> str:
         return "Z"
-
-
-class PrimeFieldCoefficients:
-    """F_p itself, with elements as plain residues (fast path for scalars)."""
-
-    char_p = True
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.characteristic = p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def add(self, x, y):
-        return (x + y) % self.p
-
-    def mul(self, x, y):
-        return (x * y) % self.p
-
-    def scale(self, x, c: int):
-        return (x * c) % self.p
-
-    def neg(self, x):
-        return (-x) % self.p
-
-    def pth_power(self, x, p: int):
-        return x % self.p  # Fermat: the Frobenius fixes F_p
-
-    def is_zero(self, x) -> bool:
-        return x % self.p == 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeFieldCoefficients) and self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeFieldCoefficients", self.p))
-
-    def __repr__(self) -> str:
-        return f"F_{self.p}"
 
 
 class PresentedCoefficients:

@@ -38,6 +38,16 @@ def test_dim_presets():
         assert result.stdout.strip() == expected
 
 
+def test_dim_of_a_zero_ideal_in_forty_variables():
+    ring = json.dumps({"p": 5, "vars": [f"x{i}" for i in range(40)], "generators": []})
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        assert main(["dim", "--ring", ring]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert out.getvalue().strip() == "40"
+
+
 def test_certify_cusp_succeeds_and_verifies():
     result = run_cli("certify", "--preset", "cusp", "--format", "json")
     assert result.returncode == 0
@@ -367,6 +377,11 @@ def test_malformed_certificate_json_exits_two(tmp_path):
         broken.append(doc)
     broken.append({k: v for k, v in produced.items() if k != "steps"})
     broken.append(dict(produced, steps=[3]))
+    # a partial step whose variable index is not an integer, and an unknown op
+    for key, value in (("var", "0"), ("var", 1.5), ("var", [0]), ("var", True), ("op", "bogus")):
+        doc = json.loads(json.dumps(produced))
+        doc["steps"][0][key] = value
+        broken.append(doc)
     for i, doc in enumerate(broken):
         path = tmp_path / f"broken{i}.json"
         path.write_text(json.dumps(doc))

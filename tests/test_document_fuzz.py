@@ -3,7 +3,11 @@
 Each example takes a valid document and mutates one node of its JSON
 tree: replaces it with an arbitrary JSON value, deletes it, or wraps it
 in a list.  The loader must then either return or raise ValueError (the
-CLI maps that to exit 2); any other exception is a defect.
+CLI maps that to exit 2); any other exception is a defect.  A certificate
+that loads must also replay to True or False: `certify --verify` exits 4
+on False, and any exception there is a defect too.  Certificate mutations
+also put a non-integer variable index and an unknown op into the first
+step.
 
 Integers and floats are drawn within +-2^20, except that model documents
 get integers within +-2^64 (and the prime 2^61 - 1 as an edge): the model
@@ -24,7 +28,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from wittcert.derham import PresentedRing
 from wittcert.dieudonne import DieudonneModel, a1_model
 from wittcert.polyring import PolyRing, parse_polynomial
-from wittcert.vanish import VanishingCertificate, certify_top_vanishing
+from wittcert.vanish import VanishingCertificate, certify_top_vanishing, verify_certificate
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -45,6 +49,12 @@ MODEL_TARGETED_EDGES = [
     (("N",), 65),
     (("basis", 0, "weight", 1), 65),
     (("weight_cap", 1), 65),
+]
+# A partial step's "var" is read as a variable index, its "op" as a step name.
+CERTIFICATE_TARGETED_EDGES = [
+    (("steps", 0, "var"), "0"),
+    (("steps", 0, "var"), 1.5),
+    (("steps", 0, "op"), "bogus"),
 ]
 LOAD_SECONDS = 2.0
 
@@ -129,11 +139,12 @@ def mutated(draw, base, edges=EDGES, values=json_values, targeted=()):
     return doc
 
 
-def _parses_or_value_error(loader, doc) -> None:
+def _parses_or_value_error(loader, doc):
+    """loader(doc), or None when it raises ValueError."""
     try:
-        loader(doc)
+        return loader(doc)
     except ValueError:
-        pass
+        return None
 
 
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None,
@@ -149,7 +160,10 @@ def test_mutated_ring_documents(data):
 @FUZZ
 @given(st.data())
 def test_mutated_certificate_documents(data):
-    _parses_or_value_error(VanishingCertificate.from_json, data.draw(mutated(_certificate_doc())))
+    doc = data.draw(mutated(_certificate_doc(), targeted=CERTIFICATE_TARGETED_EDGES))
+    cert = _parses_or_value_error(VanishingCertificate.from_json, doc)
+    if cert is not None:
+        assert isinstance(verify_certificate(cert), bool)
 
 
 class LoadTooSlow(Exception):

@@ -19,6 +19,55 @@ from wittcert.modarith import (
 DESK_MODULI = [Modulus(2, 1), Modulus(2, 2), Modulus(3, 1), Modulus(3, 3), Modulus(5, 2)]
 
 
+def identity(mod, n):
+    return ModularMatrix(mod, [[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
+def random_matrix(rng, mod, rows, cols):
+    return ModularMatrix(mod, [[rng.randrange(mod.char) for _ in range(cols)] for _ in range(rows)], cols)
+
+
+def determinant(grid):
+    """Integer determinant by cofactor expansion along the first row; desk scale only."""
+    if not grid:
+        return 1
+    return sum(
+        (-1) ** j * x * determinant([row[:j] + row[j + 1:] for row in grid[1:]])
+        for j, x in enumerate(grid[0])
+        if x
+    )
+
+
+def assert_smith_form(mat, snf):
+    """The Smith form of `mat` against oracles that need no row transform.
+
+    Diagonal: pure powers of p or zero, sorted by valuation, and for each k
+    the least valuation of the k x k minors of mat (the k-th determinantal
+    divisor, which invertible transforms preserve) is the sum of the first
+    k diagonal valuations, both capped at N.  Column transform: its rows
+    span the whole module (their Howell form is the identity), and column
+    j of mat @ right is divisible by diag[j], zero past the diagonal.
+    """
+    mod = mat.modulus
+    vals = [mod.valuation(d) for d in snf.diag]
+    assert len(vals) == min(mat.rows, mat.cols)
+    assert vals == sorted(vals)
+    assert all(d == (mod.p ** v if v < mod.exponent else 0) for d, v in zip(snf.diag, vals))
+    for k in range(1, len(vals) + 1):
+        minors = (
+            determinant([[mat.entries[i][j] for j in cols] for i in rows])
+            for rows in itertools.combinations(range(mat.rows), k)
+            for cols in itertools.combinations(range(mat.cols), k)
+        )
+        assert min(mod.valuation(d) for d in minors) == min(mod.exponent, sum(vals[:k]))
+    right = snf.right
+    assert SubmoduleBasis(mod, mat.cols, right.entries).echelon == identity(mod, mat.cols).entries
+    for j in range(mat.cols):
+        image = mat.apply([row[j] for row in right.entries])
+        least = vals[j] if j < len(vals) else mod.exponent
+        assert all(mod.valuation(x) >= least for x in image), (j, image)
+
+
 def brute_force_span(mod, gens, ambient):
     """Every Z/p^N combination of the generators; desk scale only."""
     q = mod.char
@@ -50,14 +99,14 @@ def test_zero_row_matrices_keep_their_column_count():
     m = Modulus(2, 3)
     empty = ModularMatrix.from_columns(m, [(), ()], 0)
     assert (empty.rows, empty.cols) == (0, 2)
-    zero = ModularMatrix.zero(m, 0, 3)
+    zero = ModularMatrix(m, [], 3)
     assert (zero.rows, zero.cols) == (0, 3)
-    assert zero != ModularMatrix.zero(m, 0, 2)
-    assert (ModularMatrix.zero(m, 3, 0) @ zero).cols == 3
+    assert zero != ModularMatrix(m, [], 2)
+    assert ModularMatrix(m, [[], [], []], 0).apply(()) == (0, 0, 0)
     assert zero.apply((1, 2, 3)) == ()
     snf = smith_normal_form(zero)
     assert snf.diag == ()
-    assert snf.left @ zero @ snf.right == snf.diagonal_matrix(0, 3)
+    assert snf.right == identity(m, 3)
     assert kernel_basis(zero) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert solve_linear(zero, ()) == (0, 0, 0)
 
@@ -71,12 +120,12 @@ def test_smith_diagonal_already_diagonal():
     mat = ModularMatrix(m, [[2, 0], [0, 4]])
     snf = smith_normal_form(mat)
     assert list(snf.diag) == [2, 4]
-    assert snf.left @ mat @ snf.right == snf.diagonal_matrix(2, 2)
+    assert_smith_form(mat, snf)
 
 
 def test_smith_zero_matrix():
     m = Modulus(3, 2)
-    snf = smith_normal_form(ModularMatrix.zero(m, 2, 2))
+    snf = smith_normal_form(ModularMatrix(m, [[0, 0], [0, 0]]))
     assert list(snf.diag) == [0, 0]
 
 
@@ -85,44 +134,39 @@ def test_smith_rank_one_over_z9():
     mat = ModularMatrix(m, [[1, 1], [1, 1]])
     snf = smith_normal_form(mat)
     assert list(snf.diag) == [1, 0]
-    assert snf.left @ mat @ snf.right == snf.diagonal_matrix(2, 2)
-    assert snf.left.is_invertible() and snf.right.is_invertible()
+    assert_smith_form(mat, snf)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_smith_transform_identity_random(seed):
     rng = random.Random(seed)
     for mod in DESK_MODULI:
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        mat = ModularMatrix(mod, [[rng.randrange(mod.char) for _ in range(cols)] for _ in range(rows)])
-        snf = smith_normal_form(mat)
-        assert snf.left @ mat @ snf.right == snf.diagonal_matrix(rows, cols)
-        assert snf.left.is_invertible()
-        assert snf.right.is_invertible()
-        # Diagonal entries are powers of p (or zero), sorted by valuation.
-        vals = [mod.valuation(d) for d in snf.diag]
-        assert vals == sorted(vals)
-        for d in snf.diag:
-            if d:
-                assert d == mod.p ** mod.valuation(d)
+        mat = random_matrix(rng, mod, rng.randint(1, 4), rng.randint(1, 4))
+        assert_smith_form(mat, smith_normal_form(mat))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_smith_diagonal_matches_determinantal_divisors(seed):
+    # low-rank and p-divisible matrices, where the diagonal has non-units and zeros
+    rng = random.Random(700 + seed)
+    for mod in DESK_MODULI:
+        rows, cols, rank = rng.randint(0, 4), rng.randint(0, 4), rng.randint(1, 3)
+        left, right = random_matrix(rng, mod, rows, rank), random_matrix(rng, mod, rank, cols)
+        entries = [[sum(a * b for a, b in zip(row, col)) * rng.choice([1, mod.p]) for col in zip(*right.entries)]
+                   for row in left.entries]
+        mat = ModularMatrix(mod, entries, cols)
+        assert_smith_form(mat, smith_normal_form(mat))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_smith_without_transforms_matches_the_full_form(seed):
     rng = random.Random(300 + seed)
     for mod in DESK_MODULI:
-        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
-        mat = ModularMatrix(mod, [[rng.randrange(mod.char) for _ in range(cols)] for _ in range(rows)], cols)
+        mat = random_matrix(rng, mod, rng.randint(0, 4), rng.randint(0, 4))
         full = smith_normal_form(mat)
-        right_only = smith_normal_form(mat, left=False)
-        left_only = smith_normal_form(mat, right=False)
-        bare = smith_normal_form(mat, left=False, right=False)
-        assert full.diag == right_only.diag == left_only.diag == bare.diag
-        assert right_only.right == full.right and right_only.left is None
-        assert left_only.left == full.left and left_only.right is None
-        assert bare.left is None and bare.right is None
-        assert bare.diagonal_matrix(rows, cols) == full.diagonal_matrix(rows, cols)
+        bare = smith_normal_form(mat, right=False)
+        assert full.diag == bare.diag
+        assert full.right is not None and bare.right is None
 
 
 def test_trusted_columns_match_from_columns():
@@ -207,12 +251,23 @@ def test_howell_form_is_canonical_on_random_spans(seed):
 
 def test_solve_trivial_and_zero_divisor():
     m = Modulus(5, 2)
-    ident = ModularMatrix.identity(m, 3)
-    assert solve_linear(ident, (3, 7, 24)) == (3, 7, 24)
+    assert solve_linear(identity(m, 3), (3, 7, 24)) == (3, 7, 24)
     pmat = ModularMatrix(m, [[5]])
     assert solve_linear(pmat, (1,)) is None
     x = solve_linear(pmat, (5,))
     assert x is not None and (5 * x[0]) % 25 == 5
+
+
+def test_solve_without_a_unit_kernel_coordinate():
+    # 4y = 2 has no solution mod 8, so every generator of the kernel of
+    # [m | -b] has an even last coordinate, though not every one is zero
+    mod = Modulus(2, 3)
+    mat = ModularMatrix(mod, [[2, 1], [0, 4]])
+    b = (3, 2)
+    gens = kernel_basis(ModularMatrix(mod, [[2, 1, -3], [0, 4, -2]]))
+    assert gens and all(g[-1] % 2 == 0 for g in gens) and any(g[-1] for g in gens)
+    assert not any(mat.apply(x) == b for x in itertools.product(range(8), repeat=2))
+    assert solve_linear(mat, b) is None
 
 
 @pytest.mark.parametrize("seed", range(8))

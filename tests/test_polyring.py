@@ -9,6 +9,7 @@ code with the division algorithm.
 import functools
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,6 @@ from wittcert.polyring import (
     TermOrder,
     buchberger,
     eliminate,
-    ideal_equal,
     krull_dim,
     normal_form,
     parse_polynomial,
@@ -440,12 +440,35 @@ def test_krull_dim_examples():
     assert krull_dim(Ideal.from_polys(three, [])) == 3
 
 
-def test_ideal_equal():
-    ring = PolyRing(5, ("x", "y"))
-    a = Ideal.from_polys(ring, [parse_polynomial("y^2 - x^3", ring)])
-    b = Ideal.from_polys(ring, [parse_polynomial("2y^2 - 2x^3", ring)])
-    assert ideal_equal(a, b)
-    assert not ideal_equal(a, Ideal.from_polys(ring, [ring.variable(0)]))
+def test_krull_dim_zero_ideal_in_forty_variables():
+    # the first candidate set, all forty variables, is independent
+    ring = PolyRing(5, tuple(f"x{i}" for i in range(40)))
+    start = time.perf_counter()
+    assert krull_dim(Ideal.from_polys(ring, [])) == 40
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_krull_dim_of_monomial_ideals_matches_the_bitmask_definition(seed):
+    """A monomial ideal's generators are a Groebner basis of it, so its
+    dimension is the largest variable set containing no generator's
+    support, found here by scanning every bitmask."""
+    rng = random.Random(900 + seed)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        ring = PolyRing(3, tuple(f"x{i}" for i in range(n)))
+        gens = []
+        for _ in range(rng.randint(0, 4)):
+            exp = tuple(rng.choice([0, 0, 1, 2]) for _ in range(n))
+            if any(exp):
+                gens.append(Polynomial(ring, {exp: 1}))
+        supports = [{i for i, e in enumerate(next(iter(g.terms))) if e} for g in gens]
+        want = max(
+            bin(bits).count("1")
+            for bits in range(1 << n)
+            if not any(all(bits >> i & 1 for i in s) for s in supports)
+        )
+        assert krull_dim(Ideal.from_polys(ring, gens)) == want, gens
 
 
 def test_ring_validation():

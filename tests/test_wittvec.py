@@ -20,7 +20,6 @@ from wittcert.polyring import PolyRing, Polynomial, parse_polynomial, terms_add,
 from wittcert.wittvec import (
     IntegerCoefficients,
     PresentedCoefficients,
-    PrimeFieldCoefficients,
     WittVector,
     build_witt_table,
     frobenius,
@@ -72,15 +71,13 @@ def fp_quotient(p, relation_text=None, names=()):
 
 
 TEST_RINGS = {
-    "prime_field": lambda p: PrimeFieldCoefficients(p),
+    "prime_field": lambda p: fp_quotient(p),
     "x3": lambda p: fp_quotient(p, "x^3", ("x",)),
     "cusp": lambda p: fp_quotient(p, "y^2 - x^3", ("x", "y")),
 }
 
 
 def random_element(rng, domain, max_degree=2):
-    if isinstance(domain, PrimeFieldCoefficients):
-        return rng.randrange(domain.p)
     ring = domain.presentation.ring
     terms = {}
     for _ in range(rng.randint(1, 2)):
@@ -144,7 +141,6 @@ def test_table_caps():
         build_witt_table(17, 2)
     with pytest.raises(ValueError):
         build_witt_table(2, 7)
-    assert build_witt_table(17, 2, allow_large=True).p == 17
 
 
 # -- ghost oracle over the integers ---------------------------------------------
@@ -306,8 +302,8 @@ def test_ops_never_build_the_tables(monkeypatch):
 
 def test_char_p_path_keeps_the_table_caps():
     with pytest.raises(ValueError, match=r"table for \(p=17, r=2\) exceeds the default caps"):
-        witt_add(witt_one(PrimeFieldCoefficients(17), 17, 2), witt_one(PrimeFieldCoefficients(17), 17, 2))
-    f2 = PrimeFieldCoefficients(2)
+        witt_add(witt_one(fp_quotient(17), 17, 2), witt_one(fp_quotient(17), 17, 2))
+    f2 = fp_quotient(2)
     for op in (lambda x: witt_add(x, x), lambda x: witt_mul(x, x), witt_neg, frobenius):
         with pytest.raises(ValueError, match=r"table for \(p=2, r=7\) exceeds the default caps"):
             op(witt_one(f2, 2, 7))
@@ -322,9 +318,10 @@ def eta_operands(p, domain):
     """(a, b) pairs for eta: a = 0, b = 0, a unit operand, and general ones."""
     if isinstance(domain, IntegerCoefficients):
         return [(0, 5), (-3, 0), (1, -2), (-3, 4), (2, 7)]
-    if isinstance(domain, PrimeFieldCoefficients):
-        return [(0, 2 % p), (p - 1, 0), (1, p - 1), (2 % p, 3 % p)]
     ring = domain.presentation.ring
+    if not ring.nvars:
+        c = domain.from_int
+        return [(c(0), c(2)), (c(p - 1), c(0)), (c(1), c(p - 1)), (c(2), c(3))]
     x, y = ring.variable(0), ring.variable(1)
     pairs = [(domain.zero(), y), (x, domain.zero()), (domain.one(), y), (x, y)]
     if p <= 5:  # two-term operands: their powers stay short enough to expand term by term
@@ -349,17 +346,14 @@ def test_eta_rows_hold_the_solve_and_evaluate_like_it(p, r):
         assert [len(row) for row in rows] == [p ** k + 1 for k in range(1, r)]
         want = [{e: c % p for e, c in poly.items() if c % p} for poly in solved] if characteristic else list(solved)
         assert [rebuilt(row) for row in rows] == want
-    for domain in (Z, PrimeFieldCoefficients(p), TEST_RINGS["cusp"](p)):
+    for domain in (Z, TEST_RINGS["prime_field"](p), TEST_RINGS["cusp"](p)):
         rows = _eta_polys(p, r, domain.characteristic)
         for a, b in eta_operands(p, domain):
             assert _eval_eta(rows, a, b, domain) == eval_table(solved, (a, b), domain), (domain, a, b)
             assert domain.scale(a, 7) == domain.mul(a, domain.from_int(7))
 
 
-PRESENTED_GRID = [row for row in AXIOM_GRID if row[2] != "prime_field"]
-
-
-@pytest.mark.parametrize("p,r,ring_key,count", PRESENTED_GRID)
+@pytest.mark.parametrize("p,r,ring_key,count", AXIOM_GRID)
 def test_presented_coordinates_stay_in_normal_form(p, r, ring_key, count):
     """Sums and scalar multiples of normal forms are not reduced again, so
     they must already be normal forms, and so must every coordinate the
@@ -433,8 +427,9 @@ def test_teichmuller_is_multiplicative():
 
 
 def test_teichmuller_takes_the_prime_from_the_domain():
-    f5 = PrimeFieldCoefficients(5)
-    assert teichmuller(f5, 3, 2) == witt_vector(f5, 5, [3, 0])
+    f5 = TEST_RINGS["prime_field"](5)
+    three = f5.from_int(3)
+    assert teichmuller(f5, three, 2) == witt_vector(f5, 5, [three, f5.zero()])
     cusp = TEST_RINGS["cusp"](3)
     x = cusp.presentation.ring.variable(0)
     assert teichmuller(cusp, x, 2) == teichmuller(cusp, x, 2, p=3)
@@ -505,7 +500,7 @@ def test_witt_json():
 
 def test_vector_prime_must_match_the_domain_characteristic():
     with pytest.raises(ValueError):
-        witt_vector(PrimeFieldCoefficients(5), 3, [1, 2])
+        witt_vector(TEST_RINGS["prime_field"](5), 3, [1, 2])
     cusp = TEST_RINGS["cusp"](3)
     x = cusp.presentation.ring.variable(0)
     with pytest.raises(ValueError):
