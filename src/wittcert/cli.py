@@ -9,12 +9,10 @@ across runs: nothing here consults time, environment, or hash order.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from . import dieudonne, vanish, wittvec
 from .derham import PresentedRing, top_form_is_zero_in_omega, top_form_presentation
@@ -33,58 +31,42 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class SessionConfig:
-    p: int
-    coeff_exp: int
-    order: str
-    seed: int
-    fmt: str
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.p < 2 ** 16:
-            raise ValueError("p must satisfy 2 <= p < 2^16")
-        if self.coeff_exp < 1:
-            raise ValueError("coefficient exponent must be >= 1")
+def _decode_json(text: str):
+    """`json.loads`, with a document nested too deep for the decoder
+    reported as malformed JSON rather than as a recursion error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("document nested too deeply", text, 0) from None
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--p", type=int, default=5, help="prime characteristic (default 5)")
-    parser.add_argument("--coeff-exp", type=int, default=1, help="coefficient exponent N")
-    parser.add_argument("--order", choices=["lex", "grevlex"], default="grevlex")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized drivers")
-    parser.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
-    parser.add_argument("--preset", choices=sorted(PRESETS), help="built-in presentation")
-    parser.add_argument("--ring", help="presentation JSON, or '-' to read from stdin")
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return _decode_json(fh.read())
 
 
-def _config(args: argparse.Namespace) -> SessionConfig:
-    return SessionConfig(args.p, args.coeff_exp, args.order, args.seed, args.fmt)
+def _term_order(args: argparse.Namespace, nvars: int) -> TermOrder:
+    return TermOrder.lex(nvars) if args.order == "lex" else TermOrder.grevlex(nvars)
 
 
-def _term_order(config: SessionConfig, nvars: int) -> TermOrder:
-    return TermOrder.lex(nvars) if config.order == "lex" else TermOrder.grevlex(nvars)
-
-
-def _load_ring(args: argparse.Namespace, config: SessionConfig) -> PresentedRing:
+def _load_ring(args: argparse.Namespace) -> PresentedRing:
     if args.ring:
         text = sys.stdin.read() if args.ring == "-" else args.ring
-        doc = json.loads(text)
-        base = PresentedRing.from_json(doc)
+        base = PresentedRing.from_json(_decode_json(text))
         return PresentedRing.make(
-            base.ring, base.ideal.generators, _term_order(config, base.ring.nvars)
+            base.ring, base.ideal.generators, _term_order(args, base.ring.nvars)
         )
     if args.preset:
         names, gens = PRESETS[args.preset]
-        ring = PolyRing(config.p, names)
+        ring = PolyRing(args.p, names)
         return PresentedRing.make(
-            ring, [parse_polynomial(g, ring) for g in gens], _term_order(config, ring.nvars)
+            ring, [parse_polynomial(g, ring) for g in gens], _term_order(args, ring.nvars)
         )
     raise PolyParseError("no presentation given (use --ring or --preset)", 0)
 
 
-def _emit(config: SessionConfig, text_lines: list[str], json_doc) -> None:
-    if config.fmt == "json":
+def _emit(args: argparse.Namespace, text_lines: list[str], json_doc) -> None:
+    if args.fmt == "json":
         print(json.dumps(json_doc, sort_keys=True))
     else:
         for line in text_lines:
@@ -100,17 +82,17 @@ def _ideal_lines(ideal: Ideal) -> list[str]:
 # -- witt -------------------------------------------------------------------
 
 
-def _witt_domain(args: argparse.Namespace, config: SessionConfig):
+def _witt_domain(args: argparse.Namespace):
     if args.integer:
         return wittvec.IntegerCoefficients()
     if args.ring or args.preset:
-        presentation = _load_ring(args, config)
+        presentation = _load_ring(args)
     else:
-        presentation = PresentedRing.make(PolyRing(config.p, ()), [])
+        presentation = PresentedRing.make(PolyRing(args.p, ()), [])
     return wittvec.PresentedCoefficients(presentation)
 
 
-def _parse_witt_operand(text, domain, config: SessionConfig) -> wittvec.WittVector:
+def _parse_witt_operand(text, domain, p: int) -> wittvec.WittVector:
     if not text:
         raise PolyParseError("missing Witt operand (use --x / --y)", 0)
     coords = []
@@ -121,10 +103,10 @@ def _parse_witt_operand(text, domain, config: SessionConfig) -> wittvec.WittVect
         else:
             ring = domain.presentation.ring
             coords.append(domain.presentation.normal(parse_polynomial(chunk, ring)))
-    return wittvec.witt_vector(domain, config.p, coords)
+    return wittvec.witt_vector(domain, p, coords)
 
 
-def _render_witt(x: wittvec.WittVector, config: SessionConfig) -> tuple[list[str], dict]:
+def _render_witt(x: wittvec.WittVector) -> tuple[list[str], dict]:
     doc = wittvec.witt_to_json(x)
     if isinstance(x.domain, wittvec.IntegerCoefficients):
         line = "(" + ", ".join(str(c) for c in x.coords) + ")"
@@ -158,37 +140,35 @@ def _check_ghost_digits(x: wittvec.WittVector) -> None:
 
 
 def cmd_witt(args: argparse.Namespace) -> int:
-    config = _config(args)
-    domain = _witt_domain(args, config)
-    if domain.char_p:
-        # A --ring presentation carries its own prime, which wins over --p.
-        config = dataclasses.replace(config, p=domain.characteristic)
+    domain = _witt_domain(args)
+    # A --ring presentation carries its own prime, which wins over --p.
+    p = domain.characteristic if domain.char_p else args.p
     op = args.operation
     if op in ("add", "mul"):
-        x = _parse_witt_operand(args.x, domain, config)
-        y = _parse_witt_operand(args.y, domain, config)
+        x = _parse_witt_operand(args.x, domain, p)
+        y = _parse_witt_operand(args.y, domain, p)
         result = wittvec.witt_add(x, y) if op == "add" else wittvec.witt_mul(x, y)
     elif op == "neg":
-        result = wittvec.witt_neg(_parse_witt_operand(args.x, domain, config))
+        result = wittvec.witt_neg(_parse_witt_operand(args.x, domain, p))
     elif op == "frobenius":
-        result = wittvec.frobenius(_parse_witt_operand(args.x, domain, config))
+        result = wittvec.frobenius(_parse_witt_operand(args.x, domain, p))
     elif op == "verschiebung":
-        result = wittvec.verschiebung(_parse_witt_operand(args.x, domain, config))
+        result = wittvec.verschiebung(_parse_witt_operand(args.x, domain, p))
     elif op == "teich":
-        wittvec._check_caps(config.p, args.level)  # before the level-long tuple is built
+        wittvec._check_caps(p, args.level)  # before the level-long tuple is built
         if not args.g:
             raise PolyParseError("teich needs --g", 0)
         if isinstance(domain, wittvec.IntegerCoefficients):
             g = int(args.g)
         else:
             g = domain.presentation.normal(parse_polynomial(args.g, domain.presentation.ring))
-        result = wittvec.teichmuller(domain, g, args.level, p=config.p)
+        result = wittvec.teichmuller(domain, g, args.level, p=p)
     elif op == "ghost":
-        x = _parse_witt_operand(args.x, domain, config)
+        x = _parse_witt_operand(args.x, domain, p)
         wittvec._check_caps(x.p, x.level)  # x_0^(p^(r-1)) grows without bound in r
         _check_ghost_digits(x)
         values = wittvec.ghost(x)
-        _emit(config, ["(" + ", ".join(str(v) for v in values) + ")"], {"ghost": list(values)})
+        _emit(args, ["(" + ", ".join(str(v) for v in values) + ")"], {"ghost": list(values)})
         return EXIT_OK
     elif op == "check-frobenius":
         if isinstance(domain, wittvec.IntegerCoefficients):
@@ -196,27 +176,27 @@ def cmd_witt(args: argparse.Namespace) -> int:
         if not args.g:
             raise PolyParseError("check-frobenius needs --g", 0)
         r = args.level
-        wittvec._check_caps(config.p, r)
+        wittvec._check_caps(p, r)
         presentation = domain.presentation
         g = presentation.normal(parse_polynomial(args.g, presentation.ring))
-        lift = wittvec.teichmuller(domain, g, r, p=config.p)
+        lift = wittvec.teichmuller(domain, g, r, p=p)
         f_of_lift = wittvec.frobenius(lift)
-        lift_of_power = wittvec.teichmuller(domain, presentation.normal(g ** config.p), r - 1, p=config.p)
-        power_of_lift = wittvec.witt_one(domain, config.p, r)
-        for _ in range(config.p):
+        lift_of_power = wittvec.teichmuller(domain, presentation.normal(g ** p), r - 1, p=p)
+        power_of_lift = wittvec.witt_one(domain, p, r)
+        for _ in range(p):
             power_of_lift = wittvec.witt_mul(power_of_lift, lift)
-        truncated_power = wittvec.WittVector(config.p, r - 1, domain, power_of_lift.coords[: r - 1])
+        truncated_power = wittvec.WittVector(p, r - 1, domain, power_of_lift.coords[: r - 1])
         ok = f_of_lift == lift_of_power == truncated_power
         _emit(
-            config,
+            args,
             [f"F([g]) == [g^p] == [g]^p: {str(ok).lower()}"],
             {"holds": ok, "g": g.to_json()},
         )
         return EXIT_OK if ok else EXIT_VERIFY
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(op)
-    lines, doc = _render_witt(result, config)
-    _emit(config, lines, doc)
+    lines, doc = _render_witt(result)
+    _emit(args, lines, doc)
     return EXIT_OK
 
 
@@ -224,14 +204,12 @@ def cmd_witt(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    config = _config(args)
     if args.verify:
-        with open(args.verify, "r", encoding="utf-8") as fh:
-            cert = vanish.VanishingCertificate.from_json(json.load(fh))
+        cert = vanish.VanishingCertificate.from_json(_read_json(args.verify))
         ok = vanish.verify_certificate(cert)
-        _emit(config, [f"verified: {str(ok).lower()}"], {"verified": ok})
+        _emit(args, [f"verified: {str(ok).lower()}"], {"verified": ok})
         return EXIT_OK if ok else EXIT_VERIFY
-    presentation = _load_ring(args, config)
+    presentation = _load_ring(args)
     cert = vanish.certify_top_vanishing(presentation)
     ok = vanish.verify_certificate(cert)
     doc = cert.to_json()
@@ -242,18 +220,17 @@ def cmd_certify(args: argparse.Namespace) -> int:
         lines.append(f"  {label}: {s.before.to_text()} -> {s.after.to_text()}")
     lines.append(f"terminal: {cert.terminal}")
     lines.append(f"verified: {str(ok).lower()}")
-    _emit(config, lines, doc)
+    _emit(args, lines, doc)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
-    config = _config(args)
-    presentation = _load_ring(args, config)
+    presentation = _load_ring(args)
     state = vanish.closure_state(presentation.ideal)
     lines = ["closure basis:"] + ["  " + t for t in _ideal_lines(state.ideal)]
     lines.append(f"generations: {state.generations}")
     _emit(
-        config,
+        args,
         lines,
         {
             "basis": [g.to_json() for g in state.ideal.basis or ()],
@@ -265,15 +242,14 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_kernel(args: argparse.Namespace) -> int:
-    config = _config(args)
-    presentation = _load_ring(args, config)
+    presentation = _load_ring(args)
     elements = [
         presentation.normal(parse_polynomial(chunk.strip(), presentation.ring))
         for chunk in args.elements.split(",")
     ]
     kernel = vanish.kernel_of_tuple(presentation, elements)
     _emit(
-        config,
+        args,
         ["kernel basis:"] + ["  " + t for t in _ideal_lines(kernel)],
         {"vars": list(kernel.ring.names), "basis": [g.to_json() for g in kernel.basis or ()]},
     )
@@ -281,16 +257,14 @@ def cmd_kernel(args: argparse.Namespace) -> int:
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
-    config = _config(args)
-    presentation = _load_ring(args, config)
+    presentation = _load_ring(args)
     bound = vanish.vanishing_degree_bound(presentation)
-    _emit(config, [str(bound)], {"dimension": bound})
+    _emit(args, [str(bound)], {"dimension": bound})
     return EXIT_OK
 
 
 def cmd_omega_top(args: argparse.Namespace) -> int:
-    config = _config(args)
-    presentation = _load_ring(args, config)
+    presentation = _load_ring(args)
     top = top_form_presentation(presentation)
     lines = ["top-form presentation ideal:"] + ["  " + t for t in _ideal_lines(top.jacobian_ideal)]
     doc = {"jacobian_basis": [g.to_json() for g in top.jacobian_ideal.basis or ()]}
@@ -299,30 +273,31 @@ def cmd_omega_top(args: argparse.Namespace) -> int:
         vanishes = top_form_is_zero_in_omega(c, top)
         lines.append(f"coefficient kills the top form: {str(vanishes).lower()}")
         doc["coefficient_vanishes"] = vanishes
-    _emit(config, lines, doc)
+    _emit(args, lines, doc)
     return EXIT_OK
 
 
 # -- dieudonne models ---------------------------------------------------------
 
 
-def _load_model(args: argparse.Namespace, config: SessionConfig) -> dieudonne.DieudonneModel:
+def _load_model(args: argparse.Namespace) -> dieudonne.DieudonneModel:
+    if args.coeff_exp < 1:
+        raise ValueError("coefficient exponent must be >= 1")
     if args.model_file:
-        return dieudonne.model_from_json_file(args.model_file)
+        return dieudonne.DieudonneModel.from_json(_read_json(args.model_file))
     name = args.model or "a1"
-    exponent = max(config.coeff_exp, 2)
+    exponent = max(args.coeff_exp, 2)
     if name == "a1":
-        return dieudonne.a1_model(config.p, args.wmax, exponent, depth=args.vdepth)
+        return dieudonne.a1_model(args.p, args.wmax, exponent, depth=args.vdepth)
     if name == "trivial":
-        return dieudonne.trivial_model(config.p, exponent)
+        return dieudonne.trivial_model(args.p, exponent)
     if name == "zero":
-        return dieudonne.zero_model(config.p, exponent)
+        return dieudonne.zero_model(args.p, exponent)
     raise PolyParseError(f"unknown model {name!r}", 0)
 
 
 def cmd_dieudonne_check(args: argparse.Namespace) -> int:
-    config = _config(args)
-    model = _load_model(args, config)
+    model = _load_model(args)
     reports = [dieudonne.check_axioms(model), dieudonne.saturation_witness(model)]
     for r in range(1, args.r + 1):
         reports.append(dieudonne.f_cancellation_check(model, r))
@@ -337,7 +312,7 @@ def cmd_dieudonne_check(args: argparse.Namespace) -> int:
     lines = [r.summary() for r in reports]
     passed = all(r.passed for r in reports)
     lines.append(f"overall: {'pass' if passed else 'FAIL'}")
-    _emit(config, lines, {"reports": [r.to_json() for r in reports], "passed": passed})
+    _emit(args, lines, {"reports": [r.to_json() for r in reports], "passed": passed})
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -359,12 +334,11 @@ def _random_nonzero_ideal(rng: random.Random, ring: PolyRing) -> Ideal:
 
 
 def cmd_battery(args: argparse.Namespace) -> int:
-    config = _config(args)
-    rng = random.Random(config.seed)
-    print(f"battery seed={config.seed} p={config.p}")
+    rng = random.Random(args.seed)
+    print(f"battery seed={args.seed} p={args.p}")
     for name in sorted(PRESETS):
         names, gen_texts = PRESETS[name]
-        ring = PolyRing(config.p, names)
+        ring = PolyRing(args.p, names)
         presentation = PresentedRing.make(ring, [parse_polynomial(t, ring) for t in gen_texts])
         bound = vanish.vanishing_degree_bound(presentation)
         print(f"[{name}] degree bound: {bound}")
@@ -380,7 +354,7 @@ def cmd_battery(args: argparse.Namespace) -> int:
             print(f"[{name}] closure: {'(1)' if closure.contains_one() else 'proper'}")
         else:
             print(f"[{name}] certificate: inapplicable (zero ideal)")
-    ring = PolyRing(config.p, ("x", "y"))
+    ring = PolyRing(args.p, ("x", "y"))
     for i in range(4):
         ideal = _random_nonzero_ideal(rng, ring)
         presentation = PresentedRing.make(ring, ideal.generators)
@@ -415,8 +389,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wittcert", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    witt = sub.add_parser("witt", help="truncated Witt vector arithmetic")
-    _common_flags(witt)
+    def command(name: str, help: str, ring: bool = False) -> argparse.ArgumentParser:
+        """A subcommand with --p and --format, and the presentation flags
+        --order, --preset and --ring when it works on a ring."""
+        cmd = sub.add_parser(name, help=help)
+        cmd.add_argument("--p", type=int, default=5, help="prime characteristic (default 5)")
+        cmd.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
+        if ring:
+            cmd.add_argument("--order", choices=["lex", "grevlex"], default="grevlex")
+            cmd.add_argument("--preset", choices=sorted(PRESETS), help="built-in presentation")
+            cmd.add_argument("--ring", help="presentation JSON, or '-' to read from stdin")
+        return cmd
+
+    witt = command("witt", "truncated Witt vector arithmetic", ring=True)
     witt.add_argument(
         "operation",
         choices=["add", "mul", "neg", "frobenius", "verschiebung", "teich", "ghost", "check-frobenius"],
@@ -427,26 +412,21 @@ def build_parser() -> argparse.ArgumentParser:
     witt.add_argument("--y", help="second operand")
     witt.add_argument("--g", help="ring element for teich / check-frobenius")
 
-    certify = sub.add_parser("certify", help="certify top-form vanishing")
-    _common_flags(certify)
+    certify = command("certify", "certify top-form vanishing", ring=True)
     certify.add_argument("--verify", help="verify an existing certificate JSON file")
 
-    closure = sub.add_parser("closure", help="differential p-closure of the ideal")
-    _common_flags(closure)
+    command("closure", "differential p-closure of the ideal", ring=True)
 
-    kernel = sub.add_parser("kernel", help="kernel of t_i -> g_i")
-    _common_flags(kernel)
+    kernel = command("kernel", "kernel of t_i -> g_i", ring=True)
     kernel.add_argument("--elements", required=True, help="comma-separated ring elements")
 
-    dim = sub.add_parser("dim", help="vanishing degree bound (Krull dimension)")
-    _common_flags(dim)
+    command("dim", "vanishing degree bound (Krull dimension)", ring=True)
 
-    omega = sub.add_parser("omega-top", help="top-form presentation ideal")
-    _common_flags(omega)
+    omega = command("omega-top", "top-form presentation ideal", ring=True)
     omega.add_argument("--coeff", help="test whether this coefficient kills the top form")
 
-    check = sub.add_parser("dieudonne-check", help="run the Dieudonne model checkers")
-    _common_flags(check)
+    check = command("dieudonne-check", "run the Dieudonne model checkers")
+    check.add_argument("--coeff-exp", type=int, default=1, help="coefficient exponent N")
     check.add_argument("--model", choices=["a1", "trivial", "zero"], help="built-in model")
     check.add_argument("--model-file", help="model JSON file")
     check.add_argument("--wmax", type=int, default=4)
@@ -454,8 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--r", type=int, default=1, help="levels to check (1..r)")
     check.add_argument("--rmax", type=int, default=2, help="propagation depth")
 
-    battery = sub.add_parser("battery", help="deterministic demonstration transcript")
-    _common_flags(battery)
+    battery = command("battery", "deterministic demonstration transcript")
+    battery.add_argument("--seed", type=int, default=0, help="seed for the random ideals")
 
     return parser
 
@@ -476,16 +456,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 2 <= args.p < 2 ** 16:
+            raise ValueError("p must satisfy 2 <= p < 2^16")
         return HANDLERS[args.command](args)
-    except (PolyParseError, json.JSONDecodeError) as exc:
+    except (PolyParseError, json.JSONDecodeError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except vanish.InapplicableError as exc:
         print(f"inapplicable: {exc}", file=sys.stderr)
         return EXIT_INAPPLICABLE
-    except FileNotFoundError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (vanish.InternalDefectError, vanish.ClosureBudgetError) as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return EXIT_DEFECT

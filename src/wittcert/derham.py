@@ -15,15 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .polyring import (
-    FieldModeError,
-    Ideal,
-    Polynomial,
-    PolyRing,
-    TermOrder,
-    buchberger,
-    normal_form,
-)
+from .polyring import Ideal, Polynomial, PolyRing, TermOrder, buchberger, normal_form
 
 
 @dataclass(frozen=True)
@@ -34,8 +26,6 @@ class PresentedRing:
     ideal: Ideal
 
     def __post_init__(self) -> None:
-        if not self.ring.field_mode:
-            raise FieldModeError("presented rings require field-mode coefficients")
         if self.ideal.basis is None:
             raise ValueError("presentation ideal must carry a Groebner cache")
 

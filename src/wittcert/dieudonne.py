@@ -16,7 +16,6 @@ a truncated model must never report a spurious failure.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -274,7 +273,11 @@ class DieudonneModel:
     def op_matrix(self, op: str, degree: int, weight: Fraction,
                   modulus: Optional[Modulus] = None) -> Optional[ModularMatrix]:
         """Matrix of an operator on the (degree, weight) block, or None if
-        the operator is undefined somewhere on the block."""
+        the operator is undefined somewhere on the block.
+
+        The public entry by `Fraction` weight: `bench/tracing.py` and the
+        tests resolve it by name.  Library code calls `_matrix` on a weight
+        key directly."""
         scaled = Fraction(weight) * self._scale
         if scaled.denominator == 1:
             return self._matrix(op, degree, scaled.numerator, modulus)
@@ -1040,7 +1043,3 @@ def _reduction_kernel(model: DieudonneModel, degree: int, key: int, r: int) -> S
 
     return _memoized(model, ("reduction_kernel", degree, key, r), degree, r + 1, build)
 
-
-def model_from_json_file(path: str) -> DieudonneModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return DieudonneModel.from_json(json.load(fh))

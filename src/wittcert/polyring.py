@@ -1,11 +1,9 @@
-"""Sparse multivariate polynomials over F_p (and Z/p^N for Witt plumbing).
+"""Sparse multivariate polynomials over F_p.
 
 Polynomials are dictionaries from exponent tuples to nonzero residues.
 The term-dict kernel (`terms_add`, `terms_mul`, `terms_scale`,
 `terms_pow`) works on such dictionaries with plain integer coefficients;
 `Polynomial` arithmetic and the universal Witt tables both run on it.
-Groebner machinery (division, Buchberger, elimination, dimension) is
-restricted to field mode (N = 1); plain ring arithmetic works for any N.
 
 No Groebner step rescans a polynomial to find its leading term:
 
@@ -31,17 +29,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import add, le, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .modarith import is_prime
-
-
-class FieldModeError(ValueError):
-    """Raised when a Groebner-only operation is asked for over Z/p^N, N > 1."""
 
 
 class PolyParseError(ValueError):
@@ -52,31 +45,20 @@ class PolyParseError(ValueError):
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Descriptor of F_p[x_1..x_n] (or Z/p^N coefficients when exponent > 1)."""
+    """Descriptor of F_p[x_1..x_n]."""
 
     p: int
     names: tuple[str, ...]
-    exponent: int = 1
 
     def __post_init__(self) -> None:
         if not (2 <= self.p < 2 ** 16 and is_prime(self.p)):
             raise ValueError(f"characteristic must be a prime in [2, 2^16), got {self.p}")
-        if self.exponent < 1:
-            raise ValueError("coefficient exponent must be >= 1")
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be distinct")
 
     @property
     def nvars(self) -> int:
         return len(self.names)
-
-    @cached_property
-    def char(self) -> int:
-        return self.p ** self.exponent
-
-    @property
-    def field_mode(self) -> bool:
-        return self.exponent == 1
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -222,12 +204,12 @@ class Polynomial:
     def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], int]):
         self.ring = ring
         self._lead = None
-        q = ring.char
+        p = ring.p
         clean: dict[tuple[int, ...], int] = {}
         for exp, c in terms.items():
             if len(exp) != ring.nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent tuple {exp}")
-            c %= q
+            c %= p
             if c:
                 clean[exp] = c
         self.terms = clean
@@ -236,12 +218,12 @@ class Polynomial:
     def _trusted(cls, ring: PolyRing, terms: Mapping[tuple[int, ...], int]) -> "Polynomial":
         """A polynomial from kernel output, whose exponent tuples are valid
         for `ring` by construction: they are not checked again, but the
-        coefficients are still reduced mod p^N and zeros dropped."""
+        coefficients are still reduced mod p and zeros dropped."""
         poly = cls.__new__(cls)
         poly.ring = ring
         poly._lead = None
-        q = ring.char
-        poly.terms = {e: v for e, c in terms.items() if (v := c % q)}
+        p = ring.p
+        poly.terms = {e: v for e, c in terms.items() if (v := c % p)}
         return poly
 
     # -- queries ---------------------------------------------------------
@@ -371,8 +353,6 @@ class Polynomial:
 
         Coefficients are fixed points of x -> x^p over F_p.
         """
-        if not self.ring.field_mode:
-            raise FieldModeError("p-th roots require field mode")
         p = self.ring.p
         out = {}
         for exp, c in self.terms.items():
@@ -383,8 +363,6 @@ class Polynomial:
 
     def frobenius_power(self) -> "Polynomial":
         """self^p computed termwise (freshman's dream in characteristic p)."""
-        if not self.ring.field_mode:
-            return self ** self.ring.p
         p = self.ring.p
         return Polynomial._trusted(self.ring, {tuple(e * p for e in exp): c for exp, c in self.terms.items()})
 
@@ -409,22 +387,18 @@ class Polynomial:
 
     def to_json(self, order: Optional[TermOrder] = None) -> dict:
         order = order or TermOrder.grevlex(self.ring.nvars)
-        doc = {
+        return {
             "vars": list(self.ring.names),
             "p": self.ring.p,
             "terms": [{"exp": list(e), "coef": c} for e, c in self.sorted_terms(order)],
         }
-        if self.ring.exponent != 1:
-            doc["N"] = self.ring.exponent
-        return doc
 
     def __repr__(self) -> str:
         return self.to_text()
 
 
-def poly_from_json(doc: Mapping, ring: Optional[PolyRing] = None) -> Polynomial:
-    if ring is None:
-        ring = PolyRing(int(doc["p"]), tuple(doc["vars"]), int(doc.get("N", 1)))
+def poly_from_json(doc: Mapping, ring: PolyRing) -> Polynomial:
+    """The polynomial of `doc["terms"]` in `ring`; "vars" and "p" are not read."""
     terms = {}
     for t in doc["terms"]:
         exp = tuple(int(e) for e in t["exp"])
@@ -575,14 +549,9 @@ def _reduce_terms(work: dict, reducers: Sequence[tuple], order: TermOrder, p: in
 
 def _reduce(f: Polynomial, basis: Sequence[Polynomial], order: TermOrder) -> Polynomial:
     """Remainder of multivariate division of f by the basis (full reduction)."""
-    p = f.ring.char
+    p = f.ring.p
     reducers = [_reducer(g, order, p) for g in basis]
     return Polynomial._trusted(f.ring, _reduce_terms(dict(f.terms), reducers, order, p))
-
-
-def _require_field(ring: PolyRing) -> None:
-    if not ring.field_mode:
-        raise FieldModeError("Groebner operations require coefficient exponent N = 1")
 
 
 @dataclass(frozen=True)
@@ -624,7 +593,6 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None) -> Ideal:
     the generators reproduces the identical cache.
     """
     ring = ideal.ring
-    _require_field(ring)
     order = order or TermOrder.grevlex(ring.nvars)
     if ideal.basis is not None and ideal.basis_order == order:
         return ideal
@@ -721,13 +689,10 @@ def _verify_cache(ideal: Ideal) -> None:
             raise AssertionError("empty basis for a nonzero ideal")
 
 
-def normal_form(f: Polynomial, ideal: Ideal, order: Optional[TermOrder] = None) -> Polynomial:
+def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
     """Unique remainder of f modulo the cached reduced basis; 0 iff f is a member."""
-    _require_field(f.ring)
     if ideal.basis is None:
         raise ValueError("Groebner cache required; call buchberger first")
-    if order is not None and ideal.basis_order != order:
-        raise ValueError("cache was computed under a different order")
     if not ideal.basis:
         return f
     return _reduce(f, ideal.basis, ideal.basis_order)
@@ -736,7 +701,6 @@ def normal_form(f: Polynomial, ideal: Ideal, order: Optional[TermOrder] = None) 
 def eliminate(ideal: Ideal, keep: Iterable[int]) -> Ideal:
     """I ∩ k[keep] via a block elimination order (eliminated block first)."""
     ring = ideal.ring
-    _require_field(ring)
     keep_set = frozenset(keep)
     drop = [i for i in range(ring.nvars) if i not in keep_set]
     order = TermOrder.elimination(drop, ring.nvars)
@@ -754,7 +718,6 @@ def graph_kernel(ideal: Ideal, images: Sequence[Polynomial], target: PolyRing) -
     only made distinct; term orders use indices, so they change nothing.
     """
     ring = ideal.ring
-    _require_field(ring)
     n = ring.nvars
     taken = set(ring.names)
     tnames = []
@@ -792,7 +755,6 @@ def krull_dim(ideal: Ideal) -> int:
     """Krull dimension of k[x]/I: the largest variable set independent
     modulo the leading-term ideal of a Groebner basis.  Unit ideal: -1."""
     ring = ideal.ring
-    _require_field(ring)
     gb = buchberger(ideal)
     if gb.contains_one():
         return -1

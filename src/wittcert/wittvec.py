@@ -453,7 +453,10 @@ def frobenius_coordinatewise(x: WittVector) -> WittVector:
 
 
 def verschiebung(x: WittVector) -> WittVector:
-    """V: W_r -> W_{r+1}, prepend a zero coordinate."""
+    """V: W_r -> W_{r+1}, prepend a zero coordinate.  It computes nothing,
+    so its level is not capped, but like every op it needs a prime p."""
+    if not is_prime(x.p):
+        raise ValueError(f"{x.p} is not prime")
     return WittVector(x.p, x.level + 1, x.domain, (x.domain.zero(),) + x.coords)
 
 

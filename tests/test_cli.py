@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -444,3 +447,128 @@ def test_oversized_model_flags_exit_two_at_once(flags, capsys):
     assert main(["dieudonne-check", *flags]) == 2
     assert time.perf_counter() - start < 1.0
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+# -- per-subcommand flags -------------------------------------------------------
+
+# a valid invocation of each subcommand, and the flags it does not take
+SUBCOMMANDS = {
+    "witt": (["witt", "add", "--x", "1", "--y", "1"], ["--coeff-exp", "--seed"]),
+    "certify": (["certify", "--preset", "cusp"], ["--coeff-exp", "--seed"]),
+    "closure": (["closure", "--preset", "cusp"], ["--coeff-exp", "--seed"]),
+    "kernel": (["kernel", "--preset", "cusp", "--elements", "x"], ["--coeff-exp", "--seed"]),
+    "dim": (["dim", "--preset", "cusp"], ["--coeff-exp", "--seed"]),
+    "omega-top": (["omega-top", "--preset", "cusp"], ["--coeff-exp", "--seed"]),
+    "dieudonne-check": (["dieudonne-check", "--model", "trivial"], ["--order", "--preset", "--ring", "--seed"]),
+    "battery": (["battery"], ["--order", "--preset", "--ring", "--coeff-exp"]),
+}
+FLAG_VALUES = {"--order": "lex", "--preset": "cusp", "--ring": "{}", "--coeff-exp": "3", "--seed": "1"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, (_, refused) in SUBCOMMANDS.items() for flag in refused
+])
+def test_a_flag_the_subcommand_does_not_read_exits_two(command, flag, capsys):
+    argv, _ = SUBCOMMANDS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, FLAG_VALUES[flag]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_a_prime_out_of_range_exits_two(command, capsys):
+    argv, _ = SUBCOMMANDS[command]
+    assert main([*argv, "--p", "1"]) == 2
+    assert capsys.readouterr() == ("", "invalid input: p must satisfy 2 <= p < 2^16\n")
+
+
+def test_a_coefficient_exponent_below_one_exits_two(capsys):
+    assert main(["dieudonne-check", "--model", "trivial", "--coeff-exp", "0"]) == 2
+    assert capsys.readouterr() == ("", "invalid input: coefficient exponent must be >= 1\n")
+
+
+# -- unreadable and undecodable inputs -------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [["certify", "--verify"], ["dieudonne-check", "--model-file"]])
+def test_a_directory_as_input_file_exits_two(argv, tmp_path, capsys):
+    assert main([*argv, str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: [Errno 21] Is a directory")
+
+
+@pytest.mark.parametrize("argv", [
+    ["dim", "--ring", "-"],
+    ["certify", "--verify", "deep.json"],
+    ["dieudonne-check", "--model-file", "deep.json"],
+])
+def test_json_nested_too_deep_exits_two(argv, tmp_path, monkeypatch, capsys):
+    deep = "[" * 100_000
+    (tmp_path / "deep.json").write_text(deep)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "parse error: document nested too deeply: line 1 column 1 (char 0)\n"
+    )
+
+
+def test_a_recursion_error_in_the_library_is_not_a_parse_error(monkeypatch):
+    from wittcert import vanish
+
+    def recurse(presentation):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(vanish, "certify_top_vanishing", recurse)
+    with pytest.raises(RecursionError):
+        main(["certify", "--preset", "cusp"])
+
+
+def test_witt_verschiebung_rejects_a_p_that_is_not_prime(capsys):
+    assert main(["witt", "verschiebung", "--integer", "--p", "4", "--x", "1"]) == 2
+    assert capsys.readouterr() == ("", "invalid input: 4 is not prime\n")
+    # the level is not capped: V computes nothing
+    assert main(["witt", "verschiebung", "--integer", "--p", "5", "--x", ";".join("1" * 40)]) == 0
+    assert capsys.readouterr().out == "(" + ", ".join(["0"] + ["1"] * 40) + ")\n"
+
+
+# -- README ------------------------------------------------------------------------
+
+
+def _readme_cli_examples():
+    """(argv, file that `>` sends stdout to, documented result) for every
+    `wittcert` line of README's CLI section.  A trailing `# -> X` documents
+    the stdout and `# exits N` the exit code; any other line exits 0."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    for line in section.replace("\\\n", " ").splitlines():
+        line = line.strip()
+        if not line.startswith("wittcert "):
+            continue
+        argv = shlex.split(line, comments=True)[1:]
+        target = None
+        if ">" in argv:
+            target = argv[argv.index(">") + 1]
+            argv = argv[: argv.index(">")]
+        documented = re.search(r"#\s*(->|exits)\s+(.+?)\s*$", line)
+        yield argv, target, documented.groups() if documented else None
+
+
+def test_readme_cli_examples_run_as_documented(tmp_path, monkeypatch, capsys):
+    (tmp_path / "tests" / "data").mkdir(parents=True)
+    shutil.copy(ROOT / "tests/data/nonsaturated_model.json", tmp_path / "tests" / "data")
+    monkeypatch.chdir(tmp_path)
+    examples = list(_readme_cli_examples())
+    assert len(examples) == 13
+    for argv, target, documented in examples:
+        code = main(argv)
+        out = capsys.readouterr().out
+        if target:
+            (tmp_path / target).write_text(out)
+        if documented and documented[0] == "exits":
+            assert code == int(documented[1]), argv
+        else:
+            assert code == 0, argv
+        if documented and documented[0] == "->":
+            assert out.strip() == documented[1], argv
+    # the certificate written by one example is the one the next verifies
+    assert json.loads((tmp_path / "cert.json").read_text())["verified"] is True

@@ -12,7 +12,7 @@ from wittcert.derham import (
     top_form_presentation,
     wedge,
 )
-from wittcert.polyring import FieldModeError, PolyRing, Polynomial, parse_polynomial
+from wittcert.polyring import PolyRing, Polynomial, parse_polynomial
 
 
 def presented(p, names, gens):
@@ -168,12 +168,6 @@ def test_form_validation():
         wedge(a, b)
     with pytest.raises(ValueError):
         a + b
-
-
-def test_presented_ring_requires_field_mode():
-    heavy = PolyRing(5, ("x",), exponent=2)
-    with pytest.raises(FieldModeError):
-        PresentedRing.make(heavy, [])
 
 
 def test_form_json_shape():
