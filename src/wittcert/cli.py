@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success / certified, 1 internal defect, 2 parse error,
-3 theorem-inapplicable input, 4 failed verification or failed model check.
-Given the same flags (including --seed) the output is byte-identical
-across runs: nothing here consults time, environment, or hash order.
+3 theorem-inapplicable input, 4 failed verification or failed model check,
+141 stdout closed by its reader.  Given the same flags (including --seed)
+the output is byte-identical across runs: nothing here consults time,
+environment, or hash order.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
+from pathlib import Path
 
 from . import dieudonne, vanish, wittvec
 from .derham import PresentedRing, top_form_is_zero_in_omega, top_form_presentation
@@ -23,12 +26,17 @@ EXIT_DEFECT = 1
 EXIT_PARSE = 2
 EXIT_INAPPLICABLE = 3
 EXIT_VERIFY = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that signal ended
 
 PRESETS = {
     "cusp": (("x", "y"), ["y^2 - x^3"]),
     "node": (("x", "y"), ["x*y"]),
     "plane": (("x", "y"), []),
 }
+
+
+class UnreadableInputError(Exception):
+    """An input file, or stdin, that could not be opened or read."""
 
 
 def _decode_json(text: str):
@@ -40,9 +48,13 @@ def _decode_json(text: str):
         raise json.JSONDecodeError("document nested too deeply", text, 0) from None
 
 
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return _decode_json(fh.read())
+def _read_json(path: str | None):
+    """The JSON document in the file `path`, or on stdin when `path` is None."""
+    try:
+        text = sys.stdin.read() if path is None else Path(path).read_text(encoding="utf-8")
+    except OSError as exc:  # only here is an OSError a bad input; a failed write is not
+        raise UnreadableInputError(exc) from exc
+    return _decode_json(text)
 
 
 def _term_order(args: argparse.Namespace, nvars: int) -> TermOrder:
@@ -50,19 +62,15 @@ def _term_order(args: argparse.Namespace, nvars: int) -> TermOrder:
 
 
 def _load_ring(args: argparse.Namespace) -> PresentedRing:
-    if args.ring:
-        text = sys.stdin.read() if args.ring == "-" else args.ring
-        base = PresentedRing.from_json(_decode_json(text))
-        return PresentedRing.make(
-            base.ring, base.ideal.generators, _term_order(args, base.ring.nvars)
-        )
     if args.preset:
         names, gens = PRESETS[args.preset]
         ring = PolyRing(args.p, names)
         return PresentedRing.make(
             ring, [parse_polynomial(g, ring) for g in gens], _term_order(args, ring.nvars)
         )
-    raise PolyParseError("no presentation given (use --ring or --preset)", 0)
+    doc = _read_json(None) if args.ring == "-" else _decode_json(args.ring)
+    base = PresentedRing.from_json(doc)
+    return PresentedRing.make(base.ring, base.ideal.generators, _term_order(args, base.ring.nvars))
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], json_doc) -> None:
@@ -83,36 +91,30 @@ def _ideal_lines(ideal: Ideal) -> list[str]:
 
 
 def _witt_domain(args: argparse.Namespace):
-    if args.integer:
+    if getattr(args, "integer", False):
         return wittvec.IntegerCoefficients()
-    if args.ring or args.preset:
+    if args.preset or args.ring is not None:
         presentation = _load_ring(args)
     else:
         presentation = PresentedRing.make(PolyRing(args.p, ()), [])
     return wittvec.PresentedCoefficients(presentation)
 
 
-def _parse_witt_operand(text, domain, p: int) -> wittvec.WittVector:
-    if not text:
-        raise PolyParseError("missing Witt operand (use --x / --y)", 0)
-    coords = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if isinstance(domain, wittvec.IntegerCoefficients):
-            coords.append(int(chunk))
-        else:
-            ring = domain.presentation.ring
-            coords.append(domain.presentation.normal(parse_polynomial(chunk, ring)))
+def _witt_operand(flag: str, value, domain, p: int):
+    """--x or --y as a Witt vector (coordinates separated by ';'), --g in W_1 = R."""
+    if flag == "level":
+        return value
+    chunks = [value] if flag == "g" else [c.strip() for c in value.split(";")]
+    if isinstance(domain, wittvec.IntegerCoefficients):
+        return wittvec.witt_vector(domain, p, [int(c) for c in chunks])
+    presentation = domain.presentation
+    coords = [presentation.normal(parse_polynomial(c, presentation.ring)) for c in chunks]
     return wittvec.witt_vector(domain, p, coords)
 
 
-def _render_witt(x: wittvec.WittVector) -> tuple[list[str], dict]:
-    doc = wittvec.witt_to_json(x)
-    if isinstance(x.domain, wittvec.IntegerCoefficients):
-        line = "(" + ", ".join(str(c) for c in x.coords) + ")"
-    else:
-        line = "(" + ", ".join(c.to_text() for c in x.coords) + ")"
-    return [line], doc
+def _render_witt(x: wittvec.WittVector) -> tuple[list[str], dict, bool]:
+    # str of an integer coordinate, or of a polynomial (its to_text())
+    return ["(" + ", ".join(str(c) for c in x.coords) + ")"], wittvec.witt_to_json(x), True
 
 
 def _check_ghost_digits(x: wittvec.WittVector) -> None:
@@ -139,72 +141,64 @@ def _check_ghost_digits(x: wittvec.WittVector) -> None:
             )
 
 
+def _ghost(x: wittvec.WittVector):
+    wittvec._check_caps(x.p, x.level)  # x_0^(p^(r-1)) grows without bound in r
+    _check_ghost_digits(x)
+    values = wittvec.ghost(x)
+    return ["(" + ", ".join(str(v) for v in values) + ")"], {"ghost": list(values)}, True
+
+
+def _teich(g: wittvec.WittVector, level: int) -> wittvec.WittVector:
+    """The Teichmueller lift to W_level of g, given in W_1 = R."""
+    wittvec._check_caps(g.p, level)  # before the level-long tuple is built
+    return wittvec.teichmuller(g.domain, g.coords[0], level, p=g.p)
+
+
+def _check_frobenius(g1: wittvec.WittVector, r: int):
+    """F([g]) == [g^p] == [g]^p in W_(r-1) of an F_p-algebra."""
+    domain, p, g = g1.domain, g1.p, g1.coords[0]
+    wittvec._check_caps(p, r)
+    lift = wittvec.teichmuller(domain, g, r, p=p)
+    f_of_lift = wittvec.frobenius(lift)
+    lift_of_power = wittvec.teichmuller(domain, domain.presentation.normal(g ** p), r - 1, p=p)
+    power_of_lift = wittvec.witt_one(domain, p, r)
+    for _ in range(p):
+        power_of_lift = wittvec.witt_mul(power_of_lift, lift)
+    truncated_power = wittvec.WittVector(p, r - 1, domain, power_of_lift.coords[: r - 1])
+    ok = f_of_lift == lift_of_power == truncated_power
+    return [f"F([g]) == [g^p] == [g]^p: {str(ok).lower()}"], {"holds": ok, "g": g.to_json()}, ok
+
+
+# operation -> (its operand flags, the call on the parsed operands).  A call
+# returns a Witt vector, or text lines, a JSON document and whether it passed.
+WITT_OPERATIONS = {
+    "add": (("x", "y"), wittvec.witt_add),
+    "mul": (("x", "y"), wittvec.witt_mul),
+    "neg": (("x",), wittvec.witt_neg),
+    "frobenius": (("x",), wittvec.frobenius),
+    "verschiebung": (("x",), wittvec.verschiebung),
+    "ghost": (("x",), _ghost),
+    "teich": (("g", "level"), _teich),
+    "check-frobenius": (("g", "level"), _check_frobenius),
+}
+
+
 def cmd_witt(args: argparse.Namespace) -> int:
     domain = _witt_domain(args)
     # A --ring presentation carries its own prime, which wins over --p.
     p = domain.characteristic if domain.char_p else args.p
-    op = args.operation
-    if op in ("add", "mul"):
-        x = _parse_witt_operand(args.x, domain, p)
-        y = _parse_witt_operand(args.y, domain, p)
-        result = wittvec.witt_add(x, y) if op == "add" else wittvec.witt_mul(x, y)
-    elif op == "neg":
-        result = wittvec.witt_neg(_parse_witt_operand(args.x, domain, p))
-    elif op == "frobenius":
-        result = wittvec.frobenius(_parse_witt_operand(args.x, domain, p))
-    elif op == "verschiebung":
-        result = wittvec.verschiebung(_parse_witt_operand(args.x, domain, p))
-    elif op == "teich":
-        wittvec._check_caps(p, args.level)  # before the level-long tuple is built
-        if not args.g:
-            raise PolyParseError("teich needs --g", 0)
-        if isinstance(domain, wittvec.IntegerCoefficients):
-            g = int(args.g)
-        else:
-            g = domain.presentation.normal(parse_polynomial(args.g, domain.presentation.ring))
-        result = wittvec.teichmuller(domain, g, args.level, p=p)
-    elif op == "ghost":
-        x = _parse_witt_operand(args.x, domain, p)
-        wittvec._check_caps(x.p, x.level)  # x_0^(p^(r-1)) grows without bound in r
-        _check_ghost_digits(x)
-        values = wittvec.ghost(x)
-        _emit(args, ["(" + ", ".join(str(v) for v in values) + ")"], {"ghost": list(values)})
-        return EXIT_OK
-    elif op == "check-frobenius":
-        if isinstance(domain, wittvec.IntegerCoefficients):
-            raise PolyParseError("check-frobenius needs an F_p-algebra ring", 0)
-        if not args.g:
-            raise PolyParseError("check-frobenius needs --g", 0)
-        r = args.level
-        wittvec._check_caps(p, r)
-        presentation = domain.presentation
-        g = presentation.normal(parse_polynomial(args.g, presentation.ring))
-        lift = wittvec.teichmuller(domain, g, r, p=p)
-        f_of_lift = wittvec.frobenius(lift)
-        lift_of_power = wittvec.teichmuller(domain, presentation.normal(g ** p), r - 1, p=p)
-        power_of_lift = wittvec.witt_one(domain, p, r)
-        for _ in range(p):
-            power_of_lift = wittvec.witt_mul(power_of_lift, lift)
-        truncated_power = wittvec.WittVector(p, r - 1, domain, power_of_lift.coords[: r - 1])
-        ok = f_of_lift == lift_of_power == truncated_power
-        _emit(
-            args,
-            [f"F([g]) == [g^p] == [g]^p: {str(ok).lower()}"],
-            {"holds": ok, "g": g.to_json()},
-        )
-        return EXIT_OK if ok else EXIT_VERIFY
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(op)
-    lines, doc = _render_witt(result)
+    flags, call = WITT_OPERATIONS[args.operation]
+    result = call(*(_witt_operand(flag, getattr(args, flag), domain, p) for flag in flags))
+    lines, doc, ok = _render_witt(result) if isinstance(result, wittvec.WittVector) else result
     _emit(args, lines, doc)
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 # -- certified vanishing ------------------------------------------------------
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    if args.verify:
+    if args.verify is not None:
         cert = vanish.VanishingCertificate.from_json(_read_json(args.verify))
         ok = vanish.verify_certificate(cert)
         _emit(args, [f"verified: {str(ok).lower()}"], {"verified": ok})
@@ -283,17 +277,14 @@ def cmd_omega_top(args: argparse.Namespace) -> int:
 def _load_model(args: argparse.Namespace) -> dieudonne.DieudonneModel:
     if args.coeff_exp < 1:
         raise ValueError("coefficient exponent must be >= 1")
-    if args.model_file:
+    if args.model_file is not None:
         return dieudonne.DieudonneModel.from_json(_read_json(args.model_file))
-    name = args.model or "a1"
     exponent = max(args.coeff_exp, 2)
-    if name == "a1":
-        return dieudonne.a1_model(args.p, args.wmax, exponent, depth=args.vdepth)
-    if name == "trivial":
+    if args.model == "trivial":
         return dieudonne.trivial_model(args.p, exponent)
-    if name == "zero":
+    if args.model == "zero":
         return dieudonne.zero_model(args.p, exponent)
-    raise PolyParseError(f"unknown model {name!r}", 0)
+    return dieudonne.a1_model(args.p, args.wmax, exponent, depth=args.vdepth)
 
 
 def cmd_dieudonne_check(args: argparse.Namespace) -> int:
@@ -385,81 +376,88 @@ def cmd_battery(args: argparse.Namespace) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+# Flags that several commands share: input sources (at most one each) and witt operands.
+FLAGS = {
+    "--integer": {"action": "store_true", "help": "integer coefficients (ghost oracle mode)"},
+    "--preset": {"choices": sorted(PRESETS), "help": "built-in presentation"},
+    "--ring": {"help": "presentation JSON, or '-' to read from stdin"},
+    "--verify": {"help": "verify an existing certificate JSON file"},
+    "--model": {"choices": ["a1", "trivial", "zero"], "help": "built-in model (default a1)"},
+    "--model-file": {"help": "model JSON file"},
+    "--x": {"required": True, "help": "Witt vector, coordinates separated by ';'"},
+    "--y": {"required": True, "help": "second Witt vector"},
+    "--g": {"required": True, "help": "ring element to lift"},
+    "--level": {"type": int, "default": 2, "help": "truncation level r (default 2)"},
+}
+PRESENTATION = ("--preset", "--ring")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wittcert", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help: str, ring: bool = False) -> argparse.ArgumentParser:
-        """A subcommand with --p and --format, and the presentation flags
-        --order, --preset and --ring when it works on a ring."""
-        cmd = sub.add_parser(name, help=help)
+    def command(name, help, handler, sources=(), required=True, parent=commands):
+        """A subcommand with --p and --format and one of the input `sources`
+        (or none, unless `required`), with --order when --ring is a source."""
+        cmd = parent.add_parser(name, help=help)
+        cmd.set_defaults(handler=handler)
         cmd.add_argument("--p", type=int, default=5, help="prime characteristic (default 5)")
         cmd.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
-        if ring:
-            cmd.add_argument("--order", choices=["lex", "grevlex"], default="grevlex")
-            cmd.add_argument("--preset", choices=sorted(PRESETS), help="built-in presentation")
-            cmd.add_argument("--ring", help="presentation JSON, or '-' to read from stdin")
+        if "--ring" in sources:
+            cmd.add_argument("--order", choices=["lex", "grevlex"], help="default grevlex")
+        if sources:
+            group = cmd.add_mutually_exclusive_group(required=required)
+            for flag in sources:
+                group.add_argument(flag, **FLAGS[flag])
         return cmd
 
-    witt = command("witt", "truncated Witt vector arithmetic", ring=True)
-    witt.add_argument(
-        "operation",
-        choices=["add", "mul", "neg", "frobenius", "verschiebung", "teich", "ghost", "check-frobenius"],
-    )
-    witt.add_argument("--level", type=int, default=2, help="truncation level r")
-    witt.add_argument("--integer", action="store_true", help="integer-coefficient oracle mode")
-    witt.add_argument("--x", help="first operand, coordinates separated by ';'")
-    witt.add_argument("--y", help="second operand")
-    witt.add_argument("--g", help="ring element for teich / check-frobenius")
+    witt = commands.add_parser("witt", help="truncated Witt vector arithmetic")
+    operations = witt.add_subparsers(dest="operation", required=True)
+    for name, (operands, _) in WITT_OPERATIONS.items():
+        # ghost keeps the F_p-algebra domains: the library refuses them for it
+        domains = PRESENTATION if name == "check-frobenius" else ("--integer", *PRESENTATION)
+        op = command(name, None, cmd_witt, domains, required=False, parent=operations)
+        for flag in operands:
+            op.add_argument("--" + flag, **FLAGS["--" + flag])
 
-    certify = command("certify", "certify top-form vanishing", ring=True)
-    certify.add_argument("--verify", help="verify an existing certificate JSON file")
-
-    command("closure", "differential p-closure of the ideal", ring=True)
-
-    kernel = command("kernel", "kernel of t_i -> g_i", ring=True)
+    command("certify", "certify top-form vanishing, or verify a certificate", cmd_certify,
+            ("--verify", *PRESENTATION))
+    command("closure", "differential p-closure of the ideal", cmd_closure, PRESENTATION)
+    kernel = command("kernel", "kernel of t_i -> g_i", cmd_kernel, PRESENTATION)
     kernel.add_argument("--elements", required=True, help="comma-separated ring elements")
-
-    command("dim", "vanishing degree bound (Krull dimension)", ring=True)
-
-    omega = command("omega-top", "top-form presentation ideal", ring=True)
+    command("dim", "vanishing degree bound (Krull dimension)", cmd_dim, PRESENTATION)
+    omega = command("omega-top", "top-form presentation ideal", cmd_omega_top, PRESENTATION)
     omega.add_argument("--coeff", help="test whether this coefficient kills the top form")
 
-    check = command("dieudonne-check", "run the Dieudonne model checkers")
+    check = command("dieudonne-check", "run the Dieudonne model checkers", cmd_dieudonne_check,
+                    ("--model", "--model-file"), required=False)
     check.add_argument("--coeff-exp", type=int, default=1, help="coefficient exponent N")
-    check.add_argument("--model", choices=["a1", "trivial", "zero"], help="built-in model")
-    check.add_argument("--model-file", help="model JSON file")
     check.add_argument("--wmax", type=int, default=4)
     check.add_argument("--vdepth", type=int, default=None)
     check.add_argument("--r", type=int, default=1, help="levels to check (1..r)")
     check.add_argument("--rmax", type=int, default=2, help="propagation depth")
 
-    battery = command("battery", "deterministic demonstration transcript")
+    battery = command("battery", "deterministic demonstration transcript", cmd_battery)
     battery.add_argument("--seed", type=int, default=0, help="seed for the random ideals")
 
     return parser
 
 
-HANDLERS = {
-    "witt": cmd_witt,
-    "certify": cmd_certify,
-    "closure": cmd_closure,
-    "kernel": cmd_kernel,
-    "dim": cmd_dim,
-    "omega-top": cmd_omega_top,
-    "dieudonne-check": cmd_dieudonne_check,
-    "battery": cmd_battery,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "order", None) and args.preset is None and args.ring is None:
+        parser.error("argument --order: not allowed without argument --preset or --ring")
     try:
         if not 2 <= args.p < 2 ** 16:
             raise ValueError("p must satisfy 2 <= p < 2^16")
-        return HANDLERS[args.command](args)
-    except (PolyParseError, json.JSONDecodeError, OSError) as exc:
+        code = args.handler(args)
+        print(end="", flush=True)  # fail here, not at exit, if stdout is a closed pipe
+        return code
+    except BrokenPipeError:  # the reader closed stdout (the recipe in Python's SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit flushes quietly
+        return EXIT_BROKEN_PIPE
+    except (PolyParseError, json.JSONDecodeError, UnreadableInputError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except vanish.InapplicableError as exc:

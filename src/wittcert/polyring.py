@@ -385,8 +385,8 @@ class Polynomial:
             parts.append("*".join(factors))
         return " + ".join(parts)
 
-    def to_json(self, order: Optional[TermOrder] = None) -> dict:
-        order = order or TermOrder.grevlex(self.ring.nvars)
+    def to_json(self) -> dict:
+        order = TermOrder.grevlex(self.ring.nvars)
         return {
             "vars": list(self.ring.names),
             "p": self.ring.p,

@@ -226,7 +226,10 @@ class ClosureState:
     generations: int
 
 
-def closure_state(ideal: Ideal, max_generations: int = 64) -> ClosureState:
+MAX_CLOSURE_GENERATIONS = 64
+
+
+def closure_state(ideal: Ideal) -> ClosureState:
     """Least ideal containing I closed under partial derivatives and p-th roots.
 
     Starts from the grevlex basis `ideal` caches, if it has one; each
@@ -255,14 +258,14 @@ def closure_state(ideal: Ideal, max_generations: int = 64) -> ClosureState:
                 return ClosureState(current, True, generations)
         current = candidate
         generations += 1
-        if generations > max_generations:
+        if generations > MAX_CLOSURE_GENERATIONS:
             raise ClosureBudgetError(
-                f"differential p-closure exceeded {max_generations} generations"
+                f"differential p-closure exceeded {MAX_CLOSURE_GENERATIONS} generations"
             )
 
 
-def differential_p_closure(ideal: Ideal, max_generations: int = 64) -> Ideal:
-    return closure_state(ideal, max_generations).ideal
+def differential_p_closure(ideal: Ideal) -> Ideal:
+    return closure_state(ideal).ideal
 
 
 def kernel_of_tuple(presentation: PresentedRing, elements: Sequence[Polynomial]) -> Ideal:

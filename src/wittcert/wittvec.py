@@ -433,9 +433,7 @@ def frobenius(x: WittVector) -> WittVector:
     r - 1 coordinates over an F_p-algebra, [x0^p] + p * (x_1, ..., x_{r-1})
     over Z."""
     if x.level < 2:
-        raise ValueError(
-            "table Frobenius needs level >= 2; use frobenius_coordinatewise over an F_p-algebra"
-        )
+        raise ValueError("Frobenius maps W_r to W_(r-1), so it needs level >= 2")
     coords = _frobenius(x.coords, x.p, x.domain, _eta_of(x))
     return WittVector(x.p, x.level - 1, x.domain, coords)
 

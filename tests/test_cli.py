@@ -15,18 +15,19 @@ from pathlib import Path
 
 import pytest
 
-from wittcert.cli import main
+from wittcert.cli import WITT_OPERATIONS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def run_cli(*args, stdin_text=None):
+def run_cli(*args, stdin_text=None, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "wittcert", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         input=stdin_text,
         env=env,
@@ -98,10 +99,10 @@ def test_ring_from_stdin():
 
 
 def test_witt_subcommands():
-    add = run_cli("witt", "add", "--p", "2", "--level", "2", "--x", "1;0", "--y", "1;0")
+    add = run_cli("witt", "add", "--p", "2", "--x", "1;0", "--y", "1;0")
     assert add.returncode == 0
     assert add.stdout.strip() == "(0, 1)"
-    ghost = run_cli("witt", "ghost", "--integer", "--p", "2", "--level", "2", "--x", "0;1")
+    ghost = run_cli("witt", "ghost", "--integer", "--p", "2", "--x", "0;1")
     assert ghost.stdout.strip() == "(0, 2)"
     teich = run_cli(
         "witt", "teich", "--p", "2", "--level", "3", "--g", "x",
@@ -114,7 +115,7 @@ def test_witt_subcommands():
     )
     assert frob.returncode == 0
     assert "true" in frob.stdout
-    bad = run_cli("witt", "add", "--p", "2", "--level", "2", "--x", "1;~", "--y", "0;0")
+    bad = run_cli("witt", "add", "--p", "2", "--x", "1;~", "--y", "0;0")
     assert bad.returncode == 2
 
 
@@ -182,8 +183,8 @@ def _witt_integer_golden_commands():
         4: ("2;-1;0;3", "0;0;1;-2", "-1;3;-2;1"),
     }
     for p in (2, 3, 5):
-        for level, (a, b, c) in operands.items():
-            base = ["--integer", "--p", str(p), "--level", str(level)]
+        for a, b, c in operands.values():
+            base = ["--integer", "--p", str(p)]
             for op in ("add", "mul"):
                 for x, y in ((a, b), (b, c), (c, a), (c, c)):
                     yield ["witt", op, *base, f"--x={x}", f"--y={y}"]
@@ -210,8 +211,8 @@ def test_witt_integer_outputs_are_pinned():
 @pytest.mark.parametrize("args,message", [
     (["--p", "17", "--x", "1;2", "--y", "3;4"],
      "table for (p=17, r=2) exceeds the default caps (p <= 13, r <= 6)"),
-    # the level of add comes from the operands; --level alone does not set it
-    (["--level", "7", "--x", "1;2;3;4;0;1;2", "--y", "1;1;1;1;1;1;1"],
+    # the level of add comes from the operands
+    (["--x", "1;2;3;4;0;1;2", "--y", "1;1;1;1;1;1;1"],
      "table for (p=5, r=7) exceeds the default caps (p <= 13, r <= 6)"),
 ])
 def test_witt_add_beyond_the_caps_exits_two(args, message):
@@ -257,12 +258,9 @@ def test_witt_check_frobenius_refuses_a_huge_level_at_once(capsys):
 
 
 def test_witt_frobenius_at_level_one_exits_two():
-    result = run_cli("witt", "frobenius", "--level", "1", "--x", "3")
+    result = run_cli("witt", "frobenius", "--x", "3")
     assert result.returncode == 2
-    assert result.stderr == (
-        "invalid input: table Frobenius needs level >= 2; "
-        "use frobenius_coordinatewise over an F_p-algebra\n"
-    )
+    assert result.stderr == "invalid input: Frobenius maps W_r to W_(r-1), so it needs level >= 2\n"
 
 
 def test_dieudonne_check_passes_on_a1_and_fails_on_adversarial():
@@ -488,7 +486,107 @@ def test_a_coefficient_exponent_below_one_exits_two(capsys):
     assert capsys.readouterr() == ("", "invalid input: coefficient exponent must be >= 1\n")
 
 
-# -- unreadable and undecodable inputs -------------------------------------------
+# -- witt operations and input sources ---------------------------------------------
+
+
+def _readme_cli_section() -> str:
+    return (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _readme_witt_flags() -> dict:
+    """{operation: flags} from the "- `witt op`: `--flag`, ..." lines of
+    README's CLI section; each operation also takes WITT_COMMON_FLAGS."""
+    flags = {}
+    for line in _readme_cli_section().splitlines():
+        if line.startswith("- `witt "):
+            names, listed = line.split(":", 1)
+            for op in re.findall(r"`witt ([a-z-]+)`", names):
+                flags[op] = re.findall(r"`(--[a-z-]+)`", listed)
+    return flags
+
+
+WITT_COMMON_FLAGS = ["--p", "--format", "--order"]
+README_WITT_FLAGS = _readme_witt_flags()
+WITT_FLAGS = sorted({f for fs in README_WITT_FLAGS.values() for f in fs}.union(WITT_COMMON_FLAGS))
+WITT_FLAG_VALUES = {
+    "--p": ["3"], "--format": ["json"], "--order": ["lex"], "--integer": [],
+    "--preset": ["cusp"], "--ring": ["{}"], "--x": ["1"], "--y": ["1"], "--g": ["1"], "--level": ["3"],
+}
+
+
+def test_readme_lists_the_flags_of_every_witt_operation(capsys):
+    assert sorted(README_WITT_FLAGS) == sorted(WITT_OPERATIONS)
+    taken = sum(len(fs) + len(WITT_COMMON_FLAGS) for fs in README_WITT_FLAGS.values())
+    assert (len(README_WITT_FLAGS) * len(WITT_FLAGS), taken) == (80, 59)
+    for op, flags in README_WITT_FLAGS.items():
+        with pytest.raises(SystemExit):
+            main(["witt", op, "--help"])
+        usage = capsys.readouterr().out.split("\n\n", 1)[0]
+        assert set(re.findall(r"--[a-z-]+", usage)) == set(flags + WITT_COMMON_FLAGS), op
+
+
+@pytest.mark.parametrize("op,flag", [(op, f) for op in README_WITT_FLAGS for f in WITT_FLAGS])
+def test_a_witt_operation_takes_exactly_its_readme_flags(op, flag, capsys):
+    required = [a for f in ("--x", "--y", "--g") if f in README_WITT_FLAGS[op] and f != flag
+                for a in (f, "1")]
+    extra = [flag, *WITT_FLAG_VALUES[flag]]
+    argv = ["witt", op, *required, *extra]
+    if flag in README_WITT_FLAGS[op] + WITT_COMMON_FLAGS:
+        build_parser().parse_args(argv)
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+
+
+RING3 = '{"p":3,"vars":["x"],"generators":[]}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["witt", "add", "--integer", "--ring", RING3, "--x", "1", "--y", "1"],
+    ["witt", "teich", "--preset", "cusp", "--ring", RING3, "--g", "x"],
+    ["closure", "--preset", "cusp", "--ring", RING3],
+    ["certify", "--verify", "cert.json", "--preset", "node"],
+    ["dieudonne-check", "--model", "trivial", "--model-file", "model.json"],
+])
+def test_two_input_sources_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_order_needs_a_presentation(capsys):
+    for argv in (
+        ["witt", "add", "--integer", "--x", "1", "--y", "1"],
+        ["witt", "add", "--x", "1", "--y", "1"],
+        ["certify", "--verify", "cert.json"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--order", "lex"])
+        assert exc.value.code == 2
+        assert "argument --order: not allowed without argument --preset or --ring" in (
+            capsys.readouterr().err
+        )
+    assert main(["witt", "add", "--ring", RING3, "--order", "lex", "--x", "x", "--y", "1"]) == 0
+    assert main(["dim", "--preset", "cusp", "--order", "lex"]) == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["witt", "add", "--x", "1"], "the following arguments are required: --y"),
+    (["witt", "teich"], "the following arguments are required: --g"),
+    (["closure"], "one of the arguments --preset --ring is required"),
+    (["certify"], "one of the arguments --verify --preset --ring is required"),
+])
+def test_a_missing_operand_or_source_exits_two(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+# -- unreadable and undecodable inputs, closed outputs ------------------------------
 
 
 @pytest.mark.parametrize("argv", [["certify", "--verify"], ["dieudonne-check", "--model-file"]])
@@ -511,6 +609,17 @@ def test_json_nested_too_deep_exits_two(argv, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "parse error: document nested too deeply: line 1 column 1 (char 0)\n"
     )
+
+
+@pytest.mark.parametrize("argv", [["dim", "--preset", "cusp"], ["battery", "--p", "5"]])
+def test_a_closed_stdout_exits_141_in_silence(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child writes a byte
+    try:
+        result = run_cli(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, "")
 
 
 def test_a_recursion_error_in_the_library_is_not_a_parse_error(monkeypatch):
@@ -539,8 +648,7 @@ def _readme_cli_examples():
     """(argv, file that `>` sends stdout to, documented result) for every
     `wittcert` line of README's CLI section.  A trailing `# -> X` documents
     the stdout and `# exits N` the exit code; any other line exits 0."""
-    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    for line in section.replace("\\\n", " ").splitlines():
+    for line in _readme_cli_section().replace("\\\n", " ").splitlines():
         line = line.strip()
         if not line.startswith("wittcert "):
             continue

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from wittcert import vanish
 from wittcert.derham import PresentedRing
 from wittcert.polyring import Ideal, PolyRing, Polynomial, normal_form, parse_polynomial, pth_root_ideal
 from wittcert.vanish import (
@@ -237,11 +238,12 @@ def test_closure_monotone_and_idempotent():
         assert again.basis == c_small.basis  # idempotent
 
 
-def test_closure_generation_cap_trips():
+def test_closure_generation_cap_trips(monkeypatch):
     ring = PolyRing(5, ("x", "y"))
     ideal = Ideal.from_polys(ring, [parse_polynomial("y^2 - x^3", ring)])
+    monkeypatch.setattr(vanish, "MAX_CLOSURE_GENERATIONS", 0)
     with pytest.raises(ClosureBudgetError):
-        closure_state(ideal, max_generations=0)
+        closure_state(ideal)
 
 
 # -- kernels and the general statement ----------------------------------------------

@@ -307,7 +307,7 @@ def test_char_p_path_keeps_the_table_caps():
     for op in (lambda x: witt_add(x, x), lambda x: witt_mul(x, x), witt_neg, frobenius):
         with pytest.raises(ValueError, match=r"table for \(p=2, r=7\) exceeds the default caps"):
             op(witt_one(f2, 2, 7))
-    with pytest.raises(ValueError, match="table Frobenius needs level >= 2"):
+    with pytest.raises(ValueError, match=r"Frobenius maps W_r to W_\(r-1\), so it needs level >= 2"):
         frobenius(witt_one(f2, 2, 1))
 
 
