@@ -2,9 +2,9 @@
 
 Exit codes: 0 success / certified, 1 internal defect, 2 parse error,
 3 theorem-inapplicable input, 4 failed verification or failed model check,
-141 stdout closed by its reader.  Given the same flags (including --seed)
-the output is byte-identical across runs: nothing here consults time,
-environment, or hash order.
+74 a failed write to stdout (EX_IOERR), 141 stdout closed by its reader.
+Given the same flags (including --seed) the output is byte-identical
+across runs: nothing here consults time, environment, or hash order.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ EXIT_DEFECT = 1
 EXIT_PARSE = 2
 EXIT_INAPPLICABLE = 3
 EXIT_VERIFY = 4
+EXIT_WRITE = 74  # EX_IOERR of sysexits: a write to stdout failed, as on a full disk
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that signal ended
 
 PRESETS = {
@@ -113,12 +114,18 @@ def _witt_operand(flag: str, value, domain, p: int):
 
 
 def _render_witt(x: wittvec.WittVector) -> tuple[list[str], dict, bool]:
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    for i, c in enumerate(x.coords):
+        if isinstance(c, int) and limit and abs(c) >= 10 ** limit:  # more than `limit` digits
+            digits = int(c.bit_length() * math.log10(2)) + 1
+            raise ValueError(f"coordinate x_{i} of the result has about {digits} digits, "
+                             f"more than the {limit} that integers may print")
     # str of an integer coordinate, or of a polynomial (its to_text())
     return ["(" + ", ".join(str(c) for c in x.coords) + ")"], wittvec.witt_to_json(x), True
 
 
 def _check_ghost_digits(x: wittvec.WittVector) -> None:
-    """Refuse, before computing, ghost components too long to print.
+    """Refuse, before computing, an operand past the caps or with ghost components too long to print.
 
     w_i = sum_j p^j x_j^(p^(i-j)) has at most log2(i+1) + max_j (j log2 p +
     p^(i-j) log2 |x_j|) bits.  The digit count read from that bound is never
@@ -126,6 +133,7 @@ def _check_ghost_digits(x: wittvec.WittVector) -> None:
     refuses to print integers beyond sys.get_int_max_str_digits() digits (0
     means no limit).
     """
+    wittvec._check_caps(x.p, x.level)  # x_0^(p^(r-1)) grows without bound in r
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not limit:
         return
@@ -142,7 +150,6 @@ def _check_ghost_digits(x: wittvec.WittVector) -> None:
 
 
 def _ghost(x: wittvec.WittVector):
-    wittvec._check_caps(x.p, x.level)  # x_0^(p^(r-1)) grows without bound in r
     _check_ghost_digits(x)
     values = wittvec.ghost(x)
     return ["(" + ", ".join(str(v) for v in values) + ")"], {"ghost": list(values)}, True
@@ -181,6 +188,8 @@ WITT_OPERATIONS = {
     "teich": (("g", "level"), _teich),
     "check-frobenius": (("g", "level"), _check_frobenius),
 }
+# integer operations the library computes on ghost components, whose size bounds their work
+GHOST_ROUTED = ("add", "mul", "neg", "frobenius")
 
 
 def cmd_witt(args: argparse.Namespace) -> int:
@@ -188,7 +197,11 @@ def cmd_witt(args: argparse.Namespace) -> int:
     # A --ring presentation carries its own prime, which wins over --p.
     p = domain.characteristic if domain.char_p else args.p
     flags, call = WITT_OPERATIONS[args.operation]
-    result = call(*(_witt_operand(flag, getattr(args, flag), domain, p) for flag in flags))
+    operands = [_witt_operand(flag, getattr(args, flag), domain, p) for flag in flags]
+    if not domain.char_p and args.operation in GHOST_ROUTED:
+        for x in operands:
+            _check_ghost_digits(x)
+    result = call(*operands)
     lines, doc, ok = _render_witt(result) if isinstance(result, wittvec.WittVector) else result
     _emit(args, lines, doc)
     return EXIT_OK if ok else EXIT_VERIFY
@@ -454,9 +467,12 @@ def main(argv=None) -> int:
         code = args.handler(args)
         print(end="", flush=True)  # fail here, not at exit, if stdout is a closed pipe
         return code
-    except BrokenPipeError:  # the reader closed stdout (the recipe in Python's SIGPIPE note)
+    except OSError as exc:  # a write to stdout failed; reads raise UnreadableInputError
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit flushes quietly
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):  # the reader closed stdout (Python's SIGPIPE note)
+            return EXIT_BROKEN_PIPE
+        print(f"write error: {exc}", file=sys.stderr)
+        return EXIT_WRITE
     except (PolyParseError, json.JSONDecodeError, UnreadableInputError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

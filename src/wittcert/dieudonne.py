@@ -771,23 +771,6 @@ def _wr_block(model: DieudonneModel, degree: int, key: int, r: int) -> QuotientB
     return QuotientBlock(labels, relations, _cokernel_factors(relations), complete)
 
 
-def quotient_is_zero(presentation: QuotientPresentation, model: DieudonneModel, vec: Vector) -> bool:
-    """Whether `vec` vanishes in the quotient, reduced block by block."""
-    q = presentation.modulus.char
-    split: dict[Fraction, Vector] = {}
-    for lbl, c in vec.items():
-        element = model.elements[lbl]
-        if element.degree != presentation.degree:
-            raise ValueError(f"{lbl} is not in degree {presentation.degree}")
-        if c % q:
-            split.setdefault(element.weight, {})[lbl] = c % q
-    for w, piece in split.items():
-        block = presentation.blocks[w]
-        if any(block.relations.reduce_vector(model.vector_to_coords(piece, block.labels))):
-            return False
-    return True
-
-
 def _cohomology_block(model: DieudonneModel, degree: int, key: int, r: int) -> Optional[QuotientBlock]:
     """H^degree(M/p^r) on one weight block, presented on cycle generators.
 

@@ -290,9 +290,6 @@ class Polynomial:
     def scale(self, c: int) -> "Polynomial":
         return Polynomial._trusted(self.ring, terms_scale(self.terms, c))
 
-    def mul_term(self, exp: tuple[int, ...], coef: int) -> "Polynomial":
-        return Polynomial(self.ring, {_exp_mul(e, exp): v * coef for e, v in self.terms.items()})
-
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")

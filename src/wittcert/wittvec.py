@@ -2,21 +2,25 @@
 
 Two coordinate domains are supported: plain integers (the p-torsion-free
 ghost-oracle mode) and finitely presented F_p-algebras, where coordinates
-are polynomials kept in normal form mod the defining ideal.  Both share
-one arithmetic built on x = sum_i V^i [x_i], whose identities hold over
-any ring: addition needs only the coordinates eta_k(a, b) of [a] + [b];
-multiplication is x * y = sum_i V^i([x_i] * F^i y) with
-[a] * z = (a z_0, a^p z_1, a^(p^2) z_2, ...); negation is coordinatewise
-for odd p.  Frobenius is the one step that depends on the domain: the
-p-th power of each coordinate in characteristic p, [x0^p] + p * x' over Z.
+are polynomials kept in normal form mod the defining ideal.  Over Z the
+ghost map is injective, so an op is computed on ghost components:
+x + y = unghost(w(x) + w(y)), and likewise the product, the negation and
+Frobenius, whose ghost components are (w_1, ..., w_{r-1}).  Unghosting
+divides by p^i at level i, exactly whenever the components come from a
+Witt vector.  Over an F_p-algebra the arithmetic is built on
+x = sum_i V^i [x_i], whose identities hold over any ring: addition needs
+only the coordinates eta_k(a, b) of [a] + [b]; multiplication is
+x * y = sum_i V^i([x_i] * F^i y) with [a] * z = (a z_0, a^p z_1,
+a^(p^2) z_2, ...); negation is coordinatewise for odd p; Frobenius is the
+p-th power of each coordinate.
 
-eta_k is homogeneous of degree D = p^k in (a, b), so it is kept as a
-dense row of D + 1 integer coefficients and evaluated by Horner in a, the
-powers of b shared between the rows; each coefficient is applied with the
-domain's `scale`, not as a product with a domain constant.  Over an
-F_p-algebra the coordinates are held in normal form under a reduced
-Groebner basis.  Normal forms are closed under sums and scalar multiples,
-so only a product or a p-th power is reduced again.
+eta_k is homogeneous of degree D = p^k, so it is kept as a dense row of
+D + 1 coefficients mod p and evaluated by Horner in a, the powers of b
+shared between the rows; each coefficient is applied with the domain's
+`scale`, not as a product with a domain constant.  Coordinates are held
+in normal form under a reduced Groebner basis.  Normal forms are closed
+under sums and scalar multiples, so only a product or a p-th power is
+reduced again.
 
 The universal sum/product/negation/Frobenius polynomials
 (`build_witt_table`) are produced by the ghost recursion over
@@ -30,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -151,17 +154,8 @@ class IntegerCoefficients:
     def mul(self, x, y):
         return x * y
 
-    def scale(self, x, c: int):
-        return x * c
-
     def neg(self, x):
         return -x
-
-    def pth_power(self, x, p: int):
-        return x ** p
-
-    # a builtin, not a method: the shared routines test every coordinate
-    is_zero = staticmethod(operator.not_)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntegerCoefficients)
@@ -217,7 +211,7 @@ class PresentedCoefficients:
 
     is_zero = staticmethod(Polynomial.is_zero)
 
-    def pth_power(self, x: Polynomial, p: int):
+    def pth_power(self, x: Polynomial):
         return x if x.is_zero() else self.presentation.normal(x.frobenius_power())
 
     def __eq__(self, other: object) -> bool:
@@ -281,32 +275,27 @@ def _check_pair(x: WittVector, y: WittVector) -> None:
         raise ValueError("Witt vectors from different rings or levels")
 
 
-# -- one arithmetic for every domain: x = sum_i V^i [x_i] -------------------------
+# -- F_p-algebras: x = sum_i V^i [x_i] --------------------------------------------
 
 EtaRows = tuple[tuple[int, ...], ...]
 
 
 @functools.lru_cache(maxsize=None)
-def _eta_polys(p: int, r: int, characteristic: int) -> EtaRows:
-    """eta_1..eta_{r-1}: [a] + [b] = (a + b, eta_1(a, b), ..., eta_{r-1}(a, b)).
+def _eta_polys(p: int, r: int) -> EtaRows:
+    """eta_1..eta_{r-1} in characteristic p: [a] + [b] = (a + b, eta_1(a, b), ...).
 
     eta_k is homogeneous of degree D = p^k; it is returned as the dense row
-    of its coefficients of a^i b^(D-i) for i = D, ..., 0.  Solved once per
-    (p, r) over Z from the ghost components a^(p^i) + b^(p^i) of [a] + [b],
-    independently of the universal sum table; a domain of characteristic p
-    gets that solve reduced mod p.  The first call for (p, r) runs the cap
-    check the tables share; two threads racing on it build the same value
-    twice.
+    of its coefficients mod p of a^i b^(D-i) for i = D, ..., 0.  Solved once
+    per (p, r) over Z from the ghost components a^(p^i) + b^(p^i) of
+    [a] + [b], independently of the universal sum table, and reduced mod p.
+    Two threads racing on the first call build the same value twice.
     """
-    if characteristic:
-        return tuple(tuple(c % p for c in row) for row in _eta_polys(p, r, 0))
-    _check_caps(p, r)
     targets = [{(p ** i, 0): 1, (0, p ** i): 1} for i in range(r)]
     rows = []
     for k, poly in enumerate(_solve_coordinates(p, r, 2, targets)[1:], start=1):
         degree = p ** k
         assert all(i + j == degree for i, j in poly), "eta is not homogeneous (internal defect)"
-        rows.append(tuple(poly.get((i, degree - i), 0) for i in range(degree, -1, -1)))
+        rows.append(tuple(poly.get((i, degree - i), 0) % p for i in range(degree, -1, -1)))
     return tuple(rows)
 
 
@@ -344,42 +333,28 @@ def _add(x: tuple, y: tuple, domain, eta: EtaRows) -> tuple:
     return x
 
 
-@functools.lru_cache(maxsize=None)
-def _p_in_witt(p: int, n: int) -> tuple[int, ...]:
-    """The coordinates of p = p * 1 in W_n(Z), solved like eta from their
-    ghost components (p, p, ..., p)."""
-    return tuple(c.get((), 0) for c in _solve_coordinates(p, n, 0, [{(): p}] * n))
-
-
-def _frobenius_powers(c, count: int, p: int, domain) -> list:
+def _frobenius_powers(c, count: int, domain) -> list:
     """[c, c^p, ..., c^(p^(count-1))]."""
     out = [c]
     for _ in range(count - 1):
-        out.append(domain.pth_power(out[-1], p))
+        out.append(domain.pth_power(out[-1]))
     return out
 
 
-def _frobenius(x: tuple, p: int, domain, eta: EtaRows) -> tuple:
-    """F: W_r -> W_{r-1}, the one step that depends on the domain.  In
-    characteristic p it is the p-th power of each coordinate.  Over Z,
-    F x = F[x0] + FV(x') = [x0^p] + p * x', and p * x' = x' * p is a product
-    with a vector that F fixes, so every F^i p in it is p itself."""
-    if domain.char_p:
-        return tuple(domain.pth_power(c, p) for c in x[:-1])
-    rest = x[1:]
-    p_rest = _mul(rest, itertools.repeat(_p_in_witt(p, len(rest))), p, domain, eta)
-    return _add(p_rest, (domain.pth_power(x[0], p),), domain, eta)
+def _frobenius(x: tuple, domain) -> tuple:
+    """F: W_r -> W_{r-1}, the p-th power of each of the first r - 1 coordinates."""
+    return tuple(domain.pth_power(c) for c in x[:-1])
 
 
-def _mul(x: tuple, orbit, p: int, domain, eta: EtaRows) -> tuple:
+def _mul(x: tuple, orbit, domain, eta: EtaRows) -> tuple:
     """x * y = sum_i V^i([x_i] * F^i y), where orbit yields y, F y, F^2 y, ... and
-    [a] * z = (a z_0, a^p z_1, a^(p^2) z_2, ...).  In characteristic p the
-    terms are V^(i+j) [x_i^(p^j) y_j^(p^i)]."""
+    [a] * z = (a z_0, a^p z_1, a^(p^2) z_2, ...), so the terms are
+    V^(i+j) [x_i^(p^j) y_j^(p^i)]."""
     acc = None
     for i, (a, fy) in enumerate(zip(x, orbit)):
         if domain.is_zero(a):
             continue
-        powers = _frobenius_powers(a, len(x) - i, p, domain)
+        powers = _frobenius_powers(a, len(x) - i, domain)
         term = tuple(c if domain.is_zero(c) else domain.mul(ap, c) for ap, c in zip(powers, fy))
         if acc is None:
             acc = (domain.zero(),) * i + term
@@ -388,66 +363,80 @@ def _mul(x: tuple, orbit, p: int, domain, eta: EtaRows) -> tuple:
     return tuple(domain.zero() for _ in x) if acc is None else acc
 
 
-def _neg(x: tuple, p: int, domain, eta: EtaRows) -> tuple:
+def _neg(x: tuple, p: int, domain) -> tuple:
     """-x coordinatewise for odd p; at p = 2, -[a] = (-a, -a^2, -a^4, ...), so
     -x = (-x0) :: ((-x0^2, -x0^4, ...) + (-x'))."""
     if p != 2:
         return tuple(domain.neg(c) for c in x)
     x0, rest = x[0], x[1:]
     if rest:
-        rest = _neg(rest, p, domain, eta)
+        rest = _neg(rest, p, domain)
         if not domain.is_zero(x0):
-            tail = tuple(domain.neg(c) for c in _frobenius_powers(x0, len(x), p, domain)[1:])
-            rest = _add(tail, rest, domain, eta)
+            tail = tuple(domain.neg(c) for c in _frobenius_powers(x0, len(x), domain)[1:])
+            rest = _add(tail, rest, domain, _eta_polys(p, len(rest)))
     return (domain.neg(x0),) + rest
+
+
+# -- Z: through the ghost map ----------------------------------------------------------
+
+
+def _unghost(p: int, ghosts) -> tuple[int, ...]:
+    """The integer Witt vector with the given ghost components:
+    x_i = (w_i - sum_{j<i} p^j x_j^(p^(i-j))) / p^i."""
+    coords: list[int] = []
+    for i, w in enumerate(ghosts):
+        q, rem = divmod(w - sum(p ** j * c ** (p ** (i - j)) for j, c in enumerate(coords)), p ** i)
+        assert rem == 0, "ghost components of no Witt vector (internal defect)"
+        coords.append(q)
+    return tuple(coords)
 
 
 # -- public ops ---------------------------------------------------------------------
 
 
-def _eta_of(x: WittVector) -> EtaRows:
-    return _eta_polys(x.p, x.level, x.domain.characteristic)
-
-
 def witt_add(x: WittVector, y: WittVector) -> WittVector:
     _check_pair(x, y)
-    return WittVector(x.p, x.level, x.domain, _add(x.coords, y.coords, x.domain, _eta_of(x)))
+    _check_caps(x.p, x.level)
+    if x.domain.char_p:
+        coords = _add(x.coords, y.coords, x.domain, _eta_polys(x.p, x.level))
+    else:
+        coords = _unghost(x.p, map(x.domain.add, ghost(x), ghost(y)))
+    return WittVector(x.p, x.level, x.domain, coords)
 
 
 def witt_mul(x: WittVector, y: WittVector) -> WittVector:
     _check_pair(x, y)
-    eta = _eta_of(x)
-    # y, F y, ..., F^(r-1) y, each computed when _mul first asks for it
-    orbit = itertools.accumulate(
-        range(x.level - 1), lambda z, _: _frobenius(z, x.p, x.domain, eta), initial=y.coords
-    )
-    return WittVector(x.p, x.level, x.domain, _mul(x.coords, orbit, x.p, x.domain, eta))
+    _check_caps(x.p, x.level)
+    if x.domain.char_p:
+        # y, F y, ..., F^(r-1) y, each computed when _mul first asks for it
+        orbit = itertools.accumulate(range(x.level - 1), lambda z, _: _frobenius(z, x.domain), initial=y.coords)
+        coords = _mul(x.coords, orbit, x.domain, _eta_polys(x.p, x.level))
+    else:
+        coords = _unghost(x.p, map(x.domain.mul, ghost(x), ghost(y)))
+    return WittVector(x.p, x.level, x.domain, coords)
 
 
 def witt_neg(x: WittVector) -> WittVector:
-    return WittVector(x.p, x.level, x.domain, _neg(x.coords, x.p, x.domain, _eta_of(x)))
+    _check_caps(x.p, x.level)
+    if x.domain.char_p:
+        coords = _neg(x.coords, x.p, x.domain)
+    else:
+        coords = _unghost(x.p, map(x.domain.neg, ghost(x)))
+    return WittVector(x.p, x.level, x.domain, coords)
 
 
 def frobenius(x: WittVector) -> WittVector:
     """Ghost-compatible Frobenius W_r -> W_{r-1}: the p-th power of the first
-    r - 1 coordinates over an F_p-algebra, [x0^p] + p * (x_1, ..., x_{r-1})
-    over Z."""
+    r - 1 coordinates over an F_p-algebra, the vector with ghost components
+    (w_1, ..., w_{r-1}) over Z."""
     if x.level < 2:
         raise ValueError("Frobenius maps W_r to W_(r-1), so it needs level >= 2")
-    coords = _frobenius(x.coords, x.p, x.domain, _eta_of(x))
+    _check_caps(x.p, x.level)
+    if x.domain.char_p:
+        coords = _frobenius(x.coords, x.domain)
+    else:
+        coords = _unghost(x.p, ghost(x)[1:])
     return WittVector(x.p, x.level - 1, x.domain, coords)
-
-
-def frobenius_coordinatewise(x: WittVector) -> WittVector:
-    """Same-level Frobenius for F_p-algebra coordinates: p-th power each slot.
-
-    Over a characteristic-p domain this is the map induced by the ring
-    Frobenius; composed with restriction it agrees with `frobenius`.
-    """
-    if not x.domain.char_p:
-        raise ValueError("coordinatewise Frobenius requires an F_p-algebra domain")
-    coords = tuple(x.domain.pth_power(c, x.p) for c in x.coords)
-    return WittVector(x.p, x.level, x.domain, coords)
 
 
 def verschiebung(x: WittVector) -> WittVector:
@@ -467,21 +456,6 @@ def ghost(x: WittVector) -> tuple[int, ...]:
     for i in range(x.level):
         out.append(sum(p ** j * x.coords[j] ** (p ** (i - j)) for j in range(i + 1)))
     return tuple(out)
-
-
-def scalar_multiple(n: int, x: WittVector) -> WittVector:
-    """n * x by binary addition chains (n may be negative)."""
-    if n < 0:
-        return witt_neg(scalar_multiple(-n, x))
-    acc = witt_zero(x.domain, x.p, x.level)
-    add = x
-    while n:
-        if n & 1:
-            acc = witt_add(acc, add)
-        n >>= 1
-        if n:
-            add = witt_add(add, add)
-    return acc
 
 
 def witt_to_json(x: WittVector) -> dict:

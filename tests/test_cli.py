@@ -1,6 +1,7 @@
 """CLI surface: exit codes, JSON round trips, determinism."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from wittcert import cli, wittvec
 from wittcert.cli import WITT_OPERATIONS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -261,6 +263,47 @@ def test_witt_frobenius_at_level_one_exits_two():
     result = run_cli("witt", "frobenius", "--x", "3")
     assert result.returncode == 2
     assert result.stderr == "invalid input: Frobenius maps W_r to W_(r-1), so it needs level >= 2\n"
+
+
+PRINT_LIMIT = "more than the 4300 that integers may print"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["add", "--x", "2;0;0;0;0", "--y", "2;0;0;0;0"], "ghost component w_4 would have about 8599 digits"),
+    (["mul", "--x", "2;3;0;0;0;0", "--y", "3;2;0;0;0;0"], "ghost component w_4 would have about 8599 digits"),
+    # operands within the limit, a result past it: 1 + 1 = 2 has coordinates
+    # that grow like 2^(p^i)
+    (["add", "--x", "1;0;0;0;0", "--y", "1;0;0;0;0"], "coordinate x_4 of the result has about 8594 digits"),
+    (["mul", "--x", "1;1;1;1;1;1", "--y", "1;1;1;1;1;1"], "coordinate x_5 of the result has about 33586 digits"),
+    (["frobenius", "--x", "1;1;1;1;1;1"], "coordinate x_4 of the result has about 32731 digits"),
+], ids=["add-r5", "mul-r6", "add-ones-r5", "mul-ones-r6", "frobenius-ones-r6"])
+def test_integer_witt_at_p13_finishes_at_once(argv, message, capsys):
+    start = time.perf_counter()
+    assert main(["witt", argv[0], "--integer", "--p", "13", *argv[1:]]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"invalid input: {message}, {PRINT_LIMIT}\n")
+
+
+def test_integer_results_print_up_to_the_limit(capsys):
+    # 2^14284 has 4300 digits, though its bit length reads as 4301; 10^4300 has 4301
+    assert main(["witt", "mul", "--integer", "--x", str(2 ** 7142), "--y", str(2 ** 7142)]) == 0
+    assert capsys.readouterr() == (f"({2 ** 14284})\n", "")
+    assert main(["witt", "mul", "--integer", "--x", str(2 ** 4300), "--y", str(5 ** 4300)]) == 2
+    message = f"invalid input: coordinate x_0 of the result has about 4301 digits, {PRINT_LIMIT}\n"
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("op", cli.GHOST_ROUTED)
+def test_an_integer_operand_past_the_print_limit_exits_two_before_computing(op, monkeypatch, capsys):
+    def refuse(x):
+        raise AssertionError("computed on an operand the print limit refuses")
+
+    monkeypatch.setattr(wittvec, "ghost", refuse)
+    x = str(10 ** 40) + ";0;0;0"  # w_3 = x_0^125 has 5001 digits
+    operands = ["--x", x, "--y", "0;0;0;0"] if op in ("add", "mul") else ["--x", x]
+    assert main(["witt", op, "--integer", "--p", "5", *operands]) == 2
+    message = f"invalid input: ghost component w_3 would have about 5001 digits, {PRINT_LIMIT}\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def test_dieudonne_check_passes_on_a1_and_fails_on_adversarial():
@@ -620,6 +663,33 @@ def test_a_closed_stdout_exits_141_in_silence(argv):
     finally:
         os.close(write_end)
     assert (result.returncode, result.stderr) == (141, "")
+
+
+class FullDisk(io.TextIOWrapper):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_a_failed_write_exits_74(monkeypatch, capsys):
+    with FullDisk(open(os.devnull, "wb")) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["dim", "--preset", "cusp"]) == 74
+    assert capsys.readouterr().err == "write error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_stdout_to_a_full_device_exits_74_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        result = run_cli("dim", "--preset", "cusp", stdout=full)
+    assert (result.returncode, result.stderr) == (74, "write error: [Errno 28] No space left on device\n")
+
+
+def test_readme_lists_every_exit_code():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    sentence = text.split("Exit codes: ", 1)[1].split(". ", 1)[0]
+    documented = {int(code) for code in re.findall(r"(?:^|, )(\d+) ", sentence)}
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert documented == codes
 
 
 def test_a_recursion_error_in_the_library_is_not_a_parse_error(monkeypatch):

@@ -49,7 +49,7 @@ def linalg_member(f, generators, degree):
         for exp in monomials_up_to(ring, degree):
             if g.is_zero() or g.total_degree() + sum(exp) > degree:
                 continue
-            q = g.mul_term(exp, 1)
+            q = g * ring.monomial(exp, 1)
             q = _echelon_reduce(q, echelon, order)
             if not q.is_zero():
                 echelon[q.leading(order)[0]] = q
@@ -152,7 +152,7 @@ def test_arithmetic_commutes_with_evaluation_mod_pn(seed, p):
         monomial = 1
         for x, e in zip(point, exp):
             monomial *= x ** e
-        assert evaluate(f.mul_term(exp, c), point) == (c * monomial * fx) % p
+        assert evaluate(f * ring.monomial(exp, c), point) == (c * monomial * fx) % p
     assert all(0 < v < p for v in (f * g).terms.values())
 
 
@@ -281,9 +281,9 @@ def test_buchberger_is_a_groebner_basis(p, nvars, kind):
                 lm_i, lc_i = leads[i]
                 lm_j, lc_j = leads[j]
                 lcm = tuple(max(a, b) for a, b in zip(lm_i, lm_j))
-                s = basis[i].mul_term(
+                s = basis[i] * ring.monomial(
                     tuple(a - b for a, b in zip(lcm, lm_i)), pow(lc_i, -1, p)
-                ) - basis[j].mul_term(tuple(a - b for a, b in zip(lcm, lm_j)), pow(lc_j, -1, p))
+                ) - basis[j] * ring.monomial(tuple(a - b for a, b in zip(lcm, lm_j)), pow(lc_j, -1, p))
                 assert normal_form(s, gb).is_zero()
 
 
