@@ -36,15 +36,30 @@ PRESETS = {
 }
 
 
+# Python's cap on the digits of an integer read from or printed as a decimal string; 0: none
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 class UnreadableInputError(Exception):
     """An input file, or stdin, that could not be opened or read."""
 
 
+def _check_int_digits(what: str, digits: int) -> None:
+    if INT_DIGITS and digits > INT_DIGITS:
+        raise ValueError(f"{what} has {digits} digits, more than the {INT_DIGITS} that integers may read")
+
+
+def _json_int(literal: str) -> int:
+    _check_int_digits("a JSON integer", len(literal.lstrip("-")))
+    return int(literal)
+
+
 def _decode_json(text: str):
     """`json.loads`, with a document nested too deep for the decoder
-    reported as malformed JSON rather than as a recursion error."""
+    reported as malformed JSON rather than as a recursion error, and an
+    integer too long to read named by its digit count."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise json.JSONDecodeError("document nested too deeply", text, 0) from None
 
@@ -107,6 +122,8 @@ def _witt_operand(flag: str, value, domain, p: int):
         return value
     chunks = [value] if flag == "g" else [c.strip() for c in value.split(";")]
     if isinstance(domain, wittvec.IntegerCoefficients):
+        for i, c in enumerate(chunks):
+            _check_int_digits(f"--{flag} coordinate {i}", sum(ch.isdigit() for ch in c))
         return wittvec.witt_vector(domain, p, [int(c) for c in chunks])
     presentation = domain.presentation
     coords = [presentation.normal(parse_polynomial(c, presentation.ring)) for c in chunks]
@@ -114,12 +131,11 @@ def _witt_operand(flag: str, value, domain, p: int):
 
 
 def _render_witt(x: wittvec.WittVector) -> tuple[list[str], dict, bool]:
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     for i, c in enumerate(x.coords):
-        if isinstance(c, int) and limit and abs(c) >= 10 ** limit:  # more than `limit` digits
+        if isinstance(c, int) and INT_DIGITS and abs(c) >= 10 ** INT_DIGITS:  # more than INT_DIGITS digits
             digits = int(c.bit_length() * math.log10(2)) + 1
             raise ValueError(f"coordinate x_{i} of the result has about {digits} digits, "
-                             f"more than the {limit} that integers may print")
+                             f"more than the {INT_DIGITS} that integers may print")
     # str of an integer coordinate, or of a polynomial (its to_text())
     return ["(" + ", ".join(str(c) for c in x.coords) + ")"], wittvec.witt_to_json(x), True
 
@@ -130,22 +146,20 @@ def _check_ghost_digits(x: wittvec.WittVector) -> None:
     w_i = sum_j p^j x_j^(p^(i-j)) has at most log2(i+1) + max_j (j log2 p +
     p^(i-j) log2 |x_j|) bits.  The digit count read from that bound is never
     too small, and too large by at most one unless the terms cancel.  Python
-    refuses to print integers beyond sys.get_int_max_str_digits() digits (0
-    means no limit).
+    refuses to print integers beyond INT_DIGITS digits.
     """
     wittvec._check_caps(x.p, x.level)  # x_0^(p^(r-1)) grows without bound in r
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
+    if not INT_DIGITS:
         return
     p = x.p
     for i in range(x.level):
         bits = max((j * math.log2(p) + p ** (i - j) * math.log2(abs(c))
                     for j, c in enumerate(x.coords[: i + 1]) if c), default=0.0)
         digits = int((bits + math.log2(i + 1)) * math.log10(2)) + 1
-        if digits > limit:
+        if digits > INT_DIGITS:
             raise ValueError(
                 f"ghost component w_{i} would have about {digits} digits, "
-                f"more than the {limit} that integers may print"
+                f"more than the {INT_DIGITS} that integers may print"
             )
 
 
@@ -302,6 +316,8 @@ def _load_model(args: argparse.Namespace) -> dieudonne.DieudonneModel:
 
 def cmd_dieudonne_check(args: argparse.Namespace) -> int:
     model = _load_model(args)
+    if args.r > model.exponent:  # before any check: the level loop costs O(r) even on an empty basis
+        raise ValueError(f"need 1 <= r <= N = {model.exponent}")
     reports = [dieudonne.check_axioms(model), dieudonne.saturation_witness(model)]
     for r in range(1, args.r + 1):
         reports.append(dieudonne.f_cancellation_check(model, r))

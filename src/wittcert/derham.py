@@ -1,13 +1,9 @@
-"""De Rham complexes of finitely presented F_p-algebras.
+"""Presented F_p-algebras and the top exterior power of their Kahler forms.
 
-Forms are stored on the structural basis dx_S for sorted index subsets S.
-Coefficient reduction modulo the defining ideal happens on demand, never
-between operations: reduction does not commute with the differential, so
-eager normal forms would silently break d**2 = 0 and Leibniz at the
-representative level.  Exact zero-testing is available only in top
-degree, through the presentation of the top exterior power as
-k[x]/(I + partials of the generators); below that, reducing coefficients
-gives a sound one-sided test only.
+A `PresentedRing` is R = F_p[x_1..x_n]/I with a reduced Groebner basis of
+I.  Its top exterior power Omega^n_R is presented as k[x]/J_top, with
+J_top = I + (partials of the generators), so the class of c dx_1...dx_n
+is zero exactly when c reduces to zero modulo J_top.
 """
 
 from __future__ import annotations
@@ -75,166 +71,6 @@ class PresentedRing:
         return PresentedRing.make(ring, gens)
 
 
-class DifferentialForm:
-    """Exterior form of pure degree q over a presented ring.
-
-    Antisymmetry is structural: components are indexed by sorted tuples
-    of distinct variable indices, and wedge/d signs are transposition
-    counts from merging those tuples.
-
-    Coefficients are polynomial representatives; they are NOT reduced
-    modulo the defining ideal between operations, so d**2 = 0 and the
-    graded Leibniz rule hold on the nose.  Reduction happens on demand
-    (`normalize`, `is_representative_zero`): a representative that
-    reduces to zero proves the class is zero, and below top degree that
-    test is deliberately one-sided.
-    """
-
-    __slots__ = ("presentation", "degree", "components")
-
-    def __init__(self, presentation: PresentedRing, degree: int,
-                 components: Mapping[tuple[int, ...], Polynomial]):
-        n = presentation.ring.nvars
-        # Degrees above n are allowed but structurally zero: no index
-        # subsets of that size exist.
-        if degree < 0:
-            raise ValueError(f"negative form degree {degree}")
-        self.presentation = presentation
-        self.degree = degree
-        clean: dict[tuple[int, ...], Polynomial] = {}
-        for subset, coef in components.items():
-            if len(subset) != degree or list(subset) != sorted(set(subset)):
-                raise ValueError(f"bad index subset {subset} for degree {degree}")
-            if any(not 0 <= i < n for i in subset):
-                raise ValueError(f"index out of range in {subset}")
-            if coef.ring != presentation.ring:
-                raise ValueError("coefficient from the wrong ring")
-            if not coef.is_zero():
-                clean[tuple(subset)] = coef
-        self.components = clean
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(presentation: PresentedRing, degree: int) -> "DifferentialForm":
-        return DifferentialForm(presentation, degree, {})
-
-    @staticmethod
-    def function(presentation: PresentedRing, f: Polynomial) -> "DifferentialForm":
-        return DifferentialForm(presentation, 0, {(): f})
-
-    @staticmethod
-    def d_variable(presentation: PresentedRing, i: int) -> "DifferentialForm":
-        return DifferentialForm(presentation, 1, {(i,): presentation.ring.one()})
-
-    # -- structure ---------------------------------------------------------
-
-    def normalize(self) -> "DifferentialForm":
-        """Reduce every coefficient to its normal form modulo the ideal."""
-        reduced = {s: self.presentation.normal(c) for s, c in self.components.items()}
-        return DifferentialForm(self.presentation, self.degree, reduced)
-
-    def is_representative_zero(self) -> bool:
-        """True if every coefficient is 0 mod I.  Sound but one-sided below
-        top degree: a nonzero normal form proves nothing there."""
-        return all(self.presentation.normal(c).is_zero() for c in self.components.values())
-
-    def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
-        self._check(other)
-        out = dict(self.components)
-        for s, c in other.components.items():
-            out[s] = out.get(s, self.presentation.ring.zero()) + c
-        return DifferentialForm(self.presentation, self.degree, out)
-
-    def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
-        return self + other.scale(self.presentation.ring.constant(-1))
-
-    def scale(self, f: Polynomial) -> "DifferentialForm":
-        return DifferentialForm(
-            self.presentation, self.degree, {s: c * f for s, c in self.components.items()}
-        )
-
-    def _check(self, other: "DifferentialForm") -> None:
-        if self.presentation != other.presentation:
-            raise ValueError("forms over different rings")
-        if self.degree != other.degree:
-            raise ValueError("forms of different degrees")
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DifferentialForm)
-            and self.presentation == other.presentation
-            and self.degree == other.degree
-            and self.components == other.components
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.presentation, self.degree, frozenset(self.components.items())))
-
-    def to_json(self) -> dict:
-        items = sorted(self.components.items())
-        return {
-            "degree": self.degree,
-            "terms": [{"subset": list(s), "coef": c.to_json()} for s, c in items],
-        }
-
-    def __repr__(self) -> str:
-        if not self.components:
-            return f"0 (degree {self.degree})"
-        names = self.presentation.ring.names
-        parts = []
-        for s, c in sorted(self.components.items()):
-            dx = "^".join(f"d{names[i]}" for i in s) or "1"
-            parts.append(f"({c}) {dx}".strip())
-        return " + ".join(parts)
-
-
-def _merge_sign(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, Optional[tuple[int, ...]]]:
-    """Sign of sorting the concatenation left++right; None when they collide."""
-    if set(left) & set(right):
-        return 0, None
-    inversions = sum(1 for a in left for b in right if b < a)
-    merged = tuple(sorted(left + right))
-    return (-1) ** inversions, merged
-
-
-def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
-    if a.presentation != b.presentation:
-        raise ValueError("forms over different rings")
-    presentation = a.presentation
-    out: dict[tuple[int, ...], Polynomial] = {}
-    for s, c in a.components.items():
-        for t, e in b.components.items():
-            sign, merged = _merge_sign(s, t)
-            if merged is None:
-                continue
-            contrib = (c * e).scale(sign)
-            if merged in out:
-                out[merged] = out[merged] + contrib
-            else:
-                out[merged] = contrib
-    return DifferentialForm(presentation, a.degree + b.degree, out)
-
-
-def exterior_d(form: DifferentialForm) -> DifferentialForm:
-    """d(c dx_S) = sum_i (dc/dx_i) dx_i wedge dx_S, signs by sorted insertion."""
-    presentation = form.presentation
-    n = presentation.ring.nvars
-    out: dict[tuple[int, ...], Polynomial] = {}
-    for s, c in form.components.items():
-        for i in range(n):
-            dc = c.partial(i)
-            if dc.is_zero() or i in s:
-                continue
-            sign, merged = _merge_sign((i,), s)
-            contrib = dc.scale(sign)
-            if merged in out:
-                out[merged] = out[merged] + contrib
-            else:
-                out[merged] = contrib
-    return DifferentialForm(presentation, form.degree + 1, out)
-
-
 @dataclass(frozen=True)
 class TopFormPresentation:
     """Presentation of the top exterior power as k[x]/J_top.
@@ -245,12 +81,7 @@ class TopFormPresentation:
     is q df mod I.
     """
 
-    presentation: PresentedRing
     jacobian_ideal: Ideal
-
-    @property
-    def degree(self) -> int:
-        return self.presentation.ring.nvars
 
 
 def top_form_presentation(presentation: PresentedRing) -> TopFormPresentation:
@@ -262,7 +93,7 @@ def top_form_presentation(presentation: PresentedRing) -> TopFormPresentation:
             if not df.is_zero():
                 gens.append(df)
     jac = buchberger(Ideal.from_polys(ring, gens))
-    return TopFormPresentation(presentation, jac)
+    return TopFormPresentation(jac)
 
 
 def top_form_is_zero_in_omega(c: Polynomial, top: TopFormPresentation) -> bool:

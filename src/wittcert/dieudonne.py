@@ -88,7 +88,7 @@ class DieudonneModel:
     each (degree, weight) block, the weights of each degree and the
     coefficient modulus are lookups.  Internally a weight w is keyed by
     the integer w * p^e, where p^e is the largest denominator among the
-    basis weights; `weights()`, `block()`, JSON and reports speak in
+    basis weights; `block()`, JSON and reports speak in
     `Fraction`s.  One memo per model keeps what is computed on first use:
     an operator's coordinate columns on a block, the W_r quotient and
     mod-p^r cohomology presentations (`wr_quotient`, `hn_mod_pr`) per
@@ -175,9 +175,6 @@ class DieudonneModel:
     def degrees(self) -> list[int]:
         return sorted(self._weights)
 
-    def weights(self, degree: int) -> list[Fraction]:
-        return [self._weight(key) for key in self._weights.get(degree, ())]
-
     def block(self, degree: int, weight: Fraction) -> tuple[str, ...]:
         scaled = Fraction(weight) * self._scale
         if scaled.denominator != 1:
@@ -214,9 +211,6 @@ class DieudonneModel:
         if key not in self._memo:
             self._memo[key] = self.modulus if r == self.exponent else Modulus(self.p, r)
         return self._memo[key]
-
-    def defined(self, op: str, label: str) -> bool:
-        return label in self.maps[op]
 
     def apply(self, op: str, vec: Vector) -> Optional[Vector]:
         """Apply a partial operator to a vector; None when undefined on support."""
@@ -270,8 +264,7 @@ class DieudonneModel:
             )
         return self._memo[memo_key]
 
-    def op_matrix(self, op: str, degree: int, weight: Fraction,
-                  modulus: Optional[Modulus] = None) -> Optional[ModularMatrix]:
+    def op_matrix(self, op: str, degree: int, weight: Fraction) -> Optional[ModularMatrix]:
         """Matrix of an operator on the (degree, weight) block, or None if
         the operator is undefined somewhere on the block.
 
@@ -280,10 +273,10 @@ class DieudonneModel:
         key directly."""
         scaled = Fraction(weight) * self._scale
         if scaled.denominator == 1:
-            return self._matrix(op, degree, scaled.numerator, modulus)
+            return self._matrix(op, degree, scaled.numerator)
         # no basis element has this weight: the matrix has no columns
         target = self.block(*self._target_weight(op, degree, weight))
-        return ModularMatrix.from_columns(modulus or self.modulus, (), len(target))
+        return ModularMatrix.from_columns(self.modulus, (), len(target))
 
     def _matrix(self, op: str, degree: int, key: int,
                 modulus: Optional[Modulus] = None) -> Optional[ModularMatrix]:

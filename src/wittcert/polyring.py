@@ -75,9 +75,6 @@ class PolyRing:
         exp = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, {exp: 1})
 
-    def monomial(self, exp: Sequence[int], coef: int = 1) -> "Polynomial":
-        return Polynomial(self, {tuple(exp): coef})
-
 
 @dataclass(frozen=True)
 class TermOrder:
@@ -99,12 +96,12 @@ class TermOrder:
             raise ValueError("bad block split")
 
     @staticmethod
-    def lex(nvars: int, perm: Optional[Sequence[int]] = None) -> "TermOrder":
-        return TermOrder("lex", tuple(perm) if perm is not None else tuple(range(nvars)))
+    def lex(nvars: int) -> "TermOrder":
+        return TermOrder("lex", tuple(range(nvars)))
 
     @staticmethod
-    def grevlex(nvars: int, perm: Optional[Sequence[int]] = None) -> "TermOrder":
-        return TermOrder("grevlex", tuple(perm) if perm is not None else tuple(range(nvars)))
+    def grevlex(nvars: int) -> "TermOrder":
+        return TermOrder("grevlex", tuple(range(nvars)))
 
     @staticmethod
     def elimination(eliminate: Sequence[int], nvars: int) -> "TermOrder":
@@ -436,6 +433,12 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
         cursor += 1
         return tok
 
+    def literal(value: str, where: int) -> int:
+        try:
+            return int(value)
+        except ValueError:  # a digit string fails only past sys.get_int_max_str_digits()
+            raise PolyParseError(f"integer literal of {len(value)} digits is too long", where) from None
+
     def parse_expr() -> Polynomial:
         sign = 1
         while peek() in ("plus", "minus"):
@@ -469,7 +472,8 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
             if peek() != "int":
                 where = tokens[cursor][2] if cursor < len(tokens) else len(text)
                 raise PolyParseError("expected integer exponent after '^'", where)
-            base = base ** int(take()[1])
+            _, value, where = take()
+            base = base ** literal(value, where)
         return base
 
     def parse_base() -> Polynomial:
@@ -477,7 +481,7 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
             raise PolyParseError("unexpected end of input", len(text))
         kind, value, where = take()
         if kind == "int":
-            return ring.constant(int(value))
+            return ring.constant(literal(value, where))
         if kind == "name":
             if value not in index:
                 raise PolyParseError(f"unknown variable {value!r}", where)

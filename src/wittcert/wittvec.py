@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .modarith import is_prime
 from .polyring import Polynomial, terms_add, terms_mul, terms_pow, terms_scale
@@ -251,21 +251,13 @@ def witt_vector(domain, p: int, coords: Sequence) -> WittVector:
     return WittVector(p, len(coords), domain, tuple(coords))
 
 
-def witt_zero(domain, p: int, r: int) -> WittVector:
-    return WittVector(p, r, domain, tuple(domain.zero() for _ in range(r)))
-
-
 def witt_one(domain, p: int, r: int) -> WittVector:
     coords = [domain.one()] + [domain.zero() for _ in range(r - 1)]
     return WittVector(p, r, domain, tuple(coords))
 
 
-def teichmuller(domain, g, r: int, p: Optional[int] = None) -> WittVector:
-    """The multiplicative lift (g, 0, ..., 0); p defaults to the domain's characteristic."""
-    if p is None:
-        if not domain.char_p:
-            raise ValueError("the Teichmuller lift over Z needs the prime p")
-        p = domain.characteristic
+def teichmuller(domain, g, r: int, p: int) -> WittVector:
+    """The multiplicative lift (g, 0, ..., 0)."""
     coords = [g] + [domain.zero() for _ in range(r - 1)]
     return WittVector(p, r, domain, tuple(coords))
 

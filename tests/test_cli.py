@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from wittcert import cli, wittvec
+from wittcert import cli, dieudonne, wittvec
 from wittcert.cli import WITT_OPERATIONS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -306,6 +306,24 @@ def test_an_integer_operand_past_the_print_limit_exits_two_before_computing(op, 
     assert capsys.readouterr() == ("", message)
 
 
+LONG = "1" * 4301  # one digit more than Python reads from a decimal string by default
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["witt", "add", "--integer", "--x", LONG, "--y", "1"],
+     "invalid input: --x coordinate 0 has 4301 digits, more than the 4300 that integers may read"),
+    (["dim", "--ring", '{"p":5,"vars":["x"],"generators":["%s*x"]}' % LONG],
+     "parse error: integer literal of 4301 digits is too long (at position 0)"),
+    (["omega-top", "--preset", "cusp", "--coeff", "x^" + LONG],
+     "parse error: integer literal of 4301 digits is too long (at position 2)"),
+    (["dim", "--ring", '{"p":5,"vars":["x"],"generators":[{"terms":[{"exp":[1],"coef":-%s}]}]}' % LONG],
+     "invalid input: a JSON integer has 4301 digits, more than the 4300 that integers may read"),
+], ids=["witt-integer-operand", "polynomial-coefficient", "polynomial-exponent", "json-number"])
+def test_an_integer_literal_past_the_digit_limit_is_named_by_its_length(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+
+
 def test_dieudonne_check_passes_on_a1_and_fails_on_adversarial():
     ok = run_cli(
         "dieudonne-check", "--model", "a1", "--p", "2", "--wmax", "4", "--coeff-exp", "3"
@@ -343,6 +361,19 @@ def test_dieudonne_check_at_level_three_with_small_exponent():
     )
     assert result.returncode == 0, result.stderr
     assert "overall: pass" in result.stdout
+
+
+@pytest.mark.parametrize("model", ["zero", "trivial", "a1"])
+def test_dieudonne_check_refuses_a_level_above_n_before_any_check(model, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a checker ran on a level the model does not have")
+
+    for name in ("check_axioms", "saturation_witness", "f_cancellation_check"):
+        monkeypatch.setattr(dieudonne, name, refuse)
+    start = time.perf_counter()
+    assert main(["dieudonne-check", "--model", model, "--r", "1000000000"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", "invalid input: need 1 <= r <= N = 2\n")
 
 
 def test_json_outputs_reparse():

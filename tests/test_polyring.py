@@ -49,7 +49,7 @@ def linalg_member(f, generators, degree):
         for exp in monomials_up_to(ring, degree):
             if g.is_zero() or g.total_degree() + sum(exp) > degree:
                 continue
-            q = g * ring.monomial(exp, 1)
+            q = g * Polynomial(ring, {exp: 1})
             q = _echelon_reduce(q, echelon, order)
             if not q.is_zero():
                 echelon[q.leading(order)[0]] = q
@@ -152,7 +152,7 @@ def test_arithmetic_commutes_with_evaluation_mod_pn(seed, p):
         monomial = 1
         for x, e in zip(point, exp):
             monomial *= x ** e
-        assert evaluate(f * ring.monomial(exp, c), point) == (c * monomial * fx) % p
+        assert evaluate(f * Polynomial(ring, {exp: c}), point) == (c * monomial * fx) % p
     assert all(0 < v < p for v in (f * g).terms.values())
 
 
@@ -186,8 +186,6 @@ def test_checked_entry_points_reject_bad_exponents(exp):
     ring = PolyRing(5, ("x", "y"))
     with pytest.raises(ValueError, match="bad exponent tuple"):
         Polynomial(ring, {exp: 1})
-    with pytest.raises(ValueError, match="bad exponent tuple"):
-        ring.monomial(exp)
     with pytest.raises(ValueError, match="bad exponent tuple"):
         poly_from_json({"vars": ["x", "y"], "p": 5, "terms": [{"exp": list(exp), "coef": 1}]}, ring)
 
@@ -230,7 +228,7 @@ def test_pth_root_inverts_frobenius_power(seed, p):
 
 def test_buchberger_known_basis():
     ring = PolyRing(2, ("x", "y"))
-    order = TermOrder.lex(2, perm=(1, 0))  # y ranked above x
+    order = TermOrder("lex", (1, 0))  # y ranked above x
     ideal = buchberger(
         Ideal.from_polys(ring, [parse_polynomial("y - x^2", ring), parse_polynomial("x*y - 1", ring)]),
         order,
@@ -251,7 +249,7 @@ def _order(kind, nvars):
     if kind == "grevlex":
         return TermOrder.grevlex(nvars)
     if kind == "lex":
-        return TermOrder.lex(nvars, perm=tuple(reversed(range(nvars))))
+        return TermOrder("lex", tuple(reversed(range(nvars))))
     return TermOrder.elimination([nvars - 1], nvars)  # eliminates the last variable first
 
 
@@ -281,9 +279,9 @@ def test_buchberger_is_a_groebner_basis(p, nvars, kind):
                 lm_i, lc_i = leads[i]
                 lm_j, lc_j = leads[j]
                 lcm = tuple(max(a, b) for a, b in zip(lm_i, lm_j))
-                s = basis[i] * ring.monomial(
-                    tuple(a - b for a, b in zip(lcm, lm_i)), pow(lc_i, -1, p)
-                ) - basis[j] * ring.monomial(tuple(a - b for a, b in zip(lcm, lm_j)), pow(lc_j, -1, p))
+                s = basis[i] * Polynomial(
+                    ring, {tuple(a - b for a, b in zip(lcm, lm_i)): pow(lc_i, -1, p)}
+                ) - basis[j] * Polynomial(ring, {tuple(a - b for a, b in zip(lcm, lm_j)): pow(lc_j, -1, p)})
                 assert normal_form(s, gb).is_zero()
 
 
@@ -337,7 +335,7 @@ def test_buchberger_order_stable_and_permutation_invariant():
 
 def test_normal_form_examples():
     ring = PolyRing(5, ("x", "y"))
-    order = TermOrder.lex(2, perm=(1, 0))
+    order = TermOrder("lex", (1, 0))
     cusp = buchberger(Ideal.from_polys(ring, [parse_polynomial("y^2 - x^3", ring)]), order)
     assert normal_form(parse_polynomial("y^2", ring), cusp) == parse_polynomial("x^3", ring)
     gb_x = buchberger(Ideal.from_polys(ring, [ring.variable(0)]))
