@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import dieudonne, vanish, wittvec
 from .derham import PresentedRing, top_form_is_zero_in_omega, top_form_presentation
-from .polyring import Ideal, Polynomial, PolyParseError, PolyRing, TermOrder, parse_polynomial
+from .polyring import Ideal, Polynomial, PolyParseError, PolyRing, TermOrder, buchberger, parse_polynomial
 
 EXIT_OK = 0
 EXIT_DEFECT = 1
@@ -85,8 +85,8 @@ def _load_ring(args: argparse.Namespace) -> PresentedRing:
             ring, [parse_polynomial(g, ring) for g in gens], _term_order(args, ring.nvars)
         )
     doc = _read_json(None) if args.ring == "-" else _decode_json(args.ring)
-    base = PresentedRing.from_json(doc)
-    return PresentedRing.make(base.ring, base.ideal.generators, _term_order(args, base.ring.nvars))
+    base = PresentedRing.from_json(doc)  # carries its grevlex basis
+    return PresentedRing(base.ring, buchberger(base.ideal, _term_order(args, base.ring.nvars)))
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], json_doc) -> None:
@@ -316,8 +316,11 @@ def _load_model(args: argparse.Namespace) -> dieudonne.DieudonneModel:
 
 def cmd_dieudonne_check(args: argparse.Namespace) -> int:
     model = _load_model(args)
-    if args.r > model.exponent:  # before any check: the level loop costs O(r) even on an empty basis
+    # before any check: the level loop costs O(r) even on an empty basis
+    if not 1 <= args.r <= model.exponent:
         raise ValueError(f"need 1 <= r <= N = {model.exponent}")
+    if args.rmax < 1:
+        raise ValueError("need rmax >= 1")
     reports = [dieudonne.check_axioms(model), dieudonne.saturation_witness(model)]
     for r in range(1, args.r + 1):
         reports.append(dieudonne.f_cancellation_check(model, r))
@@ -405,8 +408,9 @@ def cmd_battery(args: argparse.Namespace) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
-# Flags that several commands share: input sources (at most one each) and witt operands.
+# Flags that several commands share: the prime, input sources (at most one each) and witt operands.
 FLAGS = {
+    "--p": {"type": int, "default": 5, "help": "prime characteristic (default 5)"},
     "--integer": {"action": "store_true", "help": "integer coefficients (ghost oracle mode)"},
     "--preset": {"choices": sorted(PRESETS), "help": "built-in presentation"},
     "--ring": {"help": "presentation JSON, or '-' to read from stdin"},
@@ -430,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         (or none, unless `required`), with --order when --ring is a source."""
         cmd = parent.add_parser(name, help=help)
         cmd.set_defaults(handler=handler)
-        cmd.add_argument("--p", type=int, default=5, help="prime characteristic (default 5)")
+        cmd.add_argument("--p", **FLAGS["--p"])
         cmd.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
         if "--ring" in sources:
             cmd.add_argument("--order", choices=["lex", "grevlex"], help="default grevlex")
@@ -466,7 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--r", type=int, default=1, help="levels to check (1..r)")
     check.add_argument("--rmax", type=int, default=2, help="propagation depth")
 
-    battery = command("battery", "deterministic demonstration transcript", cmd_battery)
+    # the battery prints a text transcript only, so it takes no --format
+    battery = commands.add_parser("battery", help="deterministic demonstration transcript")
+    battery.set_defaults(handler=cmd_battery)
+    battery.add_argument("--p", **FLAGS["--p"])
     battery.add_argument("--seed", type=int, default=0, help="seed for the random ideals")
 
     return parser

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from .modarith import document_int, document_list
 from .polyring import Ideal, Polynomial, PolyRing, TermOrder, buchberger, normal_form
 
 
@@ -54,19 +55,19 @@ class PresentedRing:
         try:
             if not isinstance(doc, Mapping):
                 raise TypeError(f"expected an object, got {type(doc).__name__}")
-            names = tuple(doc["vars"])
+            names = tuple(document_list(doc["vars"]))
             if not all(isinstance(name, str) for name in names):
                 raise TypeError("variable names must be strings")
-            ring = PolyRing(int(doc["p"]), names)
+            ring = PolyRing(document_int(doc["p"]), names)
             gens = []
-            for entry in doc.get("generators", []):
+            for entry in document_list(doc.get("generators", [])):
                 if isinstance(entry, str):
                     gens.append(parse_polynomial(entry, ring))
                 elif isinstance(entry, Mapping):
                     gens.append(poly_from_json(entry, ring))
                 else:
                     raise TypeError(f"a generator is a string or an object, not {type(entry).__name__}")
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed ring document ({type(exc).__name__}: {exc})") from exc
         return PresentedRing.make(ring, gens)
 

@@ -26,6 +26,8 @@ from .modarith import (
     ModularMatrix,
     Modulus,
     SubmoduleBasis,
+    document_int,
+    document_list,
     kernel_basis,
     smith_normal_form,
 )
@@ -62,7 +64,7 @@ def weight_pair(p: int, w: Fraction) -> tuple[int, int]:
 
 
 def weight_from_pair(p: int, pair: Sequence[int]) -> Fraction:
-    m, j = int(pair[0]), int(pair[1])
+    m, j = document_int(pair[0]), document_int(pair[1])
     if j < 0 or m < 0:
         raise ValueError(f"bad weight encoding {pair}")
     if j > MAX_MODEL_EXPONENT:
@@ -325,25 +327,25 @@ class DieudonneModel:
         try:
             if not isinstance(doc, Mapping):
                 raise TypeError(f"expected an object, got {type(doc).__name__}")
-            p = int(doc["p"])
-            exponent = int(doc["N"])
+            p = document_int(doc["p"])
+            exponent = document_int(doc["N"])
             # bounded before Modulus tests p by trial division and computes p^N
             if not 2 <= p < 2 ** 16:
                 raise ValueError(f"model prime must lie in [2, 2^16), got {p}")
             _check_exponent(exponent)
             Modulus(p, exponent)  # tests that p is prime before the weights divide by its powers
             basis = [
-                BasisElement(str(b["label"]), int(b["degree"]), weight_from_pair(p, b["weight"]))
-                for b in doc["basis"]
+                BasisElement(str(b["label"]), document_int(b["degree"]), weight_from_pair(p, b["weight"]))
+                for b in document_list(doc["basis"])
             ]
             cap = weight_from_pair(p, doc["weight_cap"]) if "weight_cap" in doc else None
-            depth = int(doc["depth_cap"]) if "depth_cap" in doc else None
+            depth = document_int(doc["depth_cap"]) if "depth_cap" in doc else None
             maps = [
-                {src: {dst: int(c) for dst, c in dict(row).items()}
+                {src: {dst: document_int(c) for dst, c in dict(row).items()}
                  for src, row in dict(doc.get(op, {})).items()}
                 for op in ("d", "F", "V")
             ]
-        except (KeyError, TypeError, IndexError, OverflowError) as exc:
+        except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed model document ({type(exc).__name__}: {exc})") from exc
         return DieudonneModel(p, exponent, basis, *maps, weight_cap=cap, depth_cap=depth)
 

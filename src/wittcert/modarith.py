@@ -28,6 +28,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def document_int(value) -> int:
+    """`value` if it is a JSON integer, that is an int and not a bool.
+
+    Document loaders read every integer field through this: `int()` would
+    also take a float, a bool or a numeric string.  Raises TypeError, which
+    each loader reports as a malformed document.
+    """
+    if type(value) is not int:  # a bool is an int subclass, and no JSON integer
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def document_list(value) -> list:
+    """`value` if it is a JSON array; else TypeError, as `document_int`."""
+    if type(value) is not list:
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Modulus:
     """Descriptor for the coefficient ring Z/p^N (one prime per session)."""

@@ -7,7 +7,8 @@ The term-dict kernel (`terms_add`, `terms_mul`, `terms_scale`,
 
 No Groebner step rescans a polynomial to find its leading term:
 
-- each `Polynomial` caches its leading term for the last order asked;
+- a cached basis carries its reducers (leading monomial, inverse leading
+  coefficient, tail), built once when the cache is attached;
 - `buchberger` keeps its S-pairs in a heap, each keyed once by
   (lcm degree, lcm, i, j), so pairs are taken in that order;
 - new pairs pass the Gebauer-Moller update (Gebauer & Moeller, "On an
@@ -28,13 +29,13 @@ as golden values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 from operator import add, le, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .modarith import is_prime
+from .modarith import document_int, document_list, is_prime
 
 
 class PolyParseError(ValueError):
@@ -191,16 +192,12 @@ def terms_pow(a: Mapping, n: int, nvars: int) -> dict:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; no zero coefficients are stored.
+    """Immutable sparse polynomial; no zero coefficients are stored."""
 
-    `_lead` caches (order, leading term) for the last order asked.
-    """
-
-    __slots__ = ("ring", "terms", "_lead")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: PolyRing, terms: Mapping[tuple[int, ...], int]):
         self.ring = ring
-        self._lead = None
         p = ring.p
         clean: dict[tuple[int, ...], int] = {}
         for exp, c in terms.items():
@@ -218,7 +215,6 @@ class Polynomial:
         coefficients are still reduced mod p and zeros dropped."""
         poly = cls.__new__(cls)
         poly.ring = ring
-        poly._lead = None
         p = ring.p
         poly.terms = {e: v for e, c in terms.items() if (v := c % p)}
         return poly
@@ -251,18 +247,13 @@ class Polynomial:
         return frozenset(used)
 
     def leading(self, order: TermOrder) -> tuple[tuple[int, ...], int]:
-        cached = self._lead
-        if cached is not None and (cached[0] is order or cached[0] == order):
-            return cached[1]
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        lm = max(self.terms, key=order.key)
-        lead = (lm, self.terms[lm])
-        self._lead = (order, lead)
-        return lead
+        lm = min(self.terms, key=order.heap_key)
+        return lm, self.terms[lm]
 
     def sorted_terms(self, order: TermOrder) -> list[tuple[tuple[int, ...], int]]:
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=order.key, reverse=True)]
+        return [(e, self.terms[e]) for e in sorted(self.terms, key=order.heap_key)]
 
     # -- arithmetic ------------------------------------------------------
 
@@ -394,9 +385,9 @@ class Polynomial:
 def poly_from_json(doc: Mapping, ring: PolyRing) -> Polynomial:
     """The polynomial of `doc["terms"]` in `ring`; "vars" and "p" are not read."""
     terms = {}
-    for t in doc["terms"]:
-        exp = tuple(int(e) for e in t["exp"])
-        terms[exp] = terms.get(exp, 0) + int(t["coef"])
+    for t in document_list(doc["terms"]):
+        exp = tuple(document_int(e) for e in t["exp"])
+        terms[exp] = terms.get(exp, 0) + document_int(t["coef"])
     return Polynomial(ring, terms)
 
 
@@ -548,25 +539,26 @@ def _reduce_terms(work: dict, reducers: Sequence[tuple], order: TermOrder, p: in
     return remainder
 
 
-def _reduce(f: Polynomial, basis: Sequence[Polynomial], order: TermOrder) -> Polynomial:
-    """Remainder of multivariate division of f by the basis (full reduction)."""
-    p = f.ring.p
-    reducers = [_reducer(g, order, p) for g in basis]
-    return Polynomial._trusted(f.ring, _reduce_terms(dict(f.terms), reducers, order, p))
-
-
 @dataclass(frozen=True)
 class Ideal:
     """Ideal with an optional cached reduced Groebner basis.
 
-    The cache is attached by `buchberger` (an explicit call, never a lazy
-    side effect); `normal_form` requires it.
+    The cache is attached by `with_cache`, which checks it (an explicit
+    call, never a lazy side effect); `normal_form` requires it.  A cached
+    basis carries its reducers, one (leading monomial, inverse leading
+    coefficient, tail terms) per element, built once with the cache.
     """
 
     ring: PolyRing
     generators: tuple[Polynomial, ...]
     basis: Optional[tuple[Polynomial, ...]] = None
     basis_order: Optional[TermOrder] = None
+    reducers: tuple = field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.basis is not None:
+            p = self.ring.p
+            object.__setattr__(self, "reducers", tuple(_reducer(g, self.basis_order, p) for g in self.basis))
 
     @staticmethod
     def from_polys(ring: PolyRing, gens: Iterable[Polynomial]) -> "Ideal":
@@ -577,7 +569,11 @@ class Ideal:
         return Ideal(ring, cleaned)
 
     def with_cache(self, basis: tuple[Polynomial, ...], order: TermOrder) -> "Ideal":
-        return Ideal(self.ring, self.generators, basis, order)
+        """This ideal with `basis` as its reduced basis for `order`, once the
+        basis is checked to reduce every generator to zero."""
+        cached = Ideal(self.ring, self.generators, basis, order)
+        _verify_cache(cached)
+        return cached
 
     def contains_one(self) -> bool:
         if self.basis is None:
@@ -664,30 +660,25 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None) -> Ideal:
     # Reduce in one pass: drop non-minimal leading monomials, then reduce
     # each tail against the other elements, which leaves the lead alone.
     minimal = [k for k in active if not any(m != k and _exp_divides(leads[m], leads[k]) for m in active)]
+    minimal.sort(key=lambda k: order.key(leads[k]))  # no tail's reduced form depends on this order
     basis = []
     for k in minimal:
         terms = _reduce_terms(dict(reducers[k][2]), [reducers[m] for m in minimal if m != k], order, p)
         terms[leads[k]] = 1
         basis.append(Polynomial(ring, terms))
-    basis.sort(key=lambda g: order.key(g.leading(order)[0]))
-    result = ideal.with_cache(tuple(basis), order)
-    _verify_cache(result)
-    return result
+    return ideal.with_cache(tuple(basis), order)
 
 
 def _verify_cache(ideal: Ideal) -> None:
     """Cache sanity: every generator reduces to zero against the cached
     basis.  The reverse containment holds by construction (basis elements
     arise from S-polynomial reductions of the generators)."""
-    order = ideal.basis_order
-    assert order is not None and ideal.basis is not None
-    if ideal.basis:
-        for g in ideal.generators:
-            if not _reduce(g, ideal.basis, order).is_zero():
-                raise AssertionError("Groebner cache does not reduce a generator to zero")
-    else:
-        if ideal.generators:
-            raise AssertionError("empty basis for a nonzero ideal")
+    if any(not any(lm) for lm, _, _ in ideal.reducers):
+        return  # a constant divides every monomial, so every generator reduces to zero
+    p = ideal.ring.p
+    for g in ideal.generators:
+        if _reduce_terms(dict(g.terms), ideal.reducers, ideal.basis_order, p):
+            raise AssertionError("Groebner cache does not reduce a generator to zero")
 
 
 def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
@@ -696,7 +687,8 @@ def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
         raise ValueError("Groebner cache required; call buchberger first")
     if not ideal.basis:
         return f
-    return _reduce(f, ideal.basis, ideal.basis_order)
+    remainder = _reduce_terms(dict(f.terms), ideal.reducers, ideal.basis_order, f.ring.p)
+    return Polynomial._trusted(f.ring, remainder)
 
 
 def eliminate(ideal: Ideal, keep: Iterable[int]) -> Ideal:
@@ -706,9 +698,10 @@ def eliminate(ideal: Ideal, keep: Iterable[int]) -> Ideal:
     drop = [i for i in range(ring.nvars) if i not in keep_set]
     order = TermOrder.elimination(drop, ring.nvars)
     gb = buchberger(Ideal.from_polys(ring, ideal.generators), order)
+    # On k[keep] every eliminated exponent is 0, so the block order compares
+    # as grevlex does: the kept part is already the reduced grevlex basis.
     kept = tuple(g for g in gb.basis if g.variables_used() <= keep_set)
-    out = Ideal.from_polys(ring, kept)
-    return buchberger(out, TermOrder.grevlex(ring.nvars))
+    return Ideal.from_polys(ring, kept).with_cache(kept, TermOrder.grevlex(ring.nvars))
 
 
 def graph_kernel(ideal: Ideal, images: Sequence[Polynomial], target: PolyRing) -> Ideal:
@@ -736,8 +729,9 @@ def graph_kernel(ideal: Ideal, images: Sequence[Polynomial], target: PolyRing) -
     gens = [widen(g) for g in ideal.generators]
     gens += [big.variable(n + i) - widen(g) for i, g in enumerate(images)]
     kept = eliminate(Ideal.from_polys(big, gens), range(n, n + target.nvars))
-    out = [Polynomial(target, {exp[n:]: c for exp, c in g.terms.items()}) for g in kept.basis]
-    return buchberger(Ideal.from_polys(target, out))
+    # The t-variables keep their order, so the narrowed basis stays reduced grevlex.
+    out = tuple(Polynomial(target, {exp[n:]: c for exp, c in g.terms.items()}) for g in kept.basis)
+    return Ideal.from_polys(target, out).with_cache(out, TermOrder.grevlex(target.nvars))
 
 
 def pth_root_ideal(ideal: Ideal) -> Ideal:
@@ -754,12 +748,13 @@ def pth_root_ideal(ideal: Ideal) -> Ideal:
 
 def krull_dim(ideal: Ideal) -> int:
     """Krull dimension of k[x]/I: the largest variable set independent
-    modulo the leading-term ideal of a Groebner basis.  Unit ideal: -1."""
+    modulo the leading-term ideal of a Groebner basis, for any order, so a
+    cached basis serves as it is.  Unit ideal: -1."""
     ring = ideal.ring
-    gb = buchberger(ideal)
+    gb = ideal if ideal.basis is not None else buchberger(ideal)
     if gb.contains_one():
         return -1
-    supports = [frozenset(i for i, e in enumerate(g.leading(gb.basis_order)[0]) if e) for g in gb.basis]
+    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm, _, _ in gb.reducers]
     # a subset of an independent set is independent, so the first size
     # with an independent subset, scanning down, is the dimension
     for size in range(ring.nvars, 0, -1):

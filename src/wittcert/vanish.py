@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .derham import PresentedRing
+from .modarith import document_int, document_list
 from .polyring import (
     Ideal,
     Polynomial,
@@ -101,7 +102,7 @@ class VanishingCertificate:
             presentation = PresentedRing.from_json(doc["ring"])
             ring = presentation.ring
             steps = []
-            for s in doc["steps"]:
+            for s in document_list(doc["steps"]):
                 op = STEP_OPS[s["op"]]
                 steps.append(
                     DescentStep(op, s.get("var"), poly_from_json(s["in"], ring), poly_from_json(s["out"], ring))
@@ -110,10 +111,10 @@ class VanishingCertificate:
                 presentation,
                 poly_from_json(doc["seed"], ring),
                 tuple(steps),
-                int(doc["terminal"]),
-                tuple(doc.get("provenance", PROVENANCE)),
+                document_int(doc["terminal"]),
+                tuple(document_list(doc["provenance"])) if "provenance" in doc else PROVENANCE,
             )
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate ({type(exc).__name__}: {exc})") from exc
 
 
@@ -252,8 +253,8 @@ def closure_state(ideal: Ideal) -> ClosureState:
                     grown.append(d)
         candidate = buchberger(Ideal.from_polys(ring, grown))
         if candidate.basis == current.basis:
-            roots = pth_root_ideal(current)
-            candidate = buchberger(Ideal.from_polys(ring, current.basis + roots.basis))
+            # g in I gives g^p in I, so the root ideal contains I: it is I + roots.
+            candidate = pth_root_ideal(current)
             if candidate.basis == current.basis:
                 return ClosureState(current, True, generations)
         current = candidate

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, JSON round trips, determinism."""
 
+import argparse
 import contextlib
 import errno
 import hashlib
@@ -52,6 +53,20 @@ def test_dim_of_a_zero_ideal_in_forty_variables():
         assert main(["dim", "--ring", ring]) == 0
     assert time.perf_counter() - start < 1.0
     assert out.getvalue().strip() == "40"
+
+
+CUSP_RING = '{"p":5,"vars":["x","y"],"generators":["y^2 - x^3"]}'
+
+
+def test_a_ring_document_is_reduced_once_per_order(buchberger_runs, capsys):
+    """The loader's grevlex basis serves --ring as it is; --order lex adds
+    the one lex run, and the dimension reads the lex basis."""
+    assert main(["dim", "--ring", CUSP_RING]) == 0
+    assert [order.kind for order in buchberger_runs] == ["grevlex"]
+    buchberger_runs.clear()
+    assert main(["dim", "--ring", CUSP_RING, "--order", "lex"]) == 0
+    assert [order.kind for order in buchberger_runs] == ["grevlex", "lex"]
+    assert capsys.readouterr().out == "1\n1\n"
 
 
 def test_certify_cusp_succeeds_and_verifies():
@@ -376,17 +391,58 @@ def test_dieudonne_check_refuses_a_level_above_n_before_any_check(model, monkeyp
     assert capsys.readouterr() == ("", "invalid input: need 1 <= r <= N = 2\n")
 
 
-def test_json_outputs_reparse():
-    for args in [
-        ("certify", "--preset", "cusp", "--format", "json"),
-        ("closure", "--preset", "node", "--format", "json"),
-        ("dim", "--preset", "plane", "--format", "json"),
-        ("omega-top", "--preset", "cusp", "--format", "json"),
-        ("dieudonne-check", "--model", "trivial", "--format", "json"),
-    ]:
-        result = run_cli(*args)
-        assert result.returncode == 0
-        json.loads(result.stdout)
+def _commands_with_format(parser, prefix=()):
+    """The argv prefix of every leaf subcommand whose parser takes --format."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        if "--format" in parser._option_string_actions:
+            yield prefix
+        return
+    for name, sub in subparsers[0].choices.items():
+        yield from _commands_with_format(sub, prefix + (name,))
+
+
+# operands of a valid invocation of each witt operation, and the domain of
+# the two that F_p does not serve
+WITT_JSON_OPERANDS = {"--x": "1;2", "--y": "3;4", "--g": "2"}
+WITT_JSON_DOMAINS = {"ghost": ["--integer"], "check-frobenius": ["--preset", "cusp"]}
+
+
+def _json_invocation(command):
+    if command[0] != "witt":
+        return SUBCOMMANDS[command[0]][0]
+    op = command[1]
+    flags = ["--" + flag for flag in WITT_OPERATIONS[op][0] if flag != "level"]
+    operands = [a for flag in flags for a in (flag, WITT_JSON_OPERANDS[flag])]
+    return ["witt", op, *operands, *WITT_JSON_DOMAINS.get(op, [])]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--model", "trivial", "--r", "0"], "need 1 <= r <= N = 2"),
+    (["--r", "-3", "--rmax", "-1"], "need 1 <= r <= N = 2"),
+    (["--model", "trivial", "--rmax", "0"], "need rmax >= 1"),
+])
+def test_dieudonne_check_refuses_levels_below_one_before_any_check(argv, message, monkeypatch, capsys):
+    """These once printed `overall: pass` after running no level check."""
+    def refuse(*args):
+        raise AssertionError("a checker ran on a level below one")
+
+    for name in ("check_axioms", "saturation_witness", "f_cancellation_check"):
+        monkeypatch.setattr(dieudonne, name, refuse)
+    assert main(["dieudonne-check", *argv]) == 2
+    assert capsys.readouterr() == ("", f"invalid input: {message}\n")
+
+
+def test_json_outputs_reparse(capsys):
+    """Every subcommand and witt operation that takes --format prints one JSON document under it."""
+    commands = list(_commands_with_format(build_parser()))
+    assert len(commands) == len(SUBCOMMANDS) - 2 + len(WITT_OPERATIONS)  # all but witt and battery
+    for command in commands:
+        argv = [*_json_invocation(command), "--format", "json"]
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1, argv
+        json.loads(out)
 
 
 def test_repeated_runs_are_byte_identical():
@@ -532,9 +588,10 @@ SUBCOMMANDS = {
     "dim": (["dim", "--preset", "cusp"], ["--coeff-exp", "--seed"]),
     "omega-top": (["omega-top", "--preset", "cusp"], ["--coeff-exp", "--seed"]),
     "dieudonne-check": (["dieudonne-check", "--model", "trivial"], ["--order", "--preset", "--ring", "--seed"]),
-    "battery": (["battery"], ["--order", "--preset", "--ring", "--coeff-exp"]),
+    "battery": (["battery"], ["--format", "--order", "--preset", "--ring", "--coeff-exp"]),
 }
-FLAG_VALUES = {"--order": "lex", "--preset": "cusp", "--ring": "{}", "--coeff-exp": "3", "--seed": "1"}
+FLAG_VALUES = {"--format": "json", "--order": "lex", "--preset": "cusp", "--ring": "{}", "--coeff-exp": "3",
+               "--seed": "1"}
 
 
 @pytest.mark.parametrize("command,flag", [

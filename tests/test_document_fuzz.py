@@ -15,6 +15,10 @@ loader bounds p, N and the weight exponents before it tests p by trial
 division or computes p^N and p^j, so such values must cost it nothing.
 Model mutations also put the first value past each bound at the path it
 guards, and a model document must load within LOAD_SECONDS.
+
+Besides the random mutations, every integer field a loader reads is
+replaced in turn by a float, a bool and a numeric string, and every list
+field by a string and an object; each such document must raise ValueError.
 """
 
 import json
@@ -23,6 +27,7 @@ import signal
 from contextlib import contextmanager
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wittcert.derham import PresentedRing
@@ -193,3 +198,70 @@ def test_mutated_model_documents(data):
     doc = data.draw(mutated(base, MODEL_EDGES, model_json_values, MODEL_TARGETED_EDGES))
     with _load_deadline():
         _parses_or_value_error(DieudonneModel.from_json, doc)
+
+
+# -- strict types --------------------------------------------------------------
+
+# Fields the loaders read as lists.  A polynomial object's "vars" and "p"
+# are not read (the enclosing ring's are), so they are left out.
+LIST_FIELDS = {"vars", "generators", "terms", "basis", "steps", "provenance"}
+
+
+def _is_polynomial(node) -> bool:
+    return isinstance(node, dict) and "terms" in node
+
+
+def _typed_fields(doc):
+    """(path, value) of every integer and list field a loader reads in `doc`."""
+    for path in _paths(doc):
+        if not path:
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent[path[-1]]
+        if _is_polynomial(parent) and path[-1] in ("vars", "p"):
+            continue
+        if (isinstance(value, int) and not isinstance(value, bool)) or path[-1] in LIST_FIELDS:
+            yield path, value
+
+
+def _replaced(doc, path, value):
+    out = json.loads(json.dumps(doc))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+def _wrong_types(value):
+    if isinstance(value, list):
+        return ["".join(map(str, value)), {str(i): v for i, v in enumerate(value)}]
+    return [float(value), value + 0.5, True, False, str(value)]
+
+
+# fields each loader must meet in its base documents, so the test is not vacuous
+EXPECTED_FIELDS = {
+    PresentedRing.from_json: {"p", "exp", "coef", "generators", "vars", "terms"},
+    VanishingCertificate.from_json: {"terminal", "steps", "provenance", "var", "exp", "coef"},
+    DieudonneModel.from_json: {"p", "N", "degree", "weight", "weight_cap", "basis", "depth_cap"},
+}
+
+
+@pytest.mark.parametrize("loader,base", [
+    (PresentedRing.from_json, _cusp_ring_doc()),
+    (VanishingCertificate.from_json, _certificate_doc()),
+    *[(DieudonneModel.from_json, doc) for doc in _model_docs()],
+], ids=["ring", "certificate", "nonsaturated-model", "a1-model"])
+def test_a_field_of_the_wrong_type_is_malformed(loader, base):
+    """int() would read 5.9 as 5, true as 1 and "12" as 12, and a string
+    iterates as a list of characters: each must be refused instead."""
+    loader(base)
+    fields = list(_typed_fields(base))
+    names = {next(key for key in reversed(path) if isinstance(key, str)) for path, _ in fields}
+    assert names >= EXPECTED_FIELDS[loader]
+    for path, value in fields:
+        for wrong in _wrong_types(value):
+            with pytest.raises(ValueError, match="malformed"):
+                loader(_replaced(base, path, wrong))

@@ -422,13 +422,19 @@ def test_pth_root_ideal_membership_property(p):
 
 def test_krull_dim_examples():
     ring = PolyRing(5, ("x", "y"))
-    assert krull_dim(Ideal.from_polys(ring, [])) == 2
-    assert krull_dim(Ideal.from_polys(ring, [parse_polynomial("y^2 - x^3", ring)])) == 1
-    assert krull_dim(Ideal.from_polys(ring, [ring.one()])) == -1
-    assert krull_dim(Ideal.from_polys(ring, [parse_polynomial("x*y", ring)])) == 1
-    assert krull_dim(Ideal.from_polys(ring, [ring.variable(0), ring.variable(1)])) == 0
     three = PolyRing(5, ("x", "y", "z"))
-    assert krull_dim(Ideal.from_polys(three, [])) == 3
+    for ideal, dim in [
+        (Ideal.from_polys(ring, []), 2),
+        (Ideal.from_polys(ring, [parse_polynomial("y^2 - x^3", ring)]), 1),
+        (Ideal.from_polys(ring, [ring.one()]), -1),
+        (Ideal.from_polys(ring, [parse_polynomial("x*y", ring)]), 1),
+        (Ideal.from_polys(ring, [ring.variable(0), ring.variable(1)]), 0),
+        (Ideal.from_polys(three, []), 3),
+        (Ideal.from_polys(three, [parse_polynomial(t, three) for t in ("x*z - y^2", "x^3 - y*z")]), 1),
+    ]:
+        assert krull_dim(ideal) == dim
+        # a cached basis in any order gives the same leading-term dimension
+        assert krull_dim(buchberger(ideal, TermOrder("lex", (1, 0, 2)[: ideal.ring.nvars]))) == dim
 
 
 def test_krull_dim_zero_ideal_in_forty_variables():

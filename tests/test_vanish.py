@@ -7,9 +7,18 @@ import time
 
 import pytest
 
-from wittcert import vanish
+from wittcert import polyring, vanish
 from wittcert.derham import PresentedRing
-from wittcert.polyring import Ideal, PolyRing, Polynomial, normal_form, parse_polynomial, pth_root_ideal
+from wittcert.polyring import (
+    Ideal,
+    PolyRing,
+    Polynomial,
+    TermOrder,
+    buchberger,
+    normal_form,
+    parse_polynomial,
+    pth_root_ideal,
+)
 from wittcert.vanish import (
     ClosureBudgetError,
     DescentStep,
@@ -321,7 +330,8 @@ ELIMINATION_CURVES = {"cusp": "y^2 - x^3", "node": "x*y", "plane": "y^2 - x^3 - 
 ELIMINATION_TUPLES = (("x + y", "x*y"), ("x^2 + y", "y^2"), ("x", "y", "x*y + y^2"), ("x + y^2", "x*y", "y"))
 
 
-def elimination_catalogue_docs():
+def elimination_catalogue():
+    """(input ideal, its p-th-root ideal) and (presentation, tuple kernel) pairs."""
     for p in (2, 3, 5):
         for name, relation in ELIMINATION_CURVES.items():
             R = presented(p, ("x", "y"), [relation])
@@ -331,11 +341,14 @@ def elimination_catalogue_docs():
                 Ideal.from_polys(R.ring, [f, f.partial(0), f.partial(1)]),
                 Ideal.from_polys(R.ring, [f.frobenius_power(), R.ring.variable(0) ** (2 * p)]),
             ):
-                root = pth_root_ideal(ideal)
-                yield {"vars": list(root.ring.names), "basis": [g.to_json() for g in root.basis]}
+                yield ideal, pth_root_ideal(ideal)
             for texts in ELIMINATION_TUPLES:
-                kernel = kernel_of_tuple(R, [parse_polynomial(t, R.ring) for t in texts])
-                yield {"vars": list(kernel.ring.names), "basis": [g.to_json() for g in kernel.basis]}
+                yield R, kernel_of_tuple(R, [parse_polynomial(t, R.ring) for t in texts])
+
+
+def elimination_catalogue_docs():
+    for _, result in elimination_catalogue():
+        yield {"vars": list(result.ring.names), "basis": [g.to_json() for g in result.basis]}
 
 
 def test_elimination_bases_match_golden_digest():
@@ -343,6 +356,66 @@ def test_elimination_bases_match_golden_digest():
     for doc in elimination_catalogue_docs():
         h.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n")
     assert h.hexdigest() == GOLDEN_ELIMINATION_DIGEST
+
+
+def _is_its_own_fresh_grevlex_basis(ideal):
+    fresh = buchberger(Ideal.from_polys(ideal.ring, ideal.basis))
+    return ideal.basis_order == TermOrder.grevlex(ideal.ring.nvars) and fresh.basis == ideal.basis
+
+
+def test_eliminations_return_the_basis_a_fresh_buchberger_computes(monkeypatch):
+    """eliminate keeps part of a block-order basis and graph_kernel narrows
+    it, and neither reruns Buchberger on it: a fresh grevlex run on the
+    basis each returns must give that basis back."""
+    eliminated = []
+    compute = polyring.eliminate
+
+    def recording(ideal, keep):
+        eliminated.append(compute(ideal, keep))
+        return eliminated[-1]
+
+    monkeypatch.setattr(polyring, "eliminate", recording)
+    kernels = [result for _, result in elimination_catalogue()]
+    assert len(eliminated) == len(kernels) == 63
+    assert all(k.basis for k in kernels)
+    for ideal in eliminated + kernels:
+        assert _is_its_own_fresh_grevlex_basis(ideal), ideal.basis
+
+
+def test_the_closure_takes_the_root_ideal_as_its_candidate(monkeypatch):
+    """The root ideal contains the ideal it was taken of (g in I gives g^p in
+    I), so its basis is the Buchberger basis of the ideal plus the roots."""
+    roots_of = []
+    compute = vanish.pth_root_ideal
+
+    def recording(ideal):
+        roots_of.append((ideal, compute(ideal)))
+        return roots_of[-1][1]
+
+    monkeypatch.setattr(vanish, "pth_root_ideal", recording)
+    rng = random.Random(18)
+    for ideal, _ in elimination_catalogue():
+        if isinstance(ideal, Ideal):
+            closure_state(ideal)
+            f = random_nonzero_ideal(rng, ideal.ring, max_gens=1, max_degree=3).generators[0]
+            closure_state(Ideal.from_polys(ideal.ring, [f.frobenius_power()]))  # partials all vanish
+    assert len(roots_of) >= 40
+    for current, roots in roots_of:
+        summed = buchberger(Ideal.from_polys(current.ring, current.basis + roots.basis))
+        assert summed.basis == roots.basis
+
+
+def test_a_graph_kernel_runs_buchberger_once(buchberger_runs):
+    """One block-order run per p-th-root ideal and per tuple kernel: the
+    kept part of its basis is already reduced, so nothing reruns on it."""
+    curves = [presented(p, ("x", "y"), [f]) for p in (2, 3, 5) for f in ELIMINATION_CURVES.values()]
+    buchberger_runs.clear()
+    for R in curves:
+        results = [pth_root_ideal(R.ideal), pth_root_ideal(Ideal.from_polys(R.ring, R.ideal.generators))]
+        for texts in ELIMINATION_TUPLES:
+            results.append(kernel_of_tuple(R, [parse_polynomial(t, R.ring) for t in texts]))
+        assert [order.kind for order in buchberger_runs] == ["block"] * len(results)
+        buchberger_runs.clear()
 
 
 # pth_root_ideal on two F_5 plane cubics, whose graph ideals in four
