@@ -84,9 +84,8 @@ def _load_ring(args: argparse.Namespace) -> PresentedRing:
         return PresentedRing.make(
             ring, [parse_polynomial(g, ring) for g in gens], _term_order(args, ring.nvars)
         )
-    doc = _read_json(None) if args.ring == "-" else _decode_json(args.ring)
-    base = PresentedRing.from_json(doc)  # carries its grevlex basis
-    return PresentedRing(base.ring, buchberger(base.ideal, _term_order(args, base.ring.nvars)))
+    ideal = Ideal.from_json(_read_json(None) if args.ring == "-" else _decode_json(args.ring))
+    return PresentedRing(buchberger(ideal, _term_order(args, ideal.ring.nvars)))
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], json_doc) -> None:
@@ -237,7 +236,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     doc["verified"] = ok
     lines = [f"seed: {cert.seed.to_text()}"]
     for s in cert.steps:
-        label = f"partial d/d{cert.presentation.ring.names[s.var]}" if s.op == "partial" else "pth-root"
+        label = f"partial d/d{cert.ideal.ring.names[s.var]}" if s.op == "partial" else "pth-root"
         lines.append(f"  {label}: {s.before.to_text()} -> {s.after.to_text()}")
     lines.append(f"terminal: {cert.terminal}")
     lines.append(f"verified: {str(ok).lower()}")

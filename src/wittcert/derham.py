@@ -11,25 +11,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .modarith import document_int, document_list
 from .polyring import Ideal, Polynomial, PolyRing, TermOrder, buchberger, normal_form
 
 
 @dataclass(frozen=True)
 class PresentedRing:
-    """R = k[x_1..x_n]/I with a cached reduced Groebner basis for I."""
+    """R = k[x_1..x_n]/I: the ideal I with its cached reduced Groebner basis."""
 
-    ring: PolyRing
     ideal: Ideal
 
     def __post_init__(self) -> None:
         if self.ideal.basis is None:
             raise ValueError("presentation ideal must carry a Groebner cache")
 
+    @property
+    def ring(self) -> PolyRing:
+        return self.ideal.ring
+
     @staticmethod
     def make(ring: PolyRing, generators: Iterable[Polynomial], order: Optional[TermOrder] = None) -> "PresentedRing":
-        ideal = buchberger(Ideal.from_polys(ring, generators), order)
-        return PresentedRing(ring, ideal)
+        return PresentedRing(buchberger(Ideal.from_polys(ring, generators), order))
 
     def normal(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.ideal)
@@ -40,36 +41,10 @@ class PresentedRing:
     def is_unit_ideal(self) -> bool:
         return self.ideal.contains_one()
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.ring.p,
-            "vars": list(self.ring.names),
-            "generators": [g.to_json() for g in self.ideal.generators],
-        }
-
     @staticmethod
     def from_json(doc: Mapping) -> "PresentedRing":
-        """Raises ValueError (or PolyParseError) on a malformed document."""
-        from .polyring import parse_polynomial, poly_from_json
-
-        try:
-            if not isinstance(doc, Mapping):
-                raise TypeError(f"expected an object, got {type(doc).__name__}")
-            names = tuple(document_list(doc["vars"]))
-            if not all(isinstance(name, str) for name in names):
-                raise TypeError("variable names must be strings")
-            ring = PolyRing(document_int(doc["p"]), names)
-            gens = []
-            for entry in document_list(doc.get("generators", [])):
-                if isinstance(entry, str):
-                    gens.append(parse_polynomial(entry, ring))
-                elif isinstance(entry, Mapping):
-                    gens.append(poly_from_json(entry, ring))
-                else:
-                    raise TypeError(f"a generator is a string or an object, not {type(entry).__name__}")
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed ring document ({type(exc).__name__}: {exc})") from exc
-        return PresentedRing.make(ring, gens)
+        """The ring a document states, with its grevlex basis; raises as `Ideal.from_json`."""
+        return PresentedRing(buchberger(Ideal.from_json(doc)))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,8 @@ from .modarith import (
     SubmoduleBasis,
     document_int,
     document_list,
+    document_object,
+    document_str,
     kernel_basis,
     smith_normal_form,
 )
@@ -145,6 +147,8 @@ class DieudonneModel:
         self.weight_cap = weight_cap
         cap = Fraction(weight_cap)
         self._cap_key = cap.numerator * scale // cap.denominator  # key <= this iff weight <= cap
+        if depth_cap is not None and depth_cap < 0:
+            raise ValueError(f"depth cap must be >= 0, got {depth_cap}")
         self.depth_cap = depth_cap
 
         def clean(name: str, mapping: Mapping[str, Mapping[str, int]]):
@@ -325,9 +329,7 @@ class DieudonneModel:
     def from_json(doc: Mapping) -> "DieudonneModel":
         """Raises ValueError on a malformed document."""
         try:
-            if not isinstance(doc, Mapping):
-                raise TypeError(f"expected an object, got {type(doc).__name__}")
-            p = document_int(doc["p"])
+            p = document_int(document_object(doc)["p"])
             exponent = document_int(doc["N"])
             # bounded before Modulus tests p by trial division and computes p^N
             if not 2 <= p < 2 ** 16:
@@ -335,14 +337,14 @@ class DieudonneModel:
             _check_exponent(exponent)
             Modulus(p, exponent)  # tests that p is prime before the weights divide by its powers
             basis = [
-                BasisElement(str(b["label"]), document_int(b["degree"]), weight_from_pair(p, b["weight"]))
+                BasisElement(document_str(b["label"]), document_int(b["degree"]), weight_from_pair(p, b["weight"]))
                 for b in document_list(doc["basis"])
             ]
             cap = weight_from_pair(p, doc["weight_cap"]) if "weight_cap" in doc else None
             depth = document_int(doc["depth_cap"]) if "depth_cap" in doc else None
             maps = [
-                {src: {dst: document_int(c) for dst, c in dict(row).items()}
-                 for src, row in dict(doc.get(op, {})).items()}
+                {src: {dst: document_int(c) for dst, c in document_object(row).items()}
+                 for src, row in document_object(doc.get(op, {})).items()}
                 for op in ("d", "F", "V")
             ]
         except (KeyError, TypeError, IndexError) as exc:
@@ -408,10 +410,12 @@ def a1_model(p: int, wmax: int, exponent: int, depth: Optional[int] = None) -> D
     _check_exponent(exponent)
     if depth is None:
         depth = exponent
+    if depth < 0:
+        raise ValueError(f"V-depth must be >= 0, got {depth}")
     modulus = Modulus(p, exponent)
     q = modulus.char
     # the basis has 1 + 2 * wmax * p^depth elements; p^15 alone passes the cap
-    if 1 + 2 * wmax * p ** min(max(depth, 0), 15) > MAX_A1_BASIS:
+    if 1 + 2 * wmax * p ** min(depth, 15) > MAX_A1_BASIS:
         raise ValueError(
             f"A^1 model with p = {p}, wmax = {wmax}, V-depth {depth} exceeds the cap of "
             f"{MAX_A1_BASIS} basis elements"

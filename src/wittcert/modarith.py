@@ -47,6 +47,20 @@ def document_list(value) -> list:
     return value
 
 
+def document_object(value) -> dict:
+    """`value` if it is a JSON object; else TypeError, as `document_int`."""
+    if type(value) is not dict:
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def document_str(value) -> str:
+    """`value` if it is a JSON string; else TypeError, as `document_int`."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Modulus:
     """Descriptor for the coefficient ring Z/p^N (one prime per session)."""

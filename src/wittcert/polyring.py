@@ -10,7 +10,9 @@ No Groebner step rescans a polynomial to find its leading term:
 - a cached basis carries its reducers (leading monomial, inverse leading
   coefficient, tail), built once when the cache is attached;
 - `buchberger` keeps its S-pairs in a heap, each keyed once by
-  (lcm degree, lcm, i, j), so pairs are taken in that order;
+  (sugar, lcm degree, lcm, i, j), so pairs are taken in that order (the
+  sugar strategy of Giovini, Mora, Niesi, Robbiano & Traverso, "One
+  sugar cube, please", 1991);
 - new pairs pass the Gebauer-Moller update (Gebauer & Moeller, "On an
   installation of Buchberger's algorithm", 1988): the product criterion,
   the M and F criteria on new pairs, the B criterion on old pairs, and an
@@ -35,7 +37,10 @@ from itertools import combinations
 from operator import add, le, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .modarith import document_int, document_list, is_prime
+from .modarith import document_int, document_list, document_object, document_str, is_prime
+
+# a variable name: the one token the parser reads as a name
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 
 
 class PolyParseError(ValueError):
@@ -56,6 +61,9 @@ class PolyRing:
             raise ValueError(f"characteristic must be a prime in [2, 2^16), got {self.p}")
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be distinct")
+        for name in self.names:  # so that every printed polynomial parses back
+            if not (isinstance(name, str) and re.fullmatch(_NAME, name)):
+                raise ValueError(f"variable name {name!r} is not a name the parser reads ({_NAME})")
 
     @property
     def nvars(self) -> int:
@@ -391,7 +399,7 @@ def poly_from_json(doc: Mapping, ring: PolyRing) -> Polynomial:
     return Polynomial(ring, terms)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME})|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
 
 
 def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
@@ -568,6 +576,23 @@ class Ideal:
                 raise ValueError("generator from wrong ring")
         return Ideal(ring, cleaned)
 
+    @staticmethod
+    def from_json(doc: Mapping) -> "Ideal":
+        """The ideal a ring document states: its generators, no Groebner
+        basis.  Raises ValueError (or PolyParseError) on a malformed document."""
+        try:
+            doc = document_object(doc)
+            ring = PolyRing(document_int(doc["p"]), tuple(map(document_str, document_list(doc["vars"]))))
+            gens = [parse_polynomial(g, ring) if isinstance(g, str) else poly_from_json(document_object(g), ring)
+                    for g in document_list(doc.get("generators", []))]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed ring document ({type(exc).__name__}: {exc})") from exc
+        return Ideal.from_polys(ring, gens)
+
+    def to_json(self) -> dict:
+        gens = [g.to_json() for g in self.generators]
+        return {"p": self.ring.p, "vars": list(self.ring.names), "generators": gens}
+
     def with_cache(self, basis: tuple[Polynomial, ...], order: TermOrder) -> "Ideal":
         """This ideal with `basis` as its reduced basis for `order`, once the
         basis is checked to reduce every generator to zero."""
@@ -585,9 +610,12 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None) -> Ideal:
     """Reduced Groebner basis: Buchberger with the Gebauer-Moller update.
 
     Returns `ideal` itself when it already caches a basis for `order`.
-    Pairs come off a heap in order of (lcm degree, lcm, i, j).  The
-    reduced basis is unique for a fixed order, so rerunning or permuting
-    the generators reproduces the identical cache.
+    Pairs come off a heap in order of (sugar, lcm degree, lcm, i, j): the
+    sugar of an input is its total degree, of a pair the larger of
+    sugar_i + deg u_i and sugar_j + deg u_j (u the cofactors to the lcm),
+    and of a new element the larger of its pair's and its own total
+    degree.  The reduced basis is unique for a fixed order, so rerunning
+    or permuting the generators reproduces the identical cache.
     """
     ring = ideal.ring
     order = order or TermOrder.grevlex(ring.nvars)
@@ -606,14 +634,16 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None) -> Ideal:
     # the active set.
     leads: list[tuple[int, ...]] = []  # of every element added, by index
     reducers: list[tuple] = []  # (lead, 1, monic tail) of every element
+    sugars: list[int] = []  # of every element, by index
     active: list[int] = []  # the elements new pairs may use
-    pairs: list[tuple] = []  # heap of (lcm degree, lcm key, i, j, lcm)
+    pairs: list[tuple] = []  # heap of (sugar, lcm degree, lcm key, i, j, lcm)
 
-    def update(terms: Mapping[tuple[int, ...], int], lm: tuple[int, ...]) -> None:
+    def update(terms: Mapping[tuple[int, ...], int], lm: tuple[int, ...], sugar: int) -> None:
         """Add the element (made monic) and apply the Gebauer-Moller update."""
         inv = pow(terms[lm], -1, p)
         h = len(leads)
         leads.append(lm)
+        sugars.append(sugar)
         reducers.append((lm, 1, [(e, c * inv % p) for e, c in terms.items() if e != lm]))
         new = [(k, _exp_lcm(leads[k], lm)) for k in active]
         # Criteria M and F (Becker & Weispfenning's UPDATE): a new pair goes
@@ -632,19 +662,24 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None) -> Ideal:
         # differs from the lcms of both of its elements with lm.
         pairs[:] = [
             pair for pair in pairs
-            if not _exp_divides(lm, pair[4])
-            or _exp_lcm(leads[pair[2]], lm) == pair[4]
-            or _exp_lcm(leads[pair[3]], lm) == pair[4]
+            if not _exp_divides(lm, pair[5])
+            or _exp_lcm(leads[pair[3]], lm) == pair[5]
+            or _exp_lcm(leads[pair[4]], lm) == pair[5]
         ]
-        pairs.extend((sum(lcm), order.key(lcm), k, h, lcm) for k, lcm, coprime in kept if not coprime)
+        degree = sum(lm)
+        for k, lcm, coprime in kept:
+            if not coprime:
+                d = sum(lcm)
+                pair_sugar = max(sugars[k] + d - sum(leads[k]), sugar + d - degree)
+                pairs.append((pair_sugar, d, order.key(lcm), k, h, lcm))
         heapify(pairs)
         active[:] = [k for k in active if not _exp_divides(lm, leads[k])]
         active.append(h)
 
     for g in gens:
-        update(g.terms, g.leading(order)[0])
+        update(g.terms, g.leading(order)[0], g.total_degree())
     while pairs:
-        _, _, i, j, lcm = heappop(pairs)
+        pair_sugar, _, _, i, j, lcm = heappop(pairs)
         ui, uj = _exp_div(lcm, leads[i]), _exp_div(lcm, leads[j])
         s = {_exp_mul(e, ui): c for e, c in reducers[i][2]}
         for e, c in reducers[j][2]:
@@ -656,7 +691,7 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None) -> Ideal:
         lm = next(iter(r))
         if not any(lm):
             return ideal.with_cache((ring.one(),), order)
-        update(r, lm)
+        update(r, lm, max(pair_sugar, max(map(sum, r))))
     # Reduce in one pass: drop non-minimal leading monomials, then reduce
     # each tail against the other elements, which leaves the lead alone.
     minimal = [k for k in active if not any(m != k and _exp_divides(leads[m], leads[k]) for m in active)]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .derham import PresentedRing
-from .modarith import document_int, document_list
+from .modarith import document_int, document_list, document_str
 from .polyring import (
     Ideal,
     Polynomial,
@@ -73,7 +73,10 @@ class DescentStep:
 
 @dataclass(frozen=True)
 class VanishingCertificate:
-    presentation: PresentedRing
+    """`ideal` is the ideal the certificate states, by its generators:
+    replay computes its own Groebner basis and reads no cache on it."""
+
+    ideal: Ideal
     seed: Polynomial
     steps: tuple[DescentStep, ...]
     terminal: int
@@ -88,7 +91,7 @@ class VanishingCertificate:
                 entry["var"] = s.var
             steps.append(entry)
         return {
-            "ring": self.presentation.to_json(),
+            "ring": self.ideal.to_json(),
             "seed": self.seed.to_json(),
             "steps": steps,
             "terminal": self.terminal,
@@ -99,8 +102,8 @@ class VanishingCertificate:
     def from_json(doc) -> "VanishingCertificate":
         """Raises ValueError (or PolyParseError) on a malformed document."""
         try:
-            presentation = PresentedRing.from_json(doc["ring"])
-            ring = presentation.ring
+            ideal = Ideal.from_json(doc["ring"])
+            ring = ideal.ring
             steps = []
             for s in document_list(doc["steps"]):
                 op = STEP_OPS[s["op"]]
@@ -108,11 +111,11 @@ class VanishingCertificate:
                     DescentStep(op, s.get("var"), poly_from_json(s["in"], ring), poly_from_json(s["out"], ring))
                 )
             return VanishingCertificate(
-                presentation,
+                ideal,
                 poly_from_json(doc["seed"], ring),
                 tuple(steps),
                 document_int(doc["terminal"]),
-                tuple(document_list(doc["provenance"])) if "provenance" in doc else PROVENANCE,
+                tuple(map(document_str, document_list(doc["provenance"]))) if "provenance" in doc else PROVENANCE,
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate ({type(exc).__name__}: {exc})") from exc
@@ -179,7 +182,7 @@ def certify_top_vanishing(presentation: PresentedRing) -> VanishingCertificate:
     order = ideal.basis_order
     seed = _minimal_degree_generator(ideal.basis, order)
     steps, terminal = descend_to_unit(seed)
-    return VanishingCertificate(presentation, seed, steps, terminal)
+    return VanishingCertificate(Ideal(ideal.ring, ideal.generators), seed, steps, terminal)
 
 
 def verify_certificate(cert: VanishingCertificate) -> bool:
@@ -191,8 +194,8 @@ def verify_certificate(cert: VanishingCertificate) -> bool:
     Independent of the code that produced the certificate.
     """
     try:
-        ring = cert.presentation.ring
-        fresh = buchberger(Ideal.from_polys(ring, cert.presentation.ideal.generators))
+        ring = cert.ideal.ring
+        fresh = buchberger(Ideal.from_polys(ring, cert.ideal.generators))
         if cert.seed.is_zero() or cert.seed.ring != ring:
             return False
         if not normal_form(cert.seed, fresh).is_zero():
@@ -309,6 +312,6 @@ def certify_tuple_vanishing(
         raise InternalDefectError(
             "kernel of the tuple map is zero although the degree bound was exceeded"
         )
-    target = PresentedRing(kernel.ring, kernel)
+    target = PresentedRing(kernel)
     cert = certify_top_vanishing(target)
     return cert.seed, cert

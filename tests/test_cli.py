@@ -4,9 +4,11 @@ import argparse
 import contextlib
 import errno
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import shlex
 import shutil
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import wittcert
 from wittcert import cli, dieudonne, wittvec
 from wittcert.cli import WITT_OPERATIONS, build_parser, main
 
@@ -59,14 +62,39 @@ CUSP_RING = '{"p":5,"vars":["x","y"],"generators":["y^2 - x^3"]}'
 
 
 def test_a_ring_document_is_reduced_once_per_order(buchberger_runs, capsys):
-    """The loader's grevlex basis serves --ring as it is; --order lex adds
-    the one lex run, and the dimension reads the lex basis."""
+    """Reading --ring computes no basis: the one run is in the order asked
+    for, and the dimension reads that basis."""
     assert main(["dim", "--ring", CUSP_RING]) == 0
     assert [order.kind for order in buchberger_runs] == ["grevlex"]
     buchberger_runs.clear()
     assert main(["dim", "--ring", CUSP_RING, "--order", "lex"]) == 0
-    assert [order.kind for order in buchberger_runs] == ["grevlex", "lex"]
+    assert [order.kind for order in buchberger_runs] == ["lex"]
     assert capsys.readouterr().out == "1\n1\n"
+
+
+def test_verifying_a_certificate_runs_buchberger_once(buchberger_runs, tmp_path, capsys):
+    """Loading a certificate computes no basis; the replay computes its own."""
+    assert main(["certify", "--preset", "cusp", "--format", "json"]) == 0
+    path = tmp_path / "cert.json"
+    path.write_text(capsys.readouterr().out)
+    buchberger_runs.clear()
+    assert main(["certify", "--verify", str(path)]) == 0
+    assert [order.kind for order in buchberger_runs] == ["grevlex"]
+    assert capsys.readouterr().out == "verified: true\n"
+
+
+# the tuple kernel of the cusp whose block-order Buchberger run took 40 s
+# before S-pairs were picked by sugar
+CUSP_KERNEL = ["kernel", "--preset", "cusp", "--elements", "3*x^2*y + 4*x*y + 4*y^2, x*y + 4*x, 3*y^3 + 3*x*y + y"]
+CUSP_KERNEL_SHA256 = "d444439f1e7c137a579e4c04fe47a9955f4b104ef160987aae0ab5f3ea98541c"
+CUSP_KERNEL_SECONDS = 5.0
+
+
+def test_the_cusp_kernel_is_pinned_and_fast(capsys):
+    start = time.perf_counter()
+    assert main(CUSP_KERNEL) == 0
+    assert time.perf_counter() - start < CUSP_KERNEL_SECONDS
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CUSP_KERNEL_SHA256
 
 
 def test_certify_cusp_succeeds_and_verifies():
@@ -542,6 +570,53 @@ def test_malformed_model_json_exits_two(model, tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def _nonsaturated_model() -> dict:
+    return json.loads((ROOT / "tests/data/nonsaturated_model.json").read_text())
+
+
+def _loose_documents():
+    """(flag, document) pairs that loaded, and ran, before their fields were
+    read strictly: a map given as [label, row] pairs, a number for a basis
+    label, and provenance entries that are not strings."""
+    model = _nonsaturated_model()
+    yield "--model-file", dict(model, d=[[label, row] for label, row in model["d"].items()])
+    yield "--model-file", {"p": 2, "N": 3, "basis": [{"label": 1, "degree": 0, "weight": [0, 0]}], "d": {"1": {}}}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["certify", "--preset", "cusp", "--format", "json"]) == 0
+    yield "--verify", dict(json.loads(out.getvalue()), provenance=[1, {}])
+
+
+@pytest.mark.parametrize("flag,doc", list(_loose_documents()), ids=["map-as-pairs", "number-label", "provenance"])
+def test_a_field_of_the_wrong_json_type_is_malformed(flag, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    command = "certify" if flag == "--verify" else "dieudonne-check"
+    assert main([command, flag, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("invalid input: malformed"), err
+
+
+@pytest.mark.parametrize("argv,message", [
+    # a variable name the parser cannot read back: "^2" would print as a seed
+    (["certify", "--ring", '{"p":5,"vars":[""],"generators":[{"terms":[{"exp":[2],"coef":1}]}]}'],
+     "variable name ''"),
+    (["dim", "--ring", '{"p":5,"vars":["x","x^2"],"generators":[]}'], "variable name 'x^2'"),
+    (["dieudonne-check", "--vdepth", "-1", "--wmax", "2"], "V-depth must be >= 0, got -1"),
+])
+def test_an_input_that_would_print_nonsense_exits_two(argv, message, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("invalid input: ") and message in err, err
+
+
+def test_a_negative_depth_cap_in_a_model_document_exits_two(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(_nonsaturated_model(), depth_cap=-1)))
+    assert main(["dieudonne-check", "--model-file", str(path)]) == 2
+    assert capsys.readouterr() == ("", "invalid input: depth cap must be >= 0, got -1\n")
+
+
 UNBOUNDED_MODELS = {
     # trial division on a prime near 2^61 would take minutes
     "p": {"p": 2 ** 61 - 1, "N": 3, "basis": []},
@@ -800,6 +875,44 @@ def test_witt_verschiebung_rejects_a_p_that_is_not_prime(capsys):
 
 
 # -- README ------------------------------------------------------------------------
+
+# README names these from the standard library, not from wittcert
+README_STDLIB_NAMES = {"int", "sys.get_int_max_str_digits"}
+
+
+def _readme_code_names():
+    """Every backticked call form `name()` (the name) and dotted name
+    `owner.attr` in README."""
+    for span in re.findall(r"`([^`]+)`", (ROOT / "README.md").read_text()):
+        call = re.fullmatch(r"([A-Za-z_][\w.]*)\(\)", span)
+        if call or re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", span):
+            yield call.group(1) if call else span
+
+
+def _has_attribute(owner, name: str) -> bool:
+    """`name` is an attribute of `owner`, a dataclass field or a slot included."""
+    return (hasattr(owner, name) or name in getattr(owner, "__dataclass_fields__", {})
+            or name in getattr(owner, "__slots__", ()))
+
+
+def test_readme_names_only_what_exists():
+    modules = {info.name: importlib.import_module(f"wittcert.{info.name}")
+               for info in pkgutil.iter_modules(wittcert.__path__) if info.name != "__main__"}
+    classes = {name: obj for module in modules.values() for name, obj in vars(module).items()
+               if isinstance(obj, type) and obj.__module__ == module.__name__}
+    owners = list(modules.values()) + list(classes.values())
+    names = set(_readme_code_names())
+    assert {"Ideal.with_cache", "block", "vanish.kernel_of_tuple", "sys.get_int_max_str_digits"} <= names
+    missing = []
+    for name in sorted(names - README_STDLIB_NAMES):
+        *owner, attr = name.split(".")
+        if owner:  # module.name or Class.attr
+            owners_named = [table[owner[0]] for table in (modules, classes) if len(owner) == 1 and owner[0] in table]
+        else:
+            owners_named = owners
+        if not any(_has_attribute(candidate, attr) for candidate in owners_named):
+            missing.append(name)
+    assert missing == []
 
 
 def _readme_cli_examples():

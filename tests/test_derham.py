@@ -56,7 +56,7 @@ def test_partials_of_generators_kill_the_top_form(p):
 
 def test_presented_ring_json_round_trip():
     R = presented(5, ("x", "y"), ["y^2 - x^3"])
-    doc = R.to_json()
+    doc = R.ideal.to_json()
     back = PresentedRing.from_json(doc)
     assert back.ring == R.ring
     assert back.ideal.basis == R.ideal.basis

@@ -17,8 +17,11 @@ Model mutations also put the first value past each bound at the path it
 guards, and a model document must load within LOAD_SECONDS.
 
 Besides the random mutations, every integer field a loader reads is
-replaced in turn by a float, a bool and a numeric string, and every list
-field by a string and an object; each such document must raise ValueError.
+replaced in turn by a float, a bool and a numeric string, every list
+field by a string and an object, every object field (a model's maps and
+their rows) by the list of its pairs and a string, and every string field
+(a basis label, a provenance entry) by a number and a list; each such
+document must raise ValueError.
 """
 
 import json
@@ -30,9 +33,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from wittcert import cli, derham, polyring, vanish
 from wittcert.derham import PresentedRing
 from wittcert.dieudonne import DieudonneModel, a1_model
-from wittcert.polyring import PolyRing, parse_polynomial
+from wittcert.polyring import Ideal, PolyRing, parse_polynomial
 from wittcert.vanish import VanishingCertificate, certify_top_vanishing, verify_certificate
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -85,7 +89,7 @@ model_json_values = _json_values(MODEL_BOUND)
 def _cusp_ring_doc() -> dict:
     ring = PolyRing(5, ("x", "y"))
     presentation = PresentedRing.make(ring, [parse_polynomial("y^2 - x^3", ring)])
-    doc = presentation.to_json()
+    doc = presentation.ideal.to_json()
     doc["generators"].append("x*y")  # the textual form as well as the term form
     return doc
 
@@ -171,6 +175,22 @@ def test_mutated_certificate_documents(data):
         assert isinstance(verify_certificate(cert), bool)
 
 
+def test_loading_a_document_runs_no_buchberger(monkeypatch):
+    """A ring document reads as the ideal it states and a certificate holds
+    that ideal: neither load computes a Groebner basis."""
+    ring_doc, certificate_doc = _cusp_ring_doc(), _certificate_doc()
+
+    def refuse(ideal, order=None):
+        raise AssertionError("loading a document ran Buchberger")
+
+    for module in (polyring, derham, vanish, cli):
+        monkeypatch.setattr(module, "buchberger", refuse, raising=False)
+    ideal = Ideal.from_json(ring_doc)
+    assert ideal.basis is None and len(ideal.generators) == 2
+    cert = VanishingCertificate.from_json(certificate_doc)
+    assert cert.ideal.basis is None and cert.ideal.to_json() == certificate_doc["ring"]
+
+
 class LoadTooSlow(Exception):
     pass
 
@@ -205,6 +225,8 @@ def test_mutated_model_documents(data):
 # Fields the loaders read as lists.  A polynomial object's "vars" and "p"
 # are not read (the enclosing ring's are), so they are left out.
 LIST_FIELDS = {"vars", "generators", "terms", "basis", "steps", "provenance"}
+# A model's operator maps: each map and each of its rows is read as an object.
+MAP_FIELDS = {"d", "F", "V"}
 
 
 def _is_polynomial(node) -> bool:
@@ -212,7 +234,8 @@ def _is_polynomial(node) -> bool:
 
 
 def _typed_fields(doc):
-    """(path, value) of every integer and list field a loader reads in `doc`."""
+    """(path, value) of every integer, list, object and string field a
+    loader reads strictly in `doc`."""
     for path in _paths(doc):
         if not path:
             continue
@@ -224,6 +247,8 @@ def _typed_fields(doc):
             continue
         if (isinstance(value, int) and not isinstance(value, bool)) or path[-1] in LIST_FIELDS:
             yield path, value
+        elif (path[0] in MAP_FIELDS and len(path) <= 2) or path[-1] == "label" or path[0] == "provenance":
+            yield path, value  # an operator map or row, a basis label or a provenance entry
 
 
 def _replaced(doc, path, value):
@@ -238,6 +263,10 @@ def _replaced(doc, path, value):
 def _wrong_types(value):
     if isinstance(value, list):
         return ["".join(map(str, value)), {str(i): v for i, v in enumerate(value)}]
+    if isinstance(value, dict):  # dict() would read the list of its pairs
+        return [[[k, v] for k, v in value.items()], "".join(value)]
+    if isinstance(value, str):  # str() would read a number or a list
+        return [len(value), [value]]
     return [float(value), value + 0.5, True, False, str(value)]
 
 
@@ -245,7 +274,8 @@ def _wrong_types(value):
 EXPECTED_FIELDS = {
     PresentedRing.from_json: {"p", "exp", "coef", "generators", "vars", "terms"},
     VanishingCertificate.from_json: {"terminal", "steps", "provenance", "var", "exp", "coef"},
-    DieudonneModel.from_json: {"p", "N", "degree", "weight", "weight_cap", "basis", "depth_cap"},
+    DieudonneModel.from_json: {"p", "N", "degree", "weight", "weight_cap", "basis", "depth_cap", "label",
+                               "d", "F", "V"},
 }
 
 
@@ -255,8 +285,9 @@ EXPECTED_FIELDS = {
     *[(DieudonneModel.from_json, doc) for doc in _model_docs()],
 ], ids=["ring", "certificate", "nonsaturated-model", "a1-model"])
 def test_a_field_of_the_wrong_type_is_malformed(loader, base):
-    """int() would read 5.9 as 5, true as 1 and "12" as 12, and a string
-    iterates as a list of characters: each must be refused instead."""
+    """int() would read 5.9 as 5, true as 1 and "12" as 12, a string
+    iterates as a list of characters, dict() reads a list of pairs and
+    str() reads anything: each must be refused instead."""
     loader(base)
     fields = list(_typed_fields(base))
     names = {next(key for key in reversed(path) if isinstance(key, str)) for path, _ in fields}

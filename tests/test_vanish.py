@@ -130,7 +130,7 @@ def test_certify_zero_ideal_is_inapplicable():
 
 def test_certify_unit_ideal_is_trivial():
     cert = certify_top_vanishing(presented(5, ("x",), ["2"]))
-    assert cert.seed == cert.presentation.ring.one()
+    assert cert.seed == cert.ideal.ring.one()
     assert cert.steps == ()
     assert verify_certificate(cert)
 
@@ -173,16 +173,16 @@ def test_verifier_rejects_tampering():
 def test_verifier_rejects_fake_root_step():
     ring = PolyRing(2, ("x",))
     seed = parse_polynomial("x^2", ring)
-    R = PresentedRing.make(ring, [seed])
+    ideal = Ideal.from_polys(ring, [seed])
     bogus = VanishingCertificate(
-        R,
+        ideal,
         seed,
         (DescentStep("pth_root", None, seed, ring.one()),),
         1,
     )
     assert not verify_certificate(bogus)  # 1^2 != x^2
     honest = VanishingCertificate(
-        R,
+        ideal,
         seed,
         (
             DescentStep("pth_root", None, seed, ring.variable(0)),
@@ -191,6 +191,17 @@ def test_verifier_rejects_fake_root_step():
         1,
     )
     assert verify_certificate(honest)
+
+
+def test_replay_ignores_a_forged_cache_on_the_stated_ideal():
+    """A cache on the certificate's ideal is never read: one that claims x
+    is in (y^2 - x^3) does not make the seed x verify."""
+    ring = PolyRing(5, ("x", "y"))
+    x, cusp = ring.variable(0), parse_polynomial("y^2 - x^3", ring)
+    forged = Ideal(ring, (cusp,), basis=(x,), basis_order=TermOrder.grevlex(2))
+    assert normal_form(x, forged).is_zero()
+    assert not verify_certificate(VanishingCertificate(forged, x, *descend_to_unit(x)))
+    assert verify_certificate(VanishingCertificate(forged, cusp, *descend_to_unit(cusp)))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -425,6 +436,7 @@ def test_a_graph_kernel_runs_buchberger_once(buchberger_runs):
 F5_CUBIC_ROOT_DIGESTS = {
     "x^2*y + y^2 + x": "f378da6855ded9480aa889601728830a652cf3f76c947acb5fe8f86b195df22f",
     "x^2*y + y^3 + x + 1": "b115971f28f976ae19e1fb3d49681ee08d96ceae8178277d114367122dea9020",
+    "y^2 + x*y + x^3 + 1": "539fa97a210c6d8968f82401e12ef32e3c16ddca21173c6f87521638b3c381b8",
 }
 F5_CUBIC_SECONDS = 10.0
 
