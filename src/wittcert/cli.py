@@ -301,16 +301,33 @@ def cmd_omega_top(args: argparse.Namespace) -> int:
 
 
 def _load_model(args: argparse.Namespace) -> dieudonne.DieudonneModel:
-    if args.coeff_exp < 1:
-        raise ValueError("coefficient exponent must be >= 1")
     if args.model_file is not None:
         return dieudonne.DieudonneModel.from_json(_read_json(args.model_file))
-    exponent = max(args.coeff_exp, 2)
+    coeff_exp = 1 if args.coeff_exp is None else args.coeff_exp
+    if coeff_exp < 1:
+        raise ValueError("coefficient exponent must be >= 1")
+    exponent = max(coeff_exp, 2)
     if args.model == "trivial":
         return dieudonne.trivial_model(args.p, exponent)
     if args.model == "zero":
         return dieudonne.zero_model(args.p, exponent)
-    return dieudonne.a1_model(args.p, args.wmax, exponent, depth=args.vdepth)
+    return dieudonne.a1_model(args.p, 4 if args.wmax is None else args.wmax, exponent, depth=args.vdepth)
+
+
+def _unread_model_flag(args: argparse.Namespace) -> str | None:
+    """The parser error for the first given flag that the chosen model does
+    not read: --wmax and --vdepth shape the a1 model only, and a model file
+    states its own coefficient exponent."""
+    if args.model_file is not None:
+        model, unread = "--model-file", ("--wmax", "--vdepth", "--coeff-exp")
+    elif args.model in ("trivial", "zero"):
+        model, unread = f"--model {args.model}", ("--wmax", "--vdepth")
+    else:
+        return None
+    for flag in unread:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            return f"argument {flag}: not allowed with argument {model}"
+    return None
 
 
 def cmd_dieudonne_check(args: argparse.Namespace) -> int:
@@ -463,9 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = command("dieudonne-check", "run the Dieudonne model checkers", cmd_dieudonne_check,
                     ("--model", "--model-file"), required=False)
-    check.add_argument("--coeff-exp", type=int, default=1, help="coefficient exponent N")
-    check.add_argument("--wmax", type=int, default=4)
-    check.add_argument("--vdepth", type=int, default=None)
+    check.add_argument("--coeff-exp", type=int, help="coefficient exponent N (default 1; not with --model-file)")
+    check.add_argument("--wmax", type=int, help="largest weight of the a1 model (default 4)")
+    check.add_argument("--vdepth", type=int, help="V-depth of the a1 model (default N)")
     check.add_argument("--r", type=int, default=1, help="levels to check (1..r)")
     check.add_argument("--rmax", type=int, default=2, help="propagation depth")
 
@@ -483,6 +500,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "order", None) and args.preset is None and args.ring is None:
         parser.error("argument --order: not allowed without argument --preset or --ring")
+    if args.handler is cmd_dieudonne_check and (message := _unread_model_flag(args)):
+        parser.error(message)
     try:
         if not 2 <= args.p < 2 ** 16:
             raise ValueError("p must satisfy 2 <= p < 2^16")

@@ -1,9 +1,9 @@
 """Sparse multivariate polynomials over F_p.
 
 Polynomials are dictionaries from exponent tuples to nonzero residues.
-The term-dict kernel (`terms_add`, `terms_mul`, `terms_scale`,
-`terms_pow`) works on such dictionaries with plain integer coefficients;
-`Polynomial` arithmetic and the universal Witt tables both run on it.
+The term-dict kernel (`terms_add`, `terms_mul`, `terms_scale`) works on
+such dictionaries with plain integer coefficients; `Polynomial` arithmetic
+runs on it, and the universal Witt tables build their ghost targets with it.
 
 No Groebner step rescans a polynomial to find its leading term:
 
@@ -188,15 +188,6 @@ def terms_scale(a: Mapping, k: int) -> dict:
     if k == 0:
         return {}
     return {e: c * k for e, c in a.items()}
-
-
-def terms_pow(a: Mapping, n: int, nvars: int) -> dict:
-    # Repeated multiplication: the Witt table bases stay small while the
-    # powers grow, so this beats binary powering there.
-    result = {(0,) * nvars: 1}
-    for _ in range(n):
-        result = terms_mul(result, a)
-    return result
 
 
 class Polynomial:

@@ -24,10 +24,12 @@ reduced again.
 
 The universal sum/product/negation/Frobenius polynomials
 (`build_witt_table`) are produced by the ghost recursion over
-arbitrary-precision integers, as term dicts on the `polyring` kernel: at
-level i the recursion divides by p^i, and that division must be exact — a
-failed division is a construction bug, not user error, so it asserts.  No
-op evaluates them; they are the test oracle for both domains.
+arbitrary-precision integers, on term dicts whose exponent tuples are
+packed into one int each for the solve: at level i the recursion divides
+by p^i, and that division must be exact — a failed division, like a packed
+exponent that outgrows its field, is a construction bug, not user error,
+so it asserts.  No op evaluates them; they are the test oracle for both
+domains.
 """
 
 from __future__ import annotations
@@ -35,21 +37,13 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from .modarith import is_prime
-from .polyring import Polynomial, terms_add, terms_mul, terms_pow, terms_scale
+from .polyring import Polynomial, terms_add, terms_mul, terms_scale
 
 # -- universal tables: integer term dicts (exponent tuple -> int) -----------
-
-
-def _ip_divexact(a: dict, k: int) -> dict:
-    out = {}
-    for e, c in a.items():
-        q, rem = divmod(c, k)
-        assert rem == 0, "ghost recursion produced a non-exact division (internal defect)"
-        out[e] = q
-    return out
 
 
 def _ghost_poly(p: int, i: int, offset: int, nvars: int) -> dict:
@@ -63,15 +57,89 @@ def _ghost_poly(p: int, i: int, offset: int, nvars: int) -> dict:
 
 
 def _solve_coordinates(p: int, r: int, nvars: int, targets: list[dict]) -> tuple[dict, ...]:
-    """Coordinate polynomials C_0..C_{r-1} with w_i(C) = targets[i] for all i."""
-    coords: list[dict] = []
+    """Coordinate polynomials C_0..C_{r-1} with w_i(C) = targets[i] for all i:
+    C_i = (targets[i] - sum_{j<i} p^j C_j^(p^(i-j))) / p^i.
+
+    Exponent tuples are packed into one int, a fixed field per variable, so
+    a monomial product is one integer add (Monagan & Pearce, "Polynomial
+    division using dynamic arrays, heaps, and packed exponent vectors",
+    2007).  A field holds the targets' largest exponent plus a guard bit:
+    every coordinate is isobaric, so no power needs more, and a product
+    whose keys reach a guard bit asserts instead of carrying into the next
+    field.  The power chain of each C_j is kept from level to level: it
+    starts at C_j^p, split binomially over the linear terms of C_j (whose
+    other terms have far shorter powers), and is then extended by repeated
+    products with C_j, which stays small while its powers grow.
+    """
+    width = max((x for t in targets for e in t for x in e), default=0).bit_length() + 1
+    shifts = range(0, nvars * width, width)
+    mask = (1 << width) - 1
+    guard = sum(1 << (s + width - 1) for s in shifts)
+    linear = {1 << s for s in shifts}
+
+    def accumulate(out: dict, a: dict, b: dict, k: int = 1) -> dict:
+        """out += k * a * b, returned with its keys checked for guard bits."""
+        get = out.get
+        b_items = list(b.items())
+        for e1, c1 in a.items():
+            c1 *= k
+            for e2, c2 in b_items:
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        assert not any(e & guard for e in out), "packed exponent overflow in the ghost recursion (internal defect)"
+        return out
+
+    def mul(a: dict, b: dict) -> dict:
+        return {e: c for e, c in accumulate({}, a, b).items() if c}
+
+    def pth_power(base: dict) -> dict:
+        """base^p = sum_k C(p, k) L^(p-k) R^k, where L is the linear part of base."""
+        head = {e: c for e, c in base.items() if e in linear}
+        tail = {e: c for e, c in base.items() if e not in linear}
+        heads = [{0: 1}]
+        for _ in range(p):
+            heads.append(mul(heads[-1], head))
+        out: dict = {}
+        tail_power = {0: 1}
+        for k in range(p + 1):
+            if k:
+                tail_power = mul(tail_power, tail)
+            accumulate(out, heads[p - k], tail_power, comb(p, k))
+        return {e: c for e, c in out.items() if c}
+
+    coords: list = []
+    chains: list = [None] * r  # chains[j] = C_j^(p^(i-1-j)) at the start of level i > j + 1
+
+    def level(i: int) -> dict:
+        """C_i, packed; a function, so that its sums are freed on return."""
+        acc = {sum(x << s for x, s in zip(e, shifts)): c for e, c in targets[i].items()}
+        get = acc.get
+        for j, base in enumerate(coords):
+            if i == j + 1:
+                chains[j] = pth_power(base)
+            else:
+                for _ in range(p ** (i - j) - p ** (i - j - 1)):
+                    chains[j] = mul(chains[j], base)
+            k = p ** j
+            for e, c in chains[j].items():
+                acc[e] = get(e, 0) - k * c
+            if i == r - 1:
+                chains[j] = None
+        coord = {}
+        for e, c in acc.items():
+            q, rem = divmod(c, p ** i)
+            assert rem == 0, "ghost recursion produced a non-exact division (internal defect)"
+            if q:
+                coord[e] = q
+        return coord
+
     for i in range(r):
-        acc = dict(targets[i])
-        for j in range(i):
-            term = terms_scale(terms_pow(coords[j], p ** (i - j), nvars), -(p ** j))
-            acc = terms_add(acc, term)
-        coords.append(_ip_divexact(acc, p ** i))
-    return tuple(coords)
+        coords.append(level(i))
+    out = []
+    for n, coord in enumerate(coords):
+        coords[n] = None
+        out.append({tuple((e >> s) & mask for s in shifts): c for e, c in coord.items()})
+    return tuple(out)
 
 
 @dataclass(frozen=True)

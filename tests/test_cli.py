@@ -692,6 +692,34 @@ def test_a_coefficient_exponent_below_one_exits_two(capsys):
     assert capsys.readouterr() == ("", "invalid input: coefficient exponent must be >= 1\n")
 
 
+MODEL_FILE = str(ROOT / "tests" / "data" / "nonsaturated_model.json")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--model", "trivial", "--vdepth", "-1", "--wmax", "-5"], "argument --wmax: not allowed with argument --model trivial"),
+    (["--model", "zero", "--vdepth", "2"], "argument --vdepth: not allowed with argument --model zero"),
+    (["--model-file", MODEL_FILE, "--wmax", "4"], "argument --wmax: not allowed with argument --model-file"),
+    (["--model-file", MODEL_FILE, "--vdepth", "1"], "argument --vdepth: not allowed with argument --model-file"),
+    (["--model-file", MODEL_FILE, "--coeff-exp", "3"], "argument --coeff-exp: not allowed with argument --model-file"),
+])
+def test_a_flag_the_model_does_not_read_exits_two(flags, message, capsys):
+    """--wmax and --vdepth shape the a1 model only, and a model file states
+    its own coefficient exponent; the other models refuse them, at their
+    defaults too."""
+    with pytest.raises(SystemExit) as exc:
+        main(["dieudonne-check", *flags])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"wittcert: error: {message}\n"), err
+
+
+def test_the_a1_model_reads_its_flags_at_their_defaults(capsys):
+    assert main(["dieudonne-check", "--p", "2", "--wmax", "4", "--vdepth", "1", "--coeff-exp", "2"]) == 0
+    given = capsys.readouterr().out
+    assert main(["dieudonne-check", "--model", "a1", "--p", "2", "--vdepth", "1"]) == 0
+    assert capsys.readouterr().out == given
+
+
 # -- witt operations and input sources ---------------------------------------------
 
 

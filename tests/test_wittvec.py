@@ -9,14 +9,17 @@ components, over F_p-algebras from Teichmuller lifts and Verschiebung.
 `eval_table` below, a term-by-term evaluation, is the oracle's evaluator.
 """
 
+import hashlib
+import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittcert import wittvec
 from wittcert.derham import PresentedRing
-from wittcert.polyring import PolyRing, Polynomial, parse_polynomial, terms_add, terms_mul, terms_pow, terms_scale
+from wittcert.polyring import PolyRing, Polynomial, parse_polynomial, terms_add, terms_mul, terms_scale
 from wittcert.wittvec import (
     IntegerCoefficients,
     PresentedCoefficients,
@@ -110,16 +113,21 @@ def test_table_level_one_examples():
     assert t3.prod_polys[1] == {(3, 0, 0, 1): 1, (0, 1, 3, 0): 1, (0, 1, 0, 1): 3}
 
 
-@pytest.mark.parametrize("p,r", [(2, 3), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p,r", [(2, 3), (3, 3), (5, 2), (2, 4), (3, 4)])
 def test_ghost_identities_hold_formally(p, r):
-    """w_i(S) = w_i(a) + w_i(b), w_i(P) = w_i(a) w_i(b), w_i(F) = w_{i+1}(a)."""
+    """w_i(S) = w_i(a) + w_i(b), w_i(P) = w_i(a) w_i(b), w_i(F) = w_{i+1}(a),
+    with each power expanded on exponent tuples by repeated products, apart
+    from the packed solve that built the tables."""
     t = build_witt_table(p, r)
     n2 = 2 * r
 
     def ghost_of(coords, i, nvars):
         acc = {}
         for j in range(i + 1):
-            acc = terms_add(acc, terms_scale(terms_pow(coords[j], p ** (i - j), nvars), p ** j))
+            power = {(0,) * nvars: 1}
+            for _ in range(p ** (i - j)):
+                power = terms_mul(power, coords[j])
+            acc = terms_add(acc, terms_scale(power, p ** j))
         return acc
 
     for i in range(r):
@@ -131,6 +139,43 @@ def test_ghost_identities_hold_formally(p, r):
         assert ghost_of(t.neg_polys, i, r) == terms_scale(g1, -1)
         if i < r - 1:
             assert ghost_of(t.frob_polys, i, r) == _ghost_poly(p, i + 1, 0, r)
+
+
+def canonical_sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def table_doc(t) -> dict:
+    """A table as JSON, each polynomial its sorted [exponent list, coefficient] pairs."""
+    polys = {"sum": t.sum_polys, "prod": t.prod_polys, "neg": t.neg_polys, "frob": t.frob_polys}
+    return {"p": t.p, "r": t.r, **{
+        name: [sorted([list(e), c] for e, c in poly.items()) for poly in group] for name, group in polys.items()
+    }}
+
+
+# the nine tables the witt bench builds, as the tuple-keyed solve made them
+BENCH_TABLES_DIGEST = "e6abd499baf0819cc9d5aeac025f44f4fa638f661417cd8c125e6ea9562aed09"
+# one cold (5, 4) solve: 5.1-5.5 s on tuple-keyed term dicts, about 1 s packed
+SOLVE_5_4_SECONDS = 3.0
+
+
+def test_the_bench_tables_are_pinned():
+    tables = [table_doc(build_witt_table(p, r)) for p in (2, 3, 5) for r in (2, 3, 4)]
+    assert canonical_sha256(tables) == BENCH_TABLES_DIGEST
+
+
+def test_a_cold_level_four_table_at_five_is_fast():
+    start = time.perf_counter()
+    table = wittvec._solve_table.__wrapped__(5, 4)
+    assert time.perf_counter() - start < SOLVE_5_4_SECONDS
+    assert table == build_witt_table(5, 4)
+
+
+def test_a_packed_exponent_that_outgrows_its_field_asserts():
+    """Targets that are not isobaric: X and 1 at p = 5 ask for X^5 at level
+    1, past the width the largest target exponent, 1, gives a field."""
+    with pytest.raises(AssertionError, match="packed exponent overflow"):
+        _solve_coordinates(5, 2, 1, [{(1,): 1}, {(0,): 1}])
 
 
 def test_table_caps():
@@ -330,7 +375,17 @@ def eta_operands(p, domain):
     return pairs
 
 
-@pytest.mark.parametrize("p,r", [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3, 4)])
+ETA_GRID = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3, 4)]
+# the eta rows of ETA_GRID, as the tuple-keyed solve made them
+ETA_ROWS_DIGEST = "165334bb66e7811810bc356367c87a046f9fd1a503ac9134dd750c089019f7cf"
+
+
+def test_the_eta_rows_are_pinned():
+    rows = {f"{p},{r}": _eta_polys(p, r) for p, r in ETA_GRID}
+    assert canonical_sha256(rows) == ETA_ROWS_DIGEST
+
+
+@pytest.mark.parametrize("p,r", ETA_GRID)
 def test_eta_rows_hold_the_solve_and_evaluate_like_it(p, r):
     """The rows of `_eta_polys` rebuild the solved eta dicts mod p, and
     `_eval_eta` equals a term-by-term evaluation of those dicts over F_p and
