@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import dieudonne, vanish, wittvec
 from .derham import PresentedRing, top_form_is_zero_in_omega, top_form_presentation
-from .polyring import Ideal, Polynomial, PolyParseError, PolyRing, TermOrder, buchberger, parse_polynomial
+from .polyring import GREVLEX, LEX, Ideal, Polynomial, PolyParseError, PolyRing, buchberger, parse_polynomial
 
 EXIT_OK = 0
 EXIT_DEFECT = 1
@@ -73,19 +73,14 @@ def _read_json(path: str | None):
     return _decode_json(text)
 
 
-def _term_order(args: argparse.Namespace, nvars: int) -> TermOrder:
-    return TermOrder.lex(nvars) if args.order == "lex" else TermOrder.grevlex(nvars)
-
-
 def _load_ring(args: argparse.Namespace) -> PresentedRing:
+    order = LEX if args.order == "lex" else GREVLEX
     if args.preset:
         names, gens = PRESETS[args.preset]
         ring = PolyRing(args.p, names)
-        return PresentedRing.make(
-            ring, [parse_polynomial(g, ring) for g in gens], _term_order(args, ring.nvars)
-        )
+        return PresentedRing.make(ring, [parse_polynomial(g, ring) for g in gens], order)
     ideal = Ideal.from_json(_read_json(None) if args.ring == "-" else _decode_json(args.ring))
-    return PresentedRing(buchberger(ideal, _term_order(args, ideal.ring.nvars)))
+    return PresentedRing(buchberger(ideal, order))
 
 
 def _emit(args: argparse.Namespace, text_lines: list[str], json_doc) -> None:
@@ -449,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand with --p and --format and one of the input `sources`
         (or none, unless `required`), with --order when --ring is a source."""
         cmd = parent.add_parser(name, help=help)
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=handler, parser=cmd)
         cmd.add_argument("--p", **FLAGS["--p"])
         cmd.add_argument("--format", dest="fmt", choices=["text", "json"], default="text")
         if "--ring" in sources:
@@ -496,12 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if getattr(args, "order", None) and args.preset is None and args.ring is None:
-        parser.error("argument --order: not allowed without argument --preset or --ring")
+        args.parser.error("argument --order: not allowed without argument --preset or --ring")
     if args.handler is cmd_dieudonne_check and (message := _unread_model_flag(args)):
-        parser.error(message)
+        args.parser.error(message)
     try:
         if not 2 <= args.p < 2 ** 16:
             raise ValueError("p must satisfy 2 <= p < 2^16")

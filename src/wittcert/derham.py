@@ -9,9 +9,9 @@ is zero exactly when c reduces to zero modulo J_top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
-from .polyring import Ideal, Polynomial, PolyRing, TermOrder, buchberger, normal_form
+from .polyring import GREVLEX, Ideal, Polynomial, PolyRing, TermOrder, buchberger, normal_form
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class PresentedRing:
         return self.ideal.ring
 
     @staticmethod
-    def make(ring: PolyRing, generators: Iterable[Polynomial], order: Optional[TermOrder] = None) -> "PresentedRing":
+    def make(ring: PolyRing, generators: Iterable[Polynomial], order: TermOrder = GREVLEX) -> "PresentedRing":
         return PresentedRing(buchberger(Ideal.from_polys(ring, generators), order))
 
     def normal(self, f: Polynomial) -> Polynomial:

@@ -494,7 +494,8 @@ def a1_model(p: int, wmax: int, exponent: int, depth: Optional[int] = None) -> D
             else:
                 add(v_map, e, {_a1_label(1, m, j + 1): p})
 
-    assert all(lbl in labels for row in (d_map, f_map, v_map) for tgt in row.values() for lbl in tgt)
+    if any(lbl not in labels for row in (d_map, f_map, v_map) for tgt in row.values() for lbl in tgt):
+        raise AssertionError("a1 model maps a basis label outside its basis (internal defect)")
     return DieudonneModel(
         p, exponent, basis, d_map, f_map, v_map,
         weight_cap=Fraction(wmax), depth_cap=depth,

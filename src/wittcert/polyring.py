@@ -19,7 +19,9 @@ No Groebner step rescans a polynomial to find its leading term:
   active set of elements that new pairs may use;
 - division pops leading monomials from a min-heap on
   `TermOrder.heap_key`, one key computed per monomial pushed (after Yan,
-  "The geobucket data structure for polynomials", 1998);
+  "The geobucket data structure for polynomials", 1998); a key reads the
+  exponent tuple as it is, since every order ranks the variables as the
+  ring lists them, and `eliminate` reorders the ring's variables instead;
 - generators enter monic and the result is reduced in one pass: drop the
   non-minimal leading monomials, then tail-reduce each element once
   against the others, which is exact for a Groebner basis.
@@ -89,35 +91,17 @@ class PolyRing:
 class TermOrder:
     """Monomial order: lex, grevlex, or a two-block elimination order.
 
-    `perm` ranks variables: perm[0] is the most significant variable index.
-    For block orders the first `split` entries of perm form the eliminated
-    block; blocks are compared by grevlex, first block first.
+    Variables rank as the ring lists them, x_0 most significant.  A block
+    order's first `split` variables form the eliminated block; blocks are
+    compared by grevlex, first block first.
     """
 
     kind: str
-    perm: tuple[int, ...]
     split: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in ("lex", "grevlex", "block"):
             raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind == "block" and not 0 <= self.split <= len(self.perm):
-            raise ValueError("bad block split")
-
-    @staticmethod
-    def lex(nvars: int) -> "TermOrder":
-        return TermOrder("lex", tuple(range(nvars)))
-
-    @staticmethod
-    def grevlex(nvars: int) -> "TermOrder":
-        return TermOrder("grevlex", tuple(range(nvars)))
-
-    @staticmethod
-    def elimination(eliminate: Sequence[int], nvars: int) -> "TermOrder":
-        """Block order putting the eliminated variables first."""
-        elim = sorted(eliminate)
-        keep = [i for i in range(nvars) if i not in set(elim)]
-        return TermOrder("block", tuple(elim + keep), split=len(elim))
 
     def key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
         """Sort key; bigger key = bigger monomial: `heap_key` negated."""
@@ -127,18 +111,21 @@ class TermOrder:
         """Min-heap key: smaller key = bigger monomial, the reverse of `key`.
 
         The one encoding of the orders, a flat tuple of ints: lex compares
-        the negated ranked exponents; grevlex compares the negated total
-        degree, then the exponents from the least significant variable on,
-        the smaller the bigger; a block order does grevlex on each block in
-        turn, which compares correctly because each block has a fixed length.
+        the negated exponents; grevlex compares the negated total degree,
+        then the exponents from the last variable on, the smaller the
+        bigger; a block order does grevlex on each block in turn, which
+        compares correctly because each block has a fixed length.
         """
-        e = [exp[i] for i in self.perm]
         if self.kind == "lex":
-            return tuple([-x for x in e])
+            return tuple([-x for x in exp])
         if self.kind == "grevlex":
-            return (-sum(e), *reversed(e))
-        head, tail = e[: self.split], e[self.split:]
-        return (-sum(head), *reversed(head), -sum(tail), *reversed(tail))
+            return (-sum(exp), *exp[::-1])
+        head, tail = exp[: self.split], exp[self.split:]
+        return (-sum(head), *head[::-1], -sum(tail), *tail[::-1])
+
+
+LEX = TermOrder("lex")
+GREVLEX = TermOrder("grevlex")
 
 
 def _exp_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -236,14 +223,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def variables_used(self) -> frozenset[int]:
-        used = set()
-        for exp in self.terms:
-            for i, e in enumerate(exp):
-                if e:
-                    used.add(i)
-        return frozenset(used)
 
     def leading(self, order: TermOrder) -> tuple[tuple[int, ...], int]:
         if not self.terms:
@@ -352,10 +331,9 @@ class Polynomial:
 
     # -- presentation ------------------------------------------------------
 
-    def to_text(self, order: Optional[TermOrder] = None) -> str:
+    def to_text(self, order: TermOrder = GREVLEX) -> str:
         if not self.terms:
             return "0"
-        order = order or TermOrder.grevlex(self.ring.nvars)
         parts = []
         for exp, c in self.sorted_terms(order):
             factors = []
@@ -370,11 +348,10 @@ class Polynomial:
         return " + ".join(parts)
 
     def to_json(self) -> dict:
-        order = TermOrder.grevlex(self.ring.nvars)
         return {
             "vars": list(self.ring.names),
             "p": self.ring.p,
-            "terms": [{"exp": list(e), "coef": c} for e, c in self.sorted_terms(order)],
+            "terms": [{"exp": list(e), "coef": c} for e, c in self.sorted_terms(GREVLEX)],
         }
 
     def __repr__(self) -> str:
@@ -597,7 +574,7 @@ class Ideal:
         return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero()
 
 
-def buchberger(ideal: Ideal, order: Optional[TermOrder] = None) -> Ideal:
+def buchberger(ideal: Ideal, order: TermOrder = GREVLEX) -> Ideal:
     """Reduced Groebner basis: Buchberger with the Gebauer-Moller update.
 
     Returns `ideal` itself when it already caches a basis for `order`.
@@ -609,7 +586,6 @@ def buchberger(ideal: Ideal, order: Optional[TermOrder] = None) -> Ideal:
     or permuting the generators reproduces the identical cache.
     """
     ring = ideal.ring
-    order = order or TermOrder.grevlex(ring.nvars)
     if ideal.basis is not None and ideal.basis_order == order:
         return ideal
     gens = [g for g in ideal.generators if not g.is_zero()]
@@ -718,16 +694,26 @@ def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
 
 
 def eliminate(ideal: Ideal, keep: Iterable[int]) -> Ideal:
-    """I ∩ k[keep] via a block elimination order (eliminated block first)."""
+    """I ∩ k[keep]: with the variables reordered once, the eliminated ones
+    first, the elements of the block-order basis whose leading block is
+    zero, mapped back."""
+
+    def permuted(f: Polynomial, target: PolyRing, perm: Sequence[int]) -> Polynomial:
+        """f in `target`, whose variable j is variable perm[j] of f's ring."""
+        return Polynomial._trusted(target, {tuple([e[i] for i in perm]): c for e, c in f.terms.items()})
+
     ring = ideal.ring
     keep_set = frozenset(keep)
     drop = [i for i in range(ring.nvars) if i not in keep_set]
-    order = TermOrder.elimination(drop, ring.nvars)
-    gb = buchberger(Ideal.from_polys(ring, ideal.generators), order)
+    perm = drop + [i for i in range(ring.nvars) if i in keep_set]
+    moved = PolyRing(ring.p, tuple(ring.names[i] for i in perm))
+    gens = [permuted(g, moved, perm) for g in ideal.generators]
+    gb = buchberger(Ideal.from_polys(moved, gens), TermOrder("block", len(drop)))
     # On k[keep] every eliminated exponent is 0, so the block order compares
     # as grevlex does: the kept part is already the reduced grevlex basis.
-    kept = tuple(g for g in gb.basis if g.variables_used() <= keep_set)
-    return Ideal.from_polys(ring, kept).with_cache(kept, TermOrder.grevlex(ring.nvars))
+    back = sorted(range(ring.nvars), key=perm.__getitem__)
+    kept = tuple(permuted(g, ring, back) for (lm, _, _), g in zip(gb.reducers, gb.basis) if not any(lm[: len(drop)]))
+    return Ideal.from_polys(ring, kept).with_cache(kept, GREVLEX)
 
 
 def graph_kernel(ideal: Ideal, images: Sequence[Polynomial], target: PolyRing) -> Ideal:
@@ -757,7 +743,7 @@ def graph_kernel(ideal: Ideal, images: Sequence[Polynomial], target: PolyRing) -
     kept = eliminate(Ideal.from_polys(big, gens), range(n, n + target.nvars))
     # The t-variables keep their order, so the narrowed basis stays reduced grevlex.
     out = tuple(Polynomial(target, {exp[n:]: c for exp, c in g.terms.items()}) for g in kept.basis)
-    return Ideal.from_polys(target, out).with_cache(out, TermOrder.grevlex(target.nvars))
+    return Ideal.from_polys(target, out).with_cache(out, GREVLEX)
 
 
 def pth_root_ideal(ideal: Ideal) -> Ideal:

@@ -158,7 +158,8 @@ def descend_to_unit(f: Polynomial) -> tuple[tuple[DescentStep, ...], int]:
         power *= ring.p
         log += 1
     limit = deg * (1 + log)
-    assert len(steps) <= limit, "descent chain exceeds the degree bound"
+    if len(steps) > limit:
+        raise AssertionError("descent chain exceeds the degree bound")
     return tuple(steps), current.constant_value()
 
 

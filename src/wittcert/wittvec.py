@@ -28,8 +28,8 @@ arbitrary-precision integers, on term dicts whose exponent tuples are
 packed into one int each for the solve: at level i the recursion divides
 by p^i, and that division must be exact — a failed division, like a packed
 exponent that outgrows its field, is a construction bug, not user error,
-so it asserts.  No op evaluates them; they are the test oracle for both
-domains.
+so it raises AssertionError.  No op evaluates them; they are the test
+oracle for both domains.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def _solve_coordinates(p: int, r: int, nvars: int, targets: list[dict]) -> tuple
     division using dynamic arrays, heaps, and packed exponent vectors",
     2007).  A field holds the targets' largest exponent plus a guard bit:
     every coordinate is isobaric, so no power needs more, and a product
-    whose keys reach a guard bit asserts instead of carrying into the next
+    whose keys reach a guard bit raises instead of carrying into the next
     field.  The power chain of each C_j is kept from level to level: it
     starts at C_j^p, split binomially over the linear terms of C_j (whose
     other terms have far shorter powers), and is then extended by repeated
@@ -86,7 +86,8 @@ def _solve_coordinates(p: int, r: int, nvars: int, targets: list[dict]) -> tuple
             for e2, c2 in b_items:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
-        assert not any(e & guard for e in out), "packed exponent overflow in the ghost recursion (internal defect)"
+        if any(e & guard for e in out):
+            raise AssertionError("packed exponent overflow in the ghost recursion (internal defect)")
         return out
 
     def mul(a: dict, b: dict) -> dict:
@@ -128,7 +129,8 @@ def _solve_coordinates(p: int, r: int, nvars: int, targets: list[dict]) -> tuple
         coord = {}
         for e, c in acc.items():
             q, rem = divmod(c, p ** i)
-            assert rem == 0, "ghost recursion produced a non-exact division (internal defect)"
+            if rem:
+                raise AssertionError("ghost recursion produced a non-exact division (internal defect)")
             if q:
                 coord[e] = q
         return coord
@@ -354,7 +356,8 @@ def _eta_polys(p: int, r: int) -> EtaRows:
     rows = []
     for k, poly in enumerate(_solve_coordinates(p, r, 2, targets)[1:], start=1):
         degree = p ** k
-        assert all(i + j == degree for i, j in poly), "eta is not homogeneous (internal defect)"
+        if any(i + j != degree for i, j in poly):
+            raise AssertionError("eta is not homogeneous (internal defect)")
         rows.append(tuple(poly.get((i, degree - i), 0) % p for i in range(degree, -1, -1)))
     return tuple(rows)
 
@@ -446,7 +449,8 @@ def _unghost(p: int, ghosts) -> tuple[int, ...]:
     coords: list[int] = []
     for i, w in enumerate(ghosts):
         q, rem = divmod(w - sum(p ** j * c ** (p ** (i - j)) for j, c in enumerate(coords)), p ** i)
-        assert rem == 0, "ghost components of no Witt vector (internal defect)"
+        if rem:
+            raise AssertionError("ghost components of no Witt vector (internal defect)")
         coords.append(q)
     return tuple(coords)
 

@@ -18,7 +18,7 @@ def buchberger_runs(monkeypatch):
     runs = []
     compute = polyring.buchberger
 
-    def counted(ideal, order=None):
+    def counted(ideal, order=polyring.GREVLEX):
         result = compute(ideal, order)
         if result is not ideal:
             runs.append(result.basis_order)

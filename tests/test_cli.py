@@ -710,7 +710,7 @@ def test_a_flag_the_model_does_not_read_exits_two(flags, message, capsys):
         main(["dieudonne-check", *flags])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.endswith(f"wittcert: error: {message}\n"), err
+    assert out == "" and err.endswith(f"wittcert dieudonne-check: error: {message}\n"), err
 
 
 def test_the_a1_model_reads_its_flags_at_their_defaults(capsys):
@@ -805,6 +805,19 @@ def test_order_needs_a_presentation(capsys):
         )
     assert main(["witt", "add", "--ring", RING3, "--order", "lex", "--x", "x", "--y", "1"]) == 0
     assert main(["dim", "--preset", "cusp", "--order", "lex"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["dieudonne-check", "--model", "trivial", "--wmax", "3"],
+    ["witt", "add", "--order", "lex", "--x", "1", "--y", "2"],
+])
+def test_a_refused_flag_prints_the_usage_of_its_subcommand(argv, capsys):
+    """The usage printed names the subcommand that owns the flags."""
+    command = " ".join(argv[: 2 if argv[0] == "witt" else 1])
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[0].startswith(f"usage: wittcert {command} [-h] [--p P]")
 
 
 @pytest.mark.parametrize("argv,message", [

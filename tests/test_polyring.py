@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wittcert.polyring import (
+    GREVLEX,
+    LEX,
     Ideal,
     PolyParseError,
     PolyRing,
@@ -43,7 +45,7 @@ def linalg_member(f, generators, degree):
     """Membership of f in the span of monomial multiples of the generators
     up to total degree `degree`: pure echelon reduction, no division."""
     ring = f.ring
-    order = TermOrder.grevlex(ring.nvars)
+    order = GREVLEX
     echelon = {}
     for g in generators:
         for exp in monomials_up_to(ring, degree):
@@ -227,13 +229,12 @@ def test_pth_root_inverts_frobenius_power(seed, p):
 
 
 def test_buchberger_known_basis():
-    ring = PolyRing(2, ("x", "y"))
-    order = TermOrder("lex", (1, 0))  # y ranked above x
+    ring = PolyRing(2, ("y", "x"))  # lex ranks y above x
     ideal = buchberger(
         Ideal.from_polys(ring, [parse_polynomial("y - x^2", ring), parse_polynomial("x*y - 1", ring)]),
-        order,
+        LEX,
     )
-    texts = sorted(g.to_text(order) for g in ideal.basis)
+    texts = sorted(g.to_text(LEX) for g in ideal.basis)
     assert texts == ["x^3 + 1", "y + x^2"]
 
 
@@ -245,12 +246,20 @@ def test_buchberger_trivial_cases():
     assert unit.basis == (ring.one(),)
 
 
-def _order(kind, nvars):
-    if kind == "grevlex":
-        return TermOrder.grevlex(nvars)
+def _order(kind):
+    return {"grevlex": GREVLEX, "lex": LEX, "block": TermOrder("block", 1)}[kind]
+
+
+def _ordered_ring(p, kind, nvars):
+    """The first `nvars` of x, y, z, listed so that lex ranks z first and
+    the block order eliminates z: an order ranks variables as its ring
+    lists them."""
+    names = "xyz"[:nvars]
     if kind == "lex":
-        return TermOrder("lex", tuple(reversed(range(nvars))))
-    return TermOrder.elimination([nvars - 1], nvars)  # eliminates the last variable first
+        names = names[::-1]
+    elif kind == "block":
+        names = names[-1] + names[:-1]
+    return PolyRing(p, tuple(names))
 
 
 @pytest.mark.parametrize("kind", ["grevlex", "lex", "block"])
@@ -260,8 +269,8 @@ def test_buchberger_is_a_groebner_basis(p, nvars, kind):
     # Every S-polynomial of the result reduces to zero, so no pair the
     # criteria pruned was needed; the result is monic and reduced, and it
     # contains the generators.
-    ring = PolyRing(p, tuple("xyz"[:nvars]))
-    order = _order(kind, nvars)
+    ring = _ordered_ring(p, kind, nvars)
+    order = _order(kind)
     rng = random.Random(100 * p + 10 * nvars + len(kind))
     for _ in range(6):
         gens = [random_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(rng.randint(1, 3))]
@@ -287,11 +296,9 @@ def test_buchberger_is_a_groebner_basis(p, nvars, kind):
 
 def _textbook_compare(order, a, b):
     """-1, 0 or 1 as a < b, a == b or a > b by the textbook definitions:
-    lex by the first differing ranked exponent; grevlex by total degree,
-    then the smaller last differing ranked exponent is the bigger monomial;
-    a block order by grevlex on the first block, then on the second."""
-    a = [a[i] for i in order.perm]
-    b = [b[i] for i in order.perm]
+    lex by the first differing exponent; grevlex by total degree, then the
+    smaller last differing exponent is the bigger monomial; a block order
+    by grevlex on the first block, then on the second."""
 
     def lex(u, v):
         diff = [x - y for x, y in zip(u, v) if x != y]
@@ -316,7 +323,7 @@ def test_heap_key_reverses_the_order_key(kind, nvars):
     """Both keys sort as the textbook order does, in opposite directions."""
     rng = random.Random(nvars)
     exps = list({tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(200)})
-    order = _order(kind, nvars)
+    order = _order(kind)
     expected = sorted(exps, key=functools.cmp_to_key(lambda a, b: _textbook_compare(order, a, b)))
     assert sorted(exps, key=order.key) == expected
     assert sorted(exps, key=order.heap_key) == expected[::-1]
@@ -334,10 +341,10 @@ def test_buchberger_order_stable_and_permutation_invariant():
 
 
 def test_normal_form_examples():
-    ring = PolyRing(5, ("x", "y"))
-    order = TermOrder("lex", (1, 0))
-    cusp = buchberger(Ideal.from_polys(ring, [parse_polynomial("y^2 - x^3", ring)]), order)
+    ring = PolyRing(5, ("y", "x"))  # lex ranks y above x
+    cusp = buchberger(Ideal.from_polys(ring, [parse_polynomial("y^2 - x^3", ring)]), LEX)
     assert normal_form(parse_polynomial("y^2", ring), cusp) == parse_polynomial("x^3", ring)
+    ring = PolyRing(5, ("x", "y"))
     gb_x = buchberger(Ideal.from_polys(ring, [ring.variable(0)]))
     assert normal_form(ring.variable(0), gb_x).is_zero()
     gb_xy = buchberger(Ideal.from_polys(ring, [ring.variable(0), ring.variable(1)]))
@@ -380,18 +387,24 @@ def test_eliminate_examples():
         Ideal.from_polys(ring2, [parse_polynomial("x - y", ring2)]), [1]
     )
     assert gone.basis == ()
+    # keep a prefix, so the eliminated y is moved ahead of x and back
+    hyperbola = Ideal.from_polys(ring2, [parse_polynomial("y - x^2", ring2), parse_polynomial("x*y - 1", ring2)])
+    assert [g.to_text() for g in eliminate(hyperbola, [0]).basis] == ["x^3 + 4"]
 
 
 def test_eliminate_properties():
     ring = PolyRing(3, ("x", "y", "z"))
     rng = random.Random(21)
-    for _ in range(10):
-        gens = [random_poly(rng, ring, max_degree=2, max_terms=2) for _ in range(2)]
-        gb = buchberger(Ideal.from_polys(ring, gens))
-        kept = eliminate(Ideal.from_polys(ring, gens), [1, 2])
-        for g in kept.basis:
-            assert g.variables_used() <= {1, 2}
-            assert normal_form(g, gb).is_zero()  # eliminate(I, S) is inside I
+    for keep in ([1, 2], [0, 2], [0]):
+        for _ in range(10):
+            gens = [random_poly(rng, ring, max_degree=2, max_terms=2) for _ in range(2)]
+            gb = buchberger(Ideal.from_polys(ring, gens))
+            kept = eliminate(Ideal.from_polys(ring, gens), keep)
+            for g in kept.basis:
+                assert all(e[i] == 0 for e in g.terms for i in range(3) if i not in keep)
+                assert normal_form(g, gb).is_zero()  # eliminate(I, S) is inside I
+            # the kept part is the reduced grevlex basis of what it generates
+            assert buchberger(Ideal.from_polys(ring, kept.basis)).basis == kept.basis
 
 
 def test_pth_root_ideal_examples():
@@ -421,20 +434,22 @@ def test_pth_root_ideal_membership_property(p):
 
 
 def test_krull_dim_examples():
-    ring = PolyRing(5, ("x", "y"))
-    three = PolyRing(5, ("x", "y", "z"))
-    for ideal, dim in [
-        (Ideal.from_polys(ring, []), 2),
-        (Ideal.from_polys(ring, [parse_polynomial("y^2 - x^3", ring)]), 1),
-        (Ideal.from_polys(ring, [ring.one()]), -1),
-        (Ideal.from_polys(ring, [parse_polynomial("x*y", ring)]), 1),
-        (Ideal.from_polys(ring, [ring.variable(0), ring.variable(1)]), 0),
-        (Ideal.from_polys(three, []), 3),
-        (Ideal.from_polys(three, [parse_polynomial(t, three) for t in ("x*z - y^2", "x^3 - y*z")]), 1),
+    for names, gens, dim in [
+        ("xy", [], 2),
+        ("xy", ["y^2 - x^3"], 1),
+        ("xy", ["1"], -1),
+        ("xy", ["x*y"], 1),
+        ("xy", ["x", "y"], 0),
+        ("xyz", [], 3),
+        ("xyz", ["x*z - y^2", "x^3 - y*z"], 1),
     ]:
-        assert krull_dim(ideal) == dim
-        # a cached basis in any order gives the same leading-term dimension
-        assert krull_dim(buchberger(ideal, TermOrder("lex", (1, 0, 2)[: ideal.ring.nvars]))) == dim
+        ring = PolyRing(5, tuple(names))
+        assert krull_dim(Ideal.from_polys(ring, [parse_polynomial(g, ring) for g in gens])) == dim
+        # a cached basis in any order gives the same leading-term dimension:
+        # here lex with y ranked first, on the ring that lists y first
+        swapped = PolyRing(5, ("y", "x", *names[2:]))
+        ideal = Ideal.from_polys(swapped, [parse_polynomial(g, swapped) for g in gens])
+        assert krull_dim(buchberger(ideal, LEX)) == dim
 
 
 def test_krull_dim_zero_ideal_in_forty_variables():

@@ -11,8 +11,12 @@ components, over F_p-algebras from Teichmuller lifts and Verschiebung.
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +46,7 @@ from wittcert.wittvec import (
 )
 
 Z = IntegerCoefficients()
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def eval_table(polys, args, domain) -> tuple:
@@ -176,6 +181,17 @@ def test_a_packed_exponent_that_outgrows_its_field_asserts():
     1, past the width the largest target exponent, 1, gives a field."""
     with pytest.raises(AssertionError, match="packed exponent overflow"):
         _solve_coordinates(5, 2, 1, [{(1,): 1}, {(0,): 1}])
+
+
+def test_the_overflow_check_survives_python_dash_o():
+    """The same solve under `python -O`, which strips `assert` statements."""
+    code = ("from wittcert.wittvec import _solve_coordinates; "
+            "print(_solve_coordinates(5, 2, 1, [{(1,): 1}, {(0,): 1}]))")
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 1 and result.stdout == "", result.stdout
+    assert result.stderr.splitlines()[-1] == (
+        "AssertionError: packed exponent overflow in the ghost recursion (internal defect)")
 
 
 def test_table_caps():
