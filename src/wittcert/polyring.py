@@ -693,35 +693,51 @@ def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
     return Polynomial._trusted(f.ring, remainder)
 
 
-def eliminate(ideal: Ideal, keep: Iterable[int]) -> Ideal:
-    """I ∩ k[keep]: with the variables reordered once, the eliminated ones
-    first, the elements of the block-order basis whose leading block is
-    zero, mapped back."""
+def _eliminated_terms(ideal: Ideal, keep: Iterable[int]) -> list[dict]:
+    """The reduced grevlex basis of I ∩ k[keep], each element as its terms
+    keyed by the exponents of the kept variables alone, in ring order.
 
-    def permuted(f: Polynomial, target: PolyRing, perm: Sequence[int]) -> Polynomial:
-        """f in `target`, whose variable j is variable perm[j] of f's ring."""
-        return Polynomial._trusted(target, {tuple([e[i] for i in perm]): c for e, c in f.terms.items()})
-
+    With the variables reordered once, the eliminated ones first, it is the
+    part of the block-order basis whose leading block is zero: on k[keep]
+    every eliminated exponent is 0, so the block order compares as grevlex
+    does."""
     ring = ideal.ring
     keep_set = frozenset(keep)
     drop = [i for i in range(ring.nvars) if i not in keep_set]
     perm = drop + [i for i in range(ring.nvars) if i in keep_set]
     moved = PolyRing(ring.p, tuple(ring.names[i] for i in perm))
-    gens = [permuted(g, moved, perm) for g in ideal.generators]
+    gens = [Polynomial._trusted(moved, {tuple([e[i] for i in perm]): c for e, c in g.terms.items()})
+            for g in ideal.generators]
     gb = buchberger(Ideal.from_polys(moved, gens), TermOrder("block", len(drop)))
-    # On k[keep] every eliminated exponent is 0, so the block order compares
-    # as grevlex does: the kept part is already the reduced grevlex basis.
-    back = sorted(range(ring.nvars), key=perm.__getitem__)
-    kept = tuple(permuted(g, ring, back) for (lm, _, _), g in zip(gb.reducers, gb.basis) if not any(lm[: len(drop)]))
+    d = len(drop)
+    return [{e[d:]: c for e, c in g.terms.items()} for (lm, _, _), g in zip(gb.reducers, gb.basis) if not any(lm[:d])]
+
+
+def eliminate(ideal: Ideal, keep: Iterable[int]) -> Ideal:
+    """I ∩ k[keep], with its reduced grevlex basis."""
+    ring = ideal.ring
+    keep = sorted(frozenset(keep))
+    blank = [0] * ring.nvars
+
+    def widened(e: tuple[int, ...]) -> tuple[int, ...]:
+        full = blank.copy()
+        for i, x in zip(keep, e):
+            full[i] = x
+        return tuple(full)
+
+    kept = tuple(Polynomial._trusted(ring, {widened(e): c for e, c in terms.items()})
+                 for terms in _eliminated_terms(ideal, keep))
     return Ideal.from_polys(ring, kept).with_cache(kept, GREVLEX)
 
 
 def graph_kernel(ideal: Ideal, images: Sequence[Polynomial], target: PolyRing) -> Ideal:
     """Kernel of target -> ring/I, t_i -> images[i], with its reduced basis.
 
-    Computed on the graph: in k[x, t] eliminate x from I + (t_i - images[i]),
-    then narrow to the t-variables.  The widened ring's variable names are
-    only made distinct; term orders use indices, so they change nothing.
+    Computed on the graph: in k[x, t] eliminate x from I + (t_i - images[i]);
+    the t-variables keep their order, so the kept basis, read on the
+    t-variables alone, is the reduced grevlex basis in `target`.  The
+    widened ring's variable names are only made distinct; term orders use
+    indices, so they change nothing.
     """
     ring = ideal.ring
     n = ring.nvars
@@ -740,9 +756,8 @@ def graph_kernel(ideal: Ideal, images: Sequence[Polynomial], target: PolyRing) -
 
     gens = [widen(g) for g in ideal.generators]
     gens += [big.variable(n + i) - widen(g) for i, g in enumerate(images)]
-    kept = eliminate(Ideal.from_polys(big, gens), range(n, n + target.nvars))
-    # The t-variables keep their order, so the narrowed basis stays reduced grevlex.
-    out = tuple(Polynomial(target, {exp[n:]: c for exp, c in g.terms.items()}) for g in kept.basis)
+    kept = _eliminated_terms(Ideal.from_polys(big, gens), range(n, n + target.nvars))
+    out = tuple(Polynomial._trusted(target, terms) for terms in kept)
     return Ideal.from_polys(target, out).with_cache(out, GREVLEX)
 
 

@@ -17,31 +17,76 @@ p-th power of each coordinate.
 eta_k is homogeneous of degree D = p^k, so it is kept as a dense row of
 D + 1 coefficients mod p and evaluated by Horner in a, the powers of b
 shared between the rows; each coefficient is applied with the domain's
-`scale`, not as a product with a domain constant.  Coordinates are held
-in normal form under a reduced Groebner basis.  Normal forms are closed
-under sums and scalar multiples, so only a product or a p-th power is
-reduced again.
+`scale`, not as a product with a domain constant.  The rows come from
+the ghost recursion of [a] + [b] at b = 1, a recursion in one variable
+run mod p^(n+1) (`_eta_polys`).  Coordinates are held in normal form
+under a reduced Groebner basis.  Normal forms are closed under sums and
+scalar multiples, so only a product or a p-th power is reduced again.
 
 The universal sum/product/negation/Frobenius polynomials
 (`build_witt_table`) are produced by the ghost recursion over
-arbitrary-precision integers, on term dicts whose exponent tuples are
-packed into one int each for the solve: at level i the recursion divides
-by p^i, and that division must be exact — a failed division, like a packed
-exponent that outgrows its field, is a construction bug, not user error,
-so it raises AssertionError.  No op evaluates them; they are the test
+arbitrary-precision integers, on dicts from packed exponents to rows of
+coefficients packed into one int each (`_solve_coordinates`): at level i
+the recursion divides by p^i, and that division must be exact — a
+failed division, like a packed exponent that outgrows its field or a
+target that is not isobaric, is a construction bug, not user error, so
+it raises AssertionError.  No op evaluates them; they are the test
 oracle for both domains.
+
+Both recursions multiply dense coefficient rows packed into one int
+(`_pack_row`), so that one integer product does a row's worth of
+coefficient products (Kronecker substitution; Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", 2009).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 from .modarith import is_prime
 from .polyring import Polynomial, terms_add, terms_mul, terms_scale
+
+# -- rows: dense coefficient rows packed into one int ------------------------
+
+
+def _row_width(bound: int) -> int:
+    """Bytes per slot for coefficients of absolute value at most `bound`, sign included."""
+    return bound.bit_length() // 8 + 1
+
+
+def _row_bias(width: int, slots: int) -> int:
+    """2^(8 width - 1) in each slot: added to a row, it makes every slot nonnegative."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+
+
+def _pack_row(coeffs: Sequence[int], width: int) -> int:
+    """sum_s coeffs[s] 2^(8 width s): the row as one int, so that integer sums
+    and products act on rows as polynomial ones do in the row's variable
+    (Kronecker substitution), as long as every coefficient unpacked stays
+    within the slot."""
+    if len(coeffs) == 1:
+        return coeffs[0]
+    half = 1 << (8 * width - 1)
+    data = b"".join((c + half).to_bytes(width, "little") for c in coeffs)
+    return int.from_bytes(data, "little") - _row_bias(width, len(coeffs))
+
+
+def _unpack_row(row: int, width: int, slots: int | None = None) -> list[int]:
+    """The first `slots` coefficients of a packed row, by default all of
+    them, possibly with zeros after its last nonzero one: a row whose top
+    slot, s, holds c != 0 has at least 8 width s bits."""
+    half = 1 << (8 * width - 1)
+    if slots is None:
+        if -half < row < half:
+            return [row]
+        slots = row.bit_length() // (8 * width) + 1
+    data = (row + _row_bias(width, slots)).to_bytes(slots * width, "little")
+    return [int.from_bytes(data[s:s + width], "little") - half for s in range(0, len(data), width)]
+
 
 # -- universal tables: integer term dicts (exponent tuple -> int) -----------
 
@@ -56,91 +101,104 @@ def _ghost_poly(p: int, i: int, offset: int, nvars: int) -> dict:
     return out
 
 
-def _solve_coordinates(p: int, r: int, nvars: int, targets: list[dict]) -> tuple[dict, ...]:
+def _solve_coordinates(p: int, weights: Sequence[int], targets: list[dict], row: int | None) -> tuple[dict, ...]:
     """Coordinate polynomials C_0..C_{r-1} with w_i(C) = targets[i] for all i:
     C_i = (targets[i] - sum_{j<i} p^j C_j^(p^(i-j))) / p^i.
 
-    Exponent tuples are packed into one int, a fixed field per variable, so
-    a monomial product is one integer add (Monagan & Pearce, "Polynomial
-    division using dynamic arrays, heaps, and packed exponent vectors",
-    2007).  A field holds the targets' largest exponent plus a guard bit:
-    every coordinate is isobaric, so no power needs more, and a product
-    whose keys reach a guard bit raises instead of carrying into the next
-    field.  The power chain of each C_j is kept from level to level: it
-    starts at C_j^p, split binomially over the linear terms of C_j (whose
-    other terms have far shorter powers), and is then extended by repeated
-    products with C_j, which stays small while its powers grow.
-    """
-    width = max((x for t in targets for e in t for x in e), default=0).bit_length() + 1
-    shifts = range(0, nvars * width, width)
-    mask = (1 << width) - 1
-    guard = sum(1 << (s + width - 1) for s in shifts)
-    linear = {1 << s for s in shifts}
+    Variable v has weight weights[v], and variable 0 has weight 1.  Target i
+    must be isobaric of weight p^i W_0; then so is C_i, and C_j^(p^(i-j))
+    has the same weight.  A polynomial of weight W is held as a dict from
+    the packed exponents of the variables other than 0 and `row` (a key) to
+    a row: the dense coefficients by the exponent of variable `row`, packed
+    into one int (`_pack_row`); the exponent of variable 0 is W minus the
+    weight of the rest.  With `row` None a row is one coefficient.  So one
+    product of rows does the work of a row's worth of monomial products,
+    as long as the rows are dense.
 
-    def accumulate(out: dict, a: dict, b: dict, k: int = 1) -> dict:
-        """out += k * a * b, returned with its keys checked for guard bits."""
+    A key has a fixed field per variable, so a monomial product is one
+    integer add (Monagan & Pearce, "Polynomial division using dynamic
+    arrays, heaps, and packed exponent vectors", 2007); a field holds the
+    targets' largest exponent of a key variable plus a guard bit, and a
+    product whose keys reach a guard bit raises instead of carrying into
+    the next field.  The power chain of each C_j is kept from level to
+    level, extended by repeated products with C_j, which stays small while
+    its powers grow; its slots are as wide as an L1-norm bound on its last
+    power, L1(C_j)^(p^(r-1-j)), asks.
+    """
+    r = len(targets)
+    free = [v for v in range(1, len(weights)) if v != row]
+    field = max((e[v] for t in targets for e in t for v in free), default=0).bit_length() + 1
+    shifts = range(0, len(free) * field, field)
+    mask = (1 << field) - 1
+    guard = sum(1 << (s + field - 1) for s in shifts)
+    step = 0 if row is None else weights[row]
+    split = len(free) if row is None else row - 1  # the row variable's place among the others
+    free_weights = [weights[v] for v in free]
+    w0 = sum(map(operator.mul, next(iter(targets[0])), weights))
+
+    def mul(a: dict, b: dict) -> dict:
+        out: dict = {}
         get = out.get
         b_items = list(b.items())
         for e1, c1 in a.items():
-            c1 *= k
             for e2, c2 in b_items:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
         if any(e & guard for e in out):
             raise AssertionError("packed exponent overflow in the ghost recursion (internal defect)")
-        return out
-
-    def mul(a: dict, b: dict) -> dict:
-        return {e: c for e, c in accumulate({}, a, b).items() if c}
-
-    def pth_power(base: dict) -> dict:
-        """base^p = sum_k C(p, k) L^(p-k) R^k, where L is the linear part of base."""
-        head = {e: c for e, c in base.items() if e in linear}
-        tail = {e: c for e, c in base.items() if e not in linear}
-        heads = [{0: 1}]
-        for _ in range(p):
-            heads.append(mul(heads[-1], head))
-        out: dict = {}
-        tail_power = {0: 1}
-        for k in range(p + 1):
-            if k:
-                tail_power = mul(tail_power, tail)
-            accumulate(out, heads[p - k], tail_power, comb(p, k))
         return {e: c for e, c in out.items() if c}
 
-    coords: list = []
-    chains: list = [None] * r  # chains[j] = C_j^(p^(i-1-j)) at the start of level i > j + 1
-
-    def level(i: int) -> dict:
-        """C_i, packed; a function, so that its sums are freed on return."""
-        acc = {sum(x << s for x, s in zip(e, shifts)): c for e, c in targets[i].items()}
-        get = acc.get
-        for j, base in enumerate(coords):
-            if i == j + 1:
-                chains[j] = pth_power(base)
-            else:
-                for _ in range(p ** (i - j) - p ** (i - j - 1)):
-                    chains[j] = mul(chains[j], base)
-            k = p ** j
-            for e, c in chains[j].items():
-                acc[e] = get(e, 0) - k * c
-            if i == r - 1:
-                chains[j] = None
-        coord = {}
-        for e, c in acc.items():
-            q, rem = divmod(c, p ** i)
-            if rem:
-                raise AssertionError("ghost recursion produced a non-exact division (internal defect)")
-            if q:
-                coord[e] = q
-        return coord
-
-    for i in range(r):
-        coords.append(level(i))
+    bases: list = []  # C_j packed at its chain's width
+    widths: list = []
+    norms: list = []  # L1(C_j)
+    chains: list = []  # chains[j] = C_j^(p^(i-1-j)) at the start of level i > j
     out = []
-    for n, coord in enumerate(coords):
-        coords[n] = None
-        out.append({tuple((e >> s) & mask for s in shifts): c for e, c in coord.items()})
+    for i in range(r):
+        weight = p ** i * w0
+        by_key: dict = {}
+        for e, c in targets[i].items():
+            if sum(map(operator.mul, e, weights)) != weight:
+                raise AssertionError("a target of the ghost recursion is not isobaric (internal defect)")
+            coeffs = by_key.setdefault(sum(e[v] << s for v, s in zip(free, shifts)), [])
+            slot = 0 if row is None else e[row]
+            coeffs.extend([0] * (slot + 1 - len(coeffs)))
+            coeffs[slot] += c
+        bound = sum(abs(c) for c in targets[i].values())
+        bound += sum(p ** j * norms[j] ** (p ** (i - j)) for j in range(i))
+        width = _row_width(bound)
+        acc = {key: _pack_row(coeffs, width) for key, coeffs in by_key.items()}
+        get = acc.get
+        for j in range(i):
+            chain = chains[j]
+            for _ in range(p ** (i - j) - p ** (i - j - 1)):
+                chain = mul(chain, bases[j])
+            chains[j] = chain if i < r - 1 else None
+            k = p ** j
+            for key, packed in chain.items():
+                acc[key] = get(key, 0) - k * _pack_row(_unpack_row(packed, widths[j]), width)
+        modulus = p ** i
+        coord = {}
+        poly = {}
+        for key, packed in acc.items():
+            fields = [(key >> s) & mask for s in shifts]
+            rest = weight - sum(map(operator.mul, fields, free_weights))
+            head, tail = fields[:split], fields[split:]
+            quotients = []
+            for slot, c in enumerate(_unpack_row(packed, width)):
+                q, rem = divmod(c, modulus)
+                if rem:
+                    raise AssertionError("ghost recursion produced a non-exact division (internal defect)")
+                quotients.append(q)
+                if q:
+                    poly[(rest, *fields) if row is None else (rest - step * slot, *head, slot, *tail)] = q
+            if any(quotients):
+                coord[key] = quotients
+        out.append(poly)
+        if i < r - 1:
+            norms.append(sum(abs(c) for coeffs in coord.values() for c in coeffs))
+            widths.append(_row_width(norms[i] ** (p ** (r - 1 - i))))
+            bases.append({key: _pack_row(coeffs, widths[i]) for key, coeffs in coord.items()})
+            chains.append(bases[i])
     return tuple(out)
 
 
@@ -190,13 +248,19 @@ def build_witt_table(p: int, r: int) -> WittPolynomialTable:
 @functools.lru_cache(maxsize=None)
 def _solve_table(p: int, r: int) -> WittPolynomialTable:
     n2 = 2 * r
+    weights = tuple(p ** j for j in range(r))
     ghost_a2 = [_ghost_poly(p, i, 0, n2) for i in range(r)]
     ghost_b2 = [_ghost_poly(p, i, r, n2) for i in range(r)]
-    sums = _solve_coordinates(p, r, n2, [terms_add(ghost_a2[i], ghost_b2[i]) for i in range(r)])
-    prods = _solve_coordinates(p, r, n2, [terms_mul(ghost_a2[i], ghost_b2[i]) for i in range(r)])
+    # The sums' rows run over b_0.  The products are isobaric in a and in b
+    # apart, so a row over b_0 would hold one coefficient; given the other
+    # variables, a_0 and a_1 split the a-weight left, so their rows run over
+    # a_1 (at (5, 4), 3x faster than one coefficient a row, 20x than b_0).
+    sums = _solve_coordinates(p, weights * 2, [terms_add(ghost_a2[i], ghost_b2[i]) for i in range(r)], r)
+    prods = _solve_coordinates(p, weights * 2, [terms_mul(ghost_a2[i], ghost_b2[i]) for i in range(r)], 1)
     ghost_a1 = [_ghost_poly(p, i, 0, r) for i in range(r)]
-    negs = _solve_coordinates(p, r, r, [terms_scale(ghost_a1[i], -1) for i in range(r)])
-    frobs = _solve_coordinates(p, r - 1, r, [ghost_a1[i + 1] for i in range(r - 1)]) if r > 1 else ()
+    # negation and Frobenius have a few terms a coordinate: one coefficient a row
+    negs = _solve_coordinates(p, weights, [terms_scale(ghost_a1[i], -1) for i in range(r)], None)
+    frobs = _solve_coordinates(p, weights, [ghost_a1[i + 1] for i in range(r - 1)], None) if r > 1 else ()
     return WittPolynomialTable(p, r, sums, prods, negs, frobs)
 
 
@@ -342,23 +406,64 @@ def _check_pair(x: WittVector, y: WittVector) -> None:
 EtaRows = tuple[tuple[int, ...], ...]
 
 
+def _mul_mod(a: list[int], b: list[int], modulus: int) -> list[int]:
+    """a * b mod `modulus` for polynomials with coefficients in [0, modulus),
+    by ascending power, as one product of packed rows: a slot of the
+    product holds at most min(len(a), len(b)) (modulus - 1)^2."""
+    width = _row_width(min(len(a), len(b)) * (modulus - 1) ** 2)
+    packed = _pack_row(a, width)
+    product = packed * (packed if b is a else _pack_row(b, width))
+    return [c % modulus for c in _unpack_row(product, width, len(a) + len(b) - 1)]
+
+
+def _power_mod(coeffs: list[int], e: int, modulus: int) -> list[int]:
+    """coeffs^e mod `modulus`, e >= 1, by squaring and multiplying."""
+    out = None
+    while True:
+        if e & 1:
+            out = coeffs if out is None else _mul_mod(out, coeffs, modulus)
+        e >>= 1
+        if not e:
+            return out
+        coeffs = _mul_mod(coeffs, coeffs, modulus)
+
+
 @functools.lru_cache(maxsize=None)
 def _eta_polys(p: int, r: int) -> EtaRows:
     """eta_1..eta_{r-1} in characteristic p: [a] + [b] = (a + b, eta_1(a, b), ...).
 
     eta_k is homogeneous of degree D = p^k; it is returned as the dense row
-    of its coefficients mod p of a^i b^(D-i) for i = D, ..., 0.  Solved once
-    per (p, r) over Z from the ghost components a^(p^i) + b^(p^i) of
-    [a] + [b], independently of the universal sum table, and reduced mod p.
-    Two threads racing on the first call build the same value twice.
+    of its coefficients mod p of a^i b^(D-i) for i = D, ..., 0.  The ghost
+    components of [a] + [b] are a^(p^n) + b^(p^n), so at b = 1 the ghost
+    recursion is one in t = a alone:
+        eta_n(t, 1) = (t^(p^n) + 1 - sum_{k<n} p^k eta_k(t, 1)^(p^(n-k))) / p^n,
+    from eta_0 = t + 1.  Only eta_n mod p is wanted, so the numerator is
+    needed mod p^(n+1), and the power of eta_k mod p^(n-k+1).  Since
+    X = Y mod p^(m+1) gives X^p = Y^p mod p^(m+2), each power of eta_k is
+    the p-th power of the one before it, reduced mod one more factor p,
+    starting from eta_k mod p (`_power_mod`).  Two threads racing on the
+    first call build the same value twice.
     """
-    targets = [{(p ** i, 0): 1, (0, p ** i): 1} for i in range(r)]
+    powers: list = []  # eta_k(t, 1)^(p^(n-1-k)) mod p^(n-k) at the start of level n, by ascending power of t
     rows = []
-    for k, poly in enumerate(_solve_coordinates(p, r, 2, targets)[1:], start=1):
-        degree = p ** k
-        if any(i + j != degree for i, j in poly):
-            raise AssertionError("eta is not homogeneous (internal defect)")
-        rows.append(tuple(poly.get((i, degree - i), 0) % p for i in range(degree, -1, -1)))
+    for n in range(r):
+        degree = p ** n
+        acc = [1] + [0] * (degree - 1) + [1]
+        for k, power in enumerate(powers):
+            powers[k] = _power_mod(power, p, p ** (n - k + 1))
+            scale = p ** k
+            for s, c in enumerate(powers[k]):
+                acc[s] -= scale * c
+        modulus = p ** n
+        eta = []
+        for c in acc:
+            q, rem = divmod(c % (p * modulus), modulus)
+            if rem:
+                raise AssertionError("the eta recursion produced a non-exact division (internal defect)")
+            eta.append(q)
+        powers.append(eta)
+        if n:
+            rows.append(tuple(reversed(eta)))
     return tuple(rows)
 
 

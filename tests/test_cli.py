@@ -327,6 +327,15 @@ def test_integer_witt_at_p13_finishes_at_once(argv, message, capsys):
     assert capsys.readouterr() == ("", f"invalid input: {message}, {PRINT_LIMIT}\n")
 
 
+def test_the_first_fp_addition_at_p13_finishes_at_once(capsys):
+    """The first addition builds the eta rows at (13, 4): 3.6-5.1 s over Z."""
+    wittvec._eta_polys.cache_clear()
+    start = time.perf_counter()
+    assert main(["witt", "add", "--p", "13", "--x", "1;1;1;1", "--y", "1;1;1;1"]) == 0
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("(2, 9, 11, 0)\n", "")
+
+
 def test_integer_results_print_up_to_the_limit(capsys):
     # 2^14284 has 4300 digits, though its bit length reads as 4301; 10^4300 has 4301
     assert main(["witt", "mul", "--integer", "--x", str(2 ** 7142), "--y", str(2 ** 7142)]) == 0

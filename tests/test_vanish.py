@@ -15,6 +15,7 @@ from wittcert.polyring import (
     PolyRing,
     Polynomial,
     buchberger,
+    eliminate,
     normal_form,
     parse_polynomial,
     pth_root_ideal,
@@ -375,22 +376,30 @@ def _is_its_own_fresh_grevlex_basis(ideal):
 
 
 def test_eliminations_return_the_basis_a_fresh_buchberger_computes(monkeypatch):
-    """eliminate keeps part of a block-order basis and graph_kernel narrows
-    it, and neither reruns Buchberger on it: a fresh grevlex run on the
-    basis each returns must give that basis back."""
-    eliminated = []
-    compute = polyring.eliminate
+    """graph_kernel reads the kept part of a block-order basis on the kept
+    variables, and eliminate widens it back, and neither reruns Buchberger
+    on it: a fresh grevlex run on the basis each returns must give that
+    basis back.  Every elimination the catalogue runs for a kernel is run
+    again through `eliminate`."""
+    calls = []
+    compute = polyring._eliminated_terms
 
     def recording(ideal, keep):
-        eliminated.append(compute(ideal, keep))
-        return eliminated[-1]
+        keep = tuple(keep)
+        calls.append((ideal, keep, compute(ideal, keep)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(polyring, "eliminate", recording)
+    monkeypatch.setattr(polyring, "_eliminated_terms", recording)
     kernels = [result for _, result in elimination_catalogue()]
-    assert len(eliminated) == len(kernels) == 63
+    monkeypatch.undo()
+    assert len(calls) == len(kernels) == 63
     assert all(k.basis for k in kernels)
-    for ideal in eliminated + kernels:
-        assert _is_its_own_fresh_grevlex_basis(ideal), ideal.basis
+    for (ideal, keep, terms), kernel in zip(calls, kernels):
+        assert [g.terms for g in kernel.basis] == terms
+        eliminated = eliminate(ideal, keep)
+        assert [{tuple(e[i] for i in keep): c for e, c in g.terms.items()} for g in eliminated.basis] == terms
+        assert _is_its_own_fresh_grevlex_basis(eliminated), eliminated.basis
+        assert _is_its_own_fresh_grevlex_basis(kernel), kernel.basis
 
 
 def test_the_closure_takes_the_root_ideal_as_its_candidate(monkeypatch):

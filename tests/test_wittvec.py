@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -160,8 +161,9 @@ def table_doc(t) -> dict:
 
 # the nine tables the witt bench builds, as the tuple-keyed solve made them
 BENCH_TABLES_DIGEST = "e6abd499baf0819cc9d5aeac025f44f4fa638f661417cd8c125e6ea9562aed09"
-# one cold (5, 4) solve: 5.1-5.5 s on tuple-keyed term dicts, about 1 s packed
-SOLVE_5_4_SECONDS = 3.0
+# one cold (5, 4) solve: 5.1-5.5 s on tuple-keyed term dicts, 0.79-0.97 s
+# on packed monomials, 0.16-0.28 s on packed rows
+SOLVE_5_4_SECONDS = 0.6
 
 
 def test_the_bench_tables_are_pinned():
@@ -176,22 +178,41 @@ def test_a_cold_level_four_table_at_five_is_fast():
     assert table == build_witt_table(5, 4)
 
 
+# Inputs the solve must refuse, as (weights, targets, row, message).  Y and
+# 5 Z at p = 5, with Y, Z of weights 1, 5, are isobaric, but level 1 asks
+# for Y^5, past the field the largest target exponent of Y, 1, gives it.
+# X and 1 are not isobaric: at p = 5, level 1 must have weight 5.  X and
+# 5 Y are, but X^5 is not divisible by 5 at level 1, so no coordinates have
+# these ghost components.
+OVERFLOWING = ((1, 1, 5), [{(0, 1, 0): 1}, {(0, 0, 1): 5}], None,
+               "packed exponent overflow in the ghost recursion (internal defect)")
+NOT_ISOBARIC = ((1,), [{(1,): 1}, {(0,): 1}], None,
+                "a target of the ghost recursion is not isobaric (internal defect)")
+NOT_EXACT = ((1, 5), [{(1, 0): 1}, {(0, 1): 5}], None,
+             "ghost recursion produced a non-exact division (internal defect)")
+
+
 def test_a_packed_exponent_that_outgrows_its_field_asserts():
-    """Targets that are not isobaric: X and 1 at p = 5 ask for X^5 at level
-    1, past the width the largest target exponent, 1, gives a field."""
-    with pytest.raises(AssertionError, match="packed exponent overflow"):
-        _solve_coordinates(5, 2, 1, [{(1,): 1}, {(0,): 1}])
+    weights, targets, row, message = OVERFLOWING
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        _solve_coordinates(5, weights, targets, row)
+
+
+def test_a_target_that_is_not_isobaric_asserts():
+    weights, targets, row, message = NOT_ISOBARIC
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        _solve_coordinates(5, weights, targets, row)
 
 
 def test_the_overflow_check_survives_python_dash_o():
-    """The same solve under `python -O`, which strips `assert` statements."""
-    code = ("from wittcert.wittvec import _solve_coordinates; "
-            "print(_solve_coordinates(5, 2, 1, [{(1,): 1}, {(0,): 1}]))")
-    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
-                            env={**os.environ, "PYTHONPATH": str(SRC)})
-    assert result.returncode == 1 and result.stdout == "", result.stdout
-    assert result.stderr.splitlines()[-1] == (
-        "AssertionError: packed exponent overflow in the ghost recursion (internal defect)")
+    """The three refusals under `python -O`, which strips `assert` statements."""
+    for weights, targets, row, message in (OVERFLOWING, NOT_ISOBARIC, NOT_EXACT):
+        code = ("from wittcert.wittvec import _solve_coordinates; "
+                f"print(_solve_coordinates(5, {weights!r}, {targets!r}, {row!r}))")
+        result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60,
+                                env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert result.returncode == 1 and result.stdout == "", result.stdout
+        assert result.stderr.splitlines()[-1] == f"AssertionError: {message}"
 
 
 def test_table_caps():
@@ -394,6 +415,9 @@ def eta_operands(p, domain):
 ETA_GRID = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2, 3, 4)]
 # the eta rows of ETA_GRID, as the tuple-keyed solve made them
 ETA_ROWS_DIGEST = "165334bb66e7811810bc356367c87a046f9fd1a503ac9134dd750c089019f7cf"
+# the eta rows at (11, 4), (13, 4) and (7, 5), as the solve over Z made them
+# in 1.6 s, 3.6 s and 7.1 s
+LARGE_ETA_ROWS_DIGEST = "0805d609e0c4331bb0087bb5ff3fb2558295f64940ec92a8f253c3d67357dcb9"
 
 
 def test_the_eta_rows_are_pinned():
@@ -401,13 +425,37 @@ def test_the_eta_rows_are_pinned():
     assert canonical_sha256(rows) == ETA_ROWS_DIGEST
 
 
-@pytest.mark.parametrize("p,r", ETA_GRID)
+def test_large_eta_rows_are_pinned_and_fast():
+    rows = {}
+    for p, r in [(11, 4), (13, 4), (7, 5)]:
+        start = time.perf_counter()
+        rows[f"{p},{r}"] = _eta_polys.__wrapped__(p, r)
+        assert time.perf_counter() - start < 1.0, (p, r)
+    assert canonical_sha256(rows) == LARGE_ETA_ROWS_DIGEST
+
+
+def test_a_wrong_eta_power_fails_the_exact_division(monkeypatch):
+    """The eta recursion's division by p^n is checked: a power off by one in
+    its constant term leaves a numerator that p^n does not divide."""
+    power_mod = wittvec._power_mod
+
+    def off_by_one(coeffs, e, modulus):
+        out = power_mod(coeffs, e, modulus)
+        return [out[0] + 1] + out[1:]
+
+    monkeypatch.setattr(wittvec, "_power_mod", off_by_one)
+    message = "the eta recursion produced a non-exact division (internal defect)"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        _eta_polys.__wrapped__(5, 2)
+
+
+@pytest.mark.parametrize("p,r", ETA_GRID + [(11, 3), (13, 3)])
 def test_eta_rows_hold_the_solve_and_evaluate_like_it(p, r):
-    """The rows of `_eta_polys` rebuild the solved eta dicts mod p, and
-    `_eval_eta` equals a term-by-term evaluation of those dicts over F_p and
-    the cusp."""
+    """The rows of `_eta_polys` rebuild the eta dicts solved over Z by the
+    universal tables' solve, reduced mod p, and `_eval_eta` equals a
+    term-by-term evaluation of those dicts over F_p and the cusp."""
     targets = [{(p ** i, 0): 1, (0, p ** i): 1} for i in range(r)]
-    solved = _solve_coordinates(p, r, 2, targets)[1:]
+    solved = _solve_coordinates(p, (1, 1), targets, 1)[1:]
 
     def rebuilt(row):
         degree = len(row) - 1
