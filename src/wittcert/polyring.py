@@ -17,7 +17,8 @@ No Groebner step rescans a polynomial to find its leading term:
   installation of Buchberger's algorithm", 1988): the product criterion,
   the M and F criteria on new pairs, the B criterion on old pairs, and an
   active set of elements that new pairs may use;
-- division pops leading monomials from a min-heap on
+- division sends a monomial that no leading monomial divides straight
+  to the remainder and pops the others from a min-heap on
   `TermOrder.heap_key`, one key computed per monomial pushed (after Yan,
   "The geobucket data structure for polynomials", 1998); a key reads the
   exponent tuple as it is, since every order ranks the variables as the
@@ -478,40 +479,65 @@ def _reducer(g: Polynomial, order: TermOrder, p: int) -> tuple:
     return lm, pow(lc, -1, p), [(e, c) for e, c in g.terms.items() if e != lm]
 
 
-def _reduce_terms(work: dict, reducers: Sequence[tuple], order: TermOrder, p: int) -> dict:
-    """Remainder of the term dict `work` (consumed) on division by `reducers`.
+def _reduce_terms(terms: Mapping, reducers: Sequence[tuple], order: TermOrder, p: int) -> dict:
+    """Remainder of the term dict `terms` on division by `reducers`, with
+    coefficients in [1, p) whatever integers `terms` holds.
 
-    Leading monomials come off a min-heap on `order.heap_key`.  The heap
-    and `work` hold the same monomials: a term that cancels stays in
-    `work` as 0 until it is popped, so no monomial is pushed twice.  The
-    first reducer whose leading monomial divides is used.  The remainder
-    lists its terms in decreasing order, so its first key is its leading
-    monomial.
+    A monomial that no leading monomial divides goes straight to the
+    remainder, whose terms come in no particular order.  The others come
+    off a min-heap on `order.heap_key`, each with the first reducer whose
+    leading monomial divides it.  `pending` holds the monomials of the
+    heap: a term that cancels stays there as 0 until it is popped, so no
+    monomial is pushed twice.  A tail times the quotient is smaller than
+    the monomial popped, so nothing popped comes back.
     """
+    if not reducers:
+        return {e: v for e, c in terms.items() if (v := c % p)}
     heap_key = order.heap_key
-    heap = [(heap_key(e), e) for e in work]
-    heapify(heap)
+
+    def divisor(e: tuple[int, ...]) -> Optional[tuple]:
+        for g in reducers:
+            if all(map(le, g[0], e)):
+                return g
+        return None
+
+    pending = {}
+    heap = []
     remainder = {}
+    for e, c in terms.items():
+        c %= p
+        if c:
+            g = divisor(e)
+            if g is None:
+                remainder[e] = c
+            else:
+                pending[e] = c
+                heap.append((heap_key(e), e, g))
+    heapify(heap)
     while heap:
-        lm = heappop(heap)[1]
-        lc = work.pop(lm)
+        _, lm, (glm, ginv, tail) = heappop(heap)
+        lc = pending.pop(lm)
         if not lc:
             continue
-        for glm, ginv, tail in reducers:
-            if all(map(le, glm, lm)):
-                q = tuple(map(sub, lm, glm))
-                qc = lc * ginv % p
-                for e, c in tail:
-                    te = tuple(map(add, e, q))
-                    old = work.get(te)
-                    if old is None:
-                        work[te] = -qc * c % p
-                        heappush(heap, (heap_key(te), te))
-                    else:
-                        work[te] = (old - qc * c) % p
-                break
-        else:
-            remainder[lm] = lc
+        q = tuple(map(sub, lm, glm))
+        qc = lc * ginv % p
+        for e, c in tail:
+            te = tuple(map(add, e, q))
+            if te in pending:
+                pending[te] = (pending[te] - qc * c) % p
+            elif te in remainder:
+                v = (remainder[te] - qc * c) % p
+                if v:
+                    remainder[te] = v
+                else:
+                    del remainder[te]
+            else:
+                g = divisor(te)
+                if g is None:
+                    remainder[te] = -qc * c % p
+                else:
+                    pending[te] = -qc * c % p
+                    heappush(heap, (heap_key(te), te, g))
     return remainder
 
 
@@ -655,7 +681,7 @@ def buchberger(ideal: Ideal, order: TermOrder = GREVLEX) -> Ideal:
         r = _reduce_terms(s, reducers, order, p)
         if not r:
             continue
-        lm = next(iter(r))
+        lm = min(r, key=order.heap_key)
         if not any(lm):
             return ideal.with_cache((ring.one(),), order)
         update(r, lm, max(pair_sugar, max(map(sum, r))))
@@ -679,7 +705,7 @@ def _verify_cache(ideal: Ideal) -> None:
         return  # a constant divides every monomial, so every generator reduces to zero
     p = ideal.ring.p
     for g in ideal.generators:
-        if _reduce_terms(dict(g.terms), ideal.reducers, ideal.basis_order, p):
+        if _reduce_terms(g.terms, ideal.reducers, ideal.basis_order, p):
             raise AssertionError("Groebner cache does not reduce a generator to zero")
 
 
@@ -689,8 +715,17 @@ def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
         raise ValueError("Groebner cache required; call buchberger first")
     if not ideal.basis:
         return f
-    remainder = _reduce_terms(dict(f.terms), ideal.reducers, ideal.basis_order, f.ring.p)
+    remainder = _reduce_terms(f.terms, ideal.reducers, ideal.basis_order, f.ring.p)
     return Polynomial._trusted(f.ring, remainder)
+
+
+def normal_product(a: Mapping, b: Mapping, ideal: Ideal) -> dict:
+    """The normal form of a * b modulo the cached reduced basis, for term
+    dicts a and b, as a term dict with coefficients in [1, p): the one
+    product of presented coordinates, kept as term dicts between steps."""
+    if ideal.basis is None:
+        raise ValueError("Groebner cache required; call buchberger first")
+    return _reduce_terms(terms_mul(a, b), ideal.reducers, ideal.basis_order, ideal.ring.p)
 
 
 def _eliminated_terms(ideal: Ideal, keep: Iterable[int]) -> list[dict]:

@@ -15,13 +15,19 @@ a^(p^2) z_2, ...); negation is coordinatewise for odd p; Frobenius is the
 p-th power of each coordinate.
 
 eta_k is homogeneous of degree D = p^k, so it is kept as a dense row of
-D + 1 coefficients mod p and evaluated by Horner in a, the powers of b
-shared between the rows; each coefficient is applied with the domain's
-`scale`, not as a product with a domain constant.  The rows come from
-the ghost recursion of [a] + [b] at b = 1, a recursion in one variable
-run mod p^(n+1) (`_eta_polys`).  Coordinates are held in normal form
-under a reduced Groebner basis.  Normal forms are closed under sums and
-scalar multiples, so only a product or a p-th power is reduced again.
+D + 1 coefficients mod p and evaluated by Horner in a on term dicts, the
+powers of b shared between the rows: a step is one `normal_product`, the
+product of two normal forms reduced by the presentation's cached
+reducers (the call `PresentedCoefficients.mul` makes), and adds c b^j
+into the sum mod p in place, so each coordinate becomes a `Polynomial`
+once.  The rows come from the ghost recursion of [a] + [b] at b = 1, a
+recursion in one variable run mod p^(n+1) (`_eta_polys`).  Coordinates
+are held in normal form under a reduced Groebner basis.  Normal forms
+are closed under sums and scalar multiples, so only a product or a p-th
+power is reduced again.  A product makes only what its nonzero
+coordinates need: the Frobenius orbit F^i y only as far as the last
+nonzero x_i, and the powers x_i^(p^j) only as far as the last nonzero
+coordinate of F^i y.
 
 The universal sum/product/negation/Frobenius polynomials
 (`build_witt_table`) are produced by the ghost recursion over
@@ -42,13 +48,12 @@ polynomial multiplication via multipoint Kronecker substitution", 2009).
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 from .modarith import is_prime
-from .polyring import Polynomial, terms_add, terms_mul, terms_scale
+from .polyring import Polynomial, normal_product, terms_add, terms_mul, terms_scale
 
 # -- rows: dense coefficient rows packed into one int ------------------------
 
@@ -335,10 +340,9 @@ class PresentedCoefficients:
         return x + y
 
     def mul(self, x: Polynomial, y: Polynomial):
-        return self.presentation.normal(x * y)
-
-    def scale(self, x: Polynomial, c: int):
-        return x.scale(c)
+        x._check(y)
+        presentation = self.presentation
+        return Polynomial._trusted(presentation.ring, normal_product(x.terms, y.terms, presentation.ideal))
 
     def neg(self, x: Polynomial):
         return x if self.characteristic == 2 else -x
@@ -469,22 +473,33 @@ def _eta_polys(p: int, r: int) -> EtaRows:
 
 def _eval_eta(rows: Sequence[tuple[int, ...]], a, b, domain) -> tuple:
     """(eta_1(a, b), ...) from the rows of `_eta_polys`, by Horner in a:
-    after step j the sum is sum_{i <= j} row[i] a^(j-i) b^i.  The powers of
-    b are shared between the rows and made only as far as a nonzero
-    coefficient needs them."""
-    mul, add, scale, is_zero = domain.mul, domain.add, domain.scale, domain.is_zero
-    powers = [domain.one(), b]
+    after step j the sum is sum_{i <= j} row[i] a^(j-i) b^i.  The sum is a
+    term dict in normal form: a step replaces it by its normal product
+    with a, then adds row[j] b^j into it mod p in place, and it becomes a
+    `Polynomial` once, at the end of its row.  The powers of b are shared
+    between the rows and made only as far as a nonzero coefficient needs
+    them."""
+    presentation = domain.presentation
+    ideal, ring = presentation.ideal, presentation.ring
+    p = ring.p
+    a, b = a.terms, b.terms
+    powers = [domain.one().terms, b]
     out = []
     for row in rows:
-        acc = domain.zero()
+        acc: dict = {}
         for j, c in enumerate(row):
-            if not is_zero(acc):
-                acc = mul(acc, a)
+            if acc:
+                acc = normal_product(acc, a, ideal)
             if c:
                 while len(powers) <= j:
-                    powers.append(mul(powers[-1], b))
-                acc = add(acc, scale(powers[j], c))
-        out.append(acc)
+                    powers.append(normal_product(powers[-1], b, ideal))
+                for e, v in powers[j].items():
+                    v = (acc.get(e, 0) + c * v) % p
+                    if v:
+                        acc[e] = v
+                    else:
+                        del acc[e]
+        out.append(Polynomial._trusted(ring, acc))
     return tuple(out)
 
 
@@ -514,16 +529,26 @@ def _frobenius(x: tuple, domain) -> tuple:
     return tuple(domain.pth_power(c) for c in x[:-1])
 
 
-def _mul(x: tuple, orbit, domain, eta: EtaRows) -> tuple:
-    """x * y = sum_i V^i([x_i] * F^i y), where orbit yields y, F y, F^2 y, ... and
-    [a] * z = (a z_0, a^p z_1, a^(p^2) z_2, ...), so the terms are
-    V^(i+j) [x_i^(p^j) y_j^(p^i)]."""
+def _mul(x: tuple, y: tuple, domain, eta: EtaRows) -> tuple:
+    """x * y = sum_i V^i([x_i] * F^i y), where [a] * z = (a z_0, a^p z_1,
+    a^(p^2) z_2, ...), so the terms are V^(i+j) [x_i^(p^j) y_j^(p^i)].
+    Only what a nonzero coordinate needs is made: the orbit F^i y as far
+    as the last nonzero x_i, and x_i^(p^j) as far as the last nonzero
+    coordinate of F^i y.  Once F^i y is 0, so are the F^i' y after it."""
+    is_zero = domain.is_zero
     acc = None
-    for i, (a, fy) in enumerate(zip(x, orbit)):
-        if domain.is_zero(a):
+    fy, at = y, 0  # F^at y, of length len(y) - at
+    for i, a in enumerate(x):
+        if is_zero(a):
             continue
-        powers = _frobenius_powers(a, len(x) - i, domain)
-        term = tuple(c if domain.is_zero(c) else domain.mul(ap, c) for ap, c in zip(powers, fy))
+        for _ in range(i - at):
+            fy = _frobenius(fy, domain)
+        at = i
+        last = max((j for j, c in enumerate(fy) if not is_zero(c)), default=-1)
+        if last < 0:
+            break
+        powers = _frobenius_powers(a, last + 1, domain)
+        term = tuple(c if is_zero(c) else domain.mul(ap, c) for ap, c in zip(powers, fy)) + fy[last + 1:]
         if acc is None:
             acc = (domain.zero(),) * i + term
         else:
@@ -577,9 +602,7 @@ def witt_mul(x: WittVector, y: WittVector) -> WittVector:
     _check_pair(x, y)
     _check_caps(x.p, x.level)
     if x.domain.char_p:
-        # y, F y, ..., F^(r-1) y, each computed when _mul first asks for it
-        orbit = itertools.accumulate(range(x.level - 1), lambda z, _: _frobenius(z, x.domain), initial=y.coords)
-        coords = _mul(x.coords, orbit, x.domain, _eta_polys(x.p, x.level))
+        coords = _mul(x.coords, y.coords, x.domain, _eta_polys(x.p, x.level))
     else:
         coords = _unghost(x.p, map(x.domain.mul, ghost(x), ghost(y)))
     return WittVector(x.p, x.level, x.domain, coords)

@@ -26,6 +26,7 @@ from wittcert.polyring import (
     eliminate,
     krull_dim,
     normal_form,
+    normal_product,
     parse_polynomial,
     poly_from_json,
     pth_root_ideal,
@@ -355,6 +356,27 @@ def test_normal_form_requires_cache():
     ring = PolyRing(5, ("x",))
     with pytest.raises(ValueError):
         normal_form(ring.variable(0), Ideal.from_polys(ring, [ring.variable(0)]))
+    with pytest.raises(ValueError):
+        normal_product(ring.variable(0).terms, ring.one().terms, Ideal.from_polys(ring, [ring.variable(0)]))
+
+
+@pytest.mark.parametrize("relations", [[], ["y^2 - x^3"], ["x^2*y + y^3", "x*y^2 - x"], ["1"]])
+def test_normal_product_is_the_normal_form_of_the_product(relations):
+    """On term dicts, with the product's raw coefficients left unreduced:
+    (x + y)(x + 4y) has the coefficient 5 at x*y, which no leading monomial
+    of y^2 - x^3 divides, and it must not reach the remainder."""
+    ring = PolyRing(5, ("x", "y"))
+    ideal = buchberger(Ideal.from_polys(ring, [parse_polynomial(g, ring) for g in relations]))
+    rng = random.Random(len(relations))
+    pairs = [(parse_polynomial("x + y", ring), parse_polynomial("x + 4*y", ring))]
+    for _ in range(20):
+        a, b = (Polynomial(ring, {(rng.randint(0, 4), rng.randint(0, 4)): rng.randint(1, 4) for _ in range(4)})
+                for _ in range(2))
+        pairs.append((normal_form(a, ideal), normal_form(b, ideal)))
+    for a, b in pairs:
+        got = normal_product(a.terms, b.terms, ideal)
+        assert got == normal_form(a * b, ideal).terms
+        assert all(0 < c < 5 for c in got.values())
 
 
 @pytest.mark.parametrize("p", [2, 3])

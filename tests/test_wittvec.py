@@ -286,6 +286,7 @@ AXIOM_GRID = [
 
 def test_axiom_grid_covers_two_hundred_triples():
     assert sum(n for _, _, _, n in AXIOM_GRID) == 200
+    assert {key for _, _, key, _ in AXIOM_GRID} == set(TEST_RINGS)
 
 
 @pytest.mark.parametrize("p,r,ring_key,count", AXIOM_GRID)
@@ -308,21 +309,34 @@ def test_ring_axioms_on_random_triples(p, r, ring_key, count):
         assert witt_mul(x, one) == x
 
 
+# Which coordinates of each operand stay, the others set to 0: a zero
+# leading coordinate skips an eta evaluation; a Teichmuller lift and zero
+# trailing coordinates end the Frobenius orbit and the powers a product
+# makes early.
+ALL, LIFT, NO_LEAD, NO_TAIL, MIDDLE = slice(None), slice(0, 1), slice(1, None), slice(0, -1), slice(1, -1)
+ZERO_PATTERNS = [
+    (ALL, ALL), (NO_LEAD, ALL), (ALL, NO_LEAD), (NO_LEAD, NO_LEAD),
+    (LIFT, ALL), (ALL, LIFT), (LIFT, LIFT), (NO_TAIL, NO_LEAD), (MIDDLE, NO_TAIL),
+]
+
+
+def with_zeros(x, keep):
+    kept = range(x.level)[keep]
+    zero = x.domain.zero()
+    return witt_vector(x.domain, x.p, [c if i in kept else zero for i, c in enumerate(x.coords)])
+
+
 @pytest.mark.parametrize("p,r,ring_key,count", AXIOM_GRID)
 def test_char_p_path_matches_the_tables(p, r, ring_key, count):
     """add, mul, neg and Frobenius from Teichmuller lifts equal the table
-    polynomials reduced into the domain, with zero leading coordinates
-    (which skip the eta evaluation) in every other operand."""
+    polynomials reduced into the domain, on operands with every zero
+    pattern of `ZERO_PATTERNS`."""
     domain = TEST_RINGS[ring_key](p)
     table = build_witt_table(p, r)
     rng = random.Random(p * 7919 + r * 13 + len(ring_key))
-    for n in range(6):
-        x = random_witt(rng, domain, p, r)
-        y = random_witt(rng, domain, p, r)
-        if n % 2:
-            x = witt_vector(domain, p, (domain.zero(),) + x.coords[1:])
-        if n % 3 == 2:
-            y = witt_vector(domain, p, (domain.zero(),) + y.coords[1:])
+    for keep_x, keep_y in ZERO_PATTERNS:
+        x = with_zeros(random_witt(rng, domain, p, r), keep_x)
+        y = with_zeros(random_witt(rng, domain, p, r), keep_y)
         pair = x.coords + y.coords
         assert witt_add(x, y).coords == eval_table(table.sum_polys, pair, domain)
         assert witt_mul(x, y).coords == eval_table(table.prod_polys, pair, domain)
@@ -467,7 +481,7 @@ def test_eta_rows_hold_the_solve_and_evaluate_like_it(p, r):
     for domain in (TEST_RINGS["prime_field"](p), TEST_RINGS["cusp"](p)):
         for a, b in eta_operands(p, domain):
             assert _eval_eta(rows, a, b, domain) == eval_table(solved, (a, b), domain), (domain, a, b)
-            assert domain.scale(a, 7) == domain.mul(a, domain.from_int(7))
+            assert a.scale(7) == domain.mul(a, domain.from_int(7))
 
 
 @pytest.mark.parametrize("p,r,ring_key,count", AXIOM_GRID)
@@ -483,7 +497,7 @@ def test_presented_coordinates_stay_in_normal_form(p, r, ring_key, count):
             a, b = random_element(rng, domain, 5), random_element(rng, domain, 5)
             assert domain.add(a, b) == normal(a + b)
             c = rng.randrange(p)
-            assert domain.scale(a, c) == normal(a.scale(c))
+            assert a.scale(c) == normal(a.scale(c))
         x, y = random_witt(rng, domain, p, r), random_witt(rng, domain, p, r)
         outputs = [witt_add(x, y), witt_mul(x, y), witt_neg(x)] + ([frobenius(x)] if r > 1 else [])
         for z in outputs:
@@ -500,17 +514,19 @@ def test_unit_ideal_constants_are_normal_forms():
 
 
 def test_f5_level_four_addition_work_is_pinned(monkeypatch):
-    """A work count, not a timing: the domain multiplications and normal
-    forms of one F_5 level-4 addition with every coordinate nonzero.  The
-    table-free arithmetic with eta evaluated term by term and every sum
-    reduced again made 700 and 883 on these operands."""
+    """A work count, not a timing: the products of presented coordinates
+    (`normal_product`, each one product and one normal form) and the other
+    normal forms of one F_5 level-4 addition with every coordinate
+    nonzero.  The table-free arithmetic with eta evaluated term by term and
+    every sum reduced again made 700 products and 883 normal forms on
+    these operands."""
     domain = fp_quotient(5)
-    calls = {"mul": 0, "normal": 0}
-    real_mul, real_normal = domain.mul, PresentedRing.normal
+    calls = {"product": 0, "normal": 0}
+    real_product, real_normal = wittvec.normal_product, PresentedRing.normal
 
-    def counting_mul(x, y):
-        calls["mul"] += 1
-        return real_mul(x, y)
+    def counting_product(a, b, ideal):
+        calls["product"] += 1
+        return real_product(a, b, ideal)
 
     def counting_normal(presentation, f):
         calls["normal"] += 1
@@ -519,11 +535,40 @@ def test_f5_level_four_addition_work_is_pinned(monkeypatch):
     x = witt_vector(domain, 5, [domain.from_int(v) for v in (3, 2, 1, 3)])
     y = witt_vector(domain, 5, [domain.from_int(v) for v in (1, 1, 1, 1)])
     want = eval_table(build_witt_table(5, 4).sum_polys, x.coords + y.coords, domain)
-    monkeypatch.setattr(domain, "mul", counting_mul)
+    monkeypatch.setattr(wittvec, "normal_product", counting_product)
     monkeypatch.setattr(PresentedRing, "normal", counting_normal)
     assert witt_add(x, y).coords == want
-    assert (calls["mul"], calls["normal"]) == (350, 350)
-    assert calls["mul"] < 700 and calls["normal"] < 883
+    assert (calls["product"], calls["normal"]) == (350, 0)
+    assert calls["product"] < 700 and calls["product"] + calls["normal"] < 883
+
+
+def test_a_teichmuller_power_makes_no_pth_power(monkeypatch):
+    """[g]^p over the cusp as p products with the lift [g] = (g, 0, ...):
+    each product meets one nonzero coordinate on each side, so it makes
+    one domain product and no p-th power.  Asking every coordinate for its
+    Frobenius orbit and powers made 18, 15 and 10 p-th powers at
+    (p, r) = (2, 4), (3, 3) and (5, 2)."""
+    rng = random.Random(24)
+    for p, r in ((2, 4), (3, 3), (5, 2)):
+        domain = TEST_RINGS["cusp"](p)
+        g = random_element(rng, domain)
+        while g.is_zero():
+            g = random_element(rng, domain)
+        lift = teichmuller(domain, g, r, p=p)
+        calls = {"mul": 0, "pth_power": 0}
+        for name in calls:
+            real = getattr(domain, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(domain, name, counting)
+        power = witt_one(domain, p, r)
+        for _ in range(p):
+            power = witt_mul(power, lift)
+        assert calls == {"mul": p, "pth_power": 0}, (p, r)
+        assert power.coords == (domain.presentation.normal(g ** p),) + (domain.zero(),) * (r - 1)
 
 
 # -- multiplicative lifts ---------------------------------------------------------
@@ -591,6 +636,10 @@ def test_level_and_domain_mismatch_errors():
         frobenius(witt_vector(Z, 2, [1]))
     with pytest.raises(ValueError):
         ghost(witt_one(TEST_RINGS["prime_field"](2), 2, 2))
+    cusp = TEST_RINGS["cusp"](3)
+    other = PolyRing(3, ("x",)).variable(0)
+    with pytest.raises(ValueError, match="different rings"):
+        witt_mul(witt_vector(cusp, 3, [other, cusp.zero()]), witt_one(cusp, 3, 2))
 
 
 def test_witt_json():
