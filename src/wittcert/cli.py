@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import dieudonne, vanish, wittvec
 from .derham import PresentedRing, top_form_is_zero_in_omega, top_form_presentation
+from .modarith import INT_DIGITS, PRIME_BOUND, check_prime
 from .polyring import GREVLEX, LEX, Ideal, Polynomial, PolyParseError, PolyRing, buchberger, parse_polynomial
 
 EXIT_OK = 0
@@ -36,16 +37,12 @@ PRESETS = {
 }
 
 
-# Python's cap on the digits of an integer read from or printed as a decimal string; 0: none
-INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 class UnreadableInputError(Exception):
     """An input file, or stdin, that could not be opened or read."""
 
 
 def _check_int_digits(what: str, digits: int) -> None:
-    if INT_DIGITS and digits > INT_DIGITS:
+    if digits > INT_DIGITS:
         raise ValueError(f"{what} has {digits} digits, more than the {INT_DIGITS} that integers may read")
 
 
@@ -126,7 +123,7 @@ def _witt_operand(flag: str, value, domain, p: int):
 
 def _render_witt(x: wittvec.WittVector) -> tuple[list[str], dict, bool]:
     for i, c in enumerate(x.coords):
-        if isinstance(c, int) and INT_DIGITS and abs(c) >= 10 ** INT_DIGITS:  # more than INT_DIGITS digits
+        if isinstance(c, int) and abs(c) >= 10 ** INT_DIGITS:  # more than INT_DIGITS digits
             digits = int(c.bit_length() * math.log10(2)) + 1
             raise ValueError(f"coordinate x_{i} of the result has about {digits} digits, "
                              f"more than the {INT_DIGITS} that integers may print")
@@ -139,12 +136,10 @@ def _check_ghost_digits(x: wittvec.WittVector) -> None:
 
     w_i = sum_j p^j x_j^(p^(i-j)) has at most log2(i+1) + max_j (j log2 p +
     p^(i-j) log2 |x_j|) bits.  The digit count read from that bound is never
-    too small, and too large by at most one unless the terms cancel.  Python
-    refuses to print integers beyond INT_DIGITS digits.
+    too small, and too large by at most one unless the terms cancel.
+    wittcert prints no integer beyond INT_DIGITS digits.
     """
     wittvec._check_caps(x.p, x.level)  # x_0^(p^(r-1)) grows without bound in r
-    if not INT_DIGITS:
-        return
     p = x.p
     for i in range(x.level):
         bits = max((j * math.log2(p) + p ** (i - j) * math.log2(abs(c))
@@ -165,14 +160,12 @@ def _ghost(x: wittvec.WittVector):
 
 def _teich(g: wittvec.WittVector, level: int) -> wittvec.WittVector:
     """The Teichmueller lift to W_level of g, given in W_1 = R."""
-    wittvec._check_caps(g.p, level)  # before the level-long tuple is built
     return wittvec.teichmuller(g.domain, g.coords[0], level, p=g.p)
 
 
 def _check_frobenius(g1: wittvec.WittVector, r: int):
     """F([g]) == [g^p] == [g]^p in W_(r-1) of an F_p-algebra."""
     domain, p, g = g1.domain, g1.p, g1.coords[0]
-    wittvec._check_caps(p, r)
     lift = wittvec.teichmuller(domain, g, r, p=p)
     f_of_lift = wittvec.frobenius(lift)
     lift_of_power = wittvec.teichmuller(domain, domain.presentation.normal(g ** p), r - 1, p=p)
@@ -497,8 +490,8 @@ def main(argv=None) -> int:
     if args.handler is cmd_dieudonne_check and (message := _unread_model_flag(args)):
         args.parser.error(message)
     try:
-        if not 2 <= args.p < 2 ** 16:
-            raise ValueError("p must satisfy 2 <= p < 2^16")
+        if not 2 <= args.p < PRIME_BOUND:  # so that commands that ignore --p refuse it too
+            check_prime(args.p)  # raises the prime rule's range message
         code = args.handler(args)
         print(end="", flush=True)  # fail here, not at exit, if stdout is a closed pipe
         return code

@@ -26,6 +26,7 @@ from .modarith import (
     ModularMatrix,
     Modulus,
     SubmoduleBasis,
+    check_prime,
     document_int,
     document_list,
     document_object,
@@ -331,11 +332,7 @@ class DieudonneModel:
         try:
             p = document_int(document_object(doc)["p"])
             exponent = document_int(doc["N"])
-            # bounded before Modulus tests p by trial division and computes p^N
-            if not 2 <= p < 2 ** 16:
-                raise ValueError(f"model prime must lie in [2, 2^16), got {p}")
-            _check_exponent(exponent)
-            Modulus(p, exponent)  # tests that p is prime before the weights divide by its powers
+            check_prime(p)  # before the weights divide by its powers
             basis = [
                 BasisElement(document_str(b["label"]), document_int(b["degree"]), weight_from_pair(p, b["weight"]))
                 for b in document_list(doc["basis"])
@@ -413,7 +410,6 @@ def a1_model(p: int, wmax: int, exponent: int, depth: Optional[int] = None) -> D
     if depth < 0:
         raise ValueError(f"V-depth must be >= 0, got {depth}")
     modulus = Modulus(p, exponent)
-    q = modulus.char
     # the basis has 1 + 2 * wmax * p^depth elements; p^15 alone passes the cap
     if 1 + 2 * wmax * p ** min(depth, 15) > MAX_A1_BASIS:
         raise ValueError(
@@ -447,52 +443,49 @@ def a1_model(p: int, wmax: int, exponent: int, depth: Optional[int] = None) -> D
 
     labels = {b.label for b in basis}
 
-    def add(mapping, src, row):
-        mapping[src] = {k: v % q for k, v in row.items() if v % q}
-
     # -- differential (total within the truncation) --
-    add(d_map, "1", {})
+    d_map["1"] = {}
     for m, j in index[1:]:
         u = _a1_label(0, m, j)
         e = _a1_label(1, m, j)
-        add(d_map, u, {e: m if j == 0 else 1})
-        add(d_map, e, {})
+        d_map[u] = {e: m if j == 0 else 1}
+        d_map[e] = {}
 
     # -- Frobenius: defined when the target weight p*w stays below wmax --
     def f_defined(m: int, j: int) -> bool:
         return wt(m, j) * p <= wmax
 
-    add(f_map, "1", {"1": 1})
+    f_map["1"] = {"1": 1}
     for m, j in index[1:]:
         if not f_defined(m, j):
             continue
         u = _a1_label(0, m, j)
         e = _a1_label(1, m, j)
         if j == 0:
-            add(f_map, u, {_a1_label(0, p * m, 0): 1})
-            add(f_map, e, {_a1_label(1, p * m, 0): 1})
+            f_map[u] = {_a1_label(0, p * m, 0): 1}
+            f_map[e] = {_a1_label(1, p * m, 0): 1}
         elif j == 1:
-            add(f_map, u, {_a1_label(0, m, 0): p})
-            add(f_map, e, {_a1_label(1, m, 0): m})
+            f_map[u] = {_a1_label(0, m, 0): p}
+            f_map[e] = {_a1_label(1, m, 0): m}
         else:
-            add(f_map, u, {_a1_label(0, m, j - 1): p})
-            add(f_map, e, {_a1_label(1, m, j - 1): 1})
+            f_map[u] = {_a1_label(0, m, j - 1): p}
+            f_map[e] = {_a1_label(1, m, j - 1): 1}
 
     # -- Verschiebung: defined when the target stays within the V-depth --
-    add(v_map, "1", {"1": p})
+    v_map["1"] = {"1": p}
     for m, j in index[1:]:
         u = _a1_label(0, m, j)
         e = _a1_label(1, m, j)
         if j == 0 and m % p == 0:
-            add(v_map, u, {_a1_label(0, m // p, 0): p})
-            add(v_map, e, {_a1_label(1, m // p, 0): p})
+            v_map[u] = {_a1_label(0, m // p, 0): p}
+            v_map[e] = {_a1_label(1, m // p, 0): p}
             continue
         if j + 1 <= depth:
-            add(v_map, u, {_a1_label(0, m, j + 1): 1})
+            v_map[u] = {_a1_label(0, m, j + 1): 1}
             if j == 0:
-                add(v_map, e, {_a1_label(1, m, 1): p * modulus.inverse(m)})
+                v_map[e] = {_a1_label(1, m, 1): p * modulus.inverse(m)}
             else:
-                add(v_map, e, {_a1_label(1, m, j + 1): p})
+                v_map[e] = {_a1_label(1, m, j + 1): p}
 
     if any(lbl not in labels for row in (d_map, f_map, v_map) for tgt in row.values() for lbl in tgt):
         raise AssertionError("a1 model maps a basis label outside its basis (internal defect)")

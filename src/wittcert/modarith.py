@@ -4,7 +4,10 @@ Everything here is integer-exact: residues are plain Python integers
 reduced into [0, p^N), and the only structure theory used is that
 Z/p^N is a local ring whose elements factor as unit * p^v.  That makes
 Smith normal form possible without gcd gymnastics: a pivot of minimal
-p-adic valuation divides every remaining entry.
+p-adic valuation divides every remaining entry.  The module also owns
+wittcert's two size bounds: the prime rule (`check_prime`: p prime below
+`PRIME_BOUND` = 2^16) and the digit limit `INT_DIGITS` = 4300, fixed
+whatever the interpreter's setting: no longer integer is read or printed.
 """
 
 from __future__ import annotations
@@ -12,20 +15,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+INT_DIGITS = 4300
+PRIME_BOUND = 2 ** 16
+
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+    """Trial division; `check_prime` bounds n first, to under 2^8 divisors."""
+    d = 2
     while d * d <= n:
         if n % d == 0:
             return False
-        d += 2
-    return True
+        d += 1
+    return n >= 2
+
+
+def check_prime(p: int) -> None:
+    """The prime rule: ValueError unless 2 <= p < PRIME_BOUND, tested first, and p is prime."""
+    if not 2 <= p < PRIME_BOUND:
+        raise ValueError("p must satisfy 2 <= p < 2^16")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def document_int(value) -> int:
@@ -71,8 +80,7 @@ class Modulus:
     char: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"modulus base {self.p} is not prime")
+        check_prime(self.p)
         if self.exponent < 1:
             raise ValueError("modulus exponent must be >= 1")
         object.__setattr__(self, "char", self.p ** self.exponent)

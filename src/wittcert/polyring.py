@@ -40,7 +40,7 @@ from itertools import combinations
 from operator import add, le, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .modarith import document_int, document_list, document_object, document_str, is_prime
+from .modarith import INT_DIGITS, check_prime, document_int, document_list, document_object, document_str
 
 # a variable name: the one token the parser reads as a name
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
@@ -60,8 +60,7 @@ class PolyRing:
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not (2 <= self.p < 2 ** 16 and is_prime(self.p)):
-            raise ValueError(f"characteristic must be a prime in [2, 2^16), got {self.p}")
+        check_prime(self.p)
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be distinct")
         for name in self.names:  # so that every printed polynomial parses back
@@ -402,10 +401,9 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
         return tok
 
     def literal(value: str, where: int) -> int:
-        try:
-            return int(value)
-        except ValueError:  # a digit string fails only past sys.get_int_max_str_digits()
-            raise PolyParseError(f"integer literal of {len(value)} digits is too long", where) from None
+        if len(value) > INT_DIGITS:
+            raise PolyParseError(f"integer literal of {len(value)} digits is too long", where)
+        return int(value)
 
     def parse_expr() -> Polynomial:
         sign = 1

@@ -52,7 +52,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .modarith import is_prime
+from .modarith import check_prime
 from .polyring import Polynomial, normal_product, terms_add, terms_mul, terms_scale
 
 # -- rows: dense coefficient rows packed into one int ------------------------
@@ -230,22 +230,16 @@ DEFAULT_MAX_LEVEL = 6
 
 def _check_caps(p: int, r: int) -> None:
     """The prime, level and size checks shared by the tables and the ops."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if r < 1:
         raise ValueError("level must be >= 1")
     if p > DEFAULT_MAX_PRIME or r > DEFAULT_MAX_LEVEL:
-        raise ValueError(
-            f"table for (p={p}, r={r}) exceeds the default caps "
-            f"(p <= {DEFAULT_MAX_PRIME}, r <= {DEFAULT_MAX_LEVEL})"
-        )
+        raise ValueError(f"table for (p={p}, r={r}) exceeds the default caps "
+                         f"(p <= {DEFAULT_MAX_PRIME}, r <= {DEFAULT_MAX_LEVEL})")
 
 
 def build_witt_table(p: int, r: int) -> WittPolynomialTable:
-    """Build (and memoize) the universal tables for W_r at the prime p.
-
-    Raises ValueError beyond the default caps (p <= 13, r <= 6).
-    """
+    """Build (and memoize) the universal tables for W_r at the prime p; ValueError beyond the caps (p <= 13, r <= 6)."""
     _check_caps(p, r)
     return _solve_table(p, r)
 
@@ -286,6 +280,11 @@ class IntegerCoefficients:
 
     def from_int(self, n: int):
         return n
+
+    def check(self, coords) -> None:
+        for x in coords:
+            if not isinstance(x, int):
+                raise ValueError(f"a coordinate of type {type(x).__name__} is not an integer")
 
     def add(self, x, y):
         return x + y
@@ -336,13 +335,17 @@ class PresentedCoefficients:
     def from_int(self, n: int):
         return self._one.scale(n)
 
+    def check(self, coords) -> None:
+        for x in coords:
+            if not isinstance(x, Polynomial):
+                raise ValueError(f"a coordinate of type {type(x).__name__} is not a polynomial")
+            self._one._check(x)
+
     def add(self, x: Polynomial, y: Polynomial):
         return x + y
 
     def mul(self, x: Polynomial, y: Polynomial):
-        x._check(y)
-        presentation = self.presentation
-        return Polynomial._trusted(presentation.ring, normal_product(x.terms, y.terms, presentation.ideal))
+        return Polynomial._trusted(self.presentation.ring, normal_product(x.terms, y.terms, self.presentation.ideal))
 
     def neg(self, x: Polynomial):
         return x if self.characteristic == 2 else -x
@@ -364,7 +367,7 @@ class PresentedCoefficients:
 
 @dataclass(frozen=True)
 class WittVector:
-    """Length-r coordinate tuple over a coefficient domain."""
+    """Length-r coordinate tuple over a coefficient domain, each coordinate checked to lie in it."""
 
     p: int
     level: int
@@ -379,6 +382,14 @@ class WittVector:
         characteristic = self.domain.characteristic
         if characteristic and characteristic != self.p:
             raise ValueError(f"p = {self.p} differs from the domain's characteristic {characteristic}")
+        self.domain.check(self.coords)
+
+    @classmethod
+    def _trusted(cls, x: "WittVector", coords: tuple) -> "WittVector":
+        """An op's result over x's domain, whose arithmetic made `coords`: they are not checked again."""
+        out = cls.__new__(cls)
+        out.__dict__.update(p=x.p, level=len(coords), domain=x.domain, coords=coords)
+        return out
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(c) for c in self.coords)
@@ -390,14 +401,14 @@ def witt_vector(domain, p: int, coords: Sequence) -> WittVector:
 
 
 def witt_one(domain, p: int, r: int) -> WittVector:
-    coords = [domain.one()] + [domain.zero() for _ in range(r - 1)]
-    return WittVector(p, r, domain, tuple(coords))
+    _check_caps(p, r)
+    return WittVector(p, r, domain, (domain.one(),) + (domain.zero(),) * (r - 1))
 
 
 def teichmuller(domain, g, r: int, p: int) -> WittVector:
     """The multiplicative lift (g, 0, ..., 0)."""
-    coords = [g] + [domain.zero() for _ in range(r - 1)]
-    return WittVector(p, r, domain, tuple(coords))
+    _check_caps(p, r)  # before the level-long tuple is built
+    return WittVector(p, r, domain, (g,) + (domain.zero(),) * (r - 1))
 
 
 def _check_pair(x: WittVector, y: WittVector) -> None:
@@ -590,31 +601,31 @@ def _unghost(p: int, ghosts) -> tuple[int, ...]:
 
 def witt_add(x: WittVector, y: WittVector) -> WittVector:
     _check_pair(x, y)
-    _check_caps(x.p, x.level)
     if x.domain.char_p:
+        _check_caps(x.p, x.level)
         coords = _add(x.coords, y.coords, x.domain, _eta_polys(x.p, x.level))
-    else:
+    else:  # `ghost` checks the caps
         coords = _unghost(x.p, map(x.domain.add, ghost(x), ghost(y)))
-    return WittVector(x.p, x.level, x.domain, coords)
+    return WittVector._trusted(x, coords)
 
 
 def witt_mul(x: WittVector, y: WittVector) -> WittVector:
     _check_pair(x, y)
-    _check_caps(x.p, x.level)
     if x.domain.char_p:
+        _check_caps(x.p, x.level)
         coords = _mul(x.coords, y.coords, x.domain, _eta_polys(x.p, x.level))
-    else:
+    else:  # `ghost` checks the caps
         coords = _unghost(x.p, map(x.domain.mul, ghost(x), ghost(y)))
-    return WittVector(x.p, x.level, x.domain, coords)
+    return WittVector._trusted(x, coords)
 
 
 def witt_neg(x: WittVector) -> WittVector:
-    _check_caps(x.p, x.level)
     if x.domain.char_p:
+        _check_caps(x.p, x.level)
         coords = _neg(x.coords, x.p, x.domain)
-    else:
+    else:  # `ghost` checks the caps
         coords = _unghost(x.p, map(x.domain.neg, ghost(x)))
-    return WittVector(x.p, x.level, x.domain, coords)
+    return WittVector._trusted(x, coords)
 
 
 def frobenius(x: WittVector) -> WittVector:
@@ -623,31 +634,28 @@ def frobenius(x: WittVector) -> WittVector:
     (w_1, ..., w_{r-1}) over Z."""
     if x.level < 2:
         raise ValueError("Frobenius maps W_r to W_(r-1), so it needs level >= 2")
-    _check_caps(x.p, x.level)
     if x.domain.char_p:
+        _check_caps(x.p, x.level)
         coords = _frobenius(x.coords, x.domain)
-    else:
+    else:  # `ghost` checks the caps
         coords = _unghost(x.p, ghost(x)[1:])
-    return WittVector(x.p, x.level - 1, x.domain, coords)
+    return WittVector._trusted(x, coords)
 
 
 def verschiebung(x: WittVector) -> WittVector:
     """V: W_r -> W_{r+1}, prepend a zero coordinate.  It computes nothing,
     so its level is not capped, but like every op it needs a prime p."""
-    if not is_prime(x.p):
-        raise ValueError(f"{x.p} is not prime")
-    return WittVector(x.p, x.level + 1, x.domain, (x.domain.zero(),) + x.coords)
+    check_prime(x.p)
+    return WittVector._trusted(x, (x.domain.zero(),) + x.coords)
 
 
 def ghost(x: WittVector) -> tuple[int, ...]:
     """Ghost components (w_0, ..., w_{r-1}); integer-coordinate oracle mode."""
     if x.domain.characteristic:
         raise ValueError("ghost components are exact only over p-torsion-free coefficients")
+    _check_caps(x.p, x.level)  # x_0^(p^(r-1)) grows without bound in p and r
     p = x.p
-    out = []
-    for i in range(x.level):
-        out.append(sum(p ** j * x.coords[j] ** (p ** (i - j)) for j in range(i + 1)))
-    return tuple(out)
+    return tuple([sum([p ** j * x.coords[j] ** (p ** (i - j)) for j in range(i + 1)]) for i in range(x.level)])
 
 
 def witt_to_json(x: WittVector) -> dict:

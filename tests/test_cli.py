@@ -27,7 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def run_cli(*args, stdin_text=None, stdout=subprocess.PIPE):
+def run_cli(*args, stdin_text=None, stdout=subprocess.PIPE, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -38,6 +38,7 @@ def run_cli(*args, stdin_text=None, stdout=subprocess.PIPE):
         input=stdin_text,
         env=env,
         cwd=ROOT,
+        timeout=timeout,
     )
 
 
@@ -300,6 +301,23 @@ def test_witt_check_frobenius_refuses_a_huge_level_at_once(capsys):
         "invalid input: table for (p=5, r=100000) exceeds the default caps "
         "(p <= 13, r <= 6)\n"
     )
+
+
+def test_the_digit_limit_does_not_follow_the_interpreter_setting(monkeypatch):
+    # w_3 = 1000^(13^3) has 6,592 digits; with no limit, w_5 has 1.1M and takes minutes
+    argv = ("witt", "add", "--integer", "--p", "13", "--x", "1000;0;0;0;0;0", "--y", "1;0;0;0;0;0")
+    results = []
+    for setting in (None, "0"):
+        if setting is None:
+            monkeypatch.delenv("PYTHONINTMAXSTRDIGITS", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONINTMAXSTRDIGITS", setting)
+        start = time.perf_counter()
+        result = run_cli(*argv, timeout=10)  # without the digit check the sum runs for minutes
+        assert time.perf_counter() - start < 1.0, setting
+        results.append((result.returncode, result.stdout, result.stderr))
+    assert results[0] == results[1] == (
+        2, "", f"invalid input: ghost component w_3 would have about 6592 digits, {PRINT_LIMIT}\n")
 
 
 def test_witt_frobenius_at_level_one_exits_two():

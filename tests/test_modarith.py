@@ -2,19 +2,24 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittcert import wittvec
+from wittcert.dieudonne import DieudonneModel, a1_model
 from wittcert.modarith import (
     ModularMatrix,
     Modulus,
     SubmoduleBasis,
+    check_prime,
     is_prime,
     kernel_basis,
     smith_normal_form,
     solve_linear,
 )
+from wittcert.polyring import PolyRing
 
 DESK_MODULI = [Modulus(2, 1), Modulus(2, 2), Modulus(3, 1), Modulus(3, 3), Modulus(5, 2)]
 
@@ -113,6 +118,41 @@ def test_zero_row_matrices_keep_their_column_count():
 
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _witt(p):
+    # zero coordinates: should a check go missing, the op still ends at once
+    return wittvec.witt_vector(wittvec.IntegerCoefficients(), p, [0, 0])
+
+
+# every entry point that takes a prime, each through `check_prime`
+PRIME_ENTRY_POINTS = {
+    "check_prime": check_prime,
+    "Modulus": lambda p: Modulus(p, 1),
+    "PolyRing": lambda p: PolyRing(p, ()),
+    "model-document": lambda p: DieudonneModel.from_json({"p": p, "N": 1, "basis": []}),
+    "a1_model": lambda p: a1_model(p, 1, 2),
+    "witt_add": lambda p: wittvec.witt_add(_witt(p), _witt(p)),
+    "verschiebung": lambda p: wittvec.verschiebung(_witt(p)),
+    "ghost": lambda p: wittvec.ghost(_witt(p)),
+    "teichmuller": lambda p: wittvec.teichmuller(wittvec.IntegerCoefficients(), 2, 2, p=p),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(PRIME_ENTRY_POINTS))
+@pytest.mark.parametrize("p,message", [
+    (1, "p must satisfy 2 <= p < 2^16"),
+    (2 ** 16, "p must satisfy 2 <= p < 2^16"),
+    # a prime trial division would take minutes to pass: refused by its range at once
+    (2 ** 61 - 1, "p must satisfy 2 <= p < 2^16"),
+    (2 ** 16 - 1, "65535 is not prime"),
+])
+def test_one_prime_rule_bounds_p_before_trial_division(entry, p, message):
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        PRIME_ENTRY_POINTS[entry](p)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == message
 
 
 def test_smith_diagonal_already_diagonal():

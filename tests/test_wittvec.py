@@ -52,14 +52,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def eval_table(polys, args, domain) -> tuple:
     """Evaluate integer-coefficient polynomials on domain elements term by
-    term, sharing the powers of each argument between the polynomials."""
+    term, sharing the powers of each argument between the polynomials.  A
+    term that is zero in the domain, by its coefficient or by a positive
+    power of a zero argument, adds nothing and is skipped."""
     mul, add, from_int = domain.mul, domain.add, domain.from_int
+    zero = domain.zero()
+    zero_args = [i for i, a in enumerate(args) if a == zero]
     ladders = [[domain.one(), a] for a in args]
     out = []
     for poly in polys:
-        acc = domain.zero()
+        acc = zero
         for exp, coef in poly.items():
             term = from_int(coef)
+            if term == zero or any(exp[i] for i in zero_args):
+                continue
             for ladder, e in zip(ladders, exp):
                 if e:
                     while len(ladder) <= e:
@@ -640,6 +646,39 @@ def test_level_and_domain_mismatch_errors():
     other = PolyRing(3, ("x",)).variable(0)
     with pytest.raises(ValueError, match="different rings"):
         witt_mul(witt_vector(cusp, 3, [other, cusp.zero()]), witt_one(cusp, 3, 2))
+
+
+def test_a_coordinate_outside_the_domain_is_refused():
+    # t of F_3[t] is no element of the cusp: an op on it would mix the two rings
+    cusp = TEST_RINGS["cusp"](3)
+    t = PolyRing(3, ("t",)).variable(0)
+    with pytest.raises(ValueError, match="different rings"):
+        witt_vector(cusp, 3, [t, 0])
+    with pytest.raises(ValueError, match="different rings"):
+        teichmuller(cusp, t, 2, p=3)
+    with pytest.raises(ValueError, match="a coordinate of type int is not a polynomial"):
+        witt_vector(cusp, 3, [cusp.zero(), 0])
+    with pytest.raises(ValueError, match="a coordinate of type Polynomial is not an integer"):
+        witt_vector(Z, 3, [1, cusp.zero()])
+    with pytest.raises(ValueError, match="a coordinate of type float is not an integer"):
+        witt_vector(Z, 3, [1.5])
+    # a ring equal to the presentation's, though another object, is the same ring
+    x = PolyRing(3, ("x", "y")).variable(0)
+    assert witt_vector(cusp, 3, [x]).coords == (cusp.presentation.ring.variable(0),)
+
+
+def test_lifts_and_ghosts_are_capped_before_they_allocate():
+    # a lift to level 10^6 is a million-coordinate tuple; w_6 of (2, 0, ...) at p = 13 has 1.45M digits
+    start = time.perf_counter()
+    for call in (lambda: teichmuller(Z, 2, 10 ** 6, p=5), lambda: witt_one(Z, 5, 10 ** 6),
+                 lambda: teichmuller(fp_quotient(5), fp_quotient(5).one(), 10 ** 6, p=5)):
+        with pytest.raises(ValueError, match=r"table for \(p=5, r=1000000\) exceeds the default caps"):
+            call()
+    with pytest.raises(ValueError, match=r"table for \(p=13, r=7\) exceeds the default caps"):
+        ghost(witt_vector(Z, 13, [2] + [0] * 6))
+    assert time.perf_counter() - start < 1.0
+    # V computes nothing, so its level stays uncapped
+    assert verschiebung(witt_vector(Z, 5, [1] * 40)).level == 41
 
 
 def test_witt_json():
