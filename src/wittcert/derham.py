@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .polyring import GREVLEX, Ideal, Polynomial, PolyRing, TermOrder, buchberger, normal_form
+from .polyring import GREVLEX, Ideal, Polynomial, PolyRing, TermOrder, buchberger, extend, normal_form
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,13 @@ class TopFormPresentation:
 
 
 def top_form_presentation(presentation: PresentedRing) -> TopFormPresentation:
+    """J_top with its reduced grevlex basis, stated by the generators of I,
+    then their nonzero partials.  A grevlex basis of I is extended by the
+    partials; a presentation cached in another order is not a start."""
     ring = presentation.ring
-    gens = list(presentation.ideal.generators)
-    for f in presentation.ideal.generators:
-        for i in range(ring.nvars):
-            df = f.partial(i)
-            if not df.is_zero():
-                gens.append(df)
-    jac = buchberger(Ideal.from_polys(ring, gens))
-    return TopFormPresentation(jac)
+    ideal = presentation.ideal
+    partials = [f.partial(i) for f in ideal.generators for i in range(ring.nvars)]
+    return TopFormPresentation(extend(ideal, partials))
 
 
 def top_form_is_zero_in_omega(c: Polynomial, top: TopFormPresentation) -> bool:

@@ -5,11 +5,16 @@ The term-dict kernel (`terms_add`, `terms_mul`, `terms_scale`) works on
 such dictionaries with plain integer coefficients; `Polynomial` arithmetic
 runs on it, and the universal Witt tables build their ghost targets with it.
 
-No Groebner step rescans a polynomial to find its leading term:
+One Groebner loop has two entries: `buchberger(ideal)` starts it from
+nothing, with the generators as its inputs, and `extend(ideal, polys)`
+starts it from the reduced grevlex basis `ideal` caches, forming no pair
+between two of its elements, so I + (polys) pays only for the pairs the
+polys bring.  No Groebner step rescans a polynomial to find its leading term:
 
-- a cached basis carries its reducers (leading monomial, inverse leading
-  coefficient, tail), built once when the cache is attached;
-- `buchberger` keeps its S-pairs in a heap, each keyed once by
+- each input enters as its normal form modulo the elements already in
+  the loop: one that reduces to 0 adds nothing, one that reduces to a
+  nonzero constant ends the loop with the unit ideal;
+- the loop keeps its S-pairs in a heap, each keyed once by
   (sugar, lcm degree, lcm, i, j), so pairs are taken in that order (the
   sugar strategy of Giovini, Mora, Niesi, Robbiano & Traverso, "One
   sugar cube, please", 1991);
@@ -23,9 +28,14 @@ No Groebner step rescans a polynomial to find its leading term:
   "The geobucket data structure for polynomials", 1998); a key reads the
   exponent tuple as it is, since every order ranks the variables as the
   ring lists them, and `eliminate` reorders the ring's variables instead;
-- generators enter monic and the result is reduced in one pass: drop the
-  non-minimal leading monomials, then tail-reduce each element once
-  against the others, which is exact for a Groebner basis.
+- the result is reduced in one pass: the active elements are the minimal
+  ones, and each tail is reduced once against the others, which is exact
+  for a Groebner basis;
+- a cached basis carries its reducers (leading monomial, inverse leading
+  coefficient, tail), built once: the loop hands over the monic ones it
+  made, and `with_cache` derives them for a basis it is handed, which it
+  checks to reduce every generator to zero (it does not check that the
+  basis lies in the ideal).
 
 Everything is deterministic and reduced bases are unique, so they serve
 as golden values.
@@ -36,9 +46,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import combinations
 from operator import add, le, sub
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .modarith import INT_DIGITS, check_prime, document_int, document_list, document_object, document_str
 
@@ -58,6 +67,7 @@ class PolyRing:
 
     p: int
     names: tuple[str, ...]
+    nvars: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_prime(self.p)
@@ -66,10 +76,7 @@ class PolyRing:
         for name in self.names:  # so that every printed polynomial parses back
             if not (isinstance(name, str) and re.fullmatch(_NAME, name)):
                 raise ValueError(f"variable name {name!r} is not a name the parser reads ({_NAME})")
-
-    @property
-    def nvars(self) -> int:
-        return len(self.names)
+        object.__setattr__(self, "nvars", len(self.names))
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -98,30 +105,39 @@ class TermOrder:
 
     kind: str
     split: int = 0
+    heap_key: Callable[[tuple[int, ...]], tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    key: Callable[[tuple[int, ...]], tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("lex", "grevlex", "block"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
+        """Builds `heap_key` and `key` once for the kind, so no call branches on it.
 
-    def key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
-        """Sort key; bigger key = bigger monomial: `heap_key` negated."""
-        return tuple([-x for x in self.heap_key(exp)])
-
-    def heap_key(self, exp: tuple[int, ...]) -> tuple[int, ...]:
-        """Min-heap key: smaller key = bigger monomial, the reverse of `key`.
-
-        The one encoding of the orders, a flat tuple of ints: lex compares
+        `heap_key` is the min-heap key: smaller key = bigger monomial.  It is
+        the one encoding of the orders, a flat tuple of ints: lex compares
         the negated exponents; grevlex compares the negated total degree,
         then the exponents from the last variable on, the smaller the
         bigger; a block order does grevlex on each block in turn, which
-        compares correctly because each block has a fixed length.
+        compares correctly because each block has a fixed length.  `key` is
+        the sort key, `heap_key` negated: bigger key = bigger monomial.
         """
+        split = self.split
         if self.kind == "lex":
-            return tuple([-x for x in exp])
-        if self.kind == "grevlex":
-            return (-sum(exp), *exp[::-1])
-        head, tail = exp[: self.split], exp[self.split:]
-        return (-sum(head), *head[::-1], -sum(tail), *tail[::-1])
+            def heap_key(exp: tuple[int, ...]) -> tuple[int, ...]:
+                return tuple([-x for x in exp])
+        elif self.kind == "grevlex":
+            def heap_key(exp: tuple[int, ...]) -> tuple[int, ...]:
+                return (-sum(exp), *exp[::-1])
+        elif self.kind == "block":
+            def heap_key(exp: tuple[int, ...]) -> tuple[int, ...]:
+                head, tail = exp[:split], exp[split:]
+                return (-sum(head), *head[::-1], -sum(tail), *tail[::-1])
+        else:
+            raise ValueError(f"unknown order kind {self.kind!r}")
+
+        def key(exp: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple([-x for x in heap_key(exp)])
+
+        object.__setattr__(self, "heap_key", heap_key)
+        object.__setattr__(self, "key", key)
 
 
 LEX = TermOrder("lex")
@@ -222,7 +238,7 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def leading(self, order: TermOrder) -> tuple[tuple[int, ...], int]:
         if not self.terms:
@@ -301,15 +317,10 @@ class Polynomial:
     def partial(self, i: int) -> "Polynomial":
         if not 0 <= i < self.ring.nvars:
             raise IndexError(f"variable index {i} out of range")
-        out: dict[tuple[int, ...], int] = {}
-        for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            e = list(exp)
-            mult = e[i]
-            e[i] -= 1
-            out[tuple(e)] = out.get(tuple(e), 0) + c * mult
-        return Polynomial(self.ring, out)
+        # lowering exponent i is one-to-one on the terms it keeps
+        return Polynomial._trusted(
+            self.ring, {exp[:i] + (k - 1,) + exp[i + 1:]: c * k for exp, c in self.terms.items() if (k := exp[i])}
+        )
 
     def pth_root(self) -> Optional["Polynomial"]:
         """h with h^p == self, if every exponent is divisible by p; else None.
@@ -322,7 +333,7 @@ class Polynomial:
             if any(e % p for e in exp):
                 return None
             out[tuple(e // p for e in exp)] = c
-        return Polynomial(self.ring, out)
+        return Polynomial._trusted(self.ring, out)
 
     def frobenius_power(self) -> "Polynomial":
         """self^p computed termwise (freshman's dream in characteristic p)."""
@@ -543,8 +554,10 @@ def _reduce_terms(terms: Mapping, reducers: Sequence[tuple], order: TermOrder, p
 class Ideal:
     """Ideal with an optional cached reduced Groebner basis.
 
-    The cache is attached by `with_cache`, which checks it (an explicit
-    call, never a lazy side effect); `normal_form` requires it.  A cached
+    The cache is attached by `with_cache`, which checks that it reduces
+    every generator to zero, or by the Groebner loop (`buchberger`,
+    `extend`), which made it: an explicit call, never a lazy side effect;
+    `normal_form` requires it.  A cached
     basis carries its reducers, one (leading monomial, inverse leading
     coefficient, tail terms) per element, built once with the cache.
     """
@@ -564,7 +577,7 @@ class Ideal:
     def from_polys(ring: PolyRing, gens: Iterable[Polynomial]) -> "Ideal":
         cleaned = tuple(g for g in gens if not g.is_zero())
         for g in cleaned:
-            if g.ring != ring:
+            if g.ring is not ring and g.ring != ring:
                 raise ValueError("generator from wrong ring")
         return Ideal(ring, cleaned)
 
@@ -592,32 +605,59 @@ class Ideal:
         _verify_cache(cached)
         return cached
 
+    @staticmethod
+    def _built(ring: PolyRing, generators: tuple[Polynomial, ...], reducers: tuple, order: TermOrder,
+               basis: Optional[tuple[Polynomial, ...]] = None) -> "Ideal":
+        """The ideal of `generators` with the reduced basis whose (leading
+        monomial, 1, monic tail) reducers the Groebner loop made, in the style
+        of `Polynomial._trusted`: the basis is read off the reducers unless
+        given, their leading terms are not derived again, and the loop's own
+        output is not checked again as `with_cache` checks a basis it is
+        handed."""
+        if basis is None:
+            basis = tuple(Polynomial._trusted(ring, {**dict(tail), lm: 1}) for lm, _, tail in reducers)
+        ideal = Ideal(ring, generators)
+        object.__setattr__(ideal, "basis", basis)
+        object.__setattr__(ideal, "basis_order", order)
+        object.__setattr__(ideal, "reducers", reducers)
+        return ideal
+
+    def stated_by_basis(self) -> "Ideal":
+        """This ideal with its cached basis as its generators, sharing the
+        cache and its reducers: the basis generates the ideal, so nothing
+        needs checking or deriving again."""
+        if self.basis is None:
+            raise ValueError("Groebner cache required; call buchberger first")
+        return Ideal._built(self.ring, self.basis, self.reducers, self.basis_order, self.basis)
+
     def contains_one(self) -> bool:
         if self.basis is None:
             raise ValueError("Groebner cache required; call buchberger first")
         return len(self.basis) == 1 and self.basis[0].is_constant() and not self.basis[0].is_zero()
 
 
-def buchberger(ideal: Ideal, order: TermOrder = GREVLEX) -> Ideal:
-    """Reduced Groebner basis: Buchberger with the Gebauer-Moller update.
+def _groebner(start: Sequence[tuple], inputs: Iterable[Polynomial], order: TermOrder, p: int) -> tuple:
+    """The reduced Groebner basis of (start) + (inputs) for `order`, as
+    (leading monomial, 1, monic tail) reducers, smallest leading monomial
+    first: Buchberger with the Gebauer-Moller update.
 
-    Returns `ideal` itself when it already caches a basis for `order`.
+    `start` holds the reducers of a reduced basis for `order`, or nothing.
+    Its elements form no pair with each other, since every such
+    S-polynomial already reduces to zero; new pairs may use them all.  The
+    inputs enter by total degree, lowest first, each as its normal form
+    modulo the elements already in the loop: one that reduces to 0 adds no
+    element and no pair, one that reduces to a nonzero constant ends the
+    loop with the unit ideal.  So no element's leading monomial is a
+    multiple of an earlier one's, and the active elements at the end are
+    the minimal ones.
+
     Pairs come off a heap in order of (sugar, lcm degree, lcm, i, j): the
-    sugar of an input is its total degree, of a pair the larger of
-    sugar_i + deg u_i and sugar_j + deg u_j (u the cofactors to the lcm),
-    and of a new element the larger of its pair's and its own total
-    degree.  The reduced basis is unique for a fixed order, so rerunning
-    or permuting the generators reproduces the identical cache.
+    sugar of an element is its total degree when it enters, of a pair the
+    larger of sugar_i + deg u_i and sugar_j + deg u_j (u the cofactors to
+    the lcm), and of an element from a pair the larger of its pair's and
+    its own total degree.
     """
-    ring = ideal.ring
-    if ideal.basis is not None and ideal.basis_order == order:
-        return ideal
-    gens = [g for g in ideal.generators if not g.is_zero()]
-    if not gens:
-        return ideal.with_cache((), order)
-    if any(g.is_constant() for g in gens):
-        return ideal.with_cache((ring.one(),), order)
-    p = ring.p
+    heap_key, key = order.heap_key, order.key
     # Every element added stays a reducer, in the order added: dividing by
     # the active ones only lets later, longer elements do the work of the
     # short ones they retired, which made intermediate polynomials of
@@ -628,6 +668,16 @@ def buchberger(ideal: Ideal, order: TermOrder = GREVLEX) -> Ideal:
     sugars: list[int] = []  # of every element, by index
     active: list[int] = []  # the elements new pairs may use
     pairs: list[tuple] = []  # heap of (sugar, lcm degree, lcm key, i, j, lcm)
+    for lm, inv, tail in start:
+        if inv != 1:
+            tail = [(e, c * inv % p) for e, c in tail]
+        active.append(len(leads))
+        leads.append(lm)
+        reducers.append((lm, 1, tail))
+        sugars.append(max([sum(lm), *(sum(e) for e, _ in tail)]))
+    started = len(leads)
+    if started and not any(leads[0]):
+        return tuple(reducers)  # the unit ideal: no input changes it
 
     def update(terms: Mapping[tuple[int, ...], int], lm: tuple[int, ...], sugar: int) -> None:
         """Add the element (made monic) and apply the Gebauer-Moller update."""
@@ -636,6 +686,9 @@ def buchberger(ideal: Ideal, order: TermOrder = GREVLEX) -> Ideal:
         leads.append(lm)
         sugars.append(sugar)
         reducers.append((lm, 1, [(e, c * inv % p) for e, c in terms.items() if e != lm]))
+        if not active:
+            active.append(h)
+            return
         new = [(k, _exp_lcm(leads[k], lm)) for k in active]
         # Criteria M and F (Becker & Weispfenning's UPDATE): a new pair goes
         # when the lcm of a later or kept new pair divides its lcm, so of
@@ -651,24 +704,30 @@ def buchberger(ideal: Ideal, order: TermOrder = GREVLEX) -> Ideal:
                 kept.append((k, lcm, coprime))
         # Criterion B: an old pair goes when lm divides its lcm and the lcm
         # differs from the lcms of both of its elements with lm.
-        pairs[:] = [
-            pair for pair in pairs
-            if not _exp_divides(lm, pair[5])
-            or _exp_lcm(leads[pair[3]], lm) == pair[5]
-            or _exp_lcm(leads[pair[4]], lm) == pair[5]
-        ]
+        if pairs:
+            pairs[:] = [
+                pair for pair in pairs
+                if not _exp_divides(lm, pair[5])
+                or _exp_lcm(leads[pair[3]], lm) == pair[5]
+                or _exp_lcm(leads[pair[4]], lm) == pair[5]
+            ]
         degree = sum(lm)
         for k, lcm, coprime in kept:
             if not coprime:
                 d = sum(lcm)
                 pair_sugar = max(sugars[k] + d - sum(leads[k]), sugar + d - degree)
-                pairs.append((pair_sugar, d, order.key(lcm), k, h, lcm))
+                pairs.append((pair_sugar, d, key(lcm), k, h, lcm))
         heapify(pairs)
         active[:] = [k for k in active if not _exp_divides(lm, leads[k])]
         active.append(h)
 
-    for g in gens:
-        update(g.terms, g.leading(order)[0], g.total_degree())
+    for f in sorted(inputs, key=Polynomial.total_degree):
+        r = _reduce_terms(f.terms, reducers, order, p)
+        if r:
+            lm = min(r, key=heap_key)
+            if not any(lm):
+                return ((lm, 1, []),)
+            update(r, lm, max(f.total_degree(), *map(sum, r)))
     while pairs:
         pair_sugar, _, _, i, j, lcm = heappop(pairs)
         ui, uj = _exp_div(lcm, leads[i]), _exp_div(lcm, leads[j])
@@ -679,26 +738,61 @@ def buchberger(ideal: Ideal, order: TermOrder = GREVLEX) -> Ideal:
         r = _reduce_terms(s, reducers, order, p)
         if not r:
             continue
-        lm = min(r, key=order.heap_key)
+        lm = min(r, key=heap_key)
         if not any(lm):
-            return ideal.with_cache((ring.one(),), order)
-        update(r, lm, max(pair_sugar, max(map(sum, r))))
-    # Reduce in one pass: drop non-minimal leading monomials, then reduce
-    # each tail against the other elements, which leaves the lead alone.
-    minimal = [k for k in active if not any(m != k and _exp_divides(leads[m], leads[k]) for m in active)]
-    minimal.sort(key=lambda k: order.key(leads[k]))  # no tail's reduced form depends on this order
+            return ((lm, 1, []),)
+        update(r, lm, max(pair_sugar, *map(sum, r)))
+    if len(leads) == started:
+        return tuple(reducers)
+    # Reduce in one pass: tail-reduce each active element against the
+    # others, which leaves the lead alone and is exact for a Groebner basis.
+    # A tail entered as a normal form modulo every element before it, so
+    # the last element added needs no pass.
+    last = len(leads) - 1
     basis = []
-    for k in minimal:
-        terms = _reduce_terms(dict(reducers[k][2]), [reducers[m] for m in minimal if m != k], order, p)
-        terms[leads[k]] = 1
-        basis.append(Polynomial(ring, terms))
-    return ideal.with_cache(tuple(basis), order)
+    for k in sorted(active, key=lambda k: key(leads[k])):  # no tail's reduced form depends on this order
+        tail = reducers[k][2]
+        if tail and k != last:
+            tail = list(_reduce_terms(dict(tail), [reducers[m] for m in active if m != k], order, p).items())
+        basis.append((leads[k], 1, tail))
+    return tuple(basis)
+
+
+def buchberger(ideal: Ideal, order: TermOrder = GREVLEX) -> Ideal:
+    """The reduced Groebner basis of `ideal` for `order`: the Groebner loop
+    started from nothing, with the generators as its inputs.
+
+    Returns `ideal` itself when it already caches a basis for `order`.
+    The reduced basis is unique for a fixed order, so rerunning or
+    permuting the generators reproduces the identical cache.
+    """
+    if ideal.basis is not None and ideal.basis_order == order:
+        return ideal
+    ring = ideal.ring
+    return Ideal._built(ring, ideal.generators, _groebner((), ideal.generators, order, ring.p), order)
+
+
+def extend(ideal: Ideal, polys: Iterable[Polynomial]) -> Ideal:
+    """I + (polys) with its reduced grevlex basis; its generators are those
+    of `ideal`, then the nonzero polys.
+
+    The Groebner loop starts from the grevlex basis `ideal` caches and
+    takes the polys as its inputs.  A cache in another order is not used:
+    the loop then starts from nothing, as `buchberger` does.
+    """
+    ring = ideal.ring
+    added = Ideal.from_polys(ring, polys).generators
+    if ideal.basis is not None and ideal.basis_order == GREVLEX:
+        start, inputs = ideal.reducers, added
+    else:
+        start, inputs = (), ideal.generators + added
+    return Ideal._built(ring, ideal.generators + added, _groebner(start, inputs, GREVLEX, ring.p), GREVLEX)
 
 
 def _verify_cache(ideal: Ideal) -> None:
-    """Cache sanity: every generator reduces to zero against the cached
-    basis.  The reverse containment holds by construction (basis elements
-    arise from S-polynomial reductions of the generators)."""
+    """Cache sanity for a basis `with_cache` is handed: every generator
+    reduces to zero against it.  The reverse containment, that the basis
+    lies in the ideal, is not checked."""
     if any(not any(lm) for lm, _, _ in ideal.reducers):
         return  # a constant divides every monomial, so every generator reduces to zero
     p = ideal.ring.p
@@ -711,7 +805,7 @@ def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
     """Unique remainder of f modulo the cached reduced basis; 0 iff f is a member."""
     if ideal.basis is None:
         raise ValueError("Groebner cache required; call buchberger first")
-    if not ideal.basis:
+    if not (ideal.basis and f.terms):
         return f
     remainder = _reduce_terms(f.terms, ideal.reducers, ideal.basis_order, f.ring.p)
     return Polynomial._trusted(f.ring, remainder)
@@ -807,18 +901,32 @@ def pth_root_ideal(ideal: Ideal) -> Ideal:
 
 
 def krull_dim(ideal: Ideal) -> int:
-    """Krull dimension of k[x]/I: the largest variable set independent
-    modulo the leading-term ideal of a Groebner basis, for any order, so a
-    cached basis serves as it is.  Unit ideal: -1."""
-    ring = ideal.ring
+    """Krull dimension of k[x]/I: n minus the least number of variables
+    that meet the support of every leading monomial of a Groebner basis,
+    for any order, so a cached basis serves as it is.  Unit ideal: -1.
+
+    The variables left out of such a cover are a largest set independent
+    modulo the leading-term ideal.  One variable of a smallest support is
+    in every cover, so the search branches on those: a breadth-first
+    search over the sets of supports left, each set taken once, whose
+    first level holding the empty set is the least cover size.  Supports
+    that share no variable take one level each, with one set on it.
+    """
+    n = ideal.ring.nvars
     gb = ideal if ideal.basis is not None else buchberger(ideal)
     if gb.contains_one():
         return -1
-    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm, _, _ in gb.reducers]
-    # a subset of an independent set is independent, so the first size
-    # with an independent subset, scanning down, is the dimension
-    for size in range(ring.nvars, 0, -1):
-        for subset in combinations(range(ring.nvars), size):
-            if not any(s.issubset(subset) for s in supports):
-                return size
-    return 0
+    supports = frozenset({sum(1 << i for i, e in enumerate(lm) if e) for lm, _, _ in gb.reducers})
+    level, seen, least = {supports}, set(), 0
+    while frozenset() not in level:
+        seen |= level
+        branches = set()
+        for left in level:
+            smallest = min(left, key=int.bit_count)
+            while smallest:
+                bit = smallest & -smallest
+                smallest ^= bit
+                branches.add(frozenset([m for m in left if not m & bit]))
+        level = branches - seen
+        least += 1
+    return n - least

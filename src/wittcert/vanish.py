@@ -22,6 +22,7 @@ from .polyring import (
     PolyRing,
     TermOrder,
     buchberger,
+    extend,
     graph_kernel,
     krull_dim,
     normal_form,
@@ -192,7 +193,9 @@ def verify_certificate(cert: VanishingCertificate) -> bool:
     Recomputes a Groebner basis for the stated ideal, re-checks seed
     membership, every step equation (roots re-expanded by plain powering),
     strict degree descent, the chain linkage, and the terminal constant.
-    Independent of the code that produced the certificate.
+    It starts from the stated generators and reads no cache, but it shares
+    `buchberger` and `normal_form` with the producer, so a reduction defect
+    that sends a non-member to 0 would pass both.
     """
     try:
         ring = cert.ideal.ring
@@ -238,10 +241,11 @@ def closure_state(ideal: Ideal) -> ClosureState:
     """Least ideal containing I closed under partial derivatives and p-th roots.
 
     Starts from the grevlex basis `ideal` caches, if it has one; each
-    generation then computes a reduced Groebner basis.  Partials are tried
-    first (cheap); the p-th-root preimage (a 2n-variable elimination) is only
-    computed when partials alone are stable.  Termination is guaranteed by
-    the ascending chain condition; the generation cap is a tripwire.
+    generation extends the current basis by the partials of its elements.
+    Partials are tried first (cheap); the p-th-root preimage (a 2n-variable
+    elimination) is only computed when partials alone are stable.
+    Termination is guaranteed by the ascending chain condition; the
+    generation cap is a tripwire.
     """
     ring = ideal.ring
     current = buchberger(ideal)
@@ -249,13 +253,8 @@ def closure_state(ideal: Ideal) -> ClosureState:
     while True:
         if current.contains_one():
             return ClosureState(current, True, generations)
-        grown = list(current.basis)
-        for g in current.basis:
-            for i in range(ring.nvars):
-                d = g.partial(i)
-                if not d.is_zero():
-                    grown.append(d)
-        candidate = buchberger(Ideal.from_polys(ring, grown))
+        partials = [g.partial(i) for g in current.basis for i in range(ring.nvars)]
+        candidate = extend(current.stated_by_basis(), partials)
         if candidate.basis == current.basis:
             # g in I gives g^p in I, so the root ideal contains I: it is I + roots.
             candidate = pth_root_ideal(current)

@@ -313,7 +313,8 @@ class PresentedCoefficients:
     Groebner basis.  A normal form is a combination of standard monomials,
     so sums and scalar multiples of normal forms are normal forms; only
     `mul` and `pth_power` reduce.  Callers normalize what they bring in
-    (`presentation.normal`), as the CLI does with every operand.
+    (`presentation.normal`), as the CLI does with every operand; `check`
+    refuses a coordinate that is not its own normal form.
     """
 
     char_p = True
@@ -340,6 +341,8 @@ class PresentedCoefficients:
             if not isinstance(x, Polynomial):
                 raise ValueError(f"a coordinate of type {type(x).__name__} is not a polynomial")
             self._one._check(x)
+            if self.presentation.normal(x) != x:
+                raise ValueError(f"coordinate {x} is not in normal form")
 
     def add(self, x: Polynomial, y: Polynomial):
         return x + y

@@ -8,6 +8,7 @@ code with the division algorithm.
 
 import functools
 import itertools
+import operator
 import random
 import time
 
@@ -22,8 +23,11 @@ from wittcert.polyring import (
     PolyRing,
     Polynomial,
     TermOrder,
+    _groebner,
+    _reducer,
     buchberger,
     eliminate,
+    extend,
     krull_dim,
     normal_form,
     normal_product,
@@ -341,6 +345,87 @@ def test_buchberger_order_stable_and_permutation_invariant():
         assert first == again == permuted
 
 
+# -- extending a cached basis --------------------------------------------------
+
+
+def _derived_reducers(ideal):
+    """The reducers `Ideal.__post_init__` derives from a basis it is handed."""
+    return tuple(_reducer(g, ideal.basis_order, ideal.ring.p) for g in ideal.basis)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.integers(min_value=0, max_value=10 ** 6), st.sampled_from([2, 3, 5]),
+       st.sampled_from(["grevlex", "lex", "block"]), st.integers(min_value=1, max_value=3))
+def test_extending_a_cached_basis_is_buchberger_from_nothing(seed, p, kind, nvars):
+    """The Groebner loop started from the cached basis of I, with the polys
+    as its inputs, gives the basis of buchberger(I + polys), also when a
+    poly already lies in I, when one makes the unit ideal, and when I is
+    zero or the unit ideal itself.  `extend` runs that loop in grevlex."""
+    ring = _ordered_ring(p, kind, nvars)
+    order = _order(kind)
+    rng = random.Random(seed)
+    gens = [random_poly(rng, ring, max_degree=2, max_terms=3) for _ in range(rng.randint(0, 3))]
+    ideal = buchberger(Ideal.from_polys(ring, gens), order)
+    polys = [random_poly(rng, ring, max_degree=2, max_terms=3, allow_zero=True) for _ in range(rng.randint(0, 3))]
+    extra = rng.randrange(3)
+    if extra == 0 and gens:  # a member of I
+        polys.append(gens[0] * random_poly(rng, ring, max_degree=1, max_terms=2))
+    elif extra == 1 and ideal.basis:  # a poly that reduces to a nonzero constant
+        polys.append(ideal.basis[-1] + ring.constant(rng.randint(1, p - 1)))
+    rng.shuffle(polys)
+    fresh = buchberger(Ideal.from_polys(ring, gens + polys), order)
+    extended = _groebner(ideal.reducers, polys, order, p)
+    assert [(lm, inv, dict(tail)) for lm, inv, tail in extended] == [(lm, 1, dict(tail)) for lm, _, tail in fresh.reducers]
+    if order == GREVLEX:
+        ideal_plus = extend(ideal, polys)
+        assert ideal_plus.basis == fresh.basis and ideal_plus.basis_order == GREVLEX
+        assert ideal_plus.generators == ideal.generators + tuple(f for f in polys if not f.is_zero())
+    leads = [g.leading(order) for g in fresh.basis]
+    for g, (lm, lc) in zip(fresh.basis, leads):  # monic and reduced
+        assert lc == 1
+        assert not any(other != lm and all(map(operator.le, other, e)) for other, _ in leads for e in g.terms)
+    if extra == 1 and ideal.basis:
+        assert fresh.contains_one()
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex", "block"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_loop_hands_over_the_reducers_its_basis_derives(p, kind):
+    """The (leading monomial, 1, monic tail) triples the Groebner loop hands
+    to the cache are what `_reducer` derives from the basis, for every
+    `buchberger` and `extend` result."""
+    rng = random.Random(70 * p + len(kind))
+    for nvars in (1, 2, 3):
+        ring = _ordered_ring(p, kind, nvars)
+        order = _order(kind)
+        for _ in range(8):
+            gens = [random_poly(rng, ring, max_degree=3, max_terms=3) for _ in range(rng.randint(1, 3))]
+            gb = buchberger(Ideal.from_polys(ring, gens), order)
+            extended = extend(gb, [g.partial(i) for g in gens for i in range(nvars)])
+            for result in (gb, extended):
+                assert result.reducers == _derived_reducers(result)
+
+
+def test_extend_starts_only_from_a_cache_in_its_own_order():
+    """A basis cached in another order is not a start: the loop then runs
+    from the generators, and the result is the same reduced basis."""
+    ring = PolyRing(5, ("x", "y", "z"))
+    gens = [parse_polynomial(t, ring) for t in ("x*z - y^2", "x^3 - y*z")]
+    polys = [parse_polynomial(t, ring) for t in ("z^2 + x", "x*y - 1")]
+    want = buchberger(Ideal.from_polys(ring, gens + polys)).basis
+    for cached in (buchberger(Ideal.from_polys(ring, gens), LEX), Ideal.from_polys(ring, gens)):
+        extended = extend(cached, polys)
+        assert extended.basis == want and extended.basis_order == GREVLEX
+        assert extended.generators == tuple(gens + polys)
+
+
+def test_extend_rejects_a_poly_from_another_ring():
+    ring = PolyRing(5, ("x", "y"))
+    other = PolyRing(5, ("x", "z"))
+    with pytest.raises(ValueError):
+        extend(buchberger(Ideal.from_polys(ring, [ring.variable(0)])), [other.variable(1)])
+
+
 def test_normal_form_examples():
     ring = PolyRing(5, ("y", "x"))  # lex ranks y above x
     cusp = buchberger(Ideal.from_polys(ring, [parse_polynomial("y^2 - x^3", ring)]), LEX)
@@ -472,6 +557,21 @@ def test_krull_dim_examples():
         swapped = PolyRing(5, ("y", "x", *names[2:]))
         ideal = Ideal.from_polys(swapped, [parse_polynomial(g, swapped) for g in gens])
         assert krull_dim(buchberger(ideal, LEX)) == dim
+
+
+@pytest.mark.parametrize("shape", ["disjoint", "path"])
+def test_krull_dim_of_thirty_variables_takes_no_subset_scan(shape):
+    """x0*x1, x2*x3, ... (disjoint) and x0*x1, x1*x2, ... (a path) in 30
+    variables both have dimension 15.  The scan over variable subsets took
+    0.89 s on the disjoint products in 20 variables, and about 4.5 times
+    longer for every two variables more."""
+    n = 30
+    ring = PolyRing(5, tuple(f"x{i}" for i in range(n)))
+    x = [ring.variable(i) for i in range(n)]
+    pairs = [(i, i + 1) for i in range(0, n, 2)] if shape == "disjoint" else [(i, i + 1) for i in range(n - 1)]
+    start = time.perf_counter()
+    assert krull_dim(Ideal.from_polys(ring, [x[i] * x[j] for i, j in pairs])) == 15
+    assert time.perf_counter() - start < 1.0
 
 
 def test_krull_dim_zero_ideal_in_forty_variables():

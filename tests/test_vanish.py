@@ -8,7 +8,7 @@ import time
 import pytest
 
 from wittcert import polyring, vanish
-from wittcert.derham import PresentedRing
+from wittcert.derham import PresentedRing, top_form_presentation
 from wittcert.polyring import (
     GREVLEX,
     Ideal,
@@ -265,6 +265,64 @@ def test_closure_generation_cap_trips(monkeypatch):
     monkeypatch.setattr(vanish, "MAX_CLOSURE_GENERATIONS", 0)
     with pytest.raises(ClosureBudgetError):
         closure_state(ideal)
+
+
+def test_closure_and_top_form_state_their_ideals_as_before():
+    """Extending a cached basis keeps each generator tuple: a closure
+    generation's ideal is stated by the basis before it, then the nonzero
+    partials of its elements; the top form's by the generators of I, then
+    theirs."""
+    R = presented(5, ("x", "y"), ["y^2 - x^3"])
+    state = closure_state(R.ideal)
+    assert [g.to_text() for g in state.ideal.generators] == ["y", "x^2", "1", "2*x"]
+    assert state.generations == 2
+    top = top_form_presentation(R)
+    assert [g.to_text() for g in top.jacobian_ideal.generators] == ["4*x^3 + y^2", "2*x^2", "2*y"]
+
+
+# The cusp and the node (the CLI presets), a unit ideal and a curve in
+# three variables, over F_5.
+REDUCTION_WORK_CASES = {
+    "cusp": (("x", "y"), ["y^2 - x^3"]),
+    "node": (("x", "y"), ["x*y"]),
+    "unit": (("x", "y"), ["x*y - 1", "x^2"]),
+    "three": (("x", "y", "z"), ["x*z - y^2", "x^3 - y*z"]),
+}
+
+
+def test_top_form_and_closure_reduction_work_is_pinned(monkeypatch):
+    """A work count, not a timing: the divisions (`_reduce_terms` calls)
+    that `top_form_presentation` and `closure_state` make, per case, as
+    (top form, closure).  Rebuilding each ideal from its generators and
+    partials, and checking every basis it made against its generators,
+    made (6, 6) on the cusp and on the node, (2, 0) on the unit ideal and
+    (16, 16) on the three-variable curve."""
+    parent = {"cusp": (6, 6), "node": (6, 6), "unit": (2, 0), "three": (16, 16)}
+    calls = [0]
+    real = polyring._reduce_terms
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    counts = {}
+    for label, (names, gens) in REDUCTION_WORK_CASES.items():
+        R = presented(5, names, gens)
+        monkeypatch.setattr(polyring, "_reduce_terms", counting)
+        calls[0] = 0
+        top = top_form_presentation(R)
+        top_calls = calls[0]
+        calls[0] = 0
+        state = closure_state(R.ideal)
+        counts[label] = (top_calls, calls[0])
+        monkeypatch.setattr(polyring, "_reduce_terms", real)
+        assert state.fixpoint and state.ideal.contains_one()
+        assert top.jacobian_ideal.basis == buchberger(Ideal.from_polys(R.ring, top.jacobian_ideal.generators)).basis
+    assert counts == {"cusp": (3, 4), "node": (3, 4), "unit": (0, 0), "three": (8, 9)}
+    for label, (top_calls, closure_calls) in counts.items():
+        assert top_calls <= parent[label][0] and closure_calls <= parent[label][1]
+    assert sum(t for t, _ in counts.values()) < sum(t for t, _ in parent.values())
+    assert sum(c for _, c in counts.values()) < sum(c for _, c in parent.values())
 
 
 # -- kernels and the general statement ----------------------------------------------

@@ -667,6 +667,22 @@ def test_a_coordinate_outside_the_domain_is_refused():
     assert witt_vector(cusp, 3, [x]).coords == (cusp.presentation.ring.variable(0),)
 
 
+def test_a_coordinate_not_in_normal_form_is_refused():
+    # over F_5[x,y]/(y^2 - x^3) in grevlex, x^3 reduces to y^2: (x^3, 0)
+    # and (y^2, 0) name one vector, and every op assumes the normal form
+    ring = PolyRing(5, ("x", "y"))
+    cusp = PresentedCoefficients(PresentedRing.make(ring, [parse_polynomial("y^2 - x^3", ring)]))
+    x3, y2 = parse_polynomial("x^3", ring), parse_polynomial("y^2", ring)
+    with pytest.raises(ValueError, match="not in normal form"):
+        witt_vector(cusp, 5, [x3, ring.zero()])
+    with pytest.raises(ValueError, match="not in normal form"):
+        teichmuller(cusp, x3 + ring.one(), 2, p=5)
+    y = witt_vector(cusp, 5, [y2, ring.zero()])
+    # op results skip the check, and stay normal forms
+    assert witt_neg(y).coords == (y2.scale(-1), ring.zero())
+    assert witt_add(y, y).coords[0] == y2.scale(2)
+
+
 def test_lifts_and_ghosts_are_capped_before_they_allocate():
     # a lift to level 10^6 is a million-coordinate tuple; w_6 of (2, 0, ...) at p = 13 has 1.45M digits
     start = time.perf_counter()
