@@ -33,9 +33,9 @@ polys bring.  No Groebner step rescans a polynomial to find its leading term:
   for a Groebner basis;
 - a cached basis carries its reducers (leading monomial, inverse leading
   coefficient, tail), built once: the loop hands over the monic ones it
-  made, and `with_cache` derives them for a basis it is handed, which it
-  checks to reduce every generator to zero (it does not check that the
-  basis lies in the ideal).
+  made, and `with_cache` derives them for a basis it is handed, which
+  must be among the ideal's generators, so that it lies in the ideal,
+  and must reduce every generator to zero.
 
 Everything is deterministic and reduced bases are unique, so they serve
 as golden values.
@@ -554,9 +554,10 @@ def _reduce_terms(terms: Mapping, reducers: Sequence[tuple], order: TermOrder, p
 class Ideal:
     """Ideal with an optional cached reduced Groebner basis.
 
-    The cache is attached by `with_cache`, which checks that it reduces
-    every generator to zero, or by the Groebner loop (`buchberger`,
-    `extend`), which made it: an explicit call, never a lazy side effect;
+    The cache is attached by `with_cache`, which checks that it is stated
+    among the generators and reduces every generator to zero, or by the
+    Groebner loop (`buchberger`, `extend`), which made it: an explicit
+    call, never a lazy side effect;
     `normal_form` requires it.  A cached
     basis carries its reducers, one (leading monomial, inverse leading
     coefficient, tail terms) per element, built once with the cache.
@@ -600,7 +601,13 @@ class Ideal:
 
     def with_cache(self, basis: tuple[Polynomial, ...], order: TermOrder) -> "Ideal":
         """This ideal with `basis` as its reduced basis for `order`, once the
-        basis is checked to reduce every generator to zero."""
+        basis is checked to lie in the ideal and to reduce every generator
+        to zero.  It lies in the ideal when each of its elements is one of
+        the generators, as when the basis states the ideal; ValueError
+        otherwise."""
+        generators = set(self.generators)
+        if not all(g in generators for g in basis):
+            raise ValueError("a cached basis must be stated among the ideal's generators")
         cached = Ideal(self.ring, self.generators, basis, order)
         _verify_cache(cached)
         return cached
@@ -792,7 +799,8 @@ def extend(ideal: Ideal, polys: Iterable[Polynomial]) -> Ideal:
 def _verify_cache(ideal: Ideal) -> None:
     """Cache sanity for a basis `with_cache` is handed: every generator
     reduces to zero against it.  The reverse containment, that the basis
-    lies in the ideal, is not checked."""
+    lies in the ideal, is `with_cache`'s check that each basis element is
+    a generator."""
     if any(not any(lm) for lm, _, _ in ideal.reducers):
         return  # a constant divides every monomial, so every generator reduces to zero
     p = ideal.ring.p

@@ -24,10 +24,13 @@ once.  The rows come from the ghost recursion of [a] + [b] at b = 1, a
 recursion in one variable run mod p^(n+1) (`_eta_polys`).  Coordinates
 are held in normal form under a reduced Groebner basis.  Normal forms
 are closed under sums and scalar multiples, so only a product or a p-th
-power is reduced again.  A product makes only what its nonzero
-coordinates need: the Frobenius orbit F^i y only as far as the last
-nonzero x_i, and the powers x_i^(p^j) only as far as the last nonzero
-coordinate of F^i y.
+power is reduced again.  A constant coordinate is an F_p scalar: a
+product with it is a scalar multiple, its p-th power is itself, and eta
+of two constants is evaluated on integers mod p, so F_p, presented as a
+ring with no variables, reduces nothing.  A product makes only what its
+nonzero coordinates need: the Frobenius orbit F^i y only as far as the
+last nonzero x_i, and the powers x_i^(p^j) only as far as the last
+nonzero coordinate of F^i y.
 
 The universal sum/product/negation/Frobenius polynomials
 (`build_witt_table`) are produced by the ghost recursion over
@@ -312,9 +315,11 @@ class PresentedCoefficients:
     or returns is its own normal form under the presentation's reduced
     Groebner basis.  A normal form is a combination of standard monomials,
     so sums and scalar multiples of normal forms are normal forms; only
-    `mul` and `pth_power` reduce.  Callers normalize what they bring in
-    (`presentation.normal`), as the CLI does with every operand; `check`
-    refuses a coordinate that is not its own normal form.
+    `mul` and `pth_power` reduce, and neither does on a constant, which is
+    an F_p scalar: a product with it is a scalar multiple, and c^p = c.
+    Callers normalize what they bring in (`presentation.normal`), as the
+    CLI does with every operand; `check` refuses a coordinate that is not
+    its own normal form.
     """
 
     char_p = True
@@ -326,9 +331,10 @@ class PresentedCoefficients:
         self.characteristic = presentation.ring.p
         # 0 when the presentation is the unit ideal
         self._one = presentation.normal(presentation.ring.one())
+        self._zero = presentation.ring.zero()
 
     def zero(self):
-        return self.presentation.ring.zero()
+        return self._zero
 
     def one(self):
         return self._one
@@ -337,17 +343,25 @@ class PresentedCoefficients:
         return self._one.scale(n)
 
     def check(self, coords) -> None:
+        """Refuse a coordinate outside the ring or not in normal form: one
+        with a term that a leading monomial of the reduced basis divides,
+        which is the test normal(x) == x without the reduction."""
+        leads = [lm for lm, _, _ in self.presentation.ideal.reducers]
         for x in coords:
             if not isinstance(x, Polynomial):
                 raise ValueError(f"a coordinate of type {type(x).__name__} is not a polynomial")
             self._one._check(x)
-            if self.presentation.normal(x) != x:
+            if any(all(map(operator.le, lm, e)) for e in x.terms for lm in leads):
                 raise ValueError(f"coordinate {x} is not in normal form")
 
     def add(self, x: Polynomial, y: Polynomial):
         return x + y
 
     def mul(self, x: Polynomial, y: Polynomial):
+        if (c := _scalar(x)) is not None:
+            return y if c == 1 else y.scale(c)
+        if (c := _scalar(y)) is not None:
+            return x if c == 1 else x.scale(c)
         return Polynomial._trusted(self.presentation.ring, normal_product(x.terms, y.terms, self.presentation.ideal))
 
     def neg(self, x: Polynomial):
@@ -356,7 +370,8 @@ class PresentedCoefficients:
     is_zero = staticmethod(Polynomial.is_zero)
 
     def pth_power(self, x: Polynomial):
-        return x if x.is_zero() else self.presentation.normal(x.frobenius_power())
+        """x^p; a constant c is its own p-th power, as c^p = c in F_p."""
+        return x if _scalar(x) is not None else self.presentation.normal(x.frobenius_power())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PresentedCoefficients) and self.presentation == other.presentation
@@ -485,6 +500,16 @@ def _eta_polys(p: int, r: int) -> EtaRows:
     return tuple(rows)
 
 
+def _scalar(x: Polynomial) -> int | None:
+    """The value of a constant coordinate (0 for zero), None for any other."""
+    terms = x.terms
+    if len(terms) > 1:
+        return None
+    for e, c in terms.items():
+        return None if any(e) else c
+    return 0
+
+
 def _eval_eta(rows: Sequence[tuple[int, ...]], a, b, domain) -> tuple:
     """(eta_1(a, b), ...) from the rows of `_eta_polys`, by Horner in a:
     after step j the sum is sum_{i <= j} row[i] a^(j-i) b^i.  The sum is a
@@ -492,10 +517,33 @@ def _eval_eta(rows: Sequence[tuple[int, ...]], a, b, domain) -> tuple:
     with a, then adds row[j] b^j into it mod p in place, and it becomes a
     `Polynomial` once, at the end of its row.  The powers of b are shared
     between the rows and made only as far as a nonzero coefficient needs
-    them."""
+    them.  A constant operand is an F_p scalar, so a product with it is a
+    scalar multiple, which needs no reduction.  With both constant, eta_k
+    is evaluated on integers: c^(p^k) = c in F_p and eta_k is homogeneous
+    of degree p^k, so eta_k(a, b) = b eta_k(a / b, 1), a Horner sum mod p;
+    b^(p-2) stands for 1 / b, and at b = 0 the factor b gives
+    eta_k(a, 0) = 0."""
     presentation = domain.presentation
     ideal, ring = presentation.ideal, presentation.ring
     p = ring.p
+    ca, cb = _scalar(a), _scalar(b)
+    if ca is not None and cb is not None:
+        t = ca * pow(cb, p - 2, p) % p
+        zero = (0,) * ring.nvars
+        out = []
+        for row in rows:
+            v = 0
+            for c in row:
+                v = (v * t + c) % p
+            out.append(Polynomial._trusted(ring, {zero: v * cb}))
+        return tuple(out)
+
+    def times(terms: dict, x: dict, c: int | None) -> dict:
+        """terms * x in normal form, where c is x's value if x is a constant."""
+        if c is None:
+            return normal_product(terms, x, ideal)
+        return {e: w for e, v in terms.items() if (w := v * c % p)}
+
     a, b = a.terms, b.terms
     powers = [domain.one().terms, b]
     out = []
@@ -503,10 +551,10 @@ def _eval_eta(rows: Sequence[tuple[int, ...]], a, b, domain) -> tuple:
         acc: dict = {}
         for j, c in enumerate(row):
             if acc:
-                acc = normal_product(acc, a, ideal)
+                acc = times(acc, a, ca)
             if c:
                 while len(powers) <= j:
-                    powers.append(normal_product(powers[-1], b, ideal))
+                    powers.append(times(powers[-1], b, cb))
                 for e, v in powers[j].items():
                     v = (acc.get(e, 0) + c * v) % p
                     if v:

@@ -445,6 +445,21 @@ def test_normal_form_requires_cache():
         normal_product(ring.variable(0).terms, ring.one().terms, Ideal.from_polys(ring, [ring.variable(0)]))
 
 
+def test_a_cache_must_be_stated_among_the_generators():
+    """A basis outside the ideal would reduce every generator to zero and
+    still make a larger ideal: (1) on (x) claimed the unit ideal.  A basis
+    the ideal states is taken, and so is a basis among more generators."""
+    ring = PolyRing(5, ("x", "y"))
+    x, y = ring.variable(0), ring.variable(1)
+    with pytest.raises(ValueError, match="a cached basis must be stated among the ideal's generators"):
+        Ideal.from_polys(ring, [x]).with_cache((ring.one(),), GREVLEX)
+    with pytest.raises(ValueError, match="a cached basis must be stated among the ideal's generators"):
+        Ideal.from_polys(ring, [x * y]).with_cache((x,), GREVLEX)
+    stated = Ideal.from_polys(ring, [x]).with_cache((x,), GREVLEX)
+    assert not stated.contains_one() and normal_form(y, stated) == y
+    assert Ideal.from_polys(ring, [x * y, x]).with_cache((x,), GREVLEX).basis == (x,)
+
+
 @pytest.mark.parametrize("relations", [[], ["y^2 - x^3"], ["x^2*y + y^3", "x*y^2 - x"], ["1"]])
 def test_normal_product_is_the_normal_form_of_the_product(relations):
     """On term dicts, with the product's raw coefficients left unreduced:

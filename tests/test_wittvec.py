@@ -523,9 +523,11 @@ def test_f5_level_four_addition_work_is_pinned(monkeypatch):
     """A work count, not a timing: the products of presented coordinates
     (`normal_product`, each one product and one normal form) and the other
     normal forms of one F_5 level-4 addition with every coordinate
-    nonzero.  The table-free arithmetic with eta evaluated term by term and
-    every sum reduced again made 700 products and 883 normal forms on
-    these operands."""
+    nonzero.  Every coordinate is a constant, an F_p scalar, so eta is
+    evaluated on integers and nothing is reduced.  The table-free
+    arithmetic with eta evaluated term by term and every sum reduced again
+    made 700 products and 883 normal forms on these operands, and eta by
+    normal products on term dicts made 350 products."""
     domain = fp_quotient(5)
     calls = {"product": 0, "normal": 0}
     real_product, real_normal = wittvec.normal_product, PresentedRing.normal
@@ -544,8 +546,118 @@ def test_f5_level_four_addition_work_is_pinned(monkeypatch):
     monkeypatch.setattr(wittvec, "normal_product", counting_product)
     monkeypatch.setattr(PresentedRing, "normal", counting_normal)
     assert witt_add(x, y).coords == want
-    assert (calls["product"], calls["normal"]) == (350, 0)
+    assert (calls["product"], calls["normal"]) == (0, 0)
     assert calls["product"] < 700 and calls["product"] + calls["normal"] < 883
+
+
+@pytest.mark.parametrize("p,r", ETA_GRID)
+def test_eta_of_two_constants_on_integers_is_the_term_dict_route(p, r):
+    """eta_k is homogeneous of degree D = p^k, so eta_k(a t, b t) =
+    eta_k(a, b) t^D over F_p[t], where the term-dict Horner evaluates it:
+    eta_k(a, b) must be the integer route's value for every (a, b) in
+    F_p^2."""
+    fp, line = fp_quotient(p), fp_quotient(p, None, ("t",))
+    t = line.presentation.ring.variable(0)
+    rows = _eta_polys(p, r)
+    for a in range(p):
+        for b in range(p):
+            scalars = _eval_eta(rows, fp.from_int(a), fp.from_int(b), fp)
+            assert all(c.is_constant() for c in scalars)
+            values = [c.constant_value() for c in scalars]
+            by_terms = _eval_eta(rows, t.scale(a), t.scale(b), line)
+            assert by_terms == tuple((t ** (len(row) - 1)).scale(v) for row, v in zip(rows, values)), (a, b)
+
+
+class ReducingEveryProduct:
+    """A domain's arithmetic with every product reduced in full, so an
+    oracle through it takes no scalar route."""
+
+    def __init__(self, domain):
+        self.presentation = domain.presentation
+        self.add, self.from_int, self.zero, self.one = domain.add, domain.from_int, domain.zero, domain.one
+
+    def mul(self, x, y):
+        return self.presentation.normal(x * y)
+
+
+SCALAR_GRID = [(p, r) for p in (2, 3, 5) for r in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("p,r", SCALAR_GRID)
+def test_constant_coordinates_match_the_tables(p, r, monkeypatch):
+    """add, mul, neg and Frobenius over F_p and the cusp, on operands that
+    mix zero, constant and other coordinates, equal the table polynomials
+    evaluated with every product reduced.  Over F_p every coordinate is a
+    constant, and an addition or a product makes no normal product and no
+    normal form."""
+    rng = random.Random(p * 4099 + r)
+    table = build_witt_table(p, r)
+
+    def refuse(*args):
+        raise AssertionError("an F_p Witt op reduced a product")
+
+    for ring_key in ("prime_field", "cusp"):
+        domain = TEST_RINGS[ring_key](p)
+        oracle = ReducingEveryProduct(domain)
+        ring = domain.presentation.ring
+        others = [domain.one()]
+        if ring.nvars:
+            u, v = ring.variable(0), ring.variable(1)
+            others = [u, v, domain.one() + v]
+
+        def coordinate():
+            kind = rng.randrange(3)
+            if kind == 2:
+                return rng.choice(others)
+            return domain.from_int(rng.randrange(1, p)) if kind else domain.zero()
+
+        for _ in range(6 if p ** r <= 27 or not ring.nvars else 2):
+            x = witt_vector(domain, p, [coordinate() for _ in range(r)])
+            y = witt_vector(domain, p, [coordinate() for _ in range(r)])
+            with monkeypatch.context() as patch:
+                if not ring.nvars:
+                    patch.setattr(wittvec, "normal_product", refuse)
+                    patch.setattr(PresentedRing, "normal", refuse)
+                outputs = [witt_add(x, y), witt_mul(x, y), witt_neg(x)] + ([frobenius(x)] if r > 1 else [])
+            pair = x.coords + y.coords
+            assert outputs[0].coords == eval_table(table.sum_polys, pair, oracle), (x, y)
+            assert outputs[1].coords == eval_table(table.prod_polys, pair, oracle), (x, y)
+            assert outputs[2].coords == eval_table(table.neg_polys, x.coords, oracle), x
+            if r > 1:
+                assert outputs[3].coords == eval_table(table.frob_polys, x.coords, oracle), x
+
+
+@pytest.mark.parametrize("ring_key", ["cusp", "node", "two_relations", "zero_ideal", "unit_ideal", "prime_field"])
+def test_the_normal_form_check_is_normal_x_equals_x(ring_key):
+    """`check` finds a term that a leading monomial divides; it must refuse
+    a polynomial exactly when its normal form differs from it."""
+    p = 5
+    plane = PolyRing(p, ("x", "y"))
+    domain = {
+        "cusp": lambda: TEST_RINGS["cusp"](p),
+        "node": lambda: fp_quotient(p, "y^2 - x^3 - x^2", ("x", "y")),
+        # a basis of two elements, x^2 - y and y^3
+        "two_relations": lambda: PresentedCoefficients(PresentedRing.make(
+            plane, [parse_polynomial("x^2 - y", plane), parse_polynomial("y^3", plane)])),
+        "zero_ideal": lambda: fp_quotient(p, None, ("x", "y")),
+        "unit_ideal": lambda: fp_quotient(p, "1", ("x", "y")),
+        "prime_field": lambda: fp_quotient(p),
+    }[ring_key]()
+    normal, ring = domain.presentation.normal, domain.presentation.ring
+    rng = random.Random(len(ring_key))
+    verdicts = set()
+    for _ in range(60):
+        f = Polynomial(ring, {tuple(rng.randint(0, 4) for _ in range(ring.nvars)): rng.randint(0, p - 1)
+                              for _ in range(rng.randint(0, 4))})
+        for g in (f, normal(f)):
+            is_normal = normal(g) == g
+            verdicts.add(is_normal)
+            if is_normal:
+                domain.check((g,))
+            else:
+                with pytest.raises(ValueError, match="not in normal form"):
+                    domain.check((g,))
+    assert verdicts == ({True} if ring_key in ("zero_ideal", "prime_field") else {True, False})
 
 
 def test_a_teichmuller_power_makes_no_pth_power(monkeypatch):
