@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -95,7 +96,8 @@ class DieudonneModel:
     the integer w * p^e, where p^e is the largest denominator among the
     basis weights; `block()`, JSON and reports speak in
     `Fraction`s.  One memo per model keeps what is computed on first use:
-    an operator's coordinate columns on a block, the W_r quotient and
+    an operator's coordinate columns on a block and the matrices of those
+    columns over each level Z/p^r (`_matrix`), the W_r quotient and
     mod-p^r cohomology presentations (`wr_quotient`, `hn_mod_pr`) per
     (degree, r), and the kernel of reduction mod p^r per block and r
     (`_reduction_kernel`), which is safe because the maps never change and
@@ -192,6 +194,12 @@ class DieudonneModel:
         """The weight of an integer weight key."""
         return Fraction(key, self._scale)
 
+    def _weight_text(self, key: int) -> str:
+        """`str(self._weight(key))`, as reports print a weight, in lowest
+        terms by one gcd rather than through a `Fraction`."""
+        g = gcd(key, self._scale)
+        return str(key // g) if g == self._scale else f"{key // g}/{self._scale // g}"
+
     def _labels(self, degree: int, key: Optional[int]) -> tuple[str, ...]:
         """The (degree, weight key) block; a key of None names no block."""
         return self._blocks.get((degree, key), ())
@@ -287,15 +295,22 @@ class DieudonneModel:
 
     def _matrix(self, op: str, degree: int, key: int,
                 modulus: Optional[Modulus] = None) -> Optional[ModularMatrix]:
-        """`op_matrix` on the block of a weight key."""
+        """`op_matrix` on the block of a weight key, over Z/p^N or over one
+        of the model's `_level`s Z/p^r.  Memoised per model as `_columns`
+        is, keyed by the level and the columns: each distinct matrix is
+        reduced mod p^r once, and blocks with equal columns share it."""
         cols = self._columns(op, degree, key)
         if cols is None:
             return None
-        ambient = len(self._labels(*self._target(op, degree, key)))
-        if modulus is None or modulus == self.modulus:
-            # the columns are residues mod p^N already
-            return ModularMatrix._trusted_columns(self.modulus, cols, ambient)
-        return ModularMatrix.from_columns(modulus, cols, ambient)
+        level = self.modulus if modulus is None else modulus
+        ambient = len(cols[0]) if cols else len(self._labels(*self._target(op, degree, key)))
+        memo_key = ("matrix", level.exponent, ambient, cols)
+        found = self._memo.get(memo_key)
+        if found is None:
+            q = level.char
+            found = self._memo[memo_key] = ModularMatrix._trusted_columns(
+                level, [tuple(x % q for x in c) for c in cols], ambient)
+        return found
 
     # -- serialization -------------------------------------------------------
 
@@ -540,14 +555,17 @@ def check_axioms(model: DieudonneModel) -> CheckReport:
     def scaled(vec: Vector, k: int) -> Vector:
         return {lbl: (c * k) % q for lbl, c in vec.items() if (c * k) % q}
 
+    def then(op: str, vec: Optional[Vector]) -> Optional[Vector]:
+        return None if vec is None else model.apply(op, vec)
+
     for b in model.basis:
         x = {b.label: 1}
+        dx, fx, vx = model.apply("d", x), model.apply("F", x), model.apply("V", x)
         cases = [
-            ("d_squared", model.apply_chain(["d", "d"], x), {}),
-            ("dF_equals_pFd", model.apply_chain(["F", "d"], x),
-             None if (fd := model.apply_chain(["d", "F"], x)) is None else scaled(fd, p)),
-            ("FV_equals_p", model.apply_chain(["V", "F"], x), scaled(x, p)),
-            ("FdV_equals_d", model.apply_chain(["V", "d", "F"], x), model.apply("d", x)),
+            ("d_squared", then("d", dx), {}),
+            ("dF_equals_pFd", then("d", fx), None if (fd := then("F", dx)) is None else scaled(fd, p)),
+            ("FV_equals_p", then("F", vx), scaled(x, p)),
+            ("FdV_equals_d", then("F", then("d", vx)), dx),
         ]
         for name, lhs, rhs in cases:
             if lhs is None or rhs is None:
@@ -579,7 +597,7 @@ def _mod_p_cycle_generators(model: DieudonneModel, degree: int, key: int) -> Opt
         return None
     if not d_mod_p.rows:
         return _unit_vectors(k)
-    return [tuple(int(x) for x in g) for g in kernel_basis(d_mod_p)] + _unit_vectors(k, model.p)
+    return kernel_basis(d_mod_p) + _unit_vectors(k, model.p)
 
 
 def saturation_witness(model: DieudonneModel) -> CheckReport:
@@ -597,18 +615,20 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
             gens = _mod_p_cycle_generators(model, degree, key)
             if gens is None:
                 report.inconclusive.append(
-                    {"degree": degree, "weight": str(model._weight(key)), "reason": "d undefined on block"}
+                    {"degree": degree, "weight": model._weight_text(key), "reason": "d undefined on block"}
                 )
                 continue
             _, src = model._target("V", degree, key)
             if not model._labels(degree, src):
                 depth = model.depth_cap
-                if depth is not None and weight_pair(p, Fraction(key, model._scale * p))[1] > depth:
+                # the F-source weight w / p = key / (scale * p) has denominator scale * p / gcd
+                top = model._scale * p
+                if depth is not None and top // gcd(key, top) > p ** depth:
                     if any(any(g) for g in gens):
                         report.inconclusive.append(
                             {
                                 "degree": degree,
-                                "weight": str(model._weight(key)),
+                                "weight": model._weight_text(key),
                                 "reason": "F-source weight beyond depth truncation",
                             }
                         )
@@ -618,7 +638,7 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                 report.inconclusive.append(
                     {
                         "degree": degree,
-                        "weight": str(model._weight(key)),
+                        "weight": model._weight_text(key),
                         "reason": "F undefined on the source block",
                     }
                 )
@@ -632,7 +652,7 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                     report.violations.append(
                         {
                             "degree": degree,
-                            "weight": str(model._weight(key)),
+                            "weight": model._weight_text(key),
                             "witness": _vec_json(model.coords_to_vector(g, block)),
                         }
                     )
@@ -818,23 +838,23 @@ def compare_wr_with_cohomology(model: DieudonneModel, degree: int, r: int) -> Ch
         hn_key = key * shift
         if not wr_block.complete or hn_key > model._cap_key:
             report.inconclusive.append(
-                {"weight": str(model._weight(key)), "reason": "truncation boundary"}
+                {"weight": model._weight_text(key), "reason": "truncation boundary"}
             )
             continue
         hn_block = hn.by_key.get(hn_key)
         hn_factors = hn_block.factors if hn_block else ()
         if hn_block is not None and not hn_block.complete:
             report.inconclusive.append(
-                {"weight": str(model._weight(key)), "reason": "cohomology undetermined (d undefined)"}
+                {"weight": model._weight_text(key), "reason": "cohomology undetermined (d undefined)"}
             )
             continue
         report.checked += 1
         if tuple(wr_block.factors) != tuple(hn_factors):
             report.violations.append(
                 {
-                    "weight": str(model._weight(key)),
+                    "weight": model._weight_text(key),
                     "wr_factors": list(wr_block.factors),
-                    "cohomology_weight": str(model._weight(hn_key)),
+                    "cohomology_weight": model._weight_text(hn_key),
                     "cohomology_factors": list(hn_factors),
                 }
             )
@@ -870,13 +890,13 @@ def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckRepo
                 target = _wr_block(model, degree, key * p, r)
             if not (source.complete and target.complete):
                 report.inconclusive.append(
-                    {"degree": degree, "weight": str(model._weight(key)), "reason": "truncation boundary"}
+                    {"degree": degree, "weight": model._weight_text(key), "reason": "truncation boundary"}
                 )
                 continue
             f_cols = model._columns("F", degree, key)
             if f_cols is None:
                 report.inconclusive.append(
-                    {"degree": degree, "weight": str(model._weight(key)), "reason": "F undefined on block"}
+                    {"degree": degree, "weight": model._weight_text(key), "reason": "F undefined on block"}
                 )
                 continue
             # an empty F-target block makes F zero, so the preimage is the whole block
@@ -887,7 +907,7 @@ def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckRepo
                     report.violations.append(
                         {
                             "degree": degree,
-                            "weight": str(model._weight(key)),
+                            "weight": model._weight_text(key),
                             "witness": _vec_json(model.coords_to_vector(x, block)),
                         }
                     )
@@ -929,10 +949,9 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
     report = CheckReport(f"w1_vanishing_propagation(degree={degree}, rmax={rmax})")
     presentations = {r: hn_mod_pr(model, degree, r) for r in range(1, rmax + 2)}
     for key in sorted(presentations[1].by_key):
-        weight = str(model._weight(key))
         blocks = {r: presentations[r].by_key.get(key) for r in presentations}
         if any(b is None or not b.complete for b in blocks.values()):
-            report.inconclusive.append({"weight": weight, "reason": "d undefined on block"})
+            report.inconclusive.append({"weight": model._weight_text(key), "reason": "d undefined on block"})
             continue
         report.checked += 1
         if not blocks[1].factors:
@@ -940,7 +959,7 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
                 if blocks[r].factors:
                     report.violations.append(
                         {
-                            "weight": weight,
+                            "weight": model._weight_text(key),
                             "kind": "vanishing_propagation",
                             "r": r,
                             "factors": list(blocks[r].factors),
@@ -950,7 +969,7 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
             if not blocks[1].factors and not blocks[r].factors and blocks[r + 1].factors:
                 report.violations.append(
                     {
-                        "weight": weight,
+                        "weight": model._weight_text(key),
                         "kind": "inductive_step",
                         "r": r,
                         "factors": list(blocks[r + 1].factors),
@@ -959,7 +978,7 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
             failure = _les_exactness_failure(model, degree, key, r, blocks[1], blocks[r + 1])
             if failure is not None:
                 report.violations.append(
-                    {"weight": weight, "kind": "les_exactness", "r": r, "detail": failure}
+                    {"weight": model._weight_text(key), "kind": "les_exactness", "r": r, "detail": failure}
                 )
     return report
 
@@ -1006,6 +1025,10 @@ def _reduction_kernel(model: DieudonneModel, degree: int, key: int, r: int) -> S
     the boundaries and p^r e_i that d kills.  Depends on the model alone, so
     it is kept under the retention rule of `_memoized`; d must be defined on
     the block and the one below."""
+    memo_key = ("reduction_kernel", degree, key, r)
+    found = model._memo.get(memo_key)
+    if found is not None:
+        return found
 
     def build() -> SubmoduleBasis:
         mod_top = model._level(r + 1)
@@ -1017,5 +1040,5 @@ def _reduction_kernel(model: DieudonneModel, degree: int, key: int, r: int) -> S
         cycles = [[sum(c * v[i] for c, v in zip(k, spanning)) for i in range(ambient)] for k in kernel]
         return SubmoduleBasis(mod_top, ambient, cycles)
 
-    return _memoized(model, ("reduction_kernel", degree, key, r), degree, r + 1, build)
+    return _memoized(model, memo_key, degree, r + 1, build)
 

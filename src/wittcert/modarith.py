@@ -13,6 +13,7 @@ whatever the interpreter's setting: no longer integer is read or printed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 INT_DIGITS = 4300
@@ -72,40 +73,38 @@ def document_str(value) -> str:
 
 @dataclass(frozen=True)
 class Modulus:
-    """Descriptor for the coefficient ring Z/p^N (one prime per session)."""
+    """Descriptor for the coefficient ring Z/p^N (one prime per session).
+
+    The valuation v of x is read off gcd(x, p^N) = p^v (p^N for the zero
+    residue) in a p^k -> k table built once, and the unit part of x is
+    x // gcd(x, p^N).
+    """
 
     p: int
     exponent: int
-    # p^N, computed once: reduce and valuation read it per entry.
+    # p^N and the p^k -> k table, computed once: reduce and valuation read them per entry.
     char: int = field(init=False, compare=False, repr=False)
+    _exponent_of: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         check_prime(self.p)
         if self.exponent < 1:
             raise ValueError("modulus exponent must be >= 1")
         object.__setattr__(self, "char", self.p ** self.exponent)
+        object.__setattr__(self, "_exponent_of", {self.p ** k: k for k in range(self.exponent + 1)})
 
     def reduce(self, value: int) -> int:
         return value % self.char
 
     def valuation(self, value: int) -> int:
         """p-adic valuation of value mod p^N; the zero residue gets N."""
-        v = value % self.char
-        if v == 0:
-            return self.exponent
-        k = 0
-        while v % self.p == 0:
-            v //= self.p
-            k += 1
-        return k
+        return self._exponent_of[gcd(value, self.char)]
 
     def unit_part(self, value: int) -> int:
         v = value % self.char
         if v == 0:
             raise ValueError("zero residue has no unit part")
-        while v % self.p == 0:
-            v //= self.p
-        return v % self.char
+        return v // gcd(v, self.char)
 
     def inverse(self, value: int) -> int:
         v = value % self.char
@@ -196,72 +195,68 @@ class SmithDecomposition:
 def smith_normal_form(m: ModularMatrix, right: bool = True) -> SmithDecomposition:
     """Smith normal form over Z/p^N.
 
-    Pivot selection: entry of minimal p-adic valuation, ties broken by
-    row-major position.  Every other entry has valuation >= the pivot's,
-    so elimination quotients are exact integer divisions of canonical
-    representatives.  Only columns are eliminated: once the pivot row is
-    cleared to the right of the pivot, the entries below the pivot are
-    never read again, so clearing them (the row transform) would change
-    neither the diagonal nor `right`.  Elimination keeps every remaining
+    Pivot selection: entry of minimal p-adic valuation, that is of least
+    gcd with p^N, ties broken by row-major position; the first unit wins
+    outright.  Every other entry has valuation >= the pivot's, so
+    elimination quotients are exact integer divisions of canonical
+    representatives.  Only columns are eliminated, and only in the rows
+    below the pivot: neither the pivot row past the pivot nor the entries
+    below the pivot are read again, so clearing them would change neither
+    the diagonal nor `right`, and the rows above are zero past their own
+    pivots.  The column ops of one pivot are made in one pass over those
+    rows and one over `right`.  Elimination keeps every remaining
     valuation >= the pivot's, so the diagonal comes out sorted.
     `right=False` skips building the column transform; the diagonal does
     not change.
     """
     mod = m.modulus
-    p, q = mod.p, mod.char
+    q = mod.char
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
-    rt = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if right else None
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in rt or ():
-            r[i], r[j] = r[j], r[i]
-
-    def add_col(dst, src, factor):
-        for r in a:
-            r[dst] = (r[dst] + factor * r[src]) % q
-        for r in rt or ():
-            r[dst] = (r[dst] + factor * r[src]) % q
-
-    def pivot(k):
-        # the first unit in row-major order wins outright: valuation 0 is minimal
-        best = None
-        best_val = mod.exponent
+    rt = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if right else []
+    limit = min(rows, cols)
+    for k in range(limit):
+        best, best_g = None, q
         for i in range(k, rows):
             row = a[i]
             for j in range(k, cols):
                 x = row[j]
                 if x:
-                    if x % p:
-                        return i, j
-                    v = mod.valuation(x)
-                    if v < best_val:
-                        best_val = v
-                        best = (i, j)
-        return best
-
-    limit = min(rows, cols)
-    for k in range(limit):
-        best = pivot(k)
+                    g = gcd(x, q)
+                    if g < best_g:
+                        best, best_g = (i, j), g
+                        if g == 1:
+                            break
+            if best_g == 1:
+                break
         if best is None:
             break
         bi, bj = best
         a[k], a[bi] = a[bi], a[k]
         if bj != k:
-            swap_cols(k, bj)
-        # Normalize pivot to p^v exactly.
-        unit = mod.unit_part(a[k][k])
-        if unit != 1:
-            u = mod.inverse(unit)
-            a[k] = [(x * u) % q for x in a[k]]
+            for r in a[k:]:
+                r[k], r[bj] = r[bj], r[k]
+            for r in rt:
+                r[k], r[bj] = r[bj], r[k]
+        # Normalize the pivot to p^v exactly.
         piv = a[k]
-        for j in range(k + 1, cols):
-            if piv[j]:
-                add_col(j, k, -(piv[j] // piv[k]))
+        if best_g != piv[k]:
+            u = pow(piv[k] // best_g, -1, q)
+            piv = a[k] = [(x * u) % q for x in piv]
+        ops = [(j, -(piv[j] // best_g)) for j in range(k + 1, cols) if piv[j]]
+        if ops:
+            for r in a[k + 1:]:
+                c = r[k]
+                if c:
+                    for j, f in ops:
+                        r[j] = (r[j] + f * c) % q
+            for r in rt:
+                c = r[k]
+                if c:
+                    for j, f in ops:
+                        r[j] = (r[j] + f * c) % q
 
-    diag = tuple(a[i][i] for i in range(limit))
+    diag = tuple([a[i][i] for i in range(limit)])
     return SmithDecomposition(diag, ModularMatrix._trusted(mod, tuple(map(tuple, rt)), cols) if right else None)
 
 
@@ -286,19 +281,18 @@ def solve_linear(m: ModularMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]
 
 
 def kernel_basis(m: ModularMatrix) -> list[tuple[int, ...]]:
-    """Generators of {x : m @ x = 0} over Z/p^N."""
-    mod = m.modulus
+    """Generators of {x : m @ x = 0} over Z/p^N: column j of the Smith
+    transform times p^(N - v) for a diagonal entry p^v (none for a unit),
+    and the columns past the diagonal as they are."""
+    q = m.modulus.char
     snf = smith_normal_form(m)
+    diag, right = snf.diag, snf.right.entries
     gens = []
     for j in range(m.cols):
-        if j < len(snf.diag):
-            v = mod.valuation(snf.diag[j])
-            if v == 0:
-                continue
-            scale = mod.p ** (mod.exponent - v)
-        else:
-            scale = 1
-        col = tuple((scale * snf.right.entries[i][j]) % mod.char for i in range(m.cols))
+        scale = q // diag[j] if j < len(diag) and diag[j] else 1
+        if scale == q:
+            continue
+        col = tuple([scale * row[j] % q for row in right])
         if any(col):
             gens.append(col)
     return gens
@@ -312,8 +306,10 @@ class SubmoduleBasis:
     entries above a pivot p^v are reduced into [0, p^v), and for every
     pivot row with v > 0 the annihilator row p^(N-v) * row is itself in
     the row span.  Two submodules are equal iff their forms are equal.
-    Immutable: its attributes cannot be rebound (TypeError), so a span
-    held in a memoized presentation cannot change under later readers.
+    Valuations are compared as `Modulus` reads them, by gcd with p^N: a
+    pivot p^v reduces an entry exactly when p^v divides it.  Immutable:
+    its attributes cannot be rebound (TypeError), so a span held in a
+    memoized presentation cannot change under later readers.
     """
 
     __slots__ = ("modulus", "ambient", "echelon")
@@ -322,45 +318,54 @@ class SubmoduleBasis:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "ambient", ambient)
         q = modulus.char
-        gens = []
+        rows = []
         for g in generators:
             if len(g) != ambient:
                 raise ValueError("generator length mismatch")
-            gens.append(tuple(x % q for x in g))
-        object.__setattr__(self, "echelon", self._howell(gens))
+            row = [x % q for x in g]
+            if any(row):
+                rows.append(row)
+        object.__setattr__(self, "echelon", self._howell(rows))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise TypeError("SubmoduleBasis is immutable")
 
-    def _howell(self, rows: list[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-        mod = self.modulus
-        q = mod.char
+    def _howell(self, todo: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+        """The Howell form of the nonzero rows `todo`, lists of residues that
+        it consumes: each row is reduced in place from its first nonzero
+        column on, the columns before it being zero."""
+        q = self.modulus.char
+        n = self.ambient
         pivots: dict[int, list[int]] = {}
-        todo = [list(r) for r in rows if any(r)]
         while todo:
             r = todo.pop()
+            col = 0
             while True:
-                col = next((j for j, x in enumerate(r) if x), None)
-                if col is None:
+                while col < n and not r[col]:
+                    col += 1
+                if col == n:
                     break
-                v = mod.valuation(r[col])
-                if col in pivots:
-                    pc = pivots[col]
-                    pv = mod.valuation(pc[col])
-                    if v >= pv:
-                        f = r[col] // pc[col]
-                        r = [(x - f * y) % q for x, y in zip(r, pc)]
+                x = r[col]
+                pc = pivots.get(col)
+                if pc is not None:
+                    if x % pc[col] == 0:
+                        f = x // pc[col]
+                        for j in range(col, n):
+                            r[j] = (r[j] - f * pc[j]) % q
                         continue
                     # Lower valuation wins the pivot; recycle the old row.
                     todo.append(pc)
-                unit = mod.unit_part(r[col])
-                if unit != 1:
-                    u = mod.inverse(unit)
-                    r = [(x * u) % q for x in r]
+                g = gcd(x, q)
+                if g != x:
+                    u = pow(x // g, -1, q)
+                    for j in range(col, n):
+                        r[j] = r[j] * u % q
                 pivots[col] = r
-                if v > 0:
-                    ann = mod.p ** (mod.exponent - v)
-                    todo.append([(ann * x) % q for x in r])
+                if g > 1:
+                    ann = q // g
+                    row = [ann * y % q for y in r]
+                    if any(row):
+                        todo.append(row)
                 break
         # Reduce entries above each pivot into [0, p^v), left to right: a
         # pivot row changes only its own and later columns, so the columns
@@ -371,23 +376,27 @@ class SubmoduleBasis:
             pval = piv[c]
             for c2 in cols[:idx]:
                 row = pivots[c2]
-                if row[c]:
+                if row[c] >= pval:
                     f = row[c] // pval
-                    pivots[c2] = [(x - f * y) % q for x, y in zip(row, piv)]
+                    for j in range(c, n):
+                        row[j] = (row[j] - f * piv[j]) % q
         return tuple(tuple(pivots[c]) for c in cols)
 
     def reduce_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of vec modulo this submodule."""
         if len(vec) != self.ambient:
             raise ValueError("ambient rank mismatch")
-        mod = self.modulus
-        q = mod.char
-        r = [mod.reduce(x) for x in vec]
+        q = self.modulus.char
+        n = self.ambient
+        r = [x % q for x in vec]
         for row in self.echelon:
-            col = next(j for j, x in enumerate(row) if x)
+            col = 0
+            while not row[col]:
+                col += 1
             f = r[col] // row[col]
             if f:
-                r = [(x - f * y) % q for x, y in zip(r, row)]
+                for j in range(col, n):
+                    r[j] = (r[j] - f * row[j]) % q
         return tuple(r)
 
     def contains(self, vec: Sequence[int]) -> bool:

@@ -221,6 +221,16 @@ class Polynomial:
         poly.terms = {e: v for e, c in terms.items() if (v := c % p)}
         return poly
 
+    @classmethod
+    def _reduced(cls, ring: PolyRing, terms: dict[tuple[int, ...], int]) -> "Polynomial":
+        """`_trusted` for a fresh term dict whose coefficients are in [1, p)
+        already, as a remainder of `_reduce_terms` is: it becomes the
+        polynomial's own terms, with no pass over them."""
+        poly = cls.__new__(cls)
+        poly.ring = ring
+        poly.terms = terms
+        return poly
+
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -333,12 +343,13 @@ class Polynomial:
             if any(e % p for e in exp):
                 return None
             out[tuple(e // p for e in exp)] = c
-        return Polynomial._trusted(self.ring, out)
+        return Polynomial._reduced(self.ring, out)
 
     def frobenius_power(self) -> "Polynomial":
-        """self^p computed termwise (freshman's dream in characteristic p)."""
+        """self^p computed termwise (freshman's dream in characteristic p);
+        the terms keep their coefficients and stay distinct."""
         p = self.ring.p
-        return Polynomial._trusted(self.ring, {tuple(e * p for e in exp): c for exp, c in self.terms.items()})
+        return Polynomial._reduced(self.ring, {tuple(e * p for e in exp): c for exp, c in self.terms.items()})
 
     # -- presentation ------------------------------------------------------
 
@@ -816,7 +827,7 @@ def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
     if not (ideal.basis and f.terms):
         return f
     remainder = _reduce_terms(f.terms, ideal.reducers, ideal.basis_order, f.ring.p)
-    return Polynomial._trusted(f.ring, remainder)
+    return Polynomial._reduced(f.ring, remainder)
 
 
 def normal_product(a: Mapping, b: Mapping, ideal: Ideal) -> dict:

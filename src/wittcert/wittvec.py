@@ -55,7 +55,7 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .modarith import check_prime
+from .modarith import check_prime, is_prime
 from .polyring import Polynomial, normal_product, terms_add, terms_mul, terms_scale
 
 # -- rows: dense coefficient rows packed into one int ------------------------
@@ -231,14 +231,23 @@ DEFAULT_MAX_PRIME = 13
 DEFAULT_MAX_LEVEL = 6
 
 
+# The primes within the caps, found once: every op checks its (p, r).
+_CAPPED_PRIMES = frozenset(q for q in range(2, DEFAULT_MAX_PRIME + 1) if is_prime(q))
+
+
 def _check_caps(p: int, r: int) -> None:
-    """The prime, level and size checks shared by the tables and the ops."""
+    """The prime, level and size checks shared by the tables and the ops.
+
+    A (p, r) within the caps passes on one set lookup.  Any other runs the
+    checks in their order: the prime rule (`check_prime`), then the level,
+    then the caps."""
+    if p in _CAPPED_PRIMES and 1 <= r <= DEFAULT_MAX_LEVEL:
+        return
     check_prime(p)
     if r < 1:
         raise ValueError("level must be >= 1")
-    if p > DEFAULT_MAX_PRIME or r > DEFAULT_MAX_LEVEL:
-        raise ValueError(f"table for (p={p}, r={r}) exceeds the default caps "
-                         f"(p <= {DEFAULT_MAX_PRIME}, r <= {DEFAULT_MAX_LEVEL})")
+    raise ValueError(f"table for (p={p}, r={r}) exceeds the default caps "
+                     f"(p <= {DEFAULT_MAX_PRIME}, r <= {DEFAULT_MAX_LEVEL})")
 
 
 def build_witt_table(p: int, r: int) -> WittPolynomialTable:
@@ -362,7 +371,7 @@ class PresentedCoefficients:
             return y if c == 1 else y.scale(c)
         if (c := _scalar(y)) is not None:
             return x if c == 1 else x.scale(c)
-        return Polynomial._trusted(self.presentation.ring, normal_product(x.terms, y.terms, self.presentation.ideal))
+        return Polynomial._reduced(self.presentation.ring, normal_product(x.terms, y.terms, self.presentation.ideal))
 
     def neg(self, x: Polynomial):
         return x if self.characteristic == 2 else -x

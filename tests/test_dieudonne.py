@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -128,6 +129,24 @@ def test_block_index_matches_scans_on_generated_bases(p, cells):
     basis = [BasisElement(f"b{i}", degree, Fraction(m, p ** j)) for i, (degree, m, j) in enumerate(cells)]
     assert_index_matches_basis_scans(DieudonneModel(p, 2, basis, {}, {}, {}))
 
+
+def test_weight_text_is_the_fraction_text():
+    for model in (a1_model(2, 4, 4), a1_model(3, 2, 3), trivial_model(5, 2), nonsaturated_model()):
+        for key in {*range(0, 3 * model._scale + 2), *(k for ks in model._weights.values() for k in ks)}:
+            assert model._weight_text(key) == str(model._weight(key))
+
+
+def test_saturation_depth_boundary_is_the_denominator_of_the_source_weight():
+    """With V-depth 1 at p = 2, an F-source weight 1/2 (denominator 2^1) is
+    within the depth, so the empty block there is F's whole source and the
+    cycle at weight 1 is a violation; 1/8 (denominator 2^3) is beyond it."""
+    basis = [BasisElement("a", 0, Fraction(1)), BasisElement("b", 0, Fraction(1, 4))]
+    m = DieudonneModel(2, 2, basis, {"a": {}, "b": {}}, {}, {}, depth_cap=1)
+    report = saturation_witness(m)
+    assert report.violations == [{"degree": 0, "weight": "1", "witness": {"a": 1}}]
+    assert report.inconclusive == [
+        {"degree": 0, "weight": "1/4", "reason": "F-source weight beyond depth truncation"}
+    ]
 
 def test_models_do_not_share_their_index_or_columns():
     first = a1_model(2, 4, 3)
@@ -587,6 +606,63 @@ def test_reduction_kernels_are_kept_only_next_to_the_model():
     assert w1_vanishing_propagation_check(m, 7, 3).checked == 0
     assert not any(k[0] == "reduction_kernel" and k[1] == 7 for k in m._memo)
 
+
+
+def test_warm_checks_build_no_block_matrix(monkeypatch):
+    """Level matrices are model structure: once built, a warm propagation
+    or saturation check reads them from the model."""
+    m = a1_model(2, 8, 4)
+    first = [w1_vanishing_propagation_check(m, degree, 3).to_json() for degree in (0, 1)]
+    first.append(saturation_witness(m).to_json())
+    built = []
+    from_columns = ModularMatrix.from_columns.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return from_columns(cls, *args)
+
+    monkeypatch.setattr(ModularMatrix, "from_columns", classmethod(counting))
+    again = [w1_vanishing_propagation_check(m, degree, 3).to_json() for degree in (0, 1)]
+    again.append(saturation_witness(m).to_json())
+    assert again == first
+    assert built == []
+
+
+def test_a_cold_check_set_reduces_each_block_matrix_once(monkeypatch):
+    """Every (op, degree, weight key, level) matrix is reduced at most once
+    per model, however often the checkers ask for it; blocks whose columns
+    agree share one matrix."""
+    m = a1_model(2, 4, 4)
+    requests, made, inside = Counter(), Counter(), []
+    matrix = DieudonneModel._matrix
+    trusted_columns = ModularMatrix._trusted_columns.__func__
+
+    def counted_matrix(self, op, degree, key, modulus=None):
+        block = (op, degree, key, (modulus or self.modulus).exponent)
+        requests[block] += 1
+        inside.append(block)
+        try:
+            return matrix(self, op, degree, key, modulus)
+        finally:
+            inside.pop()
+
+    def counted_columns(cls, modulus, columns, ambient):
+        if inside:
+            made[inside[-1]] += 1
+        return trusted_columns(cls, modulus, columns, ambient)
+
+    monkeypatch.setattr(DieudonneModel, "_matrix", counted_matrix)
+    monkeypatch.setattr(ModularMatrix, "_trusted_columns", classmethod(counted_columns))
+    reports = [check_axioms(m), saturation_witness(m), frobenius_injectivity_degree0_check(m)]
+    for r in range(1, 4):
+        reports.append(f_cancellation_check(m, r))
+        reports.extend(compare_wr_with_cohomology(m, degree, r) for degree in (0, 1, 2))
+    reports.extend(w1_vanishing_propagation_check(m, degree, 3) for degree in (0, 1))
+    assert all(report.passed for report in reports)
+    assert set(made.values()) == {1} and set(made) <= set(requests)
+    distinct = {(level, m._columns(op, degree, key)) for op, degree, key, level in requests}
+    assert len(made) == len(distinct) and {level for level, _ in distinct} == {1, 2, 3, 4}
+    assert sum(requests.values()) > 10 * len(made)
 
 # -- the adversarial model ---------------------------------------------------------
 

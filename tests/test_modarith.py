@@ -7,6 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modarith_reference as reference
 from wittcert import wittvec
 from wittcert.dieudonne import DieudonneModel, a1_model
 from wittcert.modarith import (
@@ -355,3 +356,63 @@ def test_reduce_vector_is_canonical(vec):
     assert basis.contains(tuple((a - b) % 27 for a, b in zip(vec, reduced)))
     # Reducing twice is stable.
     assert basis.reduce_vector(reduced) == reduced
+
+
+# -- the Howell and Smith forms against the earlier forms (`modarith_reference`) --
+
+REFERENCE_MODULI = ([Modulus(2, e) for e in range(1, 7)] + [Modulus(3, e) for e in range(1, 6)]
+                    + [Modulus(5, e) for e in range(1, 4)])
+
+
+def drawn_rows(rng, mod, ambient, count):
+    """`count` rows of length `ambient`: entries of every valuation, some of
+    them zero, with zero rows and repeated rows mixed in."""
+    rows = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            rows.append((0,) * ambient)
+        elif kind < 0.3 and rows:
+            rows.append(rng.choice(rows))
+        else:
+            rows.append(tuple(
+                0 if rng.random() < 0.3 else rng.randrange(mod.char) * mod.p ** rng.randrange(mod.exponent)
+                for _ in range(ambient)
+            ))
+    return rows
+
+
+@pytest.mark.parametrize("mod", REFERENCE_MODULI, ids=lambda m: f"{m.p}^{m.exponent}")
+def test_valuation_and_unit_part_by_gcd_match_division(mod):
+    for x in range(-mod.char, 2 * mod.char):
+        assert mod.valuation(x) == reference.valuation(mod.p, mod.exponent, x)
+        if x % mod.char:
+            assert mod.unit_part(x) == reference.unit_part(mod.p, mod.exponent, x)
+        else:
+            with pytest.raises(ValueError):
+                mod.unit_part(x)
+
+
+@pytest.mark.parametrize("mod", REFERENCE_MODULI, ids=lambda m: f"{m.p}^{m.exponent}")
+def test_howell_and_smith_forms_match_the_reference_forms(mod):
+    """360 drawn inputs per modulus, 5040 in all: every ambient and generator
+    count from 0 to 5, ten draws each.  The Howell rows must be the same
+    tuples; the Smith form of the rows and of their transpose must give the
+    same diagonal, with and without `right`, the same `right` and the same
+    kernel generators."""
+    rng = random.Random(3000 + 100 * mod.p + mod.exponent)
+    p, e = mod.p, mod.exponent
+    for ambient in range(6):
+        for count in range(6):
+            for _ in range(10):
+                rows = drawn_rows(rng, mod, ambient, count)
+                assert SubmoduleBasis(mod, ambient, rows).echelon == reference.howell_rows(p, e, rows)
+                transpose = [tuple(r[i] for r in rows) for i in range(ambient)]
+                for entries, cols in ((rows, ambient), (transpose, count)):
+                    m = ModularMatrix(mod, entries, cols)
+                    diag, right = reference.smith_form(p, e, entries, cols)
+                    snf = smith_normal_form(m)
+                    assert snf.diag == diag
+                    assert snf.right.entries == right and snf.right.cols == cols
+                    assert smith_normal_form(m, right=False) == type(snf)(diag, None)
+                    assert kernel_basis(m) == reference.kernel_generators(p, e, entries, cols)

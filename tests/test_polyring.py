@@ -15,6 +15,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittcert.derham import PresentedRing
 from wittcert.polyring import (
     GREVLEX,
     LEX,
@@ -24,6 +25,7 @@ from wittcert.polyring import (
     Polynomial,
     TermOrder,
     _groebner,
+    _reduce_terms,
     _reducer,
     buchberger,
     eliminate,
@@ -38,6 +40,7 @@ from wittcert.polyring import (
     terms_mul,
     terms_scale,
 )
+from wittcert.wittvec import PresentedCoefficients
 
 
 def monomials_up_to(ring, degree):
@@ -186,6 +189,36 @@ def test_trusted_matches_the_checked_constructor(p, nvars):
             assert trusted == checked
             assert list(trusted.terms.items()) == list(checked.terms.items())
             assert all(0 < c < p for c in trusted.terms.values())
+
+
+@pytest.mark.parametrize("p,nvars", [(2, 1), (3, 2), (5, 1), (5, 3), (7, 2)])
+def test_results_wrapped_without_a_pass_match_the_checked_constructor(p, nvars):
+    """`normal_form`, `PresentedCoefficients.mul`, `frobenius_power` and
+    `pth_root` wrap their terms by `Polynomial._reduced`, which takes the
+    coefficients as they are: each result must be what the checked
+    constructor makes of the same terms, with coefficients in [1, p), and
+    must agree with a route that reduces from scratch."""
+    ring = PolyRing(p, ("x", "y", "z")[:nvars])
+    rng = random.Random(p * 31 + nvars)
+    for _ in range(6):
+        relations = [random_poly(rng, ring, max_degree=3) for _ in range(rng.randint(0, 2))]
+        presented = PresentedCoefficients(PresentedRing.make(ring, relations))
+        ideal = presented.presentation.ideal
+        for _ in range(15):
+            f, g = random_poly(rng, ring), random_poly(rng, ring)
+            nf, ng = normal_form(f, ideal), normal_form(g, ideal)
+            product = presented.mul(nf, ng)
+            power = f.frobenius_power()
+            root = power.pth_root()
+            own_root = f.pth_root()
+            for h in (nf, product, power, root, own_root):
+                if h is not None:
+                    assert h == Polynomial(ring, h.terms)
+                    assert all(0 < c < p for c in h.terms.values())
+            assert nf == Polynomial(ring, _reduce_terms(f.terms, ideal.reducers, ideal.basis_order, p))
+            assert product == normal_form(Polynomial(ring, terms_mul(nf.terms, ng.terms)), ideal)
+            assert power == f ** p and root == f
+            assert own_root is None or own_root ** p == f
 
 
 @pytest.mark.parametrize("exp", [(-1, 0), (0, -2), (1,), (1, 0, 0), ()])

@@ -228,6 +228,46 @@ def test_table_caps():
         build_witt_table(2, 7)
 
 
+RANGE = "p must satisfy 2 <= p < 2^16"
+
+
+@pytest.mark.parametrize("p, r, message", [
+    (1, 0, RANGE), (1, 7, RANGE),
+    (4, 0, "4 is not prime"), (4, 7, "4 is not prime"),
+    (9, 0, "9 is not prime"), (9, 7, "9 is not prime"),
+    (17, 0, "level must be >= 1"),
+    (17, 7, "table for (p=17, r=7) exceeds the default caps (p <= 13, r <= 6)"),
+    (2 ** 16, 0, RANGE), (2 ** 16, 7, RANGE),
+])
+def test_cap_messages_keep_their_order(p, r, message):
+    """The prime rule first (range, then primality), then the level, then the caps."""
+    for call in (lambda: wittvec._check_caps(p, r), lambda: build_witt_table(p, r)):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert str(raised.value) == message
+    if r:
+        with pytest.raises(ValueError) as raised:
+            ghost(witt_vector(Z, p, [1] * r))
+        assert str(raised.value) == message
+
+
+def test_ops_within_the_caps_run_no_trial_division(monkeypatch):
+    def ops(x):
+        return witt_add(x, x), witt_mul(x, witt_neg(x)), frobenius(x)
+
+    vectors = [witt_vector(domain, 5, [domain.from_int(c) for c in (2, 3, 1)]) for domain in (fp_quotient(5), Z)]
+    expected = [ops(x) for x in vectors]
+
+    def refuse(p):
+        raise AssertionError("check_prime called within the caps")
+
+    monkeypatch.setattr(wittvec, "check_prime", refuse)
+    assert [ops(x) for x in vectors] == expected
+    for p in (2, 3, 5, 7, 11, 13):
+        for r in (1, 6):
+            wittvec._check_caps(p, r)
+
+
 # -- ghost oracle over the integers ---------------------------------------------
 
 
