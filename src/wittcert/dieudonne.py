@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -551,6 +552,7 @@ def check_axioms(model: DieudonneModel) -> CheckReport:
     report = CheckReport("axioms")
     q = model.modulus.char
     p = model.p
+    d_rows, f_rows, v_rows = model.maps["d"], model.maps["F"], model.maps["V"]
 
     def scaled(vec: Vector, k: int) -> Vector:
         return {lbl: (c * k) % q for lbl, c in vec.items() if (c * k) % q}
@@ -558,19 +560,21 @@ def check_axioms(model: DieudonneModel) -> CheckReport:
     def then(op: str, vec: Optional[Vector]) -> Optional[Vector]:
         return None if vec is None else model.apply(op, vec)
 
+    p_residue = p % q  # 0 when N = 1
     for b in model.basis:
-        x = {b.label: 1}
-        dx, fx, vx = model.apply("d", x), model.apply("F", x), model.apply("V", x)
-        cases = [
+        lbl = b.label
+        # d x, F x and V x of a basis label are its map rows: reduced, with no zero entries
+        dx, fx, vx = d_rows.get(lbl), f_rows.get(lbl), v_rows.get(lbl)
+        cases = (
             ("d_squared", then("d", dx), {}),
             ("dF_equals_pFd", then("d", fx), None if (fd := then("F", dx)) is None else scaled(fd, p)),
-            ("FV_equals_p", then("F", vx), scaled(x, p)),
+            ("FV_equals_p", then("F", vx), {lbl: p_residue} if p_residue else {}),
             ("FdV_equals_d", then("F", then("d", vx)), dx),
-        ]
+        )
         for name, lhs, rhs in cases:
             if lhs is None or rhs is None:
                 report.inconclusive.append(
-                    {"axiom": name, "element": b.label, "reason": "undefined within truncation"}
+                    {"axiom": name, "element": lbl, "reason": "undefined within truncation"}
                 )
                 continue
             report.checked += 1
@@ -578,26 +582,12 @@ def check_axioms(model: DieudonneModel) -> CheckReport:
                 report.violations.append(
                     {
                         "axiom": name,
-                        "element": b.label,
+                        "element": lbl,
                         "lhs": _vec_json(lhs),
                         "rhs": _vec_json(rhs),
                     }
                 )
     return report
-
-
-def _mod_p_cycle_generators(model: DieudonneModel, degree: int, key: int) -> Optional[list[tuple[int, ...]]]:
-    """Generators over Z/p^N of {x in the block : dx = 0 mod p}; None when
-    d is undefined somewhere on the block."""
-    k = len(model._labels(degree, key))
-    if not k:
-        return []
-    d_mod_p = model._matrix("d", degree, key, model._level(1))
-    if d_mod_p is None:
-        return None
-    if not d_mod_p.rows:
-        return _unit_vectors(k)
-    return kernel_basis(d_mod_p) + _unit_vectors(k, model.p)
 
 
 def saturation_witness(model: DieudonneModel) -> CheckReport:
@@ -609,15 +599,23 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
     """
     report = CheckReport("saturation")
     p = model.p
+    level_1 = model._level(1)
+    units: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # scale * e_i by (block width, scale), for this call
     for degree in model.degrees():
         for key in model._weights[degree]:
             block = model._labels(degree, key)
-            gens = _mod_p_cycle_generators(model, degree, key)
-            if gens is None:
+            d_mod_p = model._matrix("d", degree, key, level_1)
+            if d_mod_p is None:
                 report.inconclusive.append(
                     {"degree": degree, "weight": model._weight_text(key), "reason": "d undefined on block"}
                 )
                 continue
+            # {x : dx = 0 mod p} is spanned by the kernel of d mod p and p e_i,
+            # or by every e_i when d maps the block to an empty one
+            shape = (len(block), p if d_mod_p.rows else 1)
+            gens = units.get(shape) or units.setdefault(shape, _unit_vectors(*shape))
+            if d_mod_p.rows:
+                gens = kernel_basis(d_mod_p) + gens
             _, src = model._target("V", degree, key)
             if not model._labels(degree, src):
                 depth = model.depth_cap
@@ -643,7 +641,7 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                     }
                 )
                 continue
-            f_image = SubmoduleBasis(model.modulus, len(block), f_cols)
+            f_image = SubmoduleBasis._trusted(model.modulus, len(block), list(map(list, f_cols)))
             for g in gens:
                 if not any(g):
                     continue
@@ -870,9 +868,9 @@ def _preimage_generators(modulus: Modulus, columns: Sequence[Sequence[int]], amb
     for columns of residues mod `modulus` of length `ambient`.  With no rows
     (ambient 0) the map is zero and the preimage is everything."""
     n_src = len(columns)
-    stacked = list(columns) + [tuple((-x) % modulus.char for x in g) for g in target.echelon]
+    stacked = list(columns) + [tuple([(-x) % modulus.char for x in g]) for g in target.echelon]
     matrix = ModularMatrix._trusted_columns(modulus, stacked, ambient)
-    return [k[:n_src] for k in kernel_basis(matrix) if any(k[:n_src])]
+    return [x for k in kernel_basis(matrix) if any(x := k[:n_src])]
 
 
 def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckReport) -> None:
@@ -947,35 +945,39 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
     if rmax + 1 > model.exponent:
         raise ValueError(f"level-{rmax} statements need coefficient exponent >= {rmax + 1}")
     report = CheckReport(f"w1_vanishing_propagation(degree={degree}, rmax={rmax})")
-    presentations = {r: hn_mod_pr(model, degree, r) for r in range(1, rmax + 2)}
-    for key in sorted(presentations[1].by_key):
-        blocks = {r: presentations[r].by_key.get(key) for r in presentations}
-        if any(b is None or not b.complete for b in blocks.values()):
+    levels = [hn_mod_pr(model, degree, r).by_key for r in range(1, rmax + 2)]  # levels[r - 1]: H(M/p^r)
+    for key in sorted(levels[0]):
+        blocks = [level.get(key) for level in levels]
+        if any(b is None or not b.complete for b in blocks):
             report.inconclusive.append({"weight": model._weight_text(key), "reason": "d undefined on block"})
             continue
         report.checked += 1
-        if not blocks[1].factors:
+        h1 = blocks[0]
+        if not h1.factors:
             for r in range(2, rmax + 1):
-                if blocks[r].factors:
+                if blocks[r - 1].factors:
                     report.violations.append(
                         {
                             "weight": model._weight_text(key),
                             "kind": "vanishing_propagation",
                             "r": r,
-                            "factors": list(blocks[r].factors),
+                            "factors": list(blocks[r - 1].factors),
                         }
                     )
         for r in range(1, rmax + 1):
-            if not blocks[1].factors and not blocks[r].factors and blocks[r + 1].factors:
+            h_top = blocks[r]
+            if not h1.factors and not blocks[r - 1].factors and h_top.factors:
                 report.violations.append(
                     {
                         "weight": model._weight_text(key),
                         "kind": "inductive_step",
                         "r": r,
-                        "factors": list(blocks[r + 1].factors),
+                        "factors": list(h_top.factors),
                     }
                 )
-            failure = _les_exactness_failure(model, degree, key, r, blocks[1], blocks[r + 1])
+            if not h_top.generators:
+                continue  # the middle is zero: exact
+            failure = _les_exactness_failure(model, degree, key, r, h1, h_top)
             if failure is not None:
                 report.violations.append(
                     {"weight": model._weight_text(key), "kind": "les_exactness", "r": r, "detail": failure}
@@ -1008,13 +1010,14 @@ def _les_exactness_failure(
         # middle is zero: exact iff nothing to check
         return None
     mod_top = model._level(r + 1)
-    lifted = [tuple(model.p ** r * x for x in g) for g in h1.generators]
-    d_top = model._matrix("d", degree, key, mod_top)
-    if any(any(d_top.apply(g)) for g in lifted):
+    q, shift = mod_top.char, model.p ** r
+    lifted = [[shift * x % q for x in g] for g in h1.generators]
+    d_rows = model._matrix("d", degree, key, mod_top).entries
+    if any(sum(map(mul, row, g)) % q for g in lifted for row in d_rows):
         return "multiplication-by-p^r image is not a cycle combination"
-    boundaries = list(model._columns("d", degree - 1, key))
-    image = SubmoduleBasis(mod_top, len(model._labels(degree, key)), lifted + boundaries)
-    if image != _reduction_kernel(model, degree, key, r):
+    boundaries = [[x % q for x in c] for c in model._columns("d", degree - 1, key)]
+    image = SubmoduleBasis._trusted(mod_top, len(model._labels(degree, key)), lifted + boundaries)
+    if image.echelon != _reduction_kernel(model, degree, key, r).echelon:  # one block, one level
         return "im(p^r) != ker(reduction) in the middle cohomology"
     return None
 

@@ -193,7 +193,18 @@ class SmithDecomposition:
 
 
 def smith_normal_form(m: ModularMatrix, right: bool = True) -> SmithDecomposition:
-    """Smith normal form over Z/p^N.
+    """Smith normal form over Z/p^N, made by `_eliminate`.  `right=False`
+    skips building the column transform; the diagonal does not change."""
+    mod, cols = m.modulus, m.cols
+    rt = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if right else []
+    diag = _eliminate(list(map(list, m.entries)), cols, mod.char, rt)
+    return SmithDecomposition(tuple(diag), ModularMatrix._trusted(mod, tuple(map(tuple, rt)), cols) if right else None)
+
+
+def _eliminate(a: list[list[int]], cols: int, q: int, rt: list[list[int]]) -> list[int]:
+    """Smith elimination over Z/q, q = p^N, of the rows `a` of residues,
+    which it consumes; returns the diagonal.  Every column op is made on the
+    rows of `rt` too, so an identity `rt` comes out as the column transform.
 
     Pivot selection: entry of minimal p-adic valuation, that is of least
     gcd with p^N, ties broken by row-major position; the first unit wins
@@ -202,18 +213,12 @@ def smith_normal_form(m: ModularMatrix, right: bool = True) -> SmithDecompositio
     representatives.  Only columns are eliminated, and only in the rows
     below the pivot: neither the pivot row past the pivot nor the entries
     below the pivot are read again, so clearing them would change neither
-    the diagonal nor `right`, and the rows above are zero past their own
-    pivots.  The column ops of one pivot are made in one pass over those
-    rows and one over `right`.  Elimination keeps every remaining
+    the diagonal nor the transform, and the rows above are zero past their
+    own pivots.  The column ops of one pivot are made in one pass over
+    those rows and one over `rt`.  Elimination keeps every remaining
     valuation >= the pivot's, so the diagonal comes out sorted.
-    `right=False` skips building the column transform; the diagonal does
-    not change.
     """
-    mod = m.modulus
-    q = mod.char
-    a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
-    rt = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if right else []
+    rows = len(a)
     limit = min(rows, cols)
     for k in range(limit):
         best, best_g = None, q
@@ -255,9 +260,7 @@ def smith_normal_form(m: ModularMatrix, right: bool = True) -> SmithDecompositio
                 if c:
                     for j, f in ops:
                         r[j] = (r[j] + f * c) % q
-
-    diag = tuple([a[i][i] for i in range(limit)])
-    return SmithDecomposition(diag, ModularMatrix._trusted(mod, tuple(map(tuple, rt)), cols) if right else None)
+    return [a[i][i] for i in range(limit)]
 
 
 def solve_linear(m: ModularMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -283,12 +286,12 @@ def solve_linear(m: ModularMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]
 def kernel_basis(m: ModularMatrix) -> list[tuple[int, ...]]:
     """Generators of {x : m @ x = 0} over Z/p^N: column j of the Smith
     transform times p^(N - v) for a diagonal entry p^v (none for a unit),
-    and the columns past the diagonal as they are."""
-    q = m.modulus.char
-    snf = smith_normal_form(m)
-    diag, right = snf.diag, snf.right.entries
+    and the columns past the diagonal as they are, read off `_eliminate`."""
+    q, cols = m.modulus.char, m.cols
+    right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    diag = _eliminate(list(map(list, m.entries)), cols, q, right)
     gens = []
-    for j in range(m.cols):
+    for j in range(cols):
         scale = q // diag[j] if j < len(diag) and diag[j] else 1
         if scale == q:
             continue
@@ -309,7 +312,9 @@ class SubmoduleBasis:
     Valuations are compared as `Modulus` reads them, by gcd with p^N: a
     pivot p^v reduces an entry exactly when p^v divides it.  Immutable:
     its attributes cannot be rebound (TypeError), so a span held in a
-    memoized presentation cannot change under later readers.
+    memoized presentation cannot change under later readers.  The
+    constructor checks and reduces its generators; `_trusted` takes rows
+    that are residues already, as the Dieudonne checkers hold them.
     """
 
     __slots__ = ("modulus", "ambient", "echelon")
@@ -327,13 +332,23 @@ class SubmoduleBasis:
                 rows.append(row)
         object.__setattr__(self, "echelon", self._howell(rows))
 
+    @classmethod
+    def _trusted(cls, modulus: Modulus, ambient: int, rows: list[list[int]]) -> "SubmoduleBasis":
+        """The span of `rows`, lists of residues in [0, p^N), each of length
+        `ambient`, which it consumes, without checking or reducing them."""
+        span = object.__new__(cls)
+        object.__setattr__(span, "modulus", modulus)
+        object.__setattr__(span, "ambient", ambient)
+        object.__setattr__(span, "echelon", span._howell(rows))
+        return span
+
     def __setattr__(self, name: str, value: object) -> None:
         raise TypeError("SubmoduleBasis is immutable")
 
     def _howell(self, todo: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-        """The Howell form of the nonzero rows `todo`, lists of residues that
-        it consumes: each row is reduced in place from its first nonzero
-        column on, the columns before it being zero."""
+        """The Howell form of the rows `todo`, lists of residues that it
+        consumes: each row is reduced in place from its first nonzero column
+        on, the columns before it being zero; a zero row adds nothing."""
         q = self.modulus.char
         n = self.ambient
         pivots: dict[int, list[int]] = {}
@@ -371,7 +386,8 @@ class SubmoduleBasis:
         # pivot row changes only its own and later columns, so the columns
         # already reduced stay reduced.
         cols = sorted(pivots)
-        for idx, c in enumerate(cols):
+        for idx in range(1, len(cols)):
+            c = cols[idx]
             piv = pivots[c]
             pval = piv[c]
             for c2 in cols[:idx]:
@@ -380,7 +396,7 @@ class SubmoduleBasis:
                     f = row[c] // pval
                     for j in range(c, n):
                         row[j] = (row[j] - f * piv[j]) % q
-        return tuple(tuple(pivots[c]) for c in cols)
+        return tuple([tuple(pivots[c]) for c in cols])
 
     def reduce_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical representative of vec modulo this submodule."""

@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wittcert import dieudonne
+import dieudonne_reference as reference
+from wittcert import dieudonne, modarith
 from wittcert.dieudonne import (
     MAX_A1_BASIS,
     BasisElement,
@@ -714,3 +715,238 @@ def test_preimage_generators_of_a_map_to_the_zero_module():
     m = Modulus(2, 3)
     expected = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert _preimage_generators(m, [(), (), ()], 0, SubmoduleBasis(m, 0, [])) == expected
+
+
+# -- wide blocks: every checker against the reference checkers and a pinned digest --
+
+
+def wide_graded_model(seed, break_d_squared=False):
+    """A seeded model in degrees 0-2 whose (degree, weight) blocks are 0 to 3
+    labels wide, with partial d, F and V that respect the grading.
+
+    Weights are m / p^j with m <= 2p and j <= 1.  In each weight d satisfies
+    d^2 = 0 over Z, built as in `three_term_complexes`, unless
+    `break_d_squared`; a quarter of the models leave some d rows undefined.
+    F maps weight w into p w and V into w / p, each row defined with
+    probability 4/5, into the block there (none: the row is zero).
+    Coefficients have every valuation; a third of them are zero.
+    """
+    rng = random.Random(seed)
+    p = rng.choice((2, 3))
+    exponent = rng.randint(2, 4)
+    q = p ** exponent
+
+    def coefficient():
+        return 0 if rng.random() < 0.35 else rng.randrange(1, q) * p ** rng.randrange(exponent) % q
+
+    def rows(sources, targets, matrix):
+        """matrix[i][j] is the coefficient of targets[i] in the image of sources[j]."""
+        return {s: {t: matrix[i][j] for i, t in enumerate(targets) if matrix[i][j]} for j, s in enumerate(sources)}
+
+    weights = sorted({Fraction(rng.randint(0, 2 * p), p ** rng.randint(0, 1)) for _ in range(rng.randint(2, 6))})
+    blocks, basis = {}, []
+    for w in weights:
+        for degree in range(3):
+            labels = [f"{'xyz'[degree]}{len(basis) + i}" for i in range(rng.choice((0, 1, 1, 2, 2, 3, 3)))]
+            blocks[degree, w] = labels
+            basis += [BasisElement(lbl, degree, w) for lbl in labels]
+    d, frobenius, verschiebung = {}, {}, {}
+    for w in weights:
+        a, b, c = (blocks[degree, w] for degree in range(3))
+        k = rng.randint(0, len(b))
+        d0 = [[coefficient() if i < k else 0 for _ in a] for i in range(len(b))]
+        d1 = [[coefficient() if j >= k or break_d_squared else 0 for j in range(len(b))] for _ in c]
+        for _ in range(rng.randint(0, 3) if len(b) > 1 else 0):
+            i, j = rng.sample(range(len(b)), 2)
+            f = rng.randrange(1, q)  # d0 <- E d0 and d1 <- d1 E^-1 for E = 1 + f e_i e_j^T
+            d0[i] = [x + f * y for x, y in zip(d0[i], d0[j])]
+            for row in d1:
+                row[j] -= f * row[i]
+        d.update(rows(a, b, d0))
+        d.update(rows(b, c, d1))
+        d.update({lbl: {} for lbl in c})
+        for degree in range(3):
+            for mapping, target in ((frobenius, w * p), (verschiebung, w / p)):
+                targets = blocks.get((degree, target), [])
+                for lbl in blocks[degree, w]:
+                    if rng.random() < 0.8:
+                        mapping[lbl] = {t: x for t in targets if (x := coefficient())}
+    if d and rng.random() < 0.25:
+        for lbl in rng.sample(sorted(d), rng.randint(1, max(1, len(d) // 5))):
+            del d[lbl]
+    cap = rng.choice([None, *weights])
+    depth = rng.choice([None, 0, 1, 2])
+    return DieudonneModel(p, exponent, basis, d, frobenius, verschiebung, weight_cap=cap, depth_cap=depth)
+
+
+def every_report(m):
+    """The JSON of every checker on m, at every level its N allows, and of
+    the W_r and mod-p^r cohomology presentations they read."""
+    reports = [check_axioms(m), saturation_witness(m), frobenius_injectivity_degree0_check(m)]
+    for r in range(1, m.exponent):
+        reports.append(f_cancellation_check(m, r))
+        reports.extend(compare_wr_with_cohomology(m, degree, r) for degree in range(3))
+    reports.extend(w1_vanishing_propagation_check(m, degree, m.exponent - 1) for degree in range(3))
+    docs = [report.to_json() for report in reports]
+    for degree in range(3):
+        docs.extend([wr_quotient(m, degree, 1).to_json(), hn_mod_pr(m, degree, m.exponent).to_json()])
+    return docs
+
+
+def assert_reports_match_the_reference(m):
+    """Cold and warm reports agree byte for byte, and the axiom and
+    propagation reports agree with the reference checkers'."""
+    cold = json.dumps(every_report(m))
+    assert json.dumps(every_report(m)) == cold
+    assert json.dumps(check_axioms(m).to_json()) == json.dumps(reference.check_axioms(m).to_json())
+    for degree in range(3):
+        found = w1_vanishing_propagation_check(m, degree, m.exponent - 1).to_json()
+        expected = reference.w1_vanishing_propagation_check(m, degree, m.exponent - 1).to_json()
+        assert json.dumps(found) == json.dumps(expected)
+    return json.loads(cold)
+
+
+def report_digest(docs):
+    h = hashlib.sha256()
+    for doc in docs:
+        h.update(json.dumps(doc, separators=(",", ":")).encode() + b"\n")
+    return h.hexdigest()
+
+
+# Sha256 over `every_report`'s JSON, key order included, of the 400 wide
+# models of seeds 0-399 and of the mutants below.  Taken before the
+# checkers read first images off the map rows and built spans on residue
+# lists, when every span went through the public `SubmoduleBasis`.
+WIDE_REPORT_DIGEST = "dc7e14ccc42c57d0c3ddb6fa2da0de01f57043ace4c8b0c3d4feda66e47b02b0"
+MUTANT_REPORT_DIGEST = "fc991c235f3c174f4b40980a38ca57794f8d68e59c8e0681f3fdffa87eb764b2"
+
+
+def test_wide_block_reports_match_the_reference_and_the_pinned_digest():
+    """The digest covers blocks 2 and 3 labels wide, and reports with
+    violations and with inconclusive entries from the checkers."""
+    docs, widths, failing = [], Counter(), Counter()
+    for seed in range(400):
+        m = wide_graded_model(seed)
+        widths.update(len(labels) for labels in m._blocks.values())
+        docs += assert_reports_match_the_reference(m)
+    for doc in docs:
+        if doc.get("violations"):
+            failing[doc["check"].split("(")[0]] += 1
+    assert widths[2] > 100 and widths[3] > 100
+    assert {"axioms", "saturation", "f_cancellation", "wr_vs_cohomology"} <= set(failing)
+    assert any(doc.get("inconclusive") for doc in docs)
+    assert report_digest(docs) == WIDE_REPORT_DIGEST
+
+
+def _f_coefficient_times_p(m, source):
+    doc = m.to_json()
+    row = doc["F"][source]
+    target = next(iter(row))
+    row[target] = row[target] * m.p
+    return DieudonneModel.from_json(doc)
+
+
+def test_mutant_reports_match_the_reference_and_the_pinned_digest():
+    """Mutants fail their checks, and report the failures as the reference
+    checkers do: one F coefficient multiplied by p on two A^1 models, which
+    breaks saturation, and wide models whose d^2 is not zero."""
+    mutants = [_f_coefficient_times_p(a1_model(2, 4, 4), "[T^1]"),
+               _f_coefficient_times_p(a1_model(3, 1, 4), "V^1[T^1]")]
+    for m in mutants:
+        assert not saturation_witness(m).passed
+    mutants += [wide_graded_model(seed, break_d_squared=True) for seed in range(60)]
+    broken = sum(any(v["axiom"] == "d_squared" for v in check_axioms(m).violations) for m in mutants)
+    assert broken >= 20
+    docs = []
+    for m in mutants:
+        docs += assert_reports_match_the_reference(m)
+    assert report_digest(docs) == MUTANT_REPORT_DIGEST
+
+
+def assert_les_matches_the_reference(m):
+    """`_les_exactness_failure` agrees with the reference on every
+    (degree, key, r) the propagation check reaches, for the true H(M/p)
+    block and its doctored copies; returns how many failed exactness."""
+    failures = 0
+    for degree in range(3):
+        for r in range(1, m.exponent):
+            h1s, tops = hn_mod_pr(m, degree, 1).by_key, hn_mod_pr(m, degree, r + 1).by_key
+            for key, h1 in h1s.items():
+                h_top = tops.get(key)
+                if not (h1.complete and h_top is not None and h_top.complete):
+                    continue
+                for doctored in _doctored(h1, m.p):
+                    found = _les_exactness_failure(m, degree, key, r, doctored, h_top)
+                    assert found == reference.les_exactness_failure(m, degree, key, r, doctored, h_top)
+                    failures += found is not None
+    return failures
+
+
+def test_les_exactness_on_wide_blocks_matches_the_reference():
+    assert sum(assert_les_matches_the_reference(wide_graded_model(seed)) for seed in range(120)) > 0
+
+
+def test_doctored_les_cases_match_the_reference():
+    """The doctored H(M/p) blocks of the `test_les_exactness_*` tests."""
+    m = a1_model(2, 4, 4)
+    h1, h_top = hn_mod_pr(m, 0, 1).blocks[Fraction(0)], hn_mod_pr(m, 0, 2).blocks[Fraction(0)]
+    cases = [(m, h1, h_top), (m, dataclasses.replace(h1, generators=()), h_top)]
+    w = Fraction(0)
+    basis = [BasisElement("x", 0, w), BasisElement("y", 0, w), BasisElement("z", 1, w)]
+    m = DieudonneModel(2, 3, basis, {"x": {"z": 1}, "y": {}, "z": {}}, {}, {})
+    h1, h_top = hn_mod_pr(m, 0, 1).blocks[w], hn_mod_pr(m, 0, 2).blocks[w]
+    cases += [(m, h1, h_top), (m, dataclasses.replace(h1, generators=((1, 0),)), h_top)]
+    found = [_les_exactness_failure(m, 0, 0, 1, h1, h_top) for m, h1, h_top in cases]
+    assert found == [reference.les_exactness_failure(m, 0, 0, 1, h1, h_top) for m, h1, h_top in cases]
+    assert found == [None, "im(p^r) != ker(reduction) in the middle cohomology",
+                     None, "multiplication-by-p^r image is not a cycle combination"]
+    basis = [BasisElement(lbl, degree, w)
+             for lbl, degree in (("b0", 1), ("b1", 1), ("c0", 2), ("c1", 2), ("c2", 2))]
+    d = {"b0": {"c0": 2, "c1": 2, "c2": 2}, "b1": {"c1": 1, "c2": 1}, "c0": {}, "c1": {}, "c2": {}}
+    assert assert_les_matches_the_reference(DieudonneModel(2, 2, basis, d, {}, {})) > 0
+
+
+# -- the work of a warm checker set ---------------------------------------------------
+
+# The Howell forms and Smith eliminations of one warm bench checker set on
+# a1(2, 8, 4), and the keys its memo holds afterwards, by kind, counted
+# before those calls were made cheaper.  The checkers recompute their
+# preimages, memberships and exactness spans on every call, so fewer forms
+# would mean a memo keyed on a checker call or a per-call span.
+WARM_SET_HOWELL_FORMS = 528
+WARM_SET_SMITH_ELIMINATIONS = 243
+WARM_SET_MEMO = {"columns": 515, "hn": 8, "matrix": 36, "modulus": 4, "reduction_kernel": 399, "wr": 4}
+
+
+def bench_checker_set(m):
+    """The checker set `bench/workloads.py` runs on one model."""
+    check_axioms(m)
+    saturation_witness(m)
+    for r in (1, 3):
+        f_cancellation_check(m, r)
+        for degree in (0, 1):
+            compare_wr_with_cohomology(m, degree, r)
+    for degree in (0, 1):
+        w1_vanishing_propagation_check(m, degree, 3)
+    frobenius_injectivity_degree0_check(m)
+
+
+def test_a_warm_checker_set_makes_the_pinned_howell_and_smith_forms(monkeypatch):
+    m = a1_model(2, 8, 4)
+    bench_checker_set(m)
+    counts = Counter()
+    howell, eliminate = SubmoduleBasis._howell, modarith._eliminate
+
+    def counted_howell(self, todo):
+        counts["howell"] += 1
+        return howell(self, todo)
+
+    def counted_eliminate(*args):
+        counts["smith"] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(SubmoduleBasis, "_howell", counted_howell)
+    monkeypatch.setattr(modarith, "_eliminate", counted_eliminate)
+    bench_checker_set(m)
+    assert counts == {"howell": WARM_SET_HOWELL_FORMS, "smith": WARM_SET_SMITH_ELIMINATIONS}
+    assert Counter(key[0] for key in m._memo) == WARM_SET_MEMO

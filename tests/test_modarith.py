@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modarith_reference as reference
-from wittcert import wittvec
+from wittcert import modarith, wittvec
 from wittcert.dieudonne import DieudonneModel, a1_model
 from wittcert.modarith import (
     ModularMatrix,
@@ -393,6 +393,16 @@ def test_valuation_and_unit_part_by_gcd_match_division(mod):
                 mod.unit_part(x)
 
 
+def reference_draws(mod):
+    """(ambient, generator count, rows) for every ambient and generator
+    count from 0 to 5, ten draws each, from one seed per modulus."""
+    rng = random.Random(3000 + 100 * mod.p + mod.exponent)
+    for ambient in range(6):
+        for count in range(6):
+            for _ in range(10):
+                yield ambient, count, drawn_rows(rng, mod, ambient, count)
+
+
 @pytest.mark.parametrize("mod", REFERENCE_MODULI, ids=lambda m: f"{m.p}^{m.exponent}")
 def test_howell_and_smith_forms_match_the_reference_forms(mod):
     """360 drawn inputs per modulus, 5040 in all: every ambient and generator
@@ -400,19 +410,42 @@ def test_howell_and_smith_forms_match_the_reference_forms(mod):
     tuples; the Smith form of the rows and of their transpose must give the
     same diagonal, with and without `right`, the same `right` and the same
     kernel generators."""
-    rng = random.Random(3000 + 100 * mod.p + mod.exponent)
     p, e = mod.p, mod.exponent
-    for ambient in range(6):
-        for count in range(6):
-            for _ in range(10):
-                rows = drawn_rows(rng, mod, ambient, count)
-                assert SubmoduleBasis(mod, ambient, rows).echelon == reference.howell_rows(p, e, rows)
-                transpose = [tuple(r[i] for r in rows) for i in range(ambient)]
-                for entries, cols in ((rows, ambient), (transpose, count)):
-                    m = ModularMatrix(mod, entries, cols)
-                    diag, right = reference.smith_form(p, e, entries, cols)
-                    snf = smith_normal_form(m)
-                    assert snf.diag == diag
-                    assert snf.right.entries == right and snf.right.cols == cols
-                    assert smith_normal_form(m, right=False) == type(snf)(diag, None)
-                    assert kernel_basis(m) == reference.kernel_generators(p, e, entries, cols)
+    for ambient, count, rows in reference_draws(mod):
+        assert SubmoduleBasis(mod, ambient, rows).echelon == reference.howell_rows(p, e, rows)
+        transpose = [tuple(r[i] for r in rows) for i in range(ambient)]
+        for entries, cols in ((rows, ambient), (transpose, count)):
+            m = ModularMatrix(mod, entries, cols)
+            diag, right = reference.smith_form(p, e, entries, cols)
+            snf = smith_normal_form(m)
+            assert snf.diag == diag
+            assert snf.right.entries == right and snf.right.cols == cols
+            assert smith_normal_form(m, right=False) == type(snf)(diag, None)
+            assert kernel_basis(m) == reference.kernel_generators(p, e, entries, cols)
+
+
+@pytest.mark.parametrize("mod", REFERENCE_MODULI, ids=lambda m: f"{m.p}^{m.exponent}")
+def test_the_elimination_and_the_trusted_span_match_the_reference_forms(mod):
+    """On the same 5040 drawn inputs: `_eliminate`, which `kernel_basis`
+    reads directly, gives the reference diagonal and column transform, with
+    and without the transform, and `SubmoduleBasis._trusted` on the reduced
+    rows, zero rows and repeats included, the reference Howell rows."""
+    p, e, q = mod.p, mod.exponent, mod.char
+    for ambient, count, rows in reference_draws(mod):
+        residues = [[x % q for x in row] for row in rows]
+        assert SubmoduleBasis._trusted(mod, ambient, [row[:] for row in residues]).echelon == (
+            reference.howell_rows(p, e, rows))
+        transpose = [[row[i] for row in residues] for i in range(ambient)]
+        for entries, cols in ((residues, ambient), (transpose, count)):
+            diag, right = reference.smith_form(p, e, entries, cols)
+            transform = [[int(i == j) for j in range(cols)] for i in range(cols)]
+            assert modarith._eliminate([row[:] for row in entries], cols, q, transform) == list(diag)
+            assert tuple(map(tuple, transform)) == right
+            assert modarith._eliminate([row[:] for row in entries], cols, q, []) == list(diag)
+
+
+def test_a_wrong_length_generator_is_refused():
+    mod = Modulus(3, 2)
+    for generators in ([(1, 2, 3)], [(1, 2), (4,)], [()]):
+        with pytest.raises(ValueError, match="generator length mismatch"):
+            SubmoduleBasis(mod, 2, generators)
