@@ -53,6 +53,7 @@ from .modarith import INT_DIGITS, check_prime, document_int, document_list, docu
 
 # a variable name: the one token the parser reads as a name
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
+_NAME_RE = re.compile(_NAME)
 
 
 class PolyParseError(ValueError):
@@ -74,7 +75,7 @@ class PolyRing:
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be distinct")
         for name in self.names:  # so that every printed polynomial parses back
-            if not (isinstance(name, str) and re.fullmatch(_NAME, name)):
+            if not (isinstance(name, str) and _NAME_RE.fullmatch(name)):
                 raise ValueError(f"variable name {name!r} is not a name the parser reads ({_NAME})")
         object.__setattr__(self, "nvars", len(self.names))
 
@@ -328,9 +329,10 @@ class Polynomial:
         if not 0 <= i < self.ring.nvars:
             raise IndexError(f"variable index {i} out of range")
         # lowering exponent i is one-to-one on the terms it keeps
-        return Polynomial._trusted(
-            self.ring, {exp[:i] + (k - 1,) + exp[i + 1:]: c * k for exp, c in self.terms.items() if (k := exp[i])}
-        )
+        p = self.ring.p
+        return Polynomial._reduced(self.ring, {
+            exp[:i] + (k - 1,) + exp[i + 1:]: v for exp, c in self.terms.items() if (k := exp[i]) and (v := c * k % p)
+        })
 
     def pth_root(self) -> Optional["Polynomial"]:
         """h with h^p == self, if every exponent is divisible by p; else None.
@@ -381,12 +383,29 @@ class Polynomial:
 
 
 def poly_from_json(doc: Mapping, ring: PolyRing) -> Polynomial:
-    """The polynomial of `doc["terms"]` in `ring`; "vars" and "p" are not read."""
-    terms = {}
+    """The polynomial of `doc["terms"]` in `ring`; "vars" and "p" are not read.
+
+    One pass reads each term and keeps its coefficient as a residue; an
+    exponent tuple is checked when it first appears, but reported only
+    after every integer of the document has been read, as the checked
+    constructor would report it."""
+    n, p = ring.nvars, ring.p
+    terms: dict[tuple[int, ...], int] = {}
+    bad = None
     for t in document_list(doc["terms"]):
-        exp = tuple(document_int(e) for e in t["exp"])
-        terms[exp] = terms.get(exp, 0) + document_int(t["coef"])
-    return Polynomial(ring, terms)
+        exp = tuple(map(document_int, t["exp"]))
+        c = document_int(t["coef"])
+        if exp in terms:
+            terms[exp] = (terms[exp] + c) % p
+        else:
+            if bad is None and (len(exp) != n or (exp and min(exp) < 0)):
+                bad = exp
+            terms[exp] = c % p
+    if bad is not None:
+        raise ValueError(f"bad exponent tuple {bad}")
+    if 0 in terms.values():
+        terms = {e: c for e, c in terms.items() if c}
+    return Polynomial._reduced(ring, terms)
 
 
 _TOKEN = re.compile(rf"\s*(?:(\d+)|({_NAME})|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
@@ -587,11 +606,13 @@ class Ideal:
 
     @staticmethod
     def from_polys(ring: PolyRing, gens: Iterable[Polynomial]) -> "Ideal":
-        cleaned = tuple(g for g in gens if not g.is_zero())
-        for g in cleaned:
-            if g.ring is not ring and g.ring != ring:
-                raise ValueError("generator from wrong ring")
-        return Ideal(ring, cleaned)
+        cleaned = []
+        for g in gens:
+            if g.terms:
+                if g.ring is not ring and g.ring != ring:
+                    raise ValueError("generator from wrong ring")
+                cleaned.append(g)
+        return Ideal(ring, tuple(cleaned))
 
     @staticmethod
     def from_json(doc: Mapping) -> "Ideal":
@@ -628,12 +649,13 @@ class Ideal:
                basis: Optional[tuple[Polynomial, ...]] = None) -> "Ideal":
         """The ideal of `generators` with the reduced basis whose (leading
         monomial, 1, monic tail) reducers the Groebner loop made, in the style
-        of `Polynomial._trusted`: the basis is read off the reducers unless
-        given, their leading terms are not derived again, and the loop's own
-        output is not checked again as `with_cache` checks a basis it is
+        of `Polynomial._reduced`: the basis is read off the reducers unless
+        given, each row wrapped as it is since its coefficients are residues
+        already, their leading terms are not derived again, and the loop's
+        own output is not checked again as `with_cache` checks a basis it is
         handed."""
         if basis is None:
-            basis = tuple(Polynomial._trusted(ring, {**dict(tail), lm: 1}) for lm, _, tail in reducers)
+            basis = tuple(Polynomial._reduced(ring, {**dict(tail), lm: 1}) for lm, _, tail in reducers)
         ideal = Ideal(ring, generators)
         object.__setattr__(ideal, "basis", basis)
         object.__setattr__(ideal, "basis_order", order)
@@ -905,6 +927,42 @@ def graph_kernel(ideal: Ideal, images: Sequence[Polynomial], target: PolyRing) -
     kept = _eliminated_terms(Ideal.from_polys(big, gens), range(n, n + target.nvars))
     out = tuple(Polynomial._trusted(target, terms) for terms in kept)
     return Ideal.from_polys(target, out).with_cache(out, GREVLEX)
+
+
+def basis_pth_root(ideal: Ideal) -> Optional[Ideal]:
+    """{g : g^p ∈ I} read off the cached reduced grevlex basis of I, when
+    every basis element is a p-th power; None when one is not.
+
+    Over F_p, g^p = g(x_1^p..x_n^p).  For f with f^p ∈ I, the leading
+    monomial lm(f)^p is a multiple of some lm(b) = lm(h)^p with b = h^p in
+    the basis, so lm(h) divides lm(f): the roots h generate the root ideal
+    and, since m -> m^p keeps grevlex order and divisibility, form its
+    reduced grevlex basis, in the order of I's.  The result states that
+    basis as its generators, as `pth_root_ideal` does, and keeps reducers
+    read off I's, with every exponent divided by p."""
+    if ideal.basis_order != GREVLEX:
+        raise ValueError("grevlex Groebner cache required; call buchberger first")
+    ring = ideal.ring
+    p = ring.p
+    reducers = []
+    for lm, inv, tail in ideal.reducers:
+        if any(e % p for e in lm) or any(x % p for e, _ in tail for x in e):
+            return None
+        root_tail = [(tuple([x // p for x in e]), c * inv % p) for e, c in tail]
+        reducers.append((tuple([e // p for e in lm]), 1, root_tail))
+    basis = tuple(Polynomial._reduced(ring, {**dict(tail), lm: 1}) for lm, _, tail in reducers)
+    return Ideal._built(ring, basis, tuple(reducers), GREVLEX, basis)
+
+
+def reduces_to_zero(f: Polynomial, divisors: Sequence[Polynomial]) -> bool:
+    """Whether dividing f by `divisors` (grevlex, the first divisor whose
+    leading monomial divides a term doing the step) leaves no remainder.
+
+    Then f = Σ q_i d_i, so f lies in the ideal the divisors generate, with
+    no Groebner basis computed; a nonzero remainder proves nothing unless
+    the divisors form a Groebner basis."""
+    p = f.ring.p
+    return not _reduce_terms(f.terms, [_reducer(g, GREVLEX, p) for g in divisors], GREVLEX, p)
 
 
 def pth_root_ideal(ideal: Ideal) -> Ideal:

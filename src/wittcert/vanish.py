@@ -21,13 +21,14 @@ from .polyring import (
     Polynomial,
     PolyRing,
     TermOrder,
+    basis_pth_root,
     buchberger,
     extend,
     graph_kernel,
     krull_dim,
     normal_form,
     poly_from_json,
-    pth_root_ideal,
+    reduces_to_zero,
 )
 
 
@@ -84,16 +85,23 @@ class VanishingCertificate:
     provenance: tuple[str, ...] = PROVENANCE
 
     def to_json(self) -> dict:
+        """The certificate document.  The seed is the first step's "in" and
+        each step's "out" the next one's, so each polynomial of a linked
+        chain is encoded once and its object appears in both places: copy
+        the document before editing it in place."""
+        seed = last_doc = self.seed.to_json()
+        last = self.seed
         steps = []
         for s in self.steps:
-            entry = {"op": "pthRoot" if s.op == "pth_root" else "partial",
-                     "in": s.before.to_json(), "out": s.after.to_json()}
+            before = last_doc if s.before is last else s.before.to_json()
+            last, last_doc = s.after, s.after.to_json()
+            entry = {"op": "pthRoot" if s.op == "pth_root" else "partial", "in": before, "out": last_doc}
             if s.var is not None:
                 entry["var"] = s.var
             steps.append(entry)
         return {
             "ring": self.ideal.to_json(),
-            "seed": self.seed.to_json(),
+            "seed": seed,
             "steps": steps,
             "terminal": self.terminal,
             "provenance": list(self.provenance),
@@ -101,25 +109,50 @@ class VanishingCertificate:
 
     @staticmethod
     def from_json(doc) -> "VanishingCertificate":
-        """Raises ValueError (or PolyParseError) on a malformed document."""
+        """Raises ValueError (or PolyParseError) on a malformed document.
+
+        A step's "in" that is the previous "out" as JSON is not parsed
+        again, nor is a seed that is the first "in": each is that
+        polynomial.  Any other is parsed on its own, so a broken link
+        reaches the replay."""
         try:
             ideal = Ideal.from_json(doc["ring"])
             ring = ideal.ring
+            step_docs = document_list(doc["steps"])
             steps = []
-            for s in document_list(doc["steps"]):
+            last_doc = last = None
+            for s in step_docs:
                 op = STEP_OPS[s["op"]]
-                steps.append(
-                    DescentStep(op, s.get("var"), poly_from_json(s["in"], ring), poly_from_json(s["out"], ring))
-                )
+                var = s.get("var")
+                before_doc = s["in"]
+                before = last if _same_polynomial_document(before_doc, last_doc) else poly_from_json(before_doc, ring)
+                last_doc = s["out"]
+                last = poly_from_json(last_doc, ring)
+                steps.append(DescentStep(op, var, before, last))
+            seed_doc = doc["seed"]
+            if steps and _same_polynomial_document(seed_doc, step_docs[0]["in"]):
+                seed = steps[0].before
+            else:
+                seed = poly_from_json(seed_doc, ring)
             return VanishingCertificate(
                 ideal,
-                poly_from_json(doc["seed"], ring),
+                seed,
                 tuple(steps),
                 document_int(doc["terminal"]),
                 tuple(map(document_str, document_list(doc["provenance"]))) if "provenance" in doc else PROVENANCE,
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed certificate ({type(exc).__name__}: {exc})") from exc
+
+
+def _same_polynomial_document(doc, read) -> bool:
+    """Whether `doc` reads as `read`, a polynomial document already read
+    without error: equal as JSON, with every exponent and coefficient an
+    integer, since Python's == also equates 1, 1.0 and true, which the
+    reader refuses."""
+    return read is not None and doc == read and all(
+        type(t["coef"]) is int and all(type(e) is int for e in t["exp"]) for t in doc["terms"]
+    )
 
 
 def descend_to_unit(f: Polynomial) -> tuple[tuple[DescentStep, ...], int]:
@@ -190,25 +223,31 @@ def certify_top_vanishing(presentation: PresentedRing) -> VanishingCertificate:
 def verify_certificate(cert: VanishingCertificate) -> bool:
     """Replay a certificate from scratch.
 
-    Recomputes a Groebner basis for the stated ideal, re-checks seed
-    membership, every step equation (roots re-expanded by plain powering),
-    strict degree descent, the chain linkage, and the terminal constant.
-    It starts from the stated generators and reads no cache, but it shares
-    `buchberger` and `normal_form` with the producer, so a reduction defect
-    that sends a non-member to 0 would pass both.
+    Re-checks seed membership in the stated ideal, every step equation
+    (roots re-expanded by plain powering), strict degree descent, the
+    chain linkage, and the terminal constant.  Membership by division
+    needs no basis: the seed is first divided by the stated generators,
+    and a zero remainder writes it as a combination of them.  Only a
+    nonzero remainder, which proves nothing, makes the replay compute a
+    Groebner basis of its own and take the seed's normal form.  It starts
+    from the stated generators and reads no cache, but it shares the
+    division, `buchberger` and `normal_form` with the producer, so a
+    reduction defect that sends a non-member to 0 would pass both.
     """
     try:
         ring = cert.ideal.ring
-        fresh = buchberger(Ideal.from_polys(ring, cert.ideal.generators))
+        stated = Ideal.from_polys(ring, cert.ideal.generators)
         if cert.seed.is_zero() or cert.seed.ring != ring:
             return False
-        if not normal_form(cert.seed, fresh).is_zero():
+        if not reduces_to_zero(cert.seed, stated.generators) and \
+                not normal_form(cert.seed, buchberger(stated)).is_zero():
             return False
-        current = cert.seed
+        current, degree = cert.seed, cert.seed.total_degree()
         for step in cert.steps:
             if step.before != current or step.after.ring != ring:
                 return False
-            if step.after.total_degree() >= step.before.total_degree():
+            before_degree, degree = degree, step.after.total_degree()
+            if degree >= before_degree:
                 return False
             if step.op == "partial":
                 if step.after.is_zero() or step.after != step.before.partial(step.var):
@@ -241,25 +280,43 @@ def closure_state(ideal: Ideal) -> ClosureState:
     """Least ideal containing I closed under partial derivatives and p-th roots.
 
     Starts from the grevlex basis `ideal` caches, if it has one; each
-    generation extends the current basis by the partials of its elements.
-    Partials are tried first (cheap); the p-th-root preimage (a 2n-variable
-    elimination) is only computed when partials alone are stable.
-    Termination is guaranteed by the ascending chain condition; the
-    generation cap is a tripwire.
+    generation extends the current basis by the partials of the basis
+    elements that are new since the last generation: the partials of the
+    others already lie in the ideal.  When they add nothing, the ideal I
+    is closed under every partial, and its p-th-root ideal needs no
+    elimination (Cartier, 1957; Katz, "Nilpotent connections and the
+    monodromy theorem", 1970, §5):
+
+    - θ_i = x_i ∂_i preserves I and multiplies x^β by β_i mod p, so I is
+      the sum of its parts of each exponent residue class mod p;
+    - ∂^α/α! sends such a part x^α h(x^p), α_i < p, to h(x^p) ∈ I;
+    - so the reduced grevlex basis, unique and homogeneous for that
+      grading, lies in k[x^p], since a basis element x^α h(x^p) with
+      α ≠ 0 would be a multiple of the leading monomial of h(x^p) ∈ I.
+
+    The p-th roots of the basis elements are then the reduced basis of
+    the root ideal (`basis_pth_root`), which contains I since g in I gives
+    g^p in I.  Termination is guaranteed by the ascending chain
+    condition; the generation cap is a tripwire.
     """
     ring = ideal.ring
     current = buchberger(ideal)
+    fresh = current.basis
     generations = 0
     while True:
         if current.contains_one():
             return ClosureState(current, True, generations)
-        partials = [g.partial(i) for g in current.basis for i in range(ring.nvars)]
+        partials = [g.partial(i) for g in fresh for i in range(ring.nvars)]
         candidate = extend(current.stated_by_basis(), partials)
         if candidate.basis == current.basis:
-            # g in I gives g^p in I, so the root ideal contains I: it is I + roots.
-            candidate = pth_root_ideal(current)
+            candidate = basis_pth_root(candidate)
+            if candidate is None:
+                raise InternalDefectError(
+                    "the ideal is closed under partials but its basis is not made of p-th powers"
+                )
             if candidate.basis == current.basis:
                 return ClosureState(current, True, generations)
+        fresh = [g for g in candidate.basis if g not in current.basis]
         current = candidate
         generations += 1
         if generations > MAX_CLOSURE_GENERATIONS:

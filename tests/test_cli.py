@@ -73,15 +73,51 @@ def test_a_ring_document_is_reduced_once_per_order(buchberger_runs, capsys):
     assert capsys.readouterr().out == "1\n1\n"
 
 
-def test_verifying_a_certificate_runs_buchberger_once(buchberger_runs, tmp_path, capsys):
-    """Loading a certificate computes no basis; the replay computes its own."""
-    assert main(["certify", "--preset", "cusp", "--format", "json"]) == 0
-    path = tmp_path / "cert.json"
-    path.write_text(capsys.readouterr().out)
-    buchberger_runs.clear()
+def test_verifying_a_certificate_runs_buchberger_at_most_once(buchberger_runs, tmp_path, capsys, monkeypatch):
+    """Loading a certificate computes no basis.  The replay first divides
+    the seed by the stated generators: where that leaves no remainder, as
+    on the cusp, whose seed is its generator, it computes no basis at all;
+    where it leaves one, as when the seed is a basis element the
+    generators do not state, it computes its own basis once."""
+    from wittcert import vanish
+
+    def certificate(*ring_args):
+        assert main(["certify", *ring_args, "--format", "json"]) == 0
+        path = tmp_path / "cert.json"
+        path.write_text(capsys.readouterr().out)
+        buchberger_runs.clear()
+        return path
+
+    path = certificate("--preset", "cusp")
+    cert = vanish.VanishingCertificate.from_json(json.loads(path.read_text()))
+    assert buchberger_runs == []
+    assert main(["certify", "--verify", str(path)]) == 0
+    assert buchberger_runs == []
+    assert capsys.readouterr().out == "verified: true\n"
+
+    # (x^2 - y, x*y) has the basis element y^2, the seed
+    path = certificate("--ring", json.dumps({"p": 5, "vars": ["x", "y"], "generators": ["x^2 - y", "x*y"]}))
+    two = vanish.VanishingCertificate.from_json(json.loads(path.read_text()))
+    assert [g.to_text() for g in two.ideal.generators] == ["x^2 + 4*y", "x*y"] and two.seed.to_text() == "y^2"
+    assert buchberger_runs == []
     assert main(["certify", "--verify", str(path)]) == 0
     assert [order.kind for order in buchberger_runs] == ["grevlex"]
     assert capsys.readouterr().out == "verified: true\n"
+
+    # a seed outside the ideal leaves a remainder, and the basis rejects it
+    outside = vanish.VanishingCertificate(cert.ideal, cert.ideal.ring.variable(0), (), cert.terminal)
+    buchberger_runs.clear()
+    assert not vanish.verify_certificate(outside)
+    assert [order.kind for order in buchberger_runs] == ["grevlex"]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the replay computed a basis")
+
+    monkeypatch.setattr(vanish, "buchberger", refused)
+    assert vanish.verify_certificate(cert)
+    for needs_a_basis in (two, outside):
+        with pytest.raises(AssertionError, match="computed a basis"):
+            vanish.verify_certificate(needs_a_basis)
 
 
 # the tuple kernel of the cusp whose block-order Buchberger run took 40 s

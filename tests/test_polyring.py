@@ -36,6 +36,7 @@ from wittcert.polyring import (
     parse_polynomial,
     poly_from_json,
     pth_root_ideal,
+    reduces_to_zero,
     terms_add,
     terms_mul,
     terms_scale,
@@ -219,6 +220,74 @@ def test_results_wrapped_without_a_pass_match_the_checked_constructor(p, nvars):
             assert product == normal_form(Polynomial(ring, terms_mul(nf.terms, ng.terms)), ideal)
             assert power == f ** p and root == f
             assert own_root is None or own_root ** p == f
+
+
+@pytest.mark.parametrize("p,nvars", [(2, 1), (3, 2), (5, 3), (7, 0)])
+def test_a_polynomial_document_reads_as_the_checked_constructor_reads_its_terms(p, nvars):
+    """`poly_from_json` reads each term once and wraps the result without
+    the checked constructor's pass: on seeded documents with repeated
+    exponents, coefficients of either sign and beyond p, and repeats that
+    cancel, it must give the checked constructor's polynomial of the summed
+    terms, coefficients in [1, p).  `partial` and the basis `buchberger`
+    reads off its reducers are wrapped the same way and must match it too."""
+    ring = PolyRing(p, ("x", "y", "z")[:nvars])
+    rng = random.Random(32 * p + nvars)
+    for _ in range(200):
+        doc_terms, summed = [], {}
+        for _ in range(rng.randint(0, 6)):
+            exp = tuple(rng.randint(0, 3) for _ in range(nvars))
+            c = rng.randint(-3 * p, 3 * p)
+            if summed and rng.random() < 0.3:  # repeat an exponent, at times cancelling it
+                exp = rng.choice(list(summed))
+                c = rng.choice([c, -summed[exp]])
+            summed[exp] = summed.get(exp, 0) + c
+            doc_terms.append({"exp": list(exp), "coef": c})
+        f = poly_from_json({"vars": list(ring.names), "p": p, "terms": doc_terms}, ring)
+        assert f == Polynomial(ring, summed)
+        assert all(0 < c < p for c in f.terms.values())
+        for i in range(nvars):
+            d = f.partial(i)
+            assert d == Polynomial(ring, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in f.terms.items() if e[i]})
+            assert all(0 < c < p for c in d.terms.values())
+        basis = buchberger(Ideal.from_polys(ring, [f])).basis
+        assert all(g == Polynomial(ring, g.terms) and all(0 < c < p for c in g.terms.values()) for g in basis)
+
+
+def test_a_polynomial_document_reports_a_bad_exponent_after_its_integers():
+    """A bad exponent tuple is reported as the checked constructor reports
+    it, once every integer of the document has been read: a later field
+    that is not an integer is the error, and of two bad tuples the first."""
+    ring = PolyRing(5, ("x", "y"))
+    bad_then_float = [{"exp": [1], "coef": 1}, {"exp": [0, 0], "coef": 1.5}]
+    with pytest.raises(TypeError, match="expected an integer, got float"):
+        poly_from_json({"terms": bad_then_float}, ring)
+    two_bad = [{"exp": [0, 1], "coef": 5}, {"exp": [-1, 0], "coef": 0}, {"exp": [2], "coef": 1}]
+    with pytest.raises(ValueError, match=r"bad exponent tuple \(-1, 0\)"):
+        poly_from_json({"terms": two_bad}, ring)
+    with pytest.raises(TypeError, match="not iterable"):
+        poly_from_json({"terms": [{"exp": 3, "coef": 1}]}, ring)
+
+
+@pytest.mark.parametrize("p,nvars", [(2, 2), (3, 3), (5, 2)])
+def test_division_by_stated_generators_proves_membership_only(p, nvars):
+    """`reduces_to_zero` divides by generators that need not form a
+    Groebner basis: a zero remainder must mean membership, a non-member
+    must always leave one, and division by the reduced basis decides."""
+    ring = PolyRing(p, ("x", "y", "z")[:nvars])
+    rng = random.Random(17 * p + nvars)
+    proved = 0
+    for _ in range(60):
+        gens = [random_poly(rng, ring) for _ in range(rng.randint(1, 3))]
+        gb = buchberger(Ideal.from_polys(ring, gens))
+        member = functools.reduce(operator.add, [random_poly(rng, ring, 2, 2) * g for g in gens])
+        other = random_poly(rng, ring, 4, 4)
+        for f in (member, other, gens[0], gens[-1].scale(p - 1)):
+            in_ideal = normal_form(f, gb).is_zero()
+            assert reduces_to_zero(f, gb.basis) == in_ideal
+            if reduces_to_zero(f, gens):
+                assert in_ideal
+                proved += 1
+    assert proved >= 120
 
 
 @pytest.mark.parametrize("exp", [(-1, 0), (0, -2), (1,), (1, 0, 0), ()])

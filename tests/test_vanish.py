@@ -14,8 +14,10 @@ from wittcert.polyring import (
     Ideal,
     PolyRing,
     Polynomial,
+    basis_pth_root,
     buchberger,
     eliminate,
+    extend,
     normal_form,
     parse_polynomial,
     pth_root_ideal,
@@ -171,6 +173,75 @@ def test_verifier_rejects_tampering():
     assert not mutate(lambda d: d.update(steps=[]))
 
 
+@pytest.fixture
+def read(monkeypatch):
+    """The polynomial documents `VanishingCertificate.from_json` parses, in order."""
+    documents = []
+    parse = vanish.poly_from_json
+
+    def recording(doc, ring):
+        documents.append(doc)
+        return parse(doc, ring)
+
+    monkeypatch.setattr(vanish, "poly_from_json", recording)
+    return documents
+
+
+def test_a_linked_chain_is_encoded_and_read_once_per_polynomial(read):
+    """The seed is the first step's "in" and each "out" the next "in": the
+    document holds one encoding of each, and loading it reads each once
+    and links the steps by the very polynomial.  A document whose link is
+    only equal up to Python's 1 == 1.0 == true is read in full and refused."""
+    R = presented(5, ("x", "y"), ["y^2 - x^3"])
+    cert = certify_top_vanishing(R)
+    assert len(cert.steps) >= 3
+    doc = cert.to_json()
+    assert doc["seed"] is doc["steps"][0]["in"]
+    assert all(a["out"] is b["in"] for a, b in zip(doc["steps"], doc["steps"][1:]))
+    doc = json.loads(json.dumps(doc))
+    again = VanishingCertificate.from_json(doc)
+    assert read == [doc["steps"][0]["in"]] + [s["out"] for s in doc["steps"]]
+    assert again.seed is again.steps[0].before
+    assert all(a.after is b.before for a, b in zip(again.steps, again.steps[1:]))
+    assert verify_certificate(again) and again.to_json() == cert.to_json()
+
+    def forged(field, make):
+        forged = json.loads(json.dumps(doc))
+        term = (forged["seed"] if field == "seed" else forged["steps"][1]["in"])["terms"][0]
+        if make is bool:
+            term["exp"][term["exp"].index(0)] = False
+        else:
+            term["coef"] = make(term["coef"])
+        assert forged["seed"] == forged["steps"][0]["in"] and forged["steps"][1]["in"] == forged["steps"][0]["out"]
+        return forged
+
+    for field in ("seed", "in"):
+        for make in (float, bool):
+            with pytest.raises(ValueError, match="malformed certificate"):
+                VanishingCertificate.from_json(forged(field, make))
+
+
+def test_a_broken_link_is_read_on_its_own_and_refused(read):
+    """A step "in" that differs from the previous "out" is parsed on its
+    own, beside that "out", and the replay refuses the broken chain; so is
+    a seed that differs from the first "in"."""
+    R = presented(5, ("x", "y"), ["y^2 - x^3"])
+    doc = json.loads(json.dumps(certify_top_vanishing(R).to_json()))
+    forged = json.loads(json.dumps(doc))
+    forged["steps"][1]["in"]["terms"][0]["coef"] += 1
+    cert = VanishingCertificate.from_json(forged)
+    assert forged["steps"][1]["in"] in read and forged["steps"][0]["out"] in read
+    assert cert.steps[1].before != cert.steps[0].after
+    assert not verify_certificate(cert)
+
+    read.clear()
+    forged = json.loads(json.dumps(doc))
+    forged["seed"]["terms"].pop()
+    cert = VanishingCertificate.from_json(forged)
+    assert read[-1] == forged["seed"] and cert.seed != cert.steps[0].before
+    assert not verify_certificate(cert)
+
+
 def test_verifier_rejects_fake_root_step():
     ring = PolyRing(2, ("x",))
     seed = parse_polynomial("x^2", ring)
@@ -216,6 +287,61 @@ def test_random_ideals_certify_and_replay(p):
             continue
         cert = certify_top_vanishing(R)
         assert verify_certificate(cert)
+
+
+# The certify path's outputs on 300 seeded ideals of the bench's certify
+# shapes (p in {2, 3, 5}, 1-3 variables, 1-3 generators of at most 3 terms,
+# degree at most 4, 4 and 2 in 1, 2 and 3 variables) and on the CLI presets
+# at p in {2, 3, 5, 7}, hashed as canonical JSON: the certificate document
+# and its replay before and after a JSON round trip, the closure basis and
+# generations, the degree bound and the top-form basis.  Taken while the
+# closure still found its roots by elimination and the replay always ran
+# Buchberger.
+CERTIFY_PATH_DIGEST = "0005fc520b496f41e3a0605bccd25ad827d6b0adc8da48eb6c8ff8d4a9f0f53f"
+
+
+def certify_path_records():
+    from wittcert.cli import PRESETS
+
+    rng = random.Random(59)
+    shapes = [(nvars, p) for nvars in (1, 2, 3) for p in (2, 3, 5)]
+    cases = []
+    for k in range(300):
+        nvars, p = shapes[k % len(shapes)]
+        ring = PolyRing(p, ("x", "y", "z")[:nvars])
+        cases.append((ring, list(random_nonzero_ideal(rng, ring, 3, (4, 4, 2)[nvars - 1]).generators)))
+    for p in (2, 3, 5, 7):
+        for names, gens in PRESETS.values():
+            ring = PolyRing(p, names)
+            cases.append((ring, [parse_polynomial(g, ring) for g in gens]))
+    for ring, gens in cases:
+        R = PresentedRing.make(ring, gens)
+        state = closure_state(R.ideal)
+        record = {
+            "p": ring.p,
+            "vars": list(ring.names),
+            "closure": [g.to_json() for g in state.ideal.basis],
+            "generations": state.generations,
+            "bound": vanishing_degree_bound(R),
+            "top": [g.to_json() for g in top_form_presentation(R).jacobian_ideal.basis],
+        }
+        if R.ideal.basis:
+            cert = certify_top_vanishing(R)
+            doc = json.loads(json.dumps(cert.to_json()))
+            record["certificate"] = doc
+            record["verified"] = [verify_certificate(cert), verify_certificate(VanishingCertificate.from_json(doc))]
+        yield record
+
+
+def test_the_certify_path_outputs_are_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for record in certify_path_records():
+        assert record.get("verified", [True, True]) == [True, True]
+        h.update(json.dumps(record, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        count += 1
+    assert count == 300 + 12
+    assert h.hexdigest() == CERTIFY_PATH_DIGEST
 
 
 # -- differential p-closure -------------------------------------------------------
@@ -460,27 +586,132 @@ def test_eliminations_return_the_basis_a_fresh_buchberger_computes(monkeypatch):
         assert _is_its_own_fresh_grevlex_basis(kernel), kernel.basis
 
 
-def test_the_closure_takes_the_root_ideal_as_its_candidate(monkeypatch):
-    """The root ideal contains the ideal it was taken of (g in I gives g^p in
-    I), so its basis is the Buchberger basis of the ideal plus the roots."""
-    roots_of = []
-    compute = vanish.pth_root_ideal
+def partial_closed_ideals(count, seed=32):
+    """Seeded ideals closed under every partial derivative, none of them
+    zero or the unit ideal, each with its reduced grevlex basis: ideals
+    whose exponents are multiples of p plus at most 1, closed under
+    partials alone.  Most are stated by generators that are not p-th
+    powers."""
+    rng = random.Random(seed)
+    while count:
+        p = rng.choice((2, 3, 5))
+        ring = PolyRing(p, ("x", "y", "z")[:rng.randint(1, 3)])
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                top = 3 - ring.nvars // 2 - (p == 5)
+                terms[tuple(p * rng.randint(0, top) + (rng.random() < 0.25) for _ in ring.names)] = rng.randint(1, p - 1)
+            gens.append(Polynomial(ring, terms))
+        ideal = buchberger(Ideal.from_polys(ring, gens))
+        while True:
+            wider = extend(ideal.stated_by_basis(), [g.partial(i) for g in ideal.basis for i in range(ring.nvars)])
+            if wider.basis == ideal.basis:
+                break
+            ideal = wider
+        if ideal.basis and not ideal.contains_one():
+            count -= 1
+            yield gens, ideal
 
-    def recording(ideal):
-        roots_of.append((ideal, compute(ideal)))
-        return roots_of[-1][1]
 
-    monkeypatch.setattr(vanish, "pth_root_ideal", recording)
+def closure_inputs():
+    """The catalogue's ideals, each with the Frobenius power of a seeded
+    polynomial (whose partials all vanish), then 200 seeded ideals closed
+    under partials."""
     rng = random.Random(18)
     for ideal, _ in elimination_catalogue():
         if isinstance(ideal, Ideal):
-            closure_state(ideal)
+            yield ideal
             f = random_nonzero_ideal(rng, ideal.ring, max_gens=1, max_degree=3).generators[0]
-            closure_state(Ideal.from_polys(ideal.ring, [f.frobenius_power()]))  # partials all vanish
-    assert len(roots_of) >= 40
-    for current, roots in roots_of:
-        summed = buchberger(Ideal.from_polys(current.ring, current.basis + roots.basis))
-        assert summed.basis == roots.basis
+            yield Ideal.from_polys(ideal.ring, [f.frobenius_power()])
+    for _, ideal in partial_closed_ideals(200):
+        yield ideal
+
+
+def test_the_closure_takes_the_root_ideal_as_its_candidate(monkeypatch):
+    """When the partials add nothing, the closure reads its root candidate
+    off the basis (Cartier descent).  Each candidate it makes must be the
+    root ideal that `pth_root_ideal` finds by elimination for the same
+    ideal, basis and generators both, and the partial-closed ideals must
+    each take the root route."""
+    candidates = []
+    compute = vanish.basis_pth_root
+
+    def recording(ideal):
+        candidates.append((ideal, compute(ideal)))
+        return candidates[-1][1]
+
+    monkeypatch.setattr(vanish, "basis_pth_root", recording)
+    inputs = list(closure_inputs())
+    first_candidates = []
+    for ideal in inputs:
+        made = len(candidates)
+        assert closure_state(ideal).fixpoint
+        first_candidates.append(candidates[made][0] if len(candidates) > made else None)
+    monkeypatch.undo()
+    assert len(inputs) == 54 + 200 and len(candidates) >= 40 + 200
+    for ideal, first in zip(inputs[54:], first_candidates[54:]):  # closed already: roots come first
+        assert first is not None and first.basis == ideal.basis
+    for current, roots in candidates:
+        expected = pth_root_ideal(current)
+        assert roots.basis == expected.basis
+        assert roots.generators == expected.generators
+        assert [(lm, inv, dict(tail)) for lm, inv, tail in roots.reducers] == \
+            [(lm, inv, dict(tail)) for lm, inv, tail in expected.reducers]
+
+
+def test_partial_closed_ideals_have_bases_of_pth_powers():
+    """Cartier descent on the seeded partial-closed ideals: every reduced
+    grevlex basis element is a p-th power, and the root ideal read off it
+    is the one elimination finds, though most of the ideals are stated by
+    generators that are not p-th powers."""
+    stated_otherwise = 0
+    for gens, ideal in partial_closed_ideals(200):
+        assert all(g.pth_root() is not None for g in ideal.basis)
+        roots = basis_pth_root(ideal)
+        expected = pth_root_ideal(Ideal.from_polys(ideal.ring, gens + list(ideal.basis)))
+        assert roots.basis == expected.basis and roots.generators == expected.generators
+        assert [g ** ideal.ring.p for g in roots.basis] == list(ideal.basis)
+        stated_otherwise += any(g.pth_root() is None for g in gens)
+    assert stated_otherwise >= 150
+
+
+def test_a_basis_that_is_not_made_of_pth_powers_has_no_root_read_off_it():
+    ring = PolyRing(3, ("x", "y"))
+    assert basis_pth_root(buchberger(Ideal.from_polys(ring, [parse_polynomial("x^3 + y", ring)]))) is None
+    assert basis_pth_root(buchberger(Ideal.from_polys(ring, [parse_polynomial("x^3 + y^4", ring)]))) is None
+    with pytest.raises(ValueError, match="grevlex"):
+        basis_pth_root(Ideal.from_polys(ring, [ring.variable(0)]))
+
+
+def test_the_closure_makes_no_elimination(monkeypatch):
+    """`closure_state` reads every root ideal off a basis: with the
+    elimination routes made to raise, it still reaches its fixpoint on
+    every closure input and on the bench's shapes."""
+    inputs = list(closure_inputs())
+    rng = random.Random(59)
+    for nvars in (1, 2, 3):
+        for p in (2, 3, 5):
+            ring = PolyRing(p, ("x", "y", "z")[:nvars])
+            inputs += [random_nonzero_ideal(rng, ring, 3, (4, 4, 2)[nvars - 1]) for _ in range(20)]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the closure made an elimination")
+
+    for name in ("pth_root_ideal", "graph_kernel", "eliminate", "_eliminated_terms"):
+        monkeypatch.setattr(polyring, name, refused)
+    monkeypatch.setattr(vanish, "graph_kernel", refused)
+    for ideal in inputs:
+        assert closure_state(ideal).fixpoint
+
+
+def test_a_closure_that_is_not_made_of_pth_powers_is_an_internal_defect(monkeypatch):
+    """A basis closed under partials is made of p-th powers; if the root
+    route ever met one that is not, that is a defect, not a result."""
+    monkeypatch.setattr(vanish, "basis_pth_root", lambda ideal: None)
+    ring = PolyRing(3, ("x",))
+    with pytest.raises(InternalDefectError, match="p-th powers"):
+        closure_state(Ideal.from_polys(ring, [ring.variable(0) ** 3]))
 
 
 def test_a_graph_kernel_runs_buchberger_once(buchberger_runs):
