@@ -22,7 +22,7 @@ from functools import cached_property
 from math import gcd
 from operator import mul
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .modarith import (
     ModularMatrix,
@@ -47,6 +47,8 @@ MAX_MODEL_EXPONENT = 64
 # 1 + 2 * wmax * p^depth elements, and the CLI takes p, wmax, N and depth
 # from flags; the bound admits a1_model(3, 12, 5) (5833 elements).
 MAX_A1_BASIS = 2 ** 15
+
+_UNKEPT = object()  # a memo miss, since a kept value may be None (`_columns`)
 
 
 @dataclass(frozen=True)
@@ -96,14 +98,17 @@ class DieudonneModel:
     coefficient modulus are lookups.  Internally a weight w is keyed by
     the integer w * p^e, where p^e is the largest denominator among the
     basis weights; `block()`, JSON and reports speak in
-    `Fraction`s.  One memo per model keeps what is computed on first use:
-    an operator's coordinate columns on a block and the matrices of those
-    columns over each level Z/p^r (`_matrix`), the W_r quotient and
-    mod-p^r cohomology presentations (`wr_quotient`, `hn_mod_pr`) per
-    (degree, r), and the kernel of reduction mod p^r per block and r
+    `Fraction`s.  One memo per model, read and written only by `_kept`,
+    keeps what is computed on first use: the levels Z/p^r (`_level`), an
+    operator's coordinate columns on a block and the matrices of those
+    columns over each level (`_matrix`), the W_r quotient and mod-p^r
+    cohomology presentations (`wr_quotient`, `hn_mod_pr`) per (degree, r),
+    and the kernel of reduction mod p^r per block and r
     (`_reduction_kernel`), which is safe because the maps never change and
-    what is kept is immutable.  Check reports are never cached: every
-    checker call builds its own.
+    what is kept is immutable.  Presentations and reduction kernels are
+    kept only at levels <= N and in degrees next to the model's, so a model
+    holds at most a few per (degree, level) and weight block.  Check
+    reports are never cached: every checker call builds its own.
     """
 
     __slots__ = ("p", "exponent", "modulus", "basis", "elements", "maps", "weight_cap",
@@ -221,12 +226,21 @@ class DieudonneModel:
             return degree, key * self.p
         return degree, None if key % self.p else key // self.p
 
+    def _kept(self, memo_key: tuple, build: Callable[[], object],
+              degree: Optional[int] = None, level: int = 0):
+        """`build()` under `memo_key` in the model's memo, built on first use.
+        A value made for a degree and a level is kept only at level <= N
+        when the degree or the one below it has blocks."""
+        found = self._memo.get(memo_key, _UNKEPT)
+        if found is _UNKEPT:
+            found = build()
+            if degree is None or level <= self.exponent and (degree in self._weights or degree - 1 in self._weights):
+                self._memo[memo_key] = found
+        return found
+
     def _level(self, r: int) -> Modulus:
         """The modulus Z/p^r, built once per model."""
-        key = ("modulus", r)
-        if key not in self._memo:
-            self._memo[key] = self.modulus if r == self.exponent else Modulus(self.p, r)
-        return self._memo[key]
+        return self._kept(("modulus", r), lambda: self.modulus if r == self.exponent else Modulus(self.p, r))
 
     def apply(self, op: str, vec: Vector) -> Optional[Vector]:
         """Apply a partial operator to a vector; None when undefined on support."""
@@ -248,37 +262,21 @@ class DieudonneModel:
                     out.pop(dst, None)
         return out
 
-    def apply_chain(self, ops: Sequence[str], vec: Vector) -> Optional[Vector]:
-        current: Optional[Vector] = dict(vec)
-        for op in ops:
-            if current is None:
-                return None
-            current = self.apply(op, current)
-        return current
-
-    def vector_to_coords(self, vec: Vector, block: Sequence[str]) -> tuple[int, ...]:
-        q = self.modulus.char
-        rest = {k: v % q for k, v in vec.items() if v % q}
-        coords = tuple(rest.pop(lbl, 0) for lbl in block)
-        if rest:
-            raise ValueError(f"vector has support outside the block: {sorted(rest)}")
-        return coords
-
     def coords_to_vector(self, coords: Sequence[int], block: Sequence[str]) -> Vector:
         return {lbl: c for lbl, c in zip(block, coords) if c}
 
     def _columns(self, op: str, degree: int, key: int) -> Optional[tuple[tuple[int, ...], ...]]:
         """Coordinates of `op` on each label of the (degree, weight key)
         block, in the basis of its target block; None when `op` is undefined
-        somewhere on the block.  Memoised per model: the maps are immutable."""
-        memo_key = ("columns", op, degree, key)
-        if memo_key not in self._memo:
+        somewhere on the block.  Memoised per model: the maps are immutable,
+        and each row is reduced and inside its target block (`__init__`)."""
+
+        def build() -> Optional[tuple[tuple[int, ...], ...]]:
             target = self._labels(*self._target(op, degree, key))
             rows = [self.maps[op].get(lbl) for lbl in self._labels(degree, key)]
-            self._memo[memo_key] = None if None in rows else tuple(
-                self.vector_to_coords(row, target) for row in rows
-            )
-        return self._memo[memo_key]
+            return None if None in rows else tuple(tuple(row.get(lbl, 0) for lbl in target) for row in rows)
+
+        return self._kept(("columns", op, degree, key), build)
 
     def op_matrix(self, op: str, degree: int, weight: Fraction) -> Optional[ModularMatrix]:
         """Matrix of an operator on the (degree, weight) block, or None if
@@ -305,13 +303,9 @@ class DieudonneModel:
             return None
         level = self.modulus if modulus is None else modulus
         ambient = len(cols[0]) if cols else len(self._labels(*self._target(op, degree, key)))
-        memo_key = ("matrix", level.exponent, ambient, cols)
-        found = self._memo.get(memo_key)
-        if found is None:
-            q = level.char
-            found = self._memo[memo_key] = ModularMatrix._trusted_columns(
-                level, [tuple(x % q for x in c) for c in cols], ambient)
-        return found
+        q = level.char
+        return self._kept(("matrix", level.exponent, ambient, cols), lambda: ModularMatrix._trusted_columns(
+            level, [tuple(x % q for x in c) for c in cols], ambient))
 
     # -- serialization -------------------------------------------------------
 
@@ -738,46 +732,38 @@ class QuotientPresentation:
         return {"degree": self.degree, "modulus_exponent": self.modulus.exponent, "blocks": out}
 
 
-def _memoized(model: DieudonneModel, memo_key: tuple, degree: int, level: int, build):
-    """The model's `build()` under `memo_key`, built on first use.  Only
-    levels <= N of degrees next to the model's are kept, so a model holds
-    at most a few entries per (degree, level) and weight block."""
-    found = model._memo.get(memo_key)
-    if found is None:
-        found = build()
-        if level <= model.exponent and (degree in model._weights or degree - 1 in model._weights):
-            model._memo[memo_key] = found
-    return found
-
-
 def wr_quotient(model: DieudonneModel, degree: int, r: int) -> QuotientPresentation:
     """Presentation of M^degree / (im V^r + im dV^r) within the truncation."""
     if r < 1:
         raise ValueError("level r must be >= 1")
-    return _memoized(model, ("wr", degree, r), degree, r, lambda: _build_wr_quotient(model, degree, r))
 
+    def build() -> QuotientPresentation:
+        blocks = {key: _wr_block(model, degree, key, r) for key in model._weights.get(degree, ())}
+        return QuotientPresentation(degree, model.modulus, model._scale, blocks)
 
-def _build_wr_quotient(model: DieudonneModel, degree: int, r: int) -> QuotientPresentation:
-    blocks = {key: _wr_block(model, degree, key, r) for key in model._weights.get(degree, ())}
-    return QuotientPresentation(degree, model.modulus, model._scale, blocks)
+    return model._kept(("wr", degree, r), build, degree, r)
 
 
 def _wr_block(model: DieudonneModel, degree: int, key: int, r: int) -> QuotientBlock:
     """W_r on the (degree, weight key) block: the span of (im V^r + im dV^r)
     there, its invariant factors, and completeness, False when truncation
-    may hide relations.  The only place V^r / dV^r relation images are made."""
+    may hide relations.  The only place V^r / dV^r relation images are made,
+    by `apply` label by label: an A^1 block is one label wide."""
     labels = model._labels(degree, key)
     source = key * model.p ** r
     complete = source <= model._cap_key
-    chains = [(lbl, ["V"] * r) for lbl in model._labels(degree, source)]
-    chains += [(lbl, ["V"] * r + ["d"]) for lbl in model._labels(degree - 1, source)]
+    chains = [(lbl, "V" * r) for lbl in model._labels(degree, source)]
+    chains += [(lbl, "V" * r + "d") for lbl in model._labels(degree - 1, source)]
     vectors: list[tuple[int, ...]] = []
     for lbl, ops in chains:
-        img = model.apply_chain(ops, {lbl: 1})
-        if img is None:
-            complete = False
+        img: Optional[Vector] = {lbl: 1}
+        for op in ops:
+            img = model.apply(op, img)
+            if img is None:
+                complete = False
+                break
         else:
-            vectors.append(model.vector_to_coords(img, labels))
+            vectors.append(tuple(img.get(label, 0) for label in labels))
     relations = SubmoduleBasis(model.modulus, len(labels), vectors)
     return QuotientBlock(labels, relations, _cokernel_factors(relations), complete)
 
@@ -810,18 +796,18 @@ def hn_mod_pr(model: DieudonneModel, degree: int, r: int) -> QuotientPresentatio
     """Cohomology H^degree(M/p^r) as a presentation, one block per weight."""
     if not 1 <= r <= model.exponent:
         raise ValueError(f"need 1 <= r <= N = {model.exponent}")
-    return _memoized(model, ("hn", degree, r), degree, r, lambda: _build_hn_mod_pr(model, degree, r))
 
+    def build() -> QuotientPresentation:
+        modulus = model._level(r)
+        blocks: dict[int, QuotientBlock] = {}
+        for key in sorted({*model._weights.get(degree, ()), *model._weights.get(degree - 1, ())}):
+            block = _cohomology_block(model, degree, key, r)
+            if block is None:
+                block = QuotientBlock(model._labels(degree, key), SubmoduleBasis(modulus, 0, []), (), False)
+            blocks[key] = block
+        return QuotientPresentation(degree, modulus, model._scale, blocks)
 
-def _build_hn_mod_pr(model: DieudonneModel, degree: int, r: int) -> QuotientPresentation:
-    modulus = model._level(r)
-    blocks: dict[int, QuotientBlock] = {}
-    for key in sorted({*model._weights.get(degree, ()), *model._weights.get(degree - 1, ())}):
-        block = _cohomology_block(model, degree, key, r)
-        if block is None:
-            block = QuotientBlock(model._labels(degree, key), SubmoduleBasis(modulus, 0, []), (), False)
-        blocks[key] = block
-    return QuotientPresentation(degree, modulus, model._scale, blocks)
+    return model._kept(("hn", degree, r), build, degree, r)
 
 
 def compare_wr_with_cohomology(model: DieudonneModel, degree: int, r: int) -> CheckReport:
@@ -1026,12 +1012,8 @@ def _reduction_kernel(model: DieudonneModel, degree: int, key: int, r: int) -> S
     """Z ∩ (B + p^r M) on the (degree, weight key) block of M/p^(r+1): the
     cycles that reduce to boundaries mod p^r, spanned by the combinations of
     the boundaries and p^r e_i that d kills.  Depends on the model alone, so
-    it is kept under the retention rule of `_memoized`; d must be defined on
-    the block and the one below."""
-    memo_key = ("reduction_kernel", degree, key, r)
-    found = model._memo.get(memo_key)
-    if found is not None:
-        return found
+    it is kept under the model's retention rule, at level r + 1; d must be
+    defined on the block and the one below."""
 
     def build() -> SubmoduleBasis:
         mod_top = model._level(r + 1)
@@ -1043,5 +1025,5 @@ def _reduction_kernel(model: DieudonneModel, degree: int, key: int, r: int) -> S
         cycles = [[sum(c * v[i] for c, v in zip(k, spanning)) for i in range(ambient)] for k in kernel]
         return SubmoduleBasis(mod_top, ambient, cycles)
 
-    return _memoized(model, memo_key, degree, r + 1, build)
+    return model._kept(("reduction_kernel", degree, key, r), build, degree, r + 1)
 

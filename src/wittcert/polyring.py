@@ -31,11 +31,11 @@ polys bring.  No Groebner step rescans a polynomial to find its leading term:
 - the result is reduced in one pass: the active elements are the minimal
   ones, and each tail is reduced once against the others, which is exact
   for a Groebner basis;
-- a cached basis carries its reducers (leading monomial, inverse leading
-  coefficient, tail), built once: the loop hands over the monic ones it
-  made, and `with_cache` derives them for a basis it is handed, which
-  must be among the ideal's generators, so that it lies in the ideal,
-  and must reduce every generator to zero.
+- a cached basis carries its reducers (leading monomial, monic tail),
+  built once: the loop hands over the ones it made, and `with_cache`
+  derives them for a basis it is handed, which must be among the ideal's
+  generators, so that it lies in the ideal, and must reduce every
+  generator to zero.
 
 Everything is deterministic and reduced bases are unique, so they serve
 as golden values.
@@ -513,14 +513,16 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
 
 
 def _reducer(g: Polynomial, order: TermOrder, p: int) -> tuple:
-    """(leading monomial, inverse leading coefficient, tail terms) of g."""
+    """(leading monomial, tail terms of g divided by its leading coefficient)."""
     lm, lc = g.leading(order)
-    return lm, pow(lc, -1, p), [(e, c) for e, c in g.terms.items() if e != lm]
+    inv = pow(lc, -1, p)
+    return lm, [(e, c * inv % p) for e, c in g.terms.items() if e != lm]
 
 
 def _reduce_terms(terms: Mapping, reducers: Sequence[tuple], order: TermOrder, p: int) -> dict:
-    """Remainder of the term dict `terms` on division by `reducers`, with
-    coefficients in [1, p) whatever integers `terms` holds.
+    """Remainder of the term dict `terms` on division by the (leading
+    monomial, monic tail) `reducers`, with coefficients in [1, p) whatever
+    integers `terms` holds.
 
     A monomial that no leading monomial divides goes straight to the
     remainder, whose terms come in no particular order.  The others come
@@ -528,7 +530,8 @@ def _reduce_terms(terms: Mapping, reducers: Sequence[tuple], order: TermOrder, p
     leading monomial divides it.  `pending` holds the monomials of the
     heap: a term that cancels stays there as 0 until it is popped, so no
     monomial is pushed twice.  A tail times the quotient is smaller than
-    the monomial popped, so nothing popped comes back.
+    the monomial popped, so nothing popped comes back.  A popped
+    coefficient is its quotient's coefficient, since the divisor is monic.
     """
     if not reducers:
         return {e: v for e, c in terms.items() if (v := c % p)}
@@ -554,12 +557,11 @@ def _reduce_terms(terms: Mapping, reducers: Sequence[tuple], order: TermOrder, p
                 heap.append((heap_key(e), e, g))
     heapify(heap)
     while heap:
-        _, lm, (glm, ginv, tail) = heappop(heap)
-        lc = pending.pop(lm)
-        if not lc:
+        _, lm, (glm, tail) = heappop(heap)
+        qc = pending.pop(lm)
+        if not qc:
             continue
         q = tuple(map(sub, lm, glm))
-        qc = lc * ginv % p
         for e, c in tail:
             te = tuple(map(add, e, q))
             if te in pending:
@@ -589,8 +591,8 @@ class Ideal:
     Groebner loop (`buchberger`, `extend`), which made it: an explicit
     call, never a lazy side effect;
     `normal_form` requires it.  A cached
-    basis carries its reducers, one (leading monomial, inverse leading
-    coefficient, tail terms) per element, built once with the cache.
+    basis carries its reducers, one (leading monomial, monic tail) per
+    element, built once with the cache.
     """
 
     ring: PolyRing
@@ -648,14 +650,14 @@ class Ideal:
     def _built(ring: PolyRing, generators: tuple[Polynomial, ...], reducers: tuple, order: TermOrder,
                basis: Optional[tuple[Polynomial, ...]] = None) -> "Ideal":
         """The ideal of `generators` with the reduced basis whose (leading
-        monomial, 1, monic tail) reducers the Groebner loop made, in the style
+        monomial, monic tail) reducers the Groebner loop made, in the style
         of `Polynomial._reduced`: the basis is read off the reducers unless
         given, each row wrapped as it is since its coefficients are residues
         already, their leading terms are not derived again, and the loop's
         own output is not checked again as `with_cache` checks a basis it is
         handed."""
         if basis is None:
-            basis = tuple(Polynomial._reduced(ring, {**dict(tail), lm: 1}) for lm, _, tail in reducers)
+            basis = tuple(Polynomial._reduced(ring, {**dict(tail), lm: 1}) for lm, tail in reducers)
         ideal = Ideal(ring, generators)
         object.__setattr__(ideal, "basis", basis)
         object.__setattr__(ideal, "basis_order", order)
@@ -678,7 +680,7 @@ class Ideal:
 
 def _groebner(start: Sequence[tuple], inputs: Iterable[Polynomial], order: TermOrder, p: int) -> tuple:
     """The reduced Groebner basis of (start) + (inputs) for `order`, as
-    (leading monomial, 1, monic tail) reducers, smallest leading monomial
+    (leading monomial, monic tail) reducers, smallest leading monomial
     first: Buchberger with the Gebauer-Moller update.
 
     `start` holds the reducers of a reduced basis for `order`, or nothing.
@@ -703,18 +705,11 @@ def _groebner(start: Sequence[tuple], inputs: Iterable[Polynomial], order: TermO
     # short ones they retired, which made intermediate polynomials of
     # thousands of terms on plane cubics.  Only new pairs are limited to
     # the active set.
-    leads: list[tuple[int, ...]] = []  # of every element added, by index
-    reducers: list[tuple] = []  # (lead, 1, monic tail) of every element
-    sugars: list[int] = []  # of every element, by index
-    active: list[int] = []  # the elements new pairs may use
+    leads: list[tuple[int, ...]] = [lm for lm, _ in start]  # of every element added, by index
+    reducers: list[tuple] = list(start)  # (lead, monic tail) of every element
+    sugars: list[int] = [max([sum(lm), *(sum(e) for e, _ in tail)]) for lm, tail in start]  # of every element, by index
+    active: list[int] = list(range(len(leads)))  # the elements new pairs may use
     pairs: list[tuple] = []  # heap of (sugar, lcm degree, lcm key, i, j, lcm)
-    for lm, inv, tail in start:
-        if inv != 1:
-            tail = [(e, c * inv % p) for e, c in tail]
-        active.append(len(leads))
-        leads.append(lm)
-        reducers.append((lm, 1, tail))
-        sugars.append(max([sum(lm), *(sum(e) for e, _ in tail)]))
     started = len(leads)
     if started and not any(leads[0]):
         return tuple(reducers)  # the unit ideal: no input changes it
@@ -725,7 +720,7 @@ def _groebner(start: Sequence[tuple], inputs: Iterable[Polynomial], order: TermO
         h = len(leads)
         leads.append(lm)
         sugars.append(sugar)
-        reducers.append((lm, 1, [(e, c * inv % p) for e, c in terms.items() if e != lm]))
+        reducers.append((lm, [(e, c * inv % p) for e, c in terms.items() if e != lm]))
         if not active:
             active.append(h)
             return
@@ -766,13 +761,13 @@ def _groebner(start: Sequence[tuple], inputs: Iterable[Polynomial], order: TermO
         if r:
             lm = min(r, key=heap_key)
             if not any(lm):
-                return ((lm, 1, []),)
+                return ((lm, []),)
             update(r, lm, max(f.total_degree(), *map(sum, r)))
     while pairs:
         pair_sugar, _, _, i, j, lcm = heappop(pairs)
         ui, uj = _exp_div(lcm, leads[i]), _exp_div(lcm, leads[j])
-        s = {_exp_mul(e, ui): c for e, c in reducers[i][2]}
-        for e, c in reducers[j][2]:
+        s = {_exp_mul(e, ui): c for e, c in reducers[i][1]}
+        for e, c in reducers[j][1]:
             te = _exp_mul(e, uj)
             s[te] = (s.get(te, 0) - c) % p
         r = _reduce_terms(s, reducers, order, p)
@@ -780,7 +775,7 @@ def _groebner(start: Sequence[tuple], inputs: Iterable[Polynomial], order: TermO
             continue
         lm = min(r, key=heap_key)
         if not any(lm):
-            return ((lm, 1, []),)
+            return ((lm, []),)
         update(r, lm, max(pair_sugar, *map(sum, r)))
     if len(leads) == started:
         return tuple(reducers)
@@ -791,10 +786,10 @@ def _groebner(start: Sequence[tuple], inputs: Iterable[Polynomial], order: TermO
     last = len(leads) - 1
     basis = []
     for k in sorted(active, key=lambda k: key(leads[k])):  # no tail's reduced form depends on this order
-        tail = reducers[k][2]
+        tail = reducers[k][1]
         if tail and k != last:
             tail = list(_reduce_terms(dict(tail), [reducers[m] for m in active if m != k], order, p).items())
-        basis.append((leads[k], 1, tail))
+        basis.append((leads[k], tail))
     return tuple(basis)
 
 
@@ -834,7 +829,7 @@ def _verify_cache(ideal: Ideal) -> None:
     reduces to zero against it.  The reverse containment, that the basis
     lies in the ideal, is `with_cache`'s check that each basis element is
     a generator."""
-    if any(not any(lm) for lm, _, _ in ideal.reducers):
+    if any(not any(lm) for lm, _ in ideal.reducers):
         return  # a constant divides every monomial, so every generator reduces to zero
     p = ideal.ring.p
     for g in ideal.generators:
@@ -878,7 +873,7 @@ def _eliminated_terms(ideal: Ideal, keep: Iterable[int]) -> list[dict]:
             for g in ideal.generators]
     gb = buchberger(Ideal.from_polys(moved, gens), TermOrder("block", len(drop)))
     d = len(drop)
-    return [{e[d:]: c for e, c in g.terms.items()} for (lm, _, _), g in zip(gb.reducers, gb.basis) if not any(lm[:d])]
+    return [{e[d:]: c for e, c in g.terms.items()} for (lm, _), g in zip(gb.reducers, gb.basis) if not any(lm[:d])]
 
 
 def eliminate(ideal: Ideal, keep: Iterable[int]) -> Ideal:
@@ -945,12 +940,12 @@ def basis_pth_root(ideal: Ideal) -> Optional[Ideal]:
     ring = ideal.ring
     p = ring.p
     reducers = []
-    for lm, inv, tail in ideal.reducers:
+    for lm, tail in ideal.reducers:
         if any(e % p for e in lm) or any(x % p for e, _ in tail for x in e):
             return None
-        root_tail = [(tuple([x // p for x in e]), c * inv % p) for e, c in tail]
-        reducers.append((tuple([e // p for e in lm]), 1, root_tail))
-    basis = tuple(Polynomial._reduced(ring, {**dict(tail), lm: 1}) for lm, _, tail in reducers)
+        root_tail = [(tuple([x // p for x in e]), c) for e, c in tail]
+        reducers.append((tuple([e // p for e in lm]), root_tail))
+    basis = tuple(Polynomial._reduced(ring, {**dict(tail), lm: 1}) for lm, tail in reducers)
     return Ideal._built(ring, basis, tuple(reducers), GREVLEX, basis)
 
 
@@ -993,7 +988,7 @@ def krull_dim(ideal: Ideal) -> int:
     gb = ideal if ideal.basis is not None else buchberger(ideal)
     if gb.contains_one():
         return -1
-    supports = frozenset({sum(1 << i for i, e in enumerate(lm) if e) for lm, _, _ in gb.reducers})
+    supports = frozenset({sum(1 << i for i, e in enumerate(lm) if e) for lm, _ in gb.reducers})
     level, seen, least = {supports}, set(), 0
     while frozenset() not in level:
         seen |= level

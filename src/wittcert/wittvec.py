@@ -355,7 +355,7 @@ class PresentedCoefficients:
         """Refuse a coordinate outside the ring or not in normal form: one
         with a term that a leading monomial of the reduced basis divides,
         which is the test normal(x) == x without the reduction."""
-        leads = [lm for lm, _, _ in self.presentation.ideal.reducers]
+        leads = [lm for lm, _ in self.presentation.ideal.reducers]
         for x in coords:
             if not isinstance(x, Polynomial):
                 raise ValueError(f"a coordinate of type {type(x).__name__} is not a polynomial")

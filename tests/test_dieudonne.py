@@ -6,6 +6,7 @@ for the construction), and the checkers themselves are shown to have
 teeth on a hand-written non-saturated model.
 """
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -78,7 +79,7 @@ def test_grading_discipline_enforced():
 def test_products_vanishing_mod_pn_are_dropped():
     # V^3(1) = 8 * 1 = 0 mod 2^3: the zero coefficient is removed, not looked up
     m = a1_model(2, 4, 3)
-    assert m.apply_chain(["V"] * 3, {"1": 1}) == {}
+    assert m.apply("V", m.apply("V", m.apply("V", {"1": 1}))) == {}
     cancellation = f_cancellation_check(m, 3)
     assert cancellation.passed, cancellation.violations
     compared = compare_wr_with_cohomology(m, 0, 3)
@@ -379,7 +380,8 @@ def test_a1_level_one_quotient_ranks():
     # the quotient's zero test: V-images die, generators do not
     def dies(vec, weight):
         block = w1.blocks[weight]
-        return block.relations.contains(m.vector_to_coords(vec, block.labels))
+        assert set(vec) <= set(block.labels)
+        return block.relations.contains(tuple(vec.get(lbl, 0) for lbl in block.labels))
 
     assert dies({"V^1[T^1]": 1}, Fraction(1, 2))
     assert not dies({"[T^1]": 1}, Fraction(1))
@@ -608,6 +610,67 @@ def test_reduction_kernels_are_kept_only_next_to_the_model():
     assert not any(k[0] == "reduction_kernel" and k[1] == 7 for k in m._memo)
 
 
+def test_an_operator_undefined_on_a_block_is_built_once(monkeypatch):
+    """`_columns` keeps None for V at the depth cap, where it is undefined,
+    and a second call reads that None back rather than building again."""
+    m = a1_model(2, 4, 3)
+    key = m._scale // 8  # weight 1/8 = 1/p^depth: V^3[T^1], whose V leaves the depth cap
+    assert m._labels(0, key) == ("V^3[T^1]",)
+    assert m._columns("V", 0, key) is None
+    reads = []
+    labels = DieudonneModel._labels
+    monkeypatch.setattr(DieudonneModel, "_labels", lambda self, *block: reads.append(block) or labels(self, *block))
+    assert m._columns("V", 0, key) is None
+    assert reads == []
+
+
+# The functions of `dieudonne.py` that may read or write a model's memo: the
+# one that makes it and the one accessor that owns its lookups and retention.
+MEMO_OWNERS = {"__init__", "_kept"}
+
+
+def _memo_uses(tree):
+    """(line, enclosing function) of each `_memo` attribute of `tree`, and
+    of each "_memo" string outside `__slots__`, as `getattr` would take it."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in node.targets):
+            return
+        if isinstance(node, ast.Attribute) and node.attr == "_memo" or \
+                isinstance(node, ast.Constant) and node.value == "_memo":
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_memo_accessor_reads_or_writes_the_memo():
+    path = Path(dieudonne.__file__)
+    uses = _memo_uses(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    assert [use for use in uses if use[1] not in MEMO_OWNERS] == []
+    assert {function for _, function in uses} == MEMO_OWNERS
+
+
+def test_the_memo_check_sees_each_kind_of_use():
+    source = "\n".join([
+        "class M:",
+        "    __slots__ = ('_memo',)",
+        "    def __init__(self): self._memo = {}",
+        "    def _kept(self, key): return self._memo.get(key)",
+        "    def read(self): return self._memo",
+        "    def named(self): return getattr(self, '_memo')",
+        "def write(m): m._memo[1] = 2",
+        "peek = lambda m: m._memo",
+    ])
+    assert _memo_uses(ast.parse(source)) == [(3, "__init__"), (4, "_kept"), (5, "read"), (6, "named"),
+                                             (7, "write"), (8, None)]
+
+
 
 def test_warm_checks_build_no_block_matrix(monkeypatch):
     """Level matrices are model structure: once built, a warm propagation
@@ -686,8 +749,8 @@ def test_nonsaturated_model_fails_saturation_with_witness():
 
 def test_nonsaturated_model_fv_still_p():
     m = nonsaturated_model()
-    assert m.apply_chain(["V", "F"], {"a": 1}) == {"a": 2}
-    assert m.apply_chain(["V", "F"], {"b": 1}) == {"b": 2}
+    assert m.apply("F", m.apply("V", {"a": 1})) == {"a": 2}
+    assert m.apply("F", m.apply("V", {"b": 1})) == {"b": 2}
 
 
 # -- serialization ------------------------------------------------------------------

@@ -7,6 +7,7 @@ code with the division algorithm.
 """
 
 import functools
+import hashlib
 import itertools
 import operator
 import random
@@ -477,7 +478,7 @@ def test_extending_a_cached_basis_is_buchberger_from_nothing(seed, p, kind, nvar
     rng.shuffle(polys)
     fresh = buchberger(Ideal.from_polys(ring, gens + polys), order)
     extended = _groebner(ideal.reducers, polys, order, p)
-    assert [(lm, inv, dict(tail)) for lm, inv, tail in extended] == [(lm, 1, dict(tail)) for lm, _, tail in fresh.reducers]
+    assert [(lm, dict(tail)) for lm, tail in extended] == [(lm, dict(tail)) for lm, tail in fresh.reducers]
     if order == GREVLEX:
         ideal_plus = extend(ideal, polys)
         assert ideal_plus.basis == fresh.basis and ideal_plus.basis_order == GREVLEX
@@ -493,7 +494,7 @@ def test_extending_a_cached_basis_is_buchberger_from_nothing(seed, p, kind, nvar
 @pytest.mark.parametrize("kind", ["grevlex", "lex", "block"])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_the_loop_hands_over_the_reducers_its_basis_derives(p, kind):
-    """The (leading monomial, 1, monic tail) triples the Groebner loop hands
+    """The (leading monomial, monic tail) pairs the Groebner loop hands
     to the cache are what `_reducer` derives from the basis, for every
     `buchberger` and `extend` result."""
     rng = random.Random(70 * p + len(kind))
@@ -506,6 +507,63 @@ def test_the_loop_hands_over_the_reducers_its_basis_derives(p, kind):
             extended = extend(gb, [g.partial(i) for g in gens for i in range(nvars)])
             for result in (gb, extended):
                 assert result.reducers == _derived_reducers(result)
+
+
+# sha256 of what `_division_records` records, taken when a reducer was
+# still (leading monomial, inverse leading coefficient, tail): a monic tail
+# changes the reducers' format, not one remainder.
+DIVISION_RECORDS_SHA256 = "2bdb655814b8b7c63cc3d291c219a34a7a39af6476b3c28d793854cb8930f7fc"
+
+
+def _division_records():
+    """One line per seeded case, 45 for each p in 2, 3, 5, 7 and each term
+    order: the remainder of `_reduce_terms` dividing f by divisors each
+    scaled by a random unit, so non-monic for p > 2; `reduces_to_zero` of
+    f by them, with f a combination of them in every other case; and
+    `normal_form` of f modulo their reduced basis, cached by `with_cache`
+    with each element scaled by a random unit."""
+    lines = []
+    for p in (2, 3, 5, 7):
+        for kind in ("grevlex", "lex", "block"):
+            order = _order(kind)
+            rng = random.Random(f"division {p} {kind}")
+            for n in range(45):
+                ring = _ordered_ring(p, kind, rng.randint(1, 3))
+                divisors = [random_poly(rng, ring).scale(rng.randint(1, p - 1)) for _ in range(rng.randint(1, 3))]
+                if n % 2:
+                    f = sum((random_poly(rng, ring, max_degree=2) * g for g in divisors), ring.zero())
+                else:
+                    f = random_poly(rng, ring, max_degree=4, max_terms=5)
+                remainder = _reduce_terms(f.terms, [_reducer(g, order, p) for g in divisors], order, p)
+                basis = tuple(g.scale(rng.randint(1, p - 1))
+                              for g in buchberger(Ideal.from_polys(ring, divisors), order).basis)
+                cached = Ideal.from_polys(ring, basis).with_cache(basis, order)
+                lines.append(repr((p, kind, n, sorted(remainder.items()), reduces_to_zero(f, divisors),
+                                   sorted(normal_form(f, cached).terms.items()))))
+    return lines
+
+
+def test_division_by_non_monic_divisors_is_pinned():
+    lines = _division_records()
+    assert len(lines) == 540
+    assert sum("True" in line for line in lines) >= 270  # every combination divides to zero
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIVISION_RECORDS_SHA256
+
+
+@pytest.mark.parametrize("kind", ["grevlex", "lex", "block"])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_a_cached_non_monic_basis_keeps_monic_reducers(p, kind):
+    """`with_cache` on a basis element g with leading coefficient lc != 1
+    keeps the reducer (lm, tail) with {lm: 1, **tail} == g / lc."""
+    ring = _ordered_ring(p, kind, 3)
+    order = _order(kind)
+    gens = [parse_polynomial(t, ring) for t in ("x*z - y^2", "x^3 - y*z", "2*y^2*z + x")]
+    basis = tuple(g.scale(2) for g in buchberger(Ideal.from_polys(ring, gens), order).basis)
+    cached = Ideal.from_polys(ring, basis).with_cache(basis, order)
+    assert len(cached.reducers) == len(basis) > 1
+    for g, (lm, tail) in zip(basis, cached.reducers):
+        assert g.leading(order) == (lm, 2)
+        assert {lm: 1, **dict(tail)} == g.scale(pow(2, -1, p)).terms
 
 
 def test_extend_starts_only_from_a_cache_in_its_own_order():

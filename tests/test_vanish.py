@@ -656,8 +656,8 @@ def test_the_closure_takes_the_root_ideal_as_its_candidate(monkeypatch):
         expected = pth_root_ideal(current)
         assert roots.basis == expected.basis
         assert roots.generators == expected.generators
-        assert [(lm, inv, dict(tail)) for lm, inv, tail in roots.reducers] == \
-            [(lm, inv, dict(tail)) for lm, inv, tail in expected.reducers]
+        assert [(lm, dict(tail)) for lm, tail in roots.reducers] == \
+            [(lm, dict(tail)) for lm, tail in expected.reducers]
 
 
 def test_partial_closed_ideals_have_bases_of_pth_powers():
