@@ -22,7 +22,7 @@ from functools import cached_property
 from math import gcd
 from operator import mul
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .modarith import (
     ModularMatrix,
@@ -94,25 +94,30 @@ class DieudonneModel:
     """Weight-truncated Dieudonne complex with partial d, F, V.
 
     The graded structure is indexed once, at construction: the labels of
-    each (degree, weight) block, the weights of each degree and the
-    coefficient modulus are lookups.  Internally a weight w is keyed by
-    the integer w * p^e, where p^e is the largest denominator among the
-    basis weights; `block()`, JSON and reports speak in
-    `Fraction`s.  One memo per model, read and written only by `_kept`,
-    keeps what is computed on first use: the levels Z/p^r (`_level`), an
-    operator's coordinate columns on a block and the matrices of those
-    columns over each level (`_matrix`), the W_r quotient and mod-p^r
-    cohomology presentations (`wr_quotient`, `hn_mod_pr`) per (degree, r),
-    and the kernel of reduction mod p^r per block and r
-    (`_reduction_kernel`), which is safe because the maps never change and
-    what is kept is immutable.  Presentations and reduction kernels are
-    kept only at levels <= N and in degrees next to the model's, so a model
-    holds at most a few per (degree, level) and weight block.  Check
-    reports are never cached: every checker call builds its own.
+    each (degree, weight) block, the weights of each degree, the text that
+    reports print for each block's weight and the coefficient modulus are
+    lookups.  Internally a weight w is keyed by the integer w * p^e, where
+    p^e is the largest denominator among the basis weights; `block()`,
+    JSON and reports speak in `Fraction`s.  One memo per model, read and
+    written only by `_kept`, keeps what is computed on first use, one entry
+    per degree rather than per block, so a checker call makes a few lookups
+    per degree: the levels Z/p^r (`_level`); per (operator, degree, level)
+    a `_table` from weight key to the operator's coordinate columns on the
+    block, or to their matrix over Z/p^r, which `_columns` and `_matrix`
+    read; the W_r quotient and mod-p^r cohomology presentations
+    (`wr_quotient`, `hn_mod_pr`) per (degree, r); and per (degree, r) the
+    exactness blocks of the propagation check (`_exactness_blocks`: d rows,
+    boundaries and the kernel of reduction mod p^r of each block it tests).
+    That is safe because the maps never change and nothing reads a kept
+    value to change it.  Values made for a degree and a level are kept only
+    at levels <= N and in degrees next to the model's, so a model holds at
+    most a few per (degree, level).  Check reports are never cached, and
+    every checker call makes its own kernels of d mod p, preimages under F,
+    spans and membership tests.
     """
 
     __slots__ = ("p", "exponent", "modulus", "basis", "elements", "maps", "weight_cap",
-                 "depth_cap", "_scale", "_cap_key", "_blocks", "_weights", "_memo")
+                 "depth_cap", "_scale", "_cap_key", "_blocks", "_weights", "_texts", "_memo")
 
     def __init__(
         self,
@@ -150,7 +155,8 @@ class DieudonneModel:
             self._weights.setdefault(degree, []).append(key)
         for weight_keys in self._weights.values():
             weight_keys.sort()
-        self._memo: dict = {}
+        self._texts = {key: self._weight_text(key) for _, key in self._blocks}  # reports print these
+        self._memo: dict = {("modulus", exponent): modulus}
         if weight_cap is None:
             weight_cap = max((b.weight for b in self.basis), default=Fraction(0))
         self.weight_cap = weight_cap
@@ -226,21 +232,21 @@ class DieudonneModel:
             return degree, key * self.p
         return degree, None if key % self.p else key // self.p
 
-    def _kept(self, memo_key: tuple, build: Callable[[], object],
+    def _kept(self, memo_key: tuple, build: Callable[..., object], *args,
               degree: Optional[int] = None, level: int = 0):
-        """`build()` under `memo_key` in the model's memo, built on first use.
-        A value made for a degree and a level is kept only at level <= N
-        when the degree or the one below it has blocks."""
+        """`build(*args)` under `memo_key` in the model's memo, built on first
+        use; a hit is one lookup.  A value made for a degree and a level is
+        kept only at level <= N when the degree or the one below it has blocks."""
         found = self._memo.get(memo_key, _UNKEPT)
         if found is _UNKEPT:
-            found = build()
+            found = build(*args)
             if degree is None or level <= self.exponent and (degree in self._weights or degree - 1 in self._weights):
                 self._memo[memo_key] = found
         return found
 
     def _level(self, r: int) -> Modulus:
-        """The modulus Z/p^r, built once per model."""
-        return self._kept(("modulus", r), lambda: self.modulus if r == self.exponent else Modulus(self.p, r))
+        """The modulus Z/p^r, built once per model (Z/p^N is `modulus`)."""
+        return self._kept(("modulus", r), Modulus, self.p, r)
 
     def apply(self, op: str, vec: Vector) -> Optional[Vector]:
         """Apply a partial operator to a vector; None when undefined on support."""
@@ -265,26 +271,42 @@ class DieudonneModel:
     def coords_to_vector(self, coords: Sequence[int], block: Sequence[str]) -> Vector:
         return {lbl: c for lbl, c in zip(block, coords) if c}
 
-    def _columns(self, op: str, degree: int, key: int) -> Optional[tuple[tuple[int, ...], ...]]:
-        """Coordinates of `op` on each label of the (degree, weight key)
-        block, in the basis of its target block; None when `op` is undefined
-        somewhere on the block.  Memoised per model: the maps are immutable,
-        and each row is reduced and inside its target block (`__init__`)."""
+    def _table(self, op: str, degree: int, level: Optional[Modulus] = None) -> dict:
+        """`op` on every block of a degree, by weight key: the block's
+        coordinate columns in the basis of its target block, or with a level
+        Z/p^r the matrix of those columns over it; None where `op` is
+        undefined somewhere on the block.  Kept per (op, degree, level) under
+        `_kept`'s rule, so a checker fetches a degree's blocks with one lookup:
+        the maps are immutable, and each row is reduced and inside its target
+        block (`__init__`)."""
+        r = None if level is None else level.exponent
+        return self._kept(("table", op, degree, r), DieudonneModel._build_table, self, op, degree, level,
+                          degree=degree, level=r or 0)
 
-        def build() -> Optional[tuple[tuple[int, ...], ...]]:
+    def _build_table(self, op: str, degree: int, level: Optional[Modulus]) -> dict:
+        if level is not None:
+            q = level.char
+            return {key: None if cols is None else ModularMatrix._trusted_columns(
+                        level, [tuple(x % q for x in c) for c in cols], len(cols[0]))
+                    for key, cols in self._table(op, degree).items()}
+        rows_of, table = self.maps[op], {}
+        for key in self._weights.get(degree, ()):
             target = self._labels(*self._target(op, degree, key))
-            rows = [self.maps[op].get(lbl) for lbl in self._labels(degree, key)]
-            return None if None in rows else tuple(tuple(row.get(lbl, 0) for lbl in target) for row in rows)
+            rows = [rows_of.get(lbl) for lbl in self._labels(degree, key)]
+            table[key] = None if None in rows else tuple(tuple(row.get(lbl, 0) for lbl in target) for row in rows)
+        return table
 
-        return self._kept(("columns", op, degree, key), build)
+    def _columns(self, op: str, degree: int, key: int) -> Optional[tuple[tuple[int, ...], ...]]:
+        """The columns of `op` on one block, read from its degree's `_table`;
+        a key with no block has none."""
+        return self._table(op, degree).get(key, ())
 
     def op_matrix(self, op: str, degree: int, weight: Fraction) -> Optional[ModularMatrix]:
         """Matrix of an operator on the (degree, weight) block, or None if
         the operator is undefined somewhere on the block.
 
         The public entry by `Fraction` weight: `bench/tracing.py` and the
-        tests resolve it by name.  Library code calls `_matrix` on a weight
-        key directly."""
+        tests resolve it by name.  Library code reads a degree's `_table`."""
         scaled = Fraction(weight) * self._scale
         if scaled.denominator == 1:
             return self._matrix(op, degree, scaled.numerator)
@@ -295,17 +317,13 @@ class DieudonneModel:
     def _matrix(self, op: str, degree: int, key: int,
                 modulus: Optional[Modulus] = None) -> Optional[ModularMatrix]:
         """`op_matrix` on the block of a weight key, over Z/p^N or over one
-        of the model's `_level`s Z/p^r.  Memoised per model as `_columns`
-        is, keyed by the level and the columns: each distinct matrix is
-        reduced mod p^r once, and blocks with equal columns share it."""
-        cols = self._columns(op, degree, key)
-        if cols is None:
-            return None
+        of the model's `_level`s Z/p^r, read from its degree's `_table`; a
+        key with no block gives a matrix with no columns, which is not kept."""
         level = self.modulus if modulus is None else modulus
-        ambient = len(cols[0]) if cols else len(self._labels(*self._target(op, degree, key)))
-        q = level.char
-        return self._kept(("matrix", level.exponent, ambient, cols), lambda: ModularMatrix._trusted_columns(
-            level, [tuple(x % q for x in c) for c in cols], ambient))
+        found = self._table(op, degree, level).get(key, _UNKEPT)
+        if found is _UNKEPT:
+            return ModularMatrix._trusted_columns(level, (), len(self._labels(*self._target(op, degree, key))))
+        return found
 
     # -- serialization -------------------------------------------------------
 
@@ -594,15 +612,15 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
     report = CheckReport("saturation")
     p = model.p
     level_1 = model._level(1)
+    texts = model._texts
     units: dict[tuple[int, int], list[tuple[int, ...]]] = {}  # scale * e_i by (block width, scale), for this call
     for degree in model.degrees():
+        d_mod_p_of, f_cols_of = model._table("d", degree, level_1), model._table("F", degree)
         for key in model._weights[degree]:
             block = model._labels(degree, key)
-            d_mod_p = model._matrix("d", degree, key, level_1)
+            d_mod_p = d_mod_p_of[key]
             if d_mod_p is None:
-                report.inconclusive.append(
-                    {"degree": degree, "weight": model._weight_text(key), "reason": "d undefined on block"}
-                )
+                report.inconclusive.append({"degree": degree, "weight": texts[key], "reason": "d undefined on block"})
                 continue
             # {x : dx = 0 mod p} is spanned by the kernel of d mod p and p e_i,
             # or by every e_i when d maps the block to an empty one
@@ -620,19 +638,15 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                         report.inconclusive.append(
                             {
                                 "degree": degree,
-                                "weight": model._weight_text(key),
+                                "weight": texts[key],
                                 "reason": "F-source weight beyond depth truncation",
                             }
                         )
                     continue
-            f_cols = () if src is None else model._columns("F", degree, src)
+            f_cols = f_cols_of.get(src, ())  # a key of None names no block
             if f_cols is None:
                 report.inconclusive.append(
-                    {
-                        "degree": degree,
-                        "weight": model._weight_text(key),
-                        "reason": "F undefined on the source block",
-                    }
+                    {"degree": degree, "weight": texts[key], "reason": "F undefined on the source block"}
                 )
                 continue
             f_image = SubmoduleBasis._trusted(model.modulus, len(block), list(map(list, f_cols)))
@@ -644,7 +658,7 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                     report.violations.append(
                         {
                             "degree": degree,
-                            "weight": model._weight_text(key),
+                            "weight": texts[key],
                             "witness": _vec_json(model.coords_to_vector(g, block)),
                         }
                     )
@@ -737,11 +751,12 @@ def wr_quotient(model: DieudonneModel, degree: int, r: int) -> QuotientPresentat
     if r < 1:
         raise ValueError("level r must be >= 1")
 
-    def build() -> QuotientPresentation:
-        blocks = {key: _wr_block(model, degree, key, r) for key in model._weights.get(degree, ())}
-        return QuotientPresentation(degree, model.modulus, model._scale, blocks)
+    return model._kept(("wr", degree, r), _build_wr, model, degree, r, degree=degree, level=r)
 
-    return model._kept(("wr", degree, r), build, degree, r)
+
+def _build_wr(model: DieudonneModel, degree: int, r: int) -> QuotientPresentation:
+    blocks = {key: _wr_block(model, degree, key, r) for key in model._weights.get(degree, ())}
+    return QuotientPresentation(degree, model.modulus, model._scale, blocks)
 
 
 def _wr_block(model: DieudonneModel, degree: int, key: int, r: int) -> QuotientBlock:
@@ -768,17 +783,14 @@ def _wr_block(model: DieudonneModel, degree: int, key: int, r: int) -> QuotientB
     return QuotientBlock(labels, relations, _cokernel_factors(relations), complete)
 
 
-def _cohomology_block(model: DieudonneModel, degree: int, key: int, r: int) -> Optional[QuotientBlock]:
-    """H^degree(M/p^r) on one weight block, presented on cycle generators.
-
-    Returns None when d is undefined somewhere it is needed.
+def _cohomology_block(modulus: Modulus, labels: tuple[str, ...], d_out: Optional[ModularMatrix],
+                      boundaries: Optional[Sequence[Sequence[int]]]) -> Optional[QuotientBlock]:
+    """H(M/p^r) on one weight block, presented on cycle generators, from the
+    matrix of d out of the block over `modulus` = Z/p^r and the columns of d
+    into it.  Returns None when d is undefined somewhere it is needed.
     """
-    modulus = model._level(r)
-    labels = model._labels(degree, key)
     if not labels:
         return QuotientBlock((), SubmoduleBasis(modulus, 0, []), (), True)
-    d_out = model._matrix("d", degree, key, modulus)
-    boundaries = model._columns("d", degree - 1, key)
     if d_out is None or boundaries is None:
         return None
     cycles = kernel_basis(d_out)
@@ -797,17 +809,18 @@ def hn_mod_pr(model: DieudonneModel, degree: int, r: int) -> QuotientPresentatio
     if not 1 <= r <= model.exponent:
         raise ValueError(f"need 1 <= r <= N = {model.exponent}")
 
-    def build() -> QuotientPresentation:
-        modulus = model._level(r)
-        blocks: dict[int, QuotientBlock] = {}
-        for key in sorted({*model._weights.get(degree, ()), *model._weights.get(degree - 1, ())}):
-            block = _cohomology_block(model, degree, key, r)
-            if block is None:
-                block = QuotientBlock(model._labels(degree, key), SubmoduleBasis(modulus, 0, []), (), False)
-            blocks[key] = block
-        return QuotientPresentation(degree, modulus, model._scale, blocks)
+    return model._kept(("hn", degree, r), _build_hn, model, degree, r, degree=degree, level=r)
 
-    return model._kept(("hn", degree, r), build, degree, r)
+
+def _build_hn(model: DieudonneModel, degree: int, r: int) -> QuotientPresentation:
+    modulus = model._level(r)
+    d_out, d_in = model._table("d", degree, modulus), model._table("d", degree - 1)
+    blocks: dict[int, QuotientBlock] = {}
+    for key in sorted({*model._weights.get(degree, ()), *model._weights.get(degree - 1, ())}):
+        labels = model._labels(degree, key)
+        block = _cohomology_block(modulus, labels, d_out.get(key), d_in.get(key, ()))
+        blocks[key] = block or QuotientBlock(labels, SubmoduleBasis(modulus, 0, []), (), False)
+    return QuotientPresentation(degree, modulus, model._scale, blocks)
 
 
 def compare_wr_with_cohomology(model: DieudonneModel, degree: int, r: int) -> CheckReport:
@@ -817,26 +830,23 @@ def compare_wr_with_cohomology(model: DieudonneModel, degree: int, r: int) -> Ch
     wr = wr_quotient(model, degree, r)
     hn = hn_mod_pr(model, degree, r)
     shift = model.p ** r
+    texts = model._texts
     for key in sorted(wr.by_key):
         wr_block = wr.by_key[key]
         hn_key = key * shift
         if not wr_block.complete or hn_key > model._cap_key:
-            report.inconclusive.append(
-                {"weight": model._weight_text(key), "reason": "truncation boundary"}
-            )
+            report.inconclusive.append({"weight": texts[key], "reason": "truncation boundary"})
             continue
         hn_block = hn.by_key.get(hn_key)
         hn_factors = hn_block.factors if hn_block else ()
         if hn_block is not None and not hn_block.complete:
-            report.inconclusive.append(
-                {"weight": model._weight_text(key), "reason": "cohomology undetermined (d undefined)"}
-            )
+            report.inconclusive.append({"weight": texts[key], "reason": "cohomology undetermined (d undefined)"})
             continue
         report.checked += 1
         if tuple(wr_block.factors) != tuple(hn_factors):
             report.violations.append(
                 {
-                    "weight": model._weight_text(key),
+                    "weight": texts[key],
                     "wr_factors": list(wr_block.factors),
                     "cohomology_weight": model._weight_text(hn_key),
                     "cohomology_factors": list(hn_factors),
@@ -865,23 +875,20 @@ def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckRepo
     source-side relation span.  Both spans come from the kept W_r
     presentation; a target weight with no block of its own is built, not kept."""
     p = model.p
+    texts = model._texts
     for degree in degrees:
         wr = wr_quotient(model, degree, r).by_key
+        f_cols_of = model._table("F", degree)
         for key, source in wr.items():
-            block = source.labels
             target = wr.get(key * p)
             if target is None and source.complete:  # only a complete source reads it
                 target = _wr_block(model, degree, key * p, r)
             if not (source.complete and target.complete):
-                report.inconclusive.append(
-                    {"degree": degree, "weight": model._weight_text(key), "reason": "truncation boundary"}
-                )
+                report.inconclusive.append({"degree": degree, "weight": texts[key], "reason": "truncation boundary"})
                 continue
-            f_cols = model._columns("F", degree, key)
+            f_cols = f_cols_of[key]
             if f_cols is None:
-                report.inconclusive.append(
-                    {"degree": degree, "weight": model._weight_text(key), "reason": "F undefined on block"}
-                )
+                report.inconclusive.append({"degree": degree, "weight": texts[key], "reason": "F undefined on block"})
                 continue
             # an empty F-target block makes F zero, so the preimage is the whole block
             preimage = _preimage_generators(model.modulus, f_cols, len(target.labels), target.relations)
@@ -891,8 +898,8 @@ def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckRepo
                     report.violations.append(
                         {
                             "degree": degree,
-                            "weight": model._weight_text(key),
-                            "witness": _vec_json(model.coords_to_vector(x, block)),
+                            "weight": texts[key],
+                            "witness": _vec_json(model.coords_to_vector(x, source.labels)),
                         }
                     )
 
@@ -932,10 +939,12 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
         raise ValueError(f"level-{rmax} statements need coefficient exponent >= {rmax + 1}")
     report = CheckReport(f"w1_vanishing_propagation(degree={degree}, rmax={rmax})")
     levels = [hn_mod_pr(model, degree, r).by_key for r in range(1, rmax + 2)]  # levels[r - 1]: H(M/p^r)
+    exactness = [_exactness_blocks(model, degree, r) for r in range(1, rmax + 1)]  # exactness[r - 1]
+    texts = model._texts
     for key in sorted(levels[0]):
         blocks = [level.get(key) for level in levels]
         if any(b is None or not b.complete for b in blocks):
-            report.inconclusive.append({"weight": model._weight_text(key), "reason": "d undefined on block"})
+            report.inconclusive.append({"weight": texts[key], "reason": "d undefined on block"})
             continue
         report.checked += 1
         h1 = blocks[0]
@@ -944,7 +953,7 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
                 if blocks[r - 1].factors:
                     report.violations.append(
                         {
-                            "weight": model._weight_text(key),
+                            "weight": texts[key],
                             "kind": "vanishing_propagation",
                             "r": r,
                             "factors": list(blocks[r - 1].factors),
@@ -955,7 +964,7 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
             if not h1.factors and not blocks[r - 1].factors and h_top.factors:
                 report.violations.append(
                     {
-                        "weight": model._weight_text(key),
+                        "weight": texts[key],
                         "kind": "inductive_step",
                         "r": r,
                         "factors": list(h_top.factors),
@@ -963,67 +972,81 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
                 )
             if not h_top.generators:
                 continue  # the middle is zero: exact
-            failure = _les_exactness_failure(model, degree, key, r, h1, h_top)
+            failure = _les_exactness_failure(exactness[r - 1][key], h1, r)
             if failure is not None:
-                report.violations.append(
-                    {"weight": model._weight_text(key), "kind": "les_exactness", "r": r, "detail": failure}
-                )
+                report.violations.append({"weight": texts[key], "kind": "les_exactness", "r": r, "detail": failure})
     return report
 
 
-def _les_exactness_failure(
-    model: DieudonneModel,
-    degree: int,
-    key: int,
-    r: int,
-    h1: QuotientBlock,
-    h_top: QuotientBlock,
-) -> Optional[str]:
+class _ExactnessBlock(NamedTuple):
+    """What the exactness test reads of one block of M/p^(r+1): the rows of
+    d out of it and the boundaries, both reduced mod p^(r+1), and the
+    kernel of reduction Z ∩ (B + p^r M) (`_reduction_kernel`)."""
+
+    d_rows: tuple[tuple[int, ...], ...]
+    boundaries: tuple[tuple[int, ...], ...]
+    kernel: SubmoduleBasis
+
+
+def _les_exactness_failure(block: _ExactnessBlock, h1: QuotientBlock, r: int) -> Optional[str]:
     """Exactness of H(M/p) --p^r--> H(M/p^(r+1)) --reduce--> H(M/p^r) at the
-    middle, on the block of weight key `key`, compared in block coordinates.
+    middle, on one weight block whose H(M/p^(r+1)) has generators, compared
+    in block coordinates.
 
     Write Z for the cycles and B for the boundaries of the block of
     M/p^(r+1), and L for p^r * (h1 generators), lifted.  The image of p^r
     is span(L + B) / B and the kernel of reduction is (Z ∩ (B + p^r M)) / B,
     so exactness is span(L + B) == Z ∩ (B + p^r M) once L lies in Z (the
-    guard below) and B does (a complete h_top block).  This is the
-    middle-cohomology statement: the h_top generators span Z, and two
+    guard below) and B does (a complete block).  This is the
+    middle-cohomology statement: the H(M/p^(r+1)) generators span Z, and two
     submodules of Z agree iff their pull-backs to those generators agree.
-    Z ∩ (B + p^r M) is kept per block by `_reduction_kernel`, so a call
+    Z ∩ (B + p^r M) is kept with the block (`_exactness_blocks`), so a call
     costs one Howell form.
     """
-    if not h_top.generators:
-        # middle is zero: exact iff nothing to check
-        return None
-    mod_top = model._level(r + 1)
-    q, shift = mod_top.char, model.p ** r
+    d_rows, boundaries, kernel = block
+    mod_top = kernel.modulus
+    q, shift = mod_top.char, mod_top.p ** r
     lifted = [[shift * x % q for x in g] for g in h1.generators]
-    d_rows = model._matrix("d", degree, key, mod_top).entries
     if any(sum(map(mul, row, g)) % q for g in lifted for row in d_rows):
         return "multiplication-by-p^r image is not a cycle combination"
-    boundaries = [[x % q for x in c] for c in model._columns("d", degree - 1, key)]
-    image = SubmoduleBasis._trusted(mod_top, len(model._labels(degree, key)), lifted + boundaries)
-    if image.echelon != _reduction_kernel(model, degree, key, r).echelon:  # one block, one level
+    image = SubmoduleBasis._trusted(mod_top, kernel.ambient, lifted + list(map(list, boundaries)))
+    if image.echelon != kernel.echelon:  # one block, one level
         return "im(p^r) != ker(reduction) in the middle cohomology"
     return None
 
 
-def _reduction_kernel(model: DieudonneModel, degree: int, key: int, r: int) -> SubmoduleBasis:
-    """Z ∩ (B + p^r M) on the (degree, weight key) block of M/p^(r+1): the
-    cycles that reduce to boundaries mod p^r, spanned by the combinations of
-    the boundaries and p^r e_i that d kills.  Depends on the model alone, so
-    it is kept under the model's retention rule, at level r + 1; d must be
-    defined on the block and the one below."""
+def _exactness_blocks(model: DieudonneModel, degree: int, r: int) -> dict[int, _ExactnessBlock]:
+    """The `_ExactnessBlock` of each weight key of the degree whose
+    H(M/p^(r+1)) block has generators, the blocks the propagation check
+    tests; the others it never reads.  It depends on the model alone, so it
+    is kept under `_kept`'s rule at level r + 1; raises ValueError for
+    r + 1 > N, as `hn_mod_pr` does."""
+    return model._kept(("exactness", degree, r), _build_exactness_blocks, model, degree, r,
+                       degree=degree, level=r + 1)
 
-    def build() -> SubmoduleBasis:
-        mod_top = model._level(r + 1)
-        ambient = len(model._labels(degree, key))
-        d_top = model._matrix("d", degree, key, mod_top)
-        spanning = list(model._columns("d", degree - 1, key)) + _unit_vectors(ambient, model.p ** r)
-        images = [d_top.apply(v) for v in spanning]
-        kernel = kernel_basis(ModularMatrix._trusted_columns(mod_top, images, d_top.rows))
-        cycles = [[sum(c * v[i] for c, v in zip(k, spanning)) for i in range(ambient)] for k in kernel]
-        return SubmoduleBasis(mod_top, ambient, cycles)
 
-    return model._kept(("reduction_kernel", degree, key, r), build, degree, r + 1)
+def _build_exactness_blocks(model: DieudonneModel, degree: int, r: int) -> dict[int, _ExactnessBlock]:
+    h_top = hn_mod_pr(model, degree, r + 1)
+    mod_top = h_top.modulus
+    q, shift = mod_top.char, model.p ** r
+    d_top, d_in = model._table("d", degree, mod_top), model._table("d", degree - 1)
+    blocks = {}
+    for key, block in h_top.by_key.items():
+        if block.generators:  # so d is defined on the block and the one below
+            matrix = d_top[key]
+            boundaries = tuple(tuple(x % q for x in c) for c in d_in.get(key, ()))
+            blocks[key] = _ExactnessBlock(matrix.entries, boundaries, _reduction_kernel(matrix, boundaries, shift))
+    return blocks
 
+
+def _reduction_kernel(d_top: ModularMatrix, boundaries: Sequence[Sequence[int]], shift: int) -> SubmoduleBasis:
+    """Z ∩ (B + p^r M) on one block of M/p^(r+1), for the matrix `d_top` of
+    d out of the block over Z/p^(r+1), the boundary columns B and shift =
+    p^r: the cycles that reduce to boundaries mod p^r, spanned by the
+    combinations of the boundaries and p^r e_i that d kills."""
+    mod_top, ambient = d_top.modulus, d_top.cols
+    spanning = list(boundaries) + _unit_vectors(ambient, shift)
+    images = [d_top.apply(v) for v in spanning]
+    kernel = kernel_basis(ModularMatrix._trusted_columns(mod_top, images, d_top.rows))
+    cycles = [[sum(c * v[i] for c, v in zip(k, spanning)) for i in range(ambient)] for k in kernel]
+    return SubmoduleBasis(mod_top, ambient, cycles)

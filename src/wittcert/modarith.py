@@ -348,9 +348,14 @@ class SubmoduleBasis:
     def _howell(self, todo: list[list[int]]) -> tuple[tuple[int, ...], ...]:
         """The Howell form of the rows `todo`, lists of residues that it
         consumes: each row is reduced in place from its first nonzero column
-        on, the columns before it being zero; a zero row adds nothing."""
+        on, the columns before it being zero; a zero row adds nothing.  In
+        ambient 1 the span of the residues is the ideal of their gcd g with
+        p^N, and its form is the one row (g,), or none when g = p^N."""
         q = self.modulus.char
         n = self.ambient
+        if n == 1:
+            g = gcd(q, *[r[0] for r in todo])
+            return ((g,),) if g != q else ()
         pivots: dict[int, list[int]] = {}
         while todo:
             r = todo.pop()

@@ -101,6 +101,6 @@ def les_exactness_failure(model, degree, key, r, h1, h_top) -> Optional[str]:
         return "multiplication-by-p^r image is not a cycle combination"
     boundaries = list(model._columns("d", degree - 1, key))
     image = SubmoduleBasis(mod_top, len(model._labels(degree, key)), lifted + boundaries)
-    if image != _reduction_kernel(model, degree, key, r):
+    if image != _reduction_kernel(d_top, boundaries, model.p ** r):
         return "im(p^r) != ker(reduction) in the middle cohomology"
     return None

@@ -136,6 +136,7 @@ def test_weight_text_is_the_fraction_text():
     for model in (a1_model(2, 4, 4), a1_model(3, 2, 3), trivial_model(5, 2), nonsaturated_model()):
         for key in {*range(0, 3 * model._scale + 2), *(k for ks in model._weights.values() for k in ks)}:
             assert model._weight_text(key) == str(model._weight(key))
+        assert model._texts == {key: str(model._weight(key)) for _, key in model._blocks}
 
 
 def test_saturation_depth_boundary_is_the_denominator_of_the_source_weight():
@@ -442,15 +443,24 @@ def test_propagation_needs_enough_precision():
         w1_vanishing_propagation_check(m, 0, 3)  # needs N >= 4
 
 
+def les_failure(m, degree, key, r, h1, h_top):
+    """`_les_exactness_failure` at (degree, key, r), as the propagation check
+    calls it: on the kept exactness block, where H(M/p^(r+1)) has generators;
+    a middle without them is exact and has no block."""
+    if not h_top.generators:
+        return None
+    return _les_exactness_failure(dieudonne._exactness_blocks(m, degree, r)[key], h1, r)
+
+
 def test_les_exactness_detects_a_missing_image():
     # exactness holds on every valid model, so the check is fed a doctored
     # H(M/p): with no generators, im(p^r) misses ker(Z/4 -> Z/2) = 2Z/4
     m = a1_model(2, 4, 4)
     h1 = hn_mod_pr(m, 0, 1).blocks[Fraction(0)]
     h_top = hn_mod_pr(m, 0, 2).blocks[Fraction(0)]
-    assert _les_exactness_failure(m, 0, 0, 1, h1, h_top) is None
+    assert les_failure(m, 0, 0, 1, h1, h_top) is None
     empty = dataclasses.replace(h1, generators=())
-    assert _les_exactness_failure(m, 0, 0, 1, empty, h_top) == (
+    assert les_failure(m, 0, 0, 1, empty, h_top) == (
         "im(p^r) != ker(reduction) in the middle cohomology"
     )
 
@@ -463,9 +473,9 @@ def test_les_exactness_rejects_a_non_cycle_generator():
     m = DieudonneModel(2, 3, basis, {"x": {"z": 1}, "y": {}, "z": {}}, {}, {})
     h1 = hn_mod_pr(m, 0, 1).blocks[w]
     h_top = hn_mod_pr(m, 0, 2).blocks[w]
-    assert _les_exactness_failure(m, 0, 0, 1, h1, h_top) is None
+    assert les_failure(m, 0, 0, 1, h1, h_top) is None
     doctored = dataclasses.replace(h1, generators=((1, 0),))
-    assert _les_exactness_failure(m, 0, 0, 1, doctored, h_top) == (
+    assert les_failure(m, 0, 0, 1, doctored, h_top) == (
         "multiplication-by-p^r image is not a cycle combination"
     )
 
@@ -517,9 +527,9 @@ def assert_les_matches_the_pulled_back_oracle(m):
                 h_top = tops.get(key)
                 if not (h1.complete and h_top is not None and h_top.complete):
                     continue
-                assert _les_exactness_failure(m, degree, key, r, h1, h_top) is None
+                assert les_failure(m, degree, key, r, h1, h_top) is None
                 for doctored in _doctored(h1, m.p):
-                    found = _les_exactness_failure(m, degree, key, r, doctored, h_top)
+                    found = les_failure(m, degree, key, r, doctored, h_top)
                     assert found == _pulled_back_les_failure(m, degree, key, r, doctored, h_top), (
                         degree, key, r, doctored.generators)
                     failures += found is not None
@@ -598,16 +608,24 @@ def test_propagation_reuses_the_kept_reduction_kernels(monkeypatch):
 
 
 def test_reduction_kernels_are_kept_only_next_to_the_model():
+    """The exactness blocks, which hold the reduction kernels, and the
+    degree tables are kept only at levels <= N in degrees next to the model's."""
     m = a1_model(2, 4, 4)
     assert w1_vanishing_propagation_check(m, 0, 3).passed
-    kept = {k[1:] for k in m._memo if k[0] == "reduction_kernel"}
-    assert (0, 0, 1) in kept and all(degree == 0 and r <= 3 for degree, _, r in kept)
-    # degree 7 has no blocks next to it, and r + 1 = 5 is beyond N = 4
-    assert dieudonne._reduction_kernel(m, 7, 0, 1).is_zero()
-    dieudonne._reduction_kernel(m, 0, 0, 4)
-    assert {k[1:] for k in m._memo if k[0] == "reduction_kernel"} == kept
+    exactness = {k[1:] for k in m._memo if k[0] == "exactness"}
+    tables = {k[1:] for k in m._memo if k[0] == "table"}
+    assert exactness == {(0, 1), (0, 2), (0, 3)}
+    assert all(degree in (0, 1) and level in (None, 1, 2, 3, 4) for _, degree, level in tables)
+    # degree 7 has no blocks next to it, and level 5 is beyond N = 4
+    assert dieudonne._exactness_blocks(m, 7, 1) == {}
+    assert m._table("d", 7, m._level(2)) == {}
+    with pytest.raises(ValueError):
+        dieudonne._exactness_blocks(m, 0, 4)
+    assert m._matrix("d", 0, m._scale, Modulus(2, 5)).entries == ((1,),)  # d [T] = dT
+    assert {k[1:] for k in m._memo if k[0] == "exactness"} == exactness
+    assert {k[1:] for k in m._memo if k[0] == "table"} == tables
     assert w1_vanishing_propagation_check(m, 7, 3).checked == 0
-    assert not any(k[0] == "reduction_kernel" and k[1] == 7 for k in m._memo)
+    assert not any(k[0] == "exactness" and k[1] == 7 or k[0] == "table" and k[2] == 7 for k in m._memo)
 
 
 def test_an_operator_undefined_on_a_block_is_built_once(monkeypatch):
@@ -692,30 +710,45 @@ def test_warm_checks_build_no_block_matrix(monkeypatch):
     assert built == []
 
 
+def counting_builds(monkeypatch):
+    """The memo key of every value `DieudonneModel._kept` builds, in order."""
+    builds = []
+    kept = DieudonneModel._kept
+
+    def counted(self, memo_key, build, *args, **retention):
+        def counted_build(*build_args):
+            builds.append(memo_key)
+            return build(*build_args)
+
+        return kept(self, memo_key, counted_build, *args, **retention)
+
+    monkeypatch.setattr(DieudonneModel, "_kept", counted)
+    return builds
+
+
 def test_a_cold_check_set_reduces_each_block_matrix_once(monkeypatch):
-    """Every (op, degree, weight key, level) matrix is reduced at most once
-    per model, however often the checkers ask for it; blocks whose columns
-    agree share one matrix."""
+    """Every (op, degree, weight key, level) matrix is reduced once per
+    model, however often the checkers read it: the first read of a degree
+    at a level builds its table, and every later read finds it kept."""
     m = a1_model(2, 4, 4)
-    requests, made, inside = Counter(), Counter(), []
-    matrix = DieudonneModel._matrix
+    builds = counting_builds(monkeypatch)
+    inside, reduced = [], []
+    build_table = DieudonneModel._build_table
     trusted_columns = ModularMatrix._trusted_columns.__func__
 
-    def counted_matrix(self, op, degree, key, modulus=None):
-        block = (op, degree, key, (modulus or self.modulus).exponent)
-        requests[block] += 1
-        inside.append(block)
+    def counted_table(self, op, degree, level):
+        inside.append(("table", op, degree, level and level.exponent))
         try:
-            return matrix(self, op, degree, key, modulus)
+            return build_table(self, op, degree, level)
         finally:
             inside.pop()
 
     def counted_columns(cls, modulus, columns, ambient):
         if inside:
-            made[inside[-1]] += 1
+            reduced.append(inside[-1])
         return trusted_columns(cls, modulus, columns, ambient)
 
-    monkeypatch.setattr(DieudonneModel, "_matrix", counted_matrix)
+    monkeypatch.setattr(DieudonneModel, "_build_table", counted_table)
     monkeypatch.setattr(ModularMatrix, "_trusted_columns", classmethod(counted_columns))
     reports = [check_axioms(m), saturation_witness(m), frobenius_injectivity_degree0_check(m)]
     for r in range(1, 4):
@@ -723,10 +756,27 @@ def test_a_cold_check_set_reduces_each_block_matrix_once(monkeypatch):
         reports.extend(compare_wr_with_cohomology(m, degree, r) for degree in (0, 1, 2))
     reports.extend(w1_vanishing_propagation_check(m, degree, 3) for degree in (0, 1))
     assert all(report.passed for report in reports)
-    assert set(made.values()) == {1} and set(made) <= set(requests)
-    distinct = {(level, m._columns(op, degree, key)) for op, degree, key, level in requests}
-    assert len(made) == len(distinct) and {level for level, _ in distinct} == {1, 2, 3, 4}
-    assert sum(requests.values()) > 10 * len(made)
+    built = Counter(builds)
+    # only what the retention rule does not keep is built again: degree -1 has no blocks next to it
+    assert {key for key, count in built.items() if count > 1} == {("table", "d", -1, None)}
+    assert all(built[key] == 1 for key in m._memo if key in built)
+    matrices = Counter()
+    for key, table in m._memo.items():
+        if key[0] == "table" and key[3] is not None:
+            matrices[key] = sum(matrix is not None for matrix in table.values())
+    assert Counter(reduced) == matrices and {key[3] for key in matrices} == {1, 2, 3, 4}
+
+
+def test_a_second_checker_call_builds_nothing(monkeypatch):
+    """A warm checker set reads every table, presentation and exactness
+    block from the model: no value is built twice."""
+    m = a1_model(2, 8, 4)
+    bench_checker_set(m)
+    first = dict(m._memo)
+    builds = counting_builds(monkeypatch)
+    bench_checker_set(m)
+    assert builds == []
+    assert m._memo.keys() == first.keys() and all(m._memo[k] is v for k, v in first.items())
 
 # -- the adversarial model ---------------------------------------------------------
 
@@ -939,7 +989,7 @@ def assert_les_matches_the_reference(m):
                 if not (h1.complete and h_top is not None and h_top.complete):
                     continue
                 for doctored in _doctored(h1, m.p):
-                    found = _les_exactness_failure(m, degree, key, r, doctored, h_top)
+                    found = les_failure(m, degree, key, r, doctored, h_top)
                     assert found == reference.les_exactness_failure(m, degree, key, r, doctored, h_top)
                     failures += found is not None
     return failures
@@ -959,7 +1009,7 @@ def test_doctored_les_cases_match_the_reference():
     m = DieudonneModel(2, 3, basis, {"x": {"z": 1}, "y": {}, "z": {}}, {}, {})
     h1, h_top = hn_mod_pr(m, 0, 1).blocks[w], hn_mod_pr(m, 0, 2).blocks[w]
     cases += [(m, h1, h_top), (m, dataclasses.replace(h1, generators=((1, 0),)), h_top)]
-    found = [_les_exactness_failure(m, 0, 0, 1, h1, h_top) for m, h1, h_top in cases]
+    found = [les_failure(m, 0, 0, 1, h1, h_top) for m, h1, h_top in cases]
     assert found == [reference.les_exactness_failure(m, 0, 0, 1, h1, h_top) for m, h1, h_top in cases]
     assert found == [None, "im(p^r) != ker(reduction) in the middle cohomology",
                      None, "multiplication-by-p^r image is not a cycle combination"]
@@ -978,7 +1028,10 @@ def test_doctored_les_cases_match_the_reference():
 # would mean a memo keyed on a checker call or a per-call span.
 WARM_SET_HOWELL_FORMS = 528
 WARM_SET_SMITH_ELIMINATIONS = 243
-WARM_SET_MEMO = {"columns": 515, "hn": 8, "matrix": 36, "modulus": 4, "reduction_kernel": 399, "wr": 4}
+WARM_SET_MEMO = {"table": 12, "hn": 8, "exactness": 6, "modulus": 4, "wr": 4}
+# The exactness blocks those keys hold: one per block the propagation check
+# tests and no more, so a cold pass builds no reduction kernel it never reads.
+WARM_SET_EXACTNESS_BLOCKS = 399
 
 
 def bench_checker_set(m):
@@ -1013,3 +1066,4 @@ def test_a_warm_checker_set_makes_the_pinned_howell_and_smith_forms(monkeypatch)
     bench_checker_set(m)
     assert counts == {"howell": WARM_SET_HOWELL_FORMS, "smith": WARM_SET_SMITH_ELIMINATIONS}
     assert Counter(key[0] for key in m._memo) == WARM_SET_MEMO
+    assert sum(len(blocks) for key, blocks in m._memo.items() if key[0] == "exactness") == WARM_SET_EXACTNESS_BLOCKS

@@ -444,6 +444,29 @@ def test_the_elimination_and_the_trusted_span_match_the_reference_forms(mod):
             assert modarith._eliminate([row[:] for row in entries], cols, q, []) == list(diag)
 
 
+@pytest.mark.parametrize("mod", [Modulus(p, e) for p in (2, 3, 5) for e in range(1, 6)],
+                         ids=lambda m: f"{m.p}^{m.exponent}")
+def test_ambient_one_spans_match_the_reference_howell_form(mod):
+    """A span in ambient 1 is the ideal of the gcd g of its residues with
+    p^N, whose form is the row (g,), or no row when g = p^N.  Seeded draws
+    of 0 to 4 rows, with zero rows, multiples of p^N and integers outside
+    [0, p^N), through the constructor and through `_trusted` on their
+    residues, give the reference Howell rows, the zero span included."""
+    p, e, q = mod.p, mod.exponent, mod.char
+    rng = random.Random(4000 + 100 * p + e)
+    zero_spans = 0
+    for count in range(5):
+        for _ in range(40):
+            values = [rng.choice([0, q, rng.randrange(-3 * q, 3 * q), p ** rng.randint(0, e) * rng.randrange(1, q)])
+                      for _ in range(count)]
+            rows = [(x,) for x in values]
+            expected = reference.howell_rows(p, e, rows)
+            assert SubmoduleBasis(mod, 1, rows).echelon == expected
+            assert SubmoduleBasis._trusted(mod, 1, [[x % q] for x in values]).echelon == expected
+            zero_spans += count > 0 and expected == ()
+    assert zero_spans > 0
+
+
 def test_a_wrong_length_generator_is_refused():
     mod = Modulus(3, 2)
     for generators in ([(1, 2, 3)], [(1, 2), (4,)], [()]):
