@@ -22,6 +22,7 @@ import hashlib
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -85,20 +86,21 @@ def main() -> int:
     print("\nlevel quotients by weight (degree 0; '-' marks truncation boundary):")
     quotients = {r: wr_quotient(model, 0, r) for r in range(1, args.N)}
     cohomology = {r: hn_mod_pr(model, 0, r) for r in range(1, args.N)}
-    weights = sorted(quotients[1].blocks)
+    scale = quotients[1].scale  # blocks are keyed by weight * scale, in every presentation of the model
     header = "weight".ljust(8) + "".join(f"W_{r}".ljust(10) for r in quotients)
     print(header + "".join(f"H(mod p^{r})".ljust(12) for r in cohomology))
-    for w in weights:
+    for key in sorted(quotients[1].by_key):
+        w = Fraction(key, scale)
         if w.denominator > args.p:  # keep the table short: one fractional layer
             continue
         row = str(w).ljust(8)
         for r, q in quotients.items():
-            block = q.blocks[w]
+            block = q.by_key[key]
             cell = str(list(block.factors)) if block.complete else "-"
             row += cell.ljust(10)
         for r in cohomology:
-            shifted = w * args.p ** r
-            cell = str(list(cohomology[r].factors_at(shifted))) if shifted <= model.weight_cap else "-"
+            block = cohomology[r].by_key.get(key * args.p ** r)
+            cell = str(list(block.factors if block else ())) if w * args.p ** r <= model.weight_cap else "-"
             row += cell.ljust(12)
         print(row)
     return 0 if all(r.passed for r in reports) else 1

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 from operator import mul
 from types import MappingProxyType
@@ -48,7 +47,7 @@ MAX_MODEL_EXPONENT = 64
 # from flags; the bound admits a1_model(3, 12, 5) (5833 elements).
 MAX_A1_BASIS = 2 ** 15
 
-_UNKEPT = object()  # a memo miss, since a kept value may be None (`_columns`)
+_UNKEPT = object()  # a memo miss: a sentinel, so that a builder may return any value, None included
 
 
 @dataclass(frozen=True)
@@ -98,16 +97,17 @@ class DieudonneModel:
     reports print for each block's weight and the coefficient modulus are
     lookups.  Internally a weight w is keyed by the integer w * p^e, where
     p^e is the largest denominator among the basis weights; `block()`,
-    JSON and reports speak in `Fraction`s.  One memo per model, read and
-    written only by `_kept`, keeps what is computed on first use, one entry
-    per degree rather than per block, so a checker call makes a few lookups
-    per degree: the levels Z/p^r (`_level`); per (operator, degree, level)
-    a `_table` from weight key to the operator's coordinate columns on the
-    block, or to their matrix over Z/p^r, which `_columns` and `_matrix`
-    read; the W_r quotient and mod-p^r cohomology presentations
-    (`wr_quotient`, `hn_mod_pr`) per (degree, r); and per (degree, r) the
-    exactness blocks of the propagation check (`_exactness_blocks`: d rows,
-    boundaries and the kernel of reduction mod p^r of each block it tests).
+    `op_matrix()`, JSON and reports speak in `Fraction`s.  One memo per
+    model, read and written only by `_kept`, keeps what is computed on
+    first use, one entry per degree rather than per block, so a checker
+    call makes a few lookups per degree: the levels Z/p^r (`_level`); per
+    (operator, degree, level) a `_table` from weight key to the operator's
+    coordinate columns on the block, or to their matrix over Z/p^r, the one
+    way a block is read; the W_r quotient and mod-p^r cohomology
+    presentations (`wr_quotient`, `hn_mod_pr`) per (degree, r); and per
+    (degree, r) the exactness blocks of the propagation check
+    (`_exactness_blocks`: d rows, boundaries and the kernel of reduction
+    mod p^r of each block it tests).
     That is safe because the maps never change and nothing reads a kept
     value to change it.  Values made for a degree and a level are kept only
     at levels <= N and in degrees next to the model's, so a model holds at
@@ -202,12 +202,8 @@ class DieudonneModel:
             return ()
         return self._labels(degree, scaled.numerator)
 
-    def _weight(self, key: int) -> Fraction:
-        """The weight of an integer weight key."""
-        return Fraction(key, self._scale)
-
     def _weight_text(self, key: int) -> str:
-        """`str(self._weight(key))`, as reports print a weight, in lowest
+        """`str(Fraction(key, scale))`, as reports print a weight, in lowest
         terms by one gcd rather than through a `Fraction`."""
         g = gcd(key, self._scale)
         return str(key // g) if g == self._scale else f"{key // g}/{self._scale // g}"
@@ -296,34 +292,19 @@ class DieudonneModel:
             table[key] = None if None in rows else tuple(tuple(row.get(lbl, 0) for lbl in target) for row in rows)
         return table
 
-    def _columns(self, op: str, degree: int, key: int) -> Optional[tuple[tuple[int, ...], ...]]:
-        """The columns of `op` on one block, read from its degree's `_table`;
-        a key with no block has none."""
-        return self._table(op, degree).get(key, ())
-
     def op_matrix(self, op: str, degree: int, weight: Fraction) -> Optional[ModularMatrix]:
-        """Matrix of an operator on the (degree, weight) block, or None if
-        the operator is undefined somewhere on the block.
+        """Matrix of an operator on the (degree, weight) block over Z/p^N,
+        read from its degree's `_table`, or None if the operator is
+        undefined somewhere on the block.
 
         The public entry by `Fraction` weight: `bench/tracing.py` and the
         tests resolve it by name.  Library code reads a degree's `_table`."""
         scaled = Fraction(weight) * self._scale
-        if scaled.denominator == 1:
-            return self._matrix(op, degree, scaled.numerator)
+        if scaled.denominator == 1 and scaled.numerator in (table := self._table(op, degree, self.modulus)):
+            return table[scaled.numerator]
         # no basis element has this weight: the matrix has no columns
         target = self.block(*self._target_weight(op, degree, weight))
         return ModularMatrix.from_columns(self.modulus, (), len(target))
-
-    def _matrix(self, op: str, degree: int, key: int,
-                modulus: Optional[Modulus] = None) -> Optional[ModularMatrix]:
-        """`op_matrix` on the block of a weight key, over Z/p^N or over one
-        of the model's `_level`s Z/p^r, read from its degree's `_table`; a
-        key with no block gives a matrix with no columns, which is not kept."""
-        level = self.modulus if modulus is None else modulus
-        found = self._table(op, degree, level).get(key, _UNKEPT)
-        if found is _UNKEPT:
-            return ModularMatrix._trusted_columns(level, (), len(self._labels(*self._target(op, degree, key))))
-        return found
 
     # -- serialization -------------------------------------------------------
 
@@ -683,8 +664,7 @@ def _cokernel_factors(relations: SubmoduleBasis) -> tuple[int, ...]:
     if not relations.echelon:
         return tuple([modulus.exponent] * ambient)
     matrix = ModularMatrix._trusted(modulus, relations.echelon, ambient)
-    snf = smith_normal_form(matrix, right=False)
-    exps = [modulus.valuation(d) for d in snf.diag]
+    exps = [modulus.valuation(d) for d in smith_normal_form(matrix)]
     exps.extend([modulus.exponent] * (ambient - len(exps)))
     return tuple(sorted((e for e in exps if e > 0), reverse=True))
 
@@ -706,9 +686,8 @@ class QuotientPresentation:
     """Presentation of a graded quotient (or subquotient), one block per weight.
 
     Immutable, because a model keeps the presentations it builds: `by_key`
-    holds the blocks under the model's integer weight keys (weight * scale)
-    in ascending order, and `blocks` is the same read-only mapping keyed by
-    `Fraction` weight.
+    is a read-only mapping that holds the blocks under the model's integer
+    weight keys (weight * scale) in ascending order.
     """
 
     degree: int
@@ -718,14 +697,6 @@ class QuotientPresentation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "by_key", MappingProxyType(dict(self.by_key)))
-
-    @cached_property
-    def blocks(self) -> Mapping[Fraction, QuotientBlock]:
-        return MappingProxyType({Fraction(k, self.scale): b for k, b in self.by_key.items()})
-
-    def factors_at(self, weight: Fraction) -> tuple[int, ...]:
-        block = self.blocks.get(weight)
-        return block.factors if block else ()
 
     def is_zero(self) -> bool:
         return not any(b.factors for b in self.by_key.values())

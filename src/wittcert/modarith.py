@@ -76,8 +76,7 @@ class Modulus:
     """Descriptor for the coefficient ring Z/p^N (one prime per session).
 
     The valuation v of x is read off gcd(x, p^N) = p^v (p^N for the zero
-    residue) in a p^k -> k table built once, and the unit part of x is
-    x // gcd(x, p^N).
+    residue) in a p^k -> k table built once.
     """
 
     p: int
@@ -99,12 +98,6 @@ class Modulus:
     def valuation(self, value: int) -> int:
         """p-adic valuation of value mod p^N; the zero residue gets N."""
         return self._exponent_of[gcd(value, self.char)]
-
-    def unit_part(self, value: int) -> int:
-        v = value % self.char
-        if v == 0:
-            raise ValueError("zero residue has no unit part")
-        return v // gcd(v, self.char)
 
     def inverse(self, value: int) -> int:
         v = value % self.char
@@ -176,29 +169,14 @@ class ModularMatrix:
         return f"ModularMatrix({self.modulus.p}^{self.modulus.exponent}, [{body}])"
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """The Smith form of m over Z/p^N and its column transform.
-
-    Some invertible row transform L, which is not built, gives
-    L @ m @ right == diagonal(diag), with `right` invertible: column j of
-    m @ right is diag[j] times column j of L^-1, and its columns past the
-    diagonal are zero.  Diagonal entries are pure powers of p (units absorbed
-    into L) or zero, sorted by increasing valuation, zeros last.  `right`
-    is None when it was not asked for.
-    """
-
-    diag: tuple[int, ...]
-    right: Optional[ModularMatrix]
-
-
-def smith_normal_form(m: ModularMatrix, right: bool = True) -> SmithDecomposition:
-    """Smith normal form over Z/p^N, made by `_eliminate`.  `right=False`
-    skips building the column transform; the diagonal does not change."""
-    mod, cols = m.modulus, m.cols
-    rt = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)] if right else []
-    diag = _eliminate(list(map(list, m.entries)), cols, mod.char, rt)
-    return SmithDecomposition(tuple(diag), ModularMatrix._trusted(mod, tuple(map(tuple, rt)), cols) if right else None)
+def smith_normal_form(m: ModularMatrix) -> tuple[int, ...]:
+    """The diagonal of the Smith normal form of m over Z/p^N, made by
+    `_eliminate` with no transform built: some invertible row and column
+    transforms L and R give L @ m @ R == diagonal(diag).  Diagonal entries
+    are pure powers of p (units absorbed into L) or zero, sorted by
+    increasing valuation, zeros last.  `kernel_basis` reads the column
+    transform R off `_eliminate` itself."""
+    return tuple(_eliminate(list(map(list, m.entries)), m.cols, m.modulus.char, []))
 
 
 def _eliminate(a: list[list[int]], cols: int, q: int, rt: list[list[int]]) -> list[int]:

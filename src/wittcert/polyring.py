@@ -32,10 +32,9 @@ polys bring.  No Groebner step rescans a polynomial to find its leading term:
   ones, and each tail is reduced once against the others, which is exact
   for a Groebner basis;
 - a cached basis carries its reducers (leading monomial, monic tail),
-  built once: the loop hands over the ones it made, and `with_cache`
-  derives them for a basis it is handed, which must be among the ideal's
-  generators, so that it lies in the ideal, and must reduce every
-  generator to zero.
+  built once, and only the loop attaches one (`Ideal._built`): the
+  elimination results are the loop's basis, re-read in the kept
+  variables.
 
 Everything is deterministic and reduced bases are unique, so they serve
 as golden values.
@@ -586,25 +585,19 @@ def _reduce_terms(terms: Mapping, reducers: Sequence[tuple], order: TermOrder, p
 class Ideal:
     """Ideal with an optional cached reduced Groebner basis.
 
-    The cache is attached by `with_cache`, which checks that it is stated
-    among the generators and reduces every generator to zero, or by the
-    Groebner loop (`buchberger`, `extend`), which made it: an explicit
-    call, never a lazy side effect;
-    `normal_form` requires it.  A cached
-    basis carries its reducers, one (leading monomial, monic tail) per
-    element, built once with the cache.
+    The constructor takes the ring and the generators only.  The cache is
+    attached by `_built` alone, with the basis the Groebner loop
+    (`buchberger`, `extend`, and the eliminations built on it) made: an
+    explicit call, never a lazy side effect; `normal_form` requires it.
+    A cached basis carries its reducers, one (leading monomial, monic
+    tail) per element, built once with the cache.
     """
 
     ring: PolyRing
     generators: tuple[Polynomial, ...]
-    basis: Optional[tuple[Polynomial, ...]] = None
-    basis_order: Optional[TermOrder] = None
+    basis: Optional[tuple[Polynomial, ...]] = field(default=None, init=False)
+    basis_order: Optional[TermOrder] = field(default=None, init=False)
     reducers: tuple = field(default=(), init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.basis is not None:
-            p = self.ring.p
-            object.__setattr__(self, "reducers", tuple(_reducer(g, self.basis_order, p) for g in self.basis))
 
     @staticmethod
     def from_polys(ring: PolyRing, gens: Iterable[Polynomial]) -> "Ideal":
@@ -633,19 +626,6 @@ class Ideal:
         gens = [g.to_json() for g in self.generators]
         return {"p": self.ring.p, "vars": list(self.ring.names), "generators": gens}
 
-    def with_cache(self, basis: tuple[Polynomial, ...], order: TermOrder) -> "Ideal":
-        """This ideal with `basis` as its reduced basis for `order`, once the
-        basis is checked to lie in the ideal and to reduce every generator
-        to zero.  It lies in the ideal when each of its elements is one of
-        the generators, as when the basis states the ideal; ValueError
-        otherwise."""
-        generators = set(self.generators)
-        if not all(g in generators for g in basis):
-            raise ValueError("a cached basis must be stated among the ideal's generators")
-        cached = Ideal(self.ring, self.generators, basis, order)
-        _verify_cache(cached)
-        return cached
-
     @staticmethod
     def _built(ring: PolyRing, generators: tuple[Polynomial, ...], reducers: tuple, order: TermOrder,
                basis: Optional[tuple[Polynomial, ...]] = None) -> "Ideal":
@@ -653,9 +633,9 @@ class Ideal:
         monomial, monic tail) reducers the Groebner loop made, in the style
         of `Polynomial._reduced`: the basis is read off the reducers unless
         given, each row wrapped as it is since its coefficients are residues
-        already, their leading terms are not derived again, and the loop's
-        own output is not checked again as `with_cache` checks a basis it is
-        handed."""
+        already, and their leading terms are not derived again.  The only
+        writer of `basis`, `basis_order` and `reducers`: the loop's own
+        output is not checked again."""
         if basis is None:
             basis = tuple(Polynomial._reduced(ring, {**dict(tail), lm: 1}) for lm, tail in reducers)
         ideal = Ideal(ring, generators)
@@ -824,19 +804,6 @@ def extend(ideal: Ideal, polys: Iterable[Polynomial]) -> Ideal:
     return Ideal._built(ring, ideal.generators + added, _groebner(start, inputs, GREVLEX, ring.p), GREVLEX)
 
 
-def _verify_cache(ideal: Ideal) -> None:
-    """Cache sanity for a basis `with_cache` is handed: every generator
-    reduces to zero against it.  The reverse containment, that the basis
-    lies in the ideal, is `with_cache`'s check that each basis element is
-    a generator."""
-    if any(not any(lm) for lm, _ in ideal.reducers):
-        return  # a constant divides every monomial, so every generator reduces to zero
-    p = ideal.ring.p
-    for g in ideal.generators:
-        if _reduce_terms(g.terms, ideal.reducers, ideal.basis_order, p):
-            raise AssertionError("Groebner cache does not reduce a generator to zero")
-
-
 def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:
     """Unique remainder of f modulo the cached reduced basis; 0 iff f is a member."""
     if ideal.basis is None:
@@ -890,7 +857,7 @@ def eliminate(ideal: Ideal, keep: Iterable[int]) -> Ideal:
 
     kept = tuple(Polynomial._trusted(ring, {widened(e): c for e, c in terms.items()})
                  for terms in _eliminated_terms(ideal, keep))
-    return Ideal.from_polys(ring, kept).with_cache(kept, GREVLEX)
+    return Ideal._built(ring, kept, tuple(_reducer(g, GREVLEX, ring.p) for g in kept), GREVLEX, kept)
 
 
 def graph_kernel(ideal: Ideal, images: Sequence[Polynomial], target: PolyRing) -> Ideal:
@@ -921,7 +888,7 @@ def graph_kernel(ideal: Ideal, images: Sequence[Polynomial], target: PolyRing) -
     gens += [big.variable(n + i) - widen(g) for i, g in enumerate(images)]
     kept = _eliminated_terms(Ideal.from_polys(big, gens), range(n, n + target.nvars))
     out = tuple(Polynomial._trusted(target, terms) for terms in kept)
-    return Ideal.from_polys(target, out).with_cache(out, GREVLEX)
+    return Ideal._built(target, out, tuple(_reducer(g, GREVLEX, target.p) for g in out), GREVLEX, out)
 
 
 def basis_pth_root(ideal: Ideal) -> Optional[Ideal]:

@@ -223,16 +223,19 @@ def certify_top_vanishing(presentation: PresentedRing) -> VanishingCertificate:
 def verify_certificate(cert: VanishingCertificate) -> bool:
     """Replay a certificate from scratch.
 
-    Re-checks seed membership in the stated ideal, every step equation
-    (roots re-expanded by plain powering), strict degree descent, the
-    chain linkage, and the terminal constant.  Membership by division
-    needs no basis: the seed is first divided by the stated generators,
-    and a zero remainder writes it as a combination of them.  Only a
-    nonzero remainder, which proves nothing, makes the replay compute a
-    Groebner basis of its own and take the seed's normal form.  It starts
-    from the stated generators and reads no cache, but it shares the
-    division, `buchberger` and `normal_form` with the producer, so a
-    reduction defect that sends a non-member to 0 would pass both.
+    Re-checks seed membership in the stated ideal, every step equation,
+    strict degree descent, the chain linkage, and the terminal constant.
+    A root step is re-expanded by the termwise p-th power
+    (`frobenius_power`: (Σ c·m)^p = Σ c·m^p over F_p), not by the
+    producer's `pth_root` and not by square-and-multiply, whose cost grows
+    with p.  Membership by division needs no basis: the seed is first
+    divided by the stated generators, and a zero remainder writes it as a
+    combination of them.  Only a nonzero remainder, which proves nothing,
+    makes the replay compute a Groebner basis of its own and take the
+    seed's normal form.  It starts from the stated generators and reads no
+    cache, but it shares the division, `buchberger` and `normal_form` with
+    the producer, so a reduction defect that sends a non-member to 0 would
+    pass both.
     """
     try:
         ring = cert.ideal.ring
@@ -253,7 +256,7 @@ def verify_certificate(cert: VanishingCertificate) -> bool:
                 if step.after.is_zero() or step.after != step.before.partial(step.var):
                     return False
             else:
-                if step.after ** ring.p != step.before:
+                if step.after.frobenius_power() != step.before:
                     return False
             current = step.after
         if not current.is_constant():

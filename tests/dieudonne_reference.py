@@ -96,10 +96,10 @@ def les_exactness_failure(model, degree, key, r, h1, h_top) -> Optional[str]:
         return None
     mod_top = model._level(r + 1)
     lifted = [tuple(model.p ** r * x for x in g) for g in h1.generators]
-    d_top = model._matrix("d", degree, key, mod_top)
+    d_top = model._table("d", degree, mod_top)[key]
     if any(any(d_top.apply(g)) for g in lifted):
         return "multiplication-by-p^r image is not a cycle combination"
-    boundaries = list(model._columns("d", degree - 1, key))
+    boundaries = list(model._table("d", degree - 1).get(key, ()))
     image = SubmoduleBasis(mod_top, len(model._labels(degree, key)), lifted + boundaries)
     if image != _reduction_kernel(d_top, boundaries, model.p ** r):
         return "im(p^r) != ker(reduction) in the middle cohomology"

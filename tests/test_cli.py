@@ -1006,7 +1006,7 @@ def test_readme_names_only_what_exists():
                if isinstance(obj, type) and obj.__module__ == module.__name__}
     owners = list(modules.values()) + list(classes.values())
     names = set(_readme_code_names())
-    assert {"Ideal.with_cache", "block", "vanish.kernel_of_tuple", "sys.get_int_max_str_digits"} <= names
+    assert {"Ideal._built", "block", "vanish.kernel_of_tuple", "sys.get_int_max_str_digits"} <= names
     missing = []
     for name in sorted(names - README_STDLIB_NAMES):
         *owner, attr = name.split(".")

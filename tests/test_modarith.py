@@ -44,21 +44,31 @@ def determinant(grid):
     )
 
 
-def assert_smith_form(mat, snf):
+def smith_transform(mat):
+    """The diagonal and the column transform that `_eliminate` makes of an
+    identity transform, as `kernel_basis` reads them."""
+    right = [[int(i == j) for j in range(mat.cols)] for i in range(mat.cols)]
+    diag = modarith._eliminate([list(row) for row in mat.entries], mat.cols, mat.modulus.char, right)
+    return tuple(diag), ModularMatrix(mat.modulus, right, mat.cols)
+
+
+def assert_smith_form(mat):
     """The Smith form of `mat` against oracles that need no row transform.
 
-    Diagonal: pure powers of p or zero, sorted by valuation, and for each k
-    the least valuation of the k x k minors of mat (the k-th determinantal
-    divisor, which invertible transforms preserve) is the sum of the first
-    k diagonal valuations, both capped at N.  Column transform: its rows
-    span the whole module (their Howell form is the identity), and column
-    j of mat @ right is divisible by diag[j], zero past the diagonal.
+    Diagonal (`smith_normal_form`): pure powers of p or zero, sorted by
+    valuation, and for each k the least valuation of the k x k minors of
+    mat (the k-th determinantal divisor, which invertible transforms
+    preserve) is the sum of the first k diagonal valuations, both capped at
+    N.  Column transform (`smith_transform`, with the same diagonal): its
+    rows span the whole module (their Howell form is the identity), and
+    column j of mat @ right is divisible by diag[j], zero past the diagonal.
     """
     mod = mat.modulus
-    vals = [mod.valuation(d) for d in snf.diag]
+    diag = smith_normal_form(mat)
+    vals = [mod.valuation(d) for d in diag]
     assert len(vals) == min(mat.rows, mat.cols)
     assert vals == sorted(vals)
-    assert all(d == (mod.p ** v if v < mod.exponent else 0) for d, v in zip(snf.diag, vals))
+    assert all(d == (mod.p ** v if v < mod.exponent else 0) for d, v in zip(diag, vals))
     for k in range(1, len(vals) + 1):
         minors = (
             determinant([[mat.entries[i][j] for j in cols] for i in rows])
@@ -66,7 +76,8 @@ def assert_smith_form(mat, snf):
             for cols in itertools.combinations(range(mat.cols), k)
         )
         assert min(mod.valuation(d) for d in minors) == min(mod.exponent, sum(vals[:k]))
-    right = snf.right
+    eliminated, right = smith_transform(mat)
+    assert eliminated == diag
     assert SubmoduleBasis(mod, mat.cols, right.entries).echelon == identity(mod, mat.cols).entries
     for j in range(mat.cols):
         image = mat.apply([row[j] for row in right.entries])
@@ -110,9 +121,8 @@ def test_zero_row_matrices_keep_their_column_count():
     assert zero != ModularMatrix(m, [], 2)
     assert ModularMatrix(m, [[], [], []], 0).apply(()) == (0, 0, 0)
     assert zero.apply((1, 2, 3)) == ()
-    snf = smith_normal_form(zero)
-    assert snf.diag == ()
-    assert snf.right == identity(m, 3)
+    assert smith_normal_form(zero) == ()
+    assert smith_transform(zero) == ((), identity(m, 3))
     assert kernel_basis(zero) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert solve_linear(zero, ()) == (0, 0, 0)
 
@@ -159,23 +169,20 @@ def test_one_prime_rule_bounds_p_before_trial_division(entry, p, message):
 def test_smith_diagonal_already_diagonal():
     m = Modulus(2, 3)
     mat = ModularMatrix(m, [[2, 0], [0, 4]])
-    snf = smith_normal_form(mat)
-    assert list(snf.diag) == [2, 4]
-    assert_smith_form(mat, snf)
+    assert smith_normal_form(mat) == (2, 4)
+    assert_smith_form(mat)
 
 
 def test_smith_zero_matrix():
     m = Modulus(3, 2)
-    snf = smith_normal_form(ModularMatrix(m, [[0, 0], [0, 0]]))
-    assert list(snf.diag) == [0, 0]
+    assert smith_normal_form(ModularMatrix(m, [[0, 0], [0, 0]])) == (0, 0)
 
 
 def test_smith_rank_one_over_z9():
     m = Modulus(3, 2)
     mat = ModularMatrix(m, [[1, 1], [1, 1]])
-    snf = smith_normal_form(mat)
-    assert list(snf.diag) == [1, 0]
-    assert_smith_form(mat, snf)
+    assert smith_normal_form(mat) == (1, 0)
+    assert_smith_form(mat)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -183,7 +190,7 @@ def test_smith_transform_identity_random(seed):
     rng = random.Random(seed)
     for mod in DESK_MODULI:
         mat = random_matrix(rng, mod, rng.randint(1, 4), rng.randint(1, 4))
-        assert_smith_form(mat, smith_normal_form(mat))
+        assert_smith_form(mat)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -196,7 +203,7 @@ def test_smith_diagonal_matches_determinantal_divisors(seed):
         entries = [[sum(a * b for a, b in zip(row, col)) * rng.choice([1, mod.p]) for col in zip(*right.entries)]
                    for row in left.entries]
         mat = ModularMatrix(mod, entries, cols)
-        assert_smith_form(mat, smith_normal_form(mat))
+        assert_smith_form(mat)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -204,10 +211,7 @@ def test_smith_without_transforms_matches_the_full_form(seed):
     rng = random.Random(300 + seed)
     for mod in DESK_MODULI:
         mat = random_matrix(rng, mod, rng.randint(0, 4), rng.randint(0, 4))
-        full = smith_normal_form(mat)
-        bare = smith_normal_form(mat, right=False)
-        assert full.diag == bare.diag
-        assert full.right is not None and bare.right is None
+        assert smith_normal_form(mat) == smith_transform(mat)[0]
 
 
 def test_trusted_columns_match_from_columns():
@@ -383,14 +387,9 @@ def drawn_rows(rng, mod, ambient, count):
 
 
 @pytest.mark.parametrize("mod", REFERENCE_MODULI, ids=lambda m: f"{m.p}^{m.exponent}")
-def test_valuation_and_unit_part_by_gcd_match_division(mod):
+def test_valuation_by_gcd_matches_division(mod):
     for x in range(-mod.char, 2 * mod.char):
         assert mod.valuation(x) == reference.valuation(mod.p, mod.exponent, x)
-        if x % mod.char:
-            assert mod.unit_part(x) == reference.unit_part(mod.p, mod.exponent, x)
-        else:
-            with pytest.raises(ValueError):
-                mod.unit_part(x)
 
 
 def reference_draws(mod):
@@ -408,8 +407,8 @@ def test_howell_and_smith_forms_match_the_reference_forms(mod):
     """360 drawn inputs per modulus, 5040 in all: every ambient and generator
     count from 0 to 5, ten draws each.  The Howell rows must be the same
     tuples; the Smith form of the rows and of their transpose must give the
-    same diagonal, with and without `right`, the same `right` and the same
-    kernel generators."""
+    same diagonal, `_eliminate` from an identity transform the same diagonal
+    and column transform, and `kernel_basis` the same kernel generators."""
     p, e = mod.p, mod.exponent
     for ambient, count, rows in reference_draws(mod):
         assert SubmoduleBasis(mod, ambient, rows).echelon == reference.howell_rows(p, e, rows)
@@ -417,10 +416,8 @@ def test_howell_and_smith_forms_match_the_reference_forms(mod):
         for entries, cols in ((rows, ambient), (transpose, count)):
             m = ModularMatrix(mod, entries, cols)
             diag, right = reference.smith_form(p, e, entries, cols)
-            snf = smith_normal_form(m)
-            assert snf.diag == diag
-            assert snf.right.entries == right and snf.right.cols == cols
-            assert smith_normal_form(m, right=False) == type(snf)(diag, None)
+            assert smith_normal_form(m) == diag
+            assert smith_transform(m) == (diag, ModularMatrix._trusted(mod, right, cols))
             assert kernel_basis(m) == reference.kernel_generators(p, e, entries, cols)
 
 

@@ -6,16 +6,19 @@ reduction of monomial multiples of the generators), which shares no
 code with the division algorithm.
 """
 
+import ast
 import functools
 import hashlib
 import itertools
 import operator
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wittcert import polyring
 from wittcert.derham import PresentedRing
 from wittcert.polyring import (
     GREVLEX,
@@ -31,6 +34,7 @@ from wittcert.polyring import (
     buchberger,
     eliminate,
     extend,
+    graph_kernel,
     krull_dim,
     normal_form,
     normal_product,
@@ -452,7 +456,7 @@ def test_buchberger_order_stable_and_permutation_invariant():
 
 
 def _derived_reducers(ideal):
-    """The reducers `Ideal.__post_init__` derives from a basis it is handed."""
+    """The reducers `_reducer` derives from a cached basis, one per element."""
     return tuple(_reducer(g, ideal.basis_order, ideal.ring.p) for g in ideal.basis)
 
 
@@ -509,19 +513,16 @@ def test_the_loop_hands_over_the_reducers_its_basis_derives(p, kind):
                 assert result.reducers == _derived_reducers(result)
 
 
-# sha256 of what `_division_records` records, taken when a reducer was
-# still (leading monomial, inverse leading coefficient, tail): a monic tail
-# changes the reducers' format, not one remainder.
-DIVISION_RECORDS_SHA256 = "2bdb655814b8b7c63cc3d291c219a34a7a39af6476b3c28d793854cb8930f7fc"
+# sha256 of what `_division_records` records: remainders and verdicts of
+# `_reducer`, `_reduce_terms` and `reduces_to_zero` alone.
+DIVISION_RECORDS_SHA256 = "292581ad24d6fb5111bd9af7972572598edf6ff7eb31dfe8114729650598698b"
 
 
 def _division_records():
     """One line per seeded case, 45 for each p in 2, 3, 5, 7 and each term
     order: the remainder of `_reduce_terms` dividing f by divisors each
-    scaled by a random unit, so non-monic for p > 2; `reduces_to_zero` of
-    f by them, with f a combination of them in every other case; and
-    `normal_form` of f modulo their reduced basis, cached by `with_cache`
-    with each element scaled by a random unit."""
+    scaled by a random unit, so non-monic for p > 2; and `reduces_to_zero`
+    of f by them, with f a combination of them in every other case."""
     lines = []
     for p in (2, 3, 5, 7):
         for kind in ("grevlex", "lex", "block"):
@@ -535,35 +536,36 @@ def _division_records():
                 else:
                     f = random_poly(rng, ring, max_degree=4, max_terms=5)
                 remainder = _reduce_terms(f.terms, [_reducer(g, order, p) for g in divisors], order, p)
-                basis = tuple(g.scale(rng.randint(1, p - 1))
-                              for g in buchberger(Ideal.from_polys(ring, divisors), order).basis)
-                cached = Ideal.from_polys(ring, basis).with_cache(basis, order)
-                lines.append(repr((p, kind, n, sorted(remainder.items()), reduces_to_zero(f, divisors),
-                                   sorted(normal_form(f, cached).terms.items()))))
+                lines.append(repr((p, kind, n, sorted(remainder.items()), reduces_to_zero(f, divisors))))
     return lines
 
 
 def test_division_by_non_monic_divisors_is_pinned():
     lines = _division_records()
     assert len(lines) == 540
-    assert sum("True" in line for line in lines) >= 270  # every combination divides to zero
+    # 260 divide to zero: divisors that are no Groebner basis leave some
+    # combinations a remainder, and a constant divisor leaves none
+    assert sum("True" in line for line in lines) == 260
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DIVISION_RECORDS_SHA256
 
 
 @pytest.mark.parametrize("kind", ["grevlex", "lex", "block"])
 @pytest.mark.parametrize("p", [3, 5, 7])
-def test_a_cached_non_monic_basis_keeps_monic_reducers(p, kind):
-    """`with_cache` on a basis element g with leading coefficient lc != 1
-    keeps the reducer (lm, tail) with {lm: 1, **tail} == g / lc."""
+def test_eliminations_cache_the_reducers_their_basis_derives(p, kind):
+    """`eliminate` and `graph_kernel` state their reduced grevlex basis as
+    their generators and cache it with the reducers `_reducer` derives,
+    monic, also when the generators they start from are not."""
     ring = _ordered_ring(p, kind, 3)
-    order = _order(kind)
-    gens = [parse_polynomial(t, ring) for t in ("x*z - y^2", "x^3 - y*z", "2*y^2*z + x")]
-    basis = tuple(g.scale(2) for g in buchberger(Ideal.from_polys(ring, gens), order).basis)
-    cached = Ideal.from_polys(ring, basis).with_cache(basis, order)
-    assert len(cached.reducers) == len(basis) > 1
-    for g, (lm, tail) in zip(basis, cached.reducers):
-        assert g.leading(order) == (lm, 2)
-        assert {lm: 1, **dict(tail)} == g.scale(pow(2, -1, p)).terms
+    gens = [parse_polynomial(t, ring).scale(2) for t in ("x*z - y^2", "x^3 - y*z", "2*y^2*z + x")]
+    ideal = Ideal.from_polys(ring, gens)
+    results = [eliminate(ideal, keep) for keep in ((0, 1), (1, 2), (0, 2))]
+    target = PolyRing(p, ("s", "t"))
+    results.append(graph_kernel(ideal, [ring.variable(0) * ring.variable(1), ring.variable(2) ** 2], target))
+    assert any(result.basis for result in results)
+    for result in results:
+        assert result.basis_order == GREVLEX and result.generators == result.basis
+        assert result.reducers == _derived_reducers(result)
+        assert all(g.leading(GREVLEX)[1] == 1 for g in result.basis)
 
 
 def test_extend_starts_only_from_a_cache_in_its_own_order():
@@ -605,19 +607,78 @@ def test_normal_form_requires_cache():
         normal_product(ring.variable(0).terms, ring.one().terms, Ideal.from_polys(ring, [ring.variable(0)]))
 
 
-def test_a_cache_must_be_stated_among_the_generators():
-    """A basis outside the ideal would reduce every generator to zero and
-    still make a larger ideal: (1) on (x) claimed the unit ideal.  A basis
-    the ideal states is taken, and so is a basis among more generators."""
+def test_the_constructor_takes_no_cache():
+    """A basis handed to the constructor would be taken unchecked: (1) on
+    (x) would claim the unit ideal.  So the constructor takes the ring and
+    the generators only, and the cache comes from the Groebner loop."""
     ring = PolyRing(5, ("x", "y"))
     x, y = ring.variable(0), ring.variable(1)
-    with pytest.raises(ValueError, match="a cached basis must be stated among the ideal's generators"):
-        Ideal.from_polys(ring, [x]).with_cache((ring.one(),), GREVLEX)
-    with pytest.raises(ValueError, match="a cached basis must be stated among the ideal's generators"):
-        Ideal.from_polys(ring, [x * y]).with_cache((x,), GREVLEX)
-    stated = Ideal.from_polys(ring, [x]).with_cache((x,), GREVLEX)
-    assert not stated.contains_one() and normal_form(y, stated) == y
-    assert Ideal.from_polys(ring, [x * y, x]).with_cache((x,), GREVLEX).basis == (x,)
+    for cache in ({"basis": (ring.one(),)}, {"basis_order": GREVLEX}, {"reducers": ()}):
+        with pytest.raises(TypeError):
+            Ideal(ring, (x,), **cache)
+    with pytest.raises(TypeError):
+        Ideal(ring, (x,), (ring.one(),), GREVLEX)
+    stated = Ideal(ring, (x,))
+    assert (stated.basis, stated.basis_order, stated.reducers) == (None, None, ())
+    cached = buchberger(stated)
+    assert not cached.contains_one() and normal_form(y, cached) == y
+
+
+# The one writer of an ideal's Groebner cache: `Ideal._built`, which
+# attaches what the Groebner loop made.
+CACHE_FIELDS = {"basis", "basis_order", "reducers"}
+CACHE_WRITERS = {("Ideal", "_built")}
+
+
+def _cache_writes(tree):
+    """(line, enclosing class, enclosing function) of each write of `tree`
+    to a cache field: a `setattr` or `object.__setattr__` call that names
+    the field, or an attribute store, except a class's own `self.<field>`
+    outside `Ideal`, which writes an attribute of that class."""
+    found = []
+
+    def visit(node, cls, function):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in (
+                "setattr", "__setattr__") and any(
+                isinstance(a, ast.Constant) and a.value in CACHE_FIELDS for a in node.args):
+            found.append((node.lineno, cls, function))
+        elif isinstance(node, ast.Attribute) and node.attr in CACHE_FIELDS and isinstance(node.ctx, ast.Store) and \
+                not (cls not in (None, "Ideal") and getattr(node.value, "id", None) == "self"):
+            found.append((node.lineno, cls, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, function)
+
+    visit(tree, None, None)
+    return found
+
+
+def test_only_the_loop_output_writes_the_cache():
+    writers = set()
+    for path in sorted(Path(polyring.__file__).parent.glob("*.py")):
+        uses = _cache_writes(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        assert [use for use in uses if use[1:] not in CACHE_WRITERS] == [], path.name
+        writers |= {use[1:] for use in uses}
+    assert writers == CACHE_WRITERS
+
+
+def test_the_cache_write_check_sees_each_kind_of_write():
+    source = "\n".join([
+        "class Ideal:",
+        "    def _built(ideal): object.__setattr__(ideal, 'basis', ())",
+        "    def forged(self): setattr(self, 'reducers', ())",
+        "    def stored(self): self.basis_order = None",
+        "class Model:",
+        "    def __init__(self): self.basis = ()",
+        "    def other(self, ideal): ideal.basis = ()",
+        "def write(ideal): ideal.reducers = ()",
+    ])
+    assert _cache_writes(ast.parse(source)) == [(2, "Ideal", "_built"), (3, "Ideal", "forged"),
+                                                 (4, "Ideal", "stored"), (7, "Model", "other"),
+                                                 (8, None, "write")]
 
 
 @pytest.mark.parametrize("relations", [[], ["y^2 - x^3"], ["x^2*y + y^3", "x*y^2 - x"], ["1"]])

@@ -265,12 +265,42 @@ def test_verifier_rejects_fake_root_step():
     assert verify_certificate(honest)
 
 
+def _root_step_document(p, names):
+    """The certificate document of the seed Σ x_i^p, one root step to
+    Σ x_i and one partial step to 1: under 2 KB at any p."""
+    ring = PolyRing(p, names)
+    seed = sum((ring.variable(i) ** p for i in range(ring.nvars)), ring.zero())
+    root = sum((ring.variable(i) for i in range(ring.nvars)), ring.zero())
+    steps = (DescentStep("pth_root", None, seed, root), DescentStep("partial", 0, root, ring.one()))
+    return VanishingCertificate(Ideal.from_polys(ring, [seed]), seed, steps, 1).to_json()
+
+
+@pytest.mark.parametrize("p,names", [(257, ("x", "y", "z")), (65521, ("x", "y", "z", "w"))])
+def test_replay_expands_a_root_step_termwise(monkeypatch, p, names):
+    """A root step is replayed by the termwise p-th power, never by powering
+    a polynomial, whose cost grows with p; a forged root is still refused."""
+    doc = json.loads(json.dumps(_root_step_document(p, names)))
+    assert len(json.dumps(doc)) < 2000
+
+    def refused(*args):
+        raise AssertionError("the replay powered a polynomial")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refused)
+    assert verify_certificate(VanishingCertificate.from_json(doc))
+    # x + 2y + ...: its x-partial is still 1, but its p-th power x^p + 2y^p + ... is not the seed
+    for root in (doc["steps"][0]["out"], doc["steps"][1]["in"]):
+        next(term for term in root["terms"] if term["exp"][1])["coef"] = 2
+    assert not verify_certificate(VanishingCertificate.from_json(doc))
+
+
 def test_replay_ignores_a_forged_cache_on_the_stated_ideal():
     """A cache on the certificate's ideal is never read: one that claims x
-    is in (y^2 - x^3) does not make the seed x verify."""
+    is in (y^2 - x^3), forged through the cache's one writer, does not make
+    the seed x verify."""
     ring = PolyRing(5, ("x", "y"))
     x, cusp = ring.variable(0), parse_polynomial("y^2 - x^3", ring)
-    forged = Ideal(ring, (cusp,), basis=(x,), basis_order=GREVLEX)
+    forged = Ideal._built(ring, (cusp,), (((1, 0), []),), GREVLEX)  # the reducer of x: its lead, no tail
+    assert forged.basis == (x,)
     assert normal_form(x, forged).is_zero()
     assert not verify_certificate(VanishingCertificate(forged, x, *descend_to_unit(x)))
     assert verify_certificate(VanishingCertificate(forged, cusp, *descend_to_unit(cusp)))
