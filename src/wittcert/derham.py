@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .polyring import GREVLEX, Ideal, Polynomial, PolyRing, TermOrder, buchberger, extend, normal_form
+from .polyring import GREVLEX, Ideal, Polynomial, PolyRing, TermOrder, buchberger, extend_by_partials, normal_form
 
 
 @dataclass(frozen=True)
@@ -62,12 +62,11 @@ class TopFormPresentation:
 
 def top_form_presentation(presentation: PresentedRing) -> TopFormPresentation:
     """J_top with its reduced grevlex basis, stated by the generators of I,
-    then their nonzero partials.  A grevlex basis of I is extended by the
-    partials; a presentation cached in another order is not a start."""
-    ring = presentation.ring
-    ideal = presentation.ideal
-    partials = [f.partial(i) for f in ideal.generators for i in range(ring.nvars)]
-    return TopFormPresentation(extend(ideal, partials))
+    then their nonzero partials (`extend_by_partials`, which keeps it on a
+    grevlex-cached ideal for the closure's first generation to read).  A
+    grevlex basis of I is extended by the partials; a presentation cached
+    in another order is not a start."""
+    return TopFormPresentation(extend_by_partials(presentation.ideal))
 
 
 def top_form_is_zero_in_omega(c: Polynomial, top: TopFormPresentation) -> bool:

@@ -759,19 +759,44 @@ def _cohomology_block(modulus: Modulus, labels: tuple[str, ...], d_out: Optional
     """H(M/p^r) on one weight block, presented on cycle generators, from the
     matrix of d out of the block over `modulus` = Z/p^r and the columns of d
     into it.  Returns None when d is undefined somewhere it is needed.
+
+    In general the relations are the preimage of the boundaries B under
+    the cycle generators, and the factors their cokernel's.  At either end
+    of the complex the presentation has a closed form, with no second
+    elimination:
+
+    - no d-target (d_out has no rows): every vector is a cycle, so the
+      generators are the unit vectors and the relations span(B);
+    - no boundaries: H = Z, whose generators z_j from `kernel_basis` are
+      the columns of an invertible transform scaled by p^(r - v_j), so
+      sum x_j z_j = 0 exactly when p^(v_j) divides every x_j.  With
+      g_j = gcd(p^r, z_j) = p^(r - v_j), the relations are the rows
+      (p^r / g_j) e_j with g_j > 1 and the factors r - val(g_j).
     """
     if not labels:
         return QuotientBlock((), SubmoduleBasis(modulus, 0, []), (), True)
     if d_out is None or boundaries is None:
         return None
-    cycles = kernel_basis(d_out)
+    width = len(labels)
+    cycles = kernel_basis(d_out) if d_out.rows else _unit_vectors(width)
     if not cycles:
         return QuotientBlock(labels, SubmoduleBasis(modulus, 0, []), (), True)
     if any(any(d_out.apply(b)) for b in boundaries):
         # d of the lower block is not a cycle: d^2 fails mod p^r here.
         return None
-    span = SubmoduleBasis(modulus, len(labels), boundaries)
-    relations = SubmoduleBasis(modulus, len(cycles), _preimage_generators(modulus, cycles, len(labels), span))
+    q = modulus.char
+    if not d_out.rows:
+        relations = SubmoduleBasis(modulus, width, boundaries)
+    elif not any(x % q for b in boundaries for x in b):
+        gcds = [gcd(q, *z) for z in cycles]
+        n = len(cycles)
+        relations = SubmoduleBasis._trusted(
+            modulus, n, [[q // g if i == j else 0 for i in range(n)] for j, g in enumerate(gcds) if g > 1])
+        factors = sorted((modulus.exponent - modulus.valuation(g) for g in gcds), reverse=True)
+        return QuotientBlock(labels, relations, tuple(factors), True, tuple(cycles))
+    else:
+        span = SubmoduleBasis(modulus, width, boundaries)
+        relations = SubmoduleBasis(modulus, len(cycles), _preimage_generators(modulus, cycles, width, span))
     return QuotientBlock(labels, relations, _cokernel_factors(relations), True, tuple(cycles))
 
 
@@ -1014,9 +1039,13 @@ def _reduction_kernel(d_top: ModularMatrix, boundaries: Sequence[Sequence[int]],
     """Z ∩ (B + p^r M) on one block of M/p^(r+1), for the matrix `d_top` of
     d out of the block over Z/p^(r+1), the boundary columns B and shift =
     p^r: the cycles that reduce to boundaries mod p^r, spanned by the
-    combinations of the boundaries and p^r e_i that d kills."""
+    combinations of the boundaries and p^r e_i that d kills.  With no
+    d-target (no rows) d kills every vector, and Z ∩ (B + p^r M) is
+    B + p^r M itself, spanned as it stands."""
     mod_top, ambient = d_top.modulus, d_top.cols
     spanning = list(boundaries) + _unit_vectors(ambient, shift)
+    if not d_top.rows:
+        return SubmoduleBasis(mod_top, ambient, spanning)
     images = [d_top.apply(v) for v in spanning]
     kernel = kernel_basis(ModularMatrix._trusted_columns(mod_top, images, d_top.rows))
     cycles = [[sum(c * v[i] for c, v in zip(k, spanning)) for i in range(ambient)] for k in kernel]

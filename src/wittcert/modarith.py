@@ -264,7 +264,13 @@ def solve_linear(m: ModularMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]
 def kernel_basis(m: ModularMatrix) -> list[tuple[int, ...]]:
     """Generators of {x : m @ x = 0} over Z/p^N: column j of the Smith
     transform times p^(N - v) for a diagonal entry p^v (none for a unit),
-    and the columns past the diagonal as they are, read off `_eliminate`."""
+    and the columns past the diagonal as they are, read off `_eliminate`.
+
+    The contract that `dieudonne._cohomology_block` relies on: the
+    generators z_j are columns of one invertible transform R, each scaled
+    by p^(N - v_j) with 0 < v_j <= N (v_j = N for a zero diagonal entry or
+    a column past the diagonal).  So sum x_j z_j = 0 exactly when p^(v_j)
+    divides every x_j, and gcd(p^N, z_j) = p^(N - v_j)."""
     q, cols = m.modulus.char, m.cols
     right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
     diag = _eliminate(list(map(list, m.entries)), cols, q, right)

@@ -590,7 +590,9 @@ class Ideal:
     (`buchberger`, `extend`, and the eliminations built on it) made: an
     explicit call, never a lazy side effect; `normal_form` requires it.
     A cached basis carries its reducers, one (leading monomial, monic
-    tail) per element, built once with the cache.
+    tail) per element, built once with the cache.  An ideal with a grevlex
+    cache also keeps I + (partials of its generators) once made, written
+    by `extend_by_partials` alone.
     """
 
     ring: PolyRing
@@ -598,6 +600,7 @@ class Ideal:
     basis: Optional[tuple[Polynomial, ...]] = field(default=None, init=False)
     basis_order: Optional[TermOrder] = field(default=None, init=False)
     reducers: tuple = field(default=(), init=False, repr=False, compare=False)
+    _by_partials: Optional["Ideal"] = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_polys(ring: PolyRing, gens: Iterable[Polynomial]) -> "Ideal":
@@ -802,6 +805,28 @@ def extend(ideal: Ideal, polys: Iterable[Polynomial]) -> Ideal:
     else:
         start, inputs = (), ideal.generators + added
     return Ideal._built(ring, ideal.generators + added, _groebner(start, inputs, GREVLEX, ring.p), GREVLEX)
+
+
+def extend_by_partials(ideal: Ideal) -> Ideal:
+    """I + (the partials of its generators) with its reduced grevlex basis,
+    stated by the generators of I, then their nonzero partials, as
+    `extend` states it.  The partial of any member q f of I is q df + f dq,
+    in this ideal, so the partials of any generating set give it.
+
+    Kept on an ideal with a grevlex cache, written here alone, so every
+    reader of one ideal shares one Groebner loop.  A unit ideal is its own
+    extension: no partial is taken and no loop runs.
+    """
+    kept = ideal._by_partials
+    if kept is not None:
+        return kept
+    if ideal.basis is not None and ideal.contains_one():
+        return ideal
+    nvars = ideal.ring.nvars
+    extended = extend(ideal, [f.partial(i) for f in ideal.generators for i in range(nvars)])
+    if ideal.basis_order == GREVLEX:
+        object.__setattr__(ideal, "_by_partials", extended)
+    return extended
 
 
 def normal_form(f: Polynomial, ideal: Ideal) -> Polynomial:

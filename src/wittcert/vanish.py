@@ -24,6 +24,7 @@ from .polyring import (
     basis_pth_root,
     buchberger,
     extend,
+    extend_by_partials,
     graph_kernel,
     krull_dim,
     normal_form,
@@ -282,13 +283,15 @@ MAX_CLOSURE_GENERATIONS = 64
 def closure_state(ideal: Ideal) -> ClosureState:
     """Least ideal containing I closed under partial derivatives and p-th roots.
 
-    Starts from the grevlex basis `ideal` caches, if it has one; each
-    generation extends the current basis by the partials of the basis
-    elements that are new since the last generation: the partials of the
-    others already lie in the ideal.  When they add nothing, the ideal I
-    is closed under every partial, and its p-th-root ideal needs no
-    elimination (Cartier, 1957; Katz, "Nilpotent connections and the
-    monodromy theorem", 1970, §5):
+    Starts from the grevlex basis `ideal` caches, if it has one.  The
+    first generation is J_top, I plus the partials of its generators, kept
+    on the ideal and shared with the top-form presentation
+    (`extend_by_partials`); each later one extends the current basis by
+    the partials of the basis elements that are new since the last
+    generation: the partials of the others already lie in the ideal.  When
+    the partials add nothing, the ideal I is closed under every partial,
+    and its p-th-root ideal needs no elimination (Cartier, 1957; Katz,
+    "Nilpotent connections and the monodromy theorem", 1970, §5):
 
     - θ_i = x_i ∂_i preserves I and multiplies x^β by β_i mod p, so I is
       the sum of its parts of each exponent residue class mod p;
@@ -304,13 +307,11 @@ def closure_state(ideal: Ideal) -> ClosureState:
     """
     ring = ideal.ring
     current = buchberger(ideal)
-    fresh = current.basis
+    if current.contains_one():
+        return ClosureState(current, True, 0)
+    candidate = extend_by_partials(current)
     generations = 0
     while True:
-        if current.contains_one():
-            return ClosureState(current, True, generations)
-        partials = [g.partial(i) for g in fresh for i in range(ring.nvars)]
-        candidate = extend(current.stated_by_basis(), partials)
         if candidate.basis == current.basis:
             candidate = basis_pth_root(candidate)
             if candidate is None:
@@ -326,6 +327,10 @@ def closure_state(ideal: Ideal) -> ClosureState:
             raise ClosureBudgetError(
                 f"differential p-closure exceeded {MAX_CLOSURE_GENERATIONS} generations"
             )
+        if current.contains_one():
+            return ClosureState(current, True, generations)
+        partials = [g.partial(i) for g in fresh for i in range(ring.nvars)]
+        candidate = extend(current.stated_by_basis(), partials)
 
 
 def differential_p_closure(ideal: Ideal) -> Ideal:

@@ -173,6 +173,32 @@ def test_verifier_rejects_tampering():
     assert not mutate(lambda d: d.update(steps=[]))
 
 
+# Forgeries of the p = 5 cusp's certificate, each from its honest steps
+# (seed -> 3x^2 -> x -> 1 by partials in x), that pass every replay check
+# but one: the check named.
+ONE_CHECK_FORGERIES = {
+    # the one step x -> 1 is an honest partial but starts away from the seed
+    "linkage": lambda steps: [steps[-1]],
+    # the one step goes from the seed straight to 1: linked, and it drops the degree
+    "partial": lambda steps: [{**steps[0], "out": steps[-1]["out"]}],
+    # a root step 1 -> 1 after the honest chain: linked, and 1 is its own p-th power
+    "degree": lambda steps: steps + [{"op": "pthRoot", "in": steps[-1]["out"], "out": steps[-1]["out"]}],
+}
+
+
+@pytest.mark.parametrize("check", sorted(ONE_CHECK_FORGERIES))
+def test_a_forgery_that_breaks_one_replay_check_is_refused(check):
+    """Each forgery fails one check alone, so the replay refuses it only if
+    that check is made as written: the linkage test `or` read as `and`,
+    the partial test `or` read as `and`, or the strict degree descent read
+    as `>` would each accept its forgery."""
+    doc = json.loads(json.dumps(certify_top_vanishing(presented(5, ("x", "y"), ["y^2 - x^3"])).to_json()))
+    assert [(s["op"], s.get("var")) for s in doc["steps"]] == [("partial", 0)] * 3
+    assert verify_certificate(VanishingCertificate.from_json(doc))
+    doc["steps"] = ONE_CHECK_FORGERIES[check](doc["steps"])
+    assert not verify_certificate(VanishingCertificate.from_json(doc))
+
+
 @pytest.fixture
 def read(monkeypatch):
     """The polynomial documents `VanishingCertificate.from_json` parses, in order."""
@@ -436,6 +462,21 @@ def test_closure_and_top_form_state_their_ideals_as_before():
     assert [g.to_text() for g in top.jacobian_ideal.generators] == ["4*x^3 + y^2", "2*x^2", "2*y"]
 
 
+def test_one_j_top_is_kept_per_grevlex_cached_ideal():
+    """J_top is made once per ideal with a grevlex cache and read by the
+    top form and the closure's first generation; a unit ideal is its own,
+    and an ideal cached in another order keeps none."""
+    R = presented(5, ("x", "y"), ["y^2 - x^3"])
+    top = top_form_presentation(R).jacobian_ideal
+    assert polyring.extend_by_partials(R.ideal) is top and top_form_presentation(R).jacobian_ideal is top
+    assert [g.to_text() for g in top.basis] == ["y", "x^2"]
+    unit = presented(5, ("x", "y"), ["x*y - 1", "x^2"])
+    assert top_form_presentation(unit).jacobian_ideal is unit.ideal
+    lex = PresentedRing.make(R.ring, R.ideal.generators, polyring.LEX)
+    assert top_form_presentation(lex).jacobian_ideal.basis == top.basis
+    assert lex.ideal._by_partials is None
+
+
 # The cusp and the node (the CLI presets), a unit ideal and a curve in
 # three variables, over F_5.
 REDUCTION_WORK_CASES = {
@@ -452,7 +493,9 @@ def test_top_form_and_closure_reduction_work_is_pinned(monkeypatch):
     (top form, closure).  Rebuilding each ideal from its generators and
     partials, and checking every basis it made against its generators,
     made (6, 6) on the cusp and on the node, (2, 0) on the unit ideal and
-    (16, 16) on the three-variable curve."""
+    (16, 16) on the three-variable curve.  The closure's first generation
+    reads the J_top the top form kept on the ideal, so it makes no
+    division of its own there."""
     parent = {"cusp": (6, 6), "node": (6, 6), "unit": (2, 0), "three": (16, 16)}
     calls = [0]
     real = polyring._reduce_terms
@@ -474,7 +517,7 @@ def test_top_form_and_closure_reduction_work_is_pinned(monkeypatch):
         monkeypatch.setattr(polyring, "_reduce_terms", real)
         assert state.fixpoint and state.ideal.contains_one()
         assert top.jacobian_ideal.basis == buchberger(Ideal.from_polys(R.ring, top.jacobian_ideal.generators)).basis
-    assert counts == {"cusp": (3, 4), "node": (3, 4), "unit": (0, 0), "three": (8, 9)}
+    assert counts == {"cusp": (3, 1), "node": (3, 1), "unit": (0, 0), "three": (8, 1)}
     for label, (top_calls, closure_calls) in counts.items():
         assert top_calls <= parent[label][0] and closure_calls <= parent[label][1]
     assert sum(t for t, _ in counts.values()) < sum(t for t, _ in parent.values())
