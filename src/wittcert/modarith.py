@@ -170,12 +170,20 @@ class ModularMatrix:
 
 
 def smith_normal_form(m: ModularMatrix) -> tuple[int, ...]:
-    """The diagonal of the Smith normal form of m over Z/p^N, made by
-    `_eliminate` with no transform built: some invertible row and column
-    transforms L and R give L @ m @ R == diagonal(diag).  Diagonal entries
-    are pure powers of p (units absorbed into L) or zero, sorted by
-    increasing valuation, zeros last.  `kernel_basis` reads the column
-    transform R off `_eliminate` itself."""
+    """The diagonal of the Smith normal form of m over Z/p^N: some
+    invertible row and column transforms L and R give L @ m @ R ==
+    diagonal(diag).  Diagonal entries are pure powers of p (units absorbed
+    into L) or zero, sorted by increasing valuation, zeros last.
+
+    A matrix with one row or one column has one pivot, of least gcd with
+    p^N, so its diagonal is (gcd(p^N, entries) mod p^N,), which is (0,)
+    for a zero matrix; one with no rows or no columns has the diagonal ().
+    Any other matrix is eliminated by `_eliminate`, with no transform
+    built.  `kernel_basis` reads the column transform R off the same
+    pivots."""
+    if m.rows <= 1 or m.cols <= 1:
+        q = m.modulus.char
+        return (gcd(q, *[x for row in m.entries for x in row]) % q,) if m.rows and m.cols else ()
     return tuple(_eliminate(list(map(list, m.entries)), m.cols, m.modulus.char, []))
 
 
@@ -183,6 +191,9 @@ def _eliminate(a: list[list[int]], cols: int, q: int, rt: list[list[int]]) -> li
     """Smith elimination over Z/q, q = p^N, of the rows `a` of residues,
     which it consumes; returns the diagonal.  Every column op is made on the
     rows of `rt` too, so an identity `rt` comes out as the column transform.
+    `smith_normal_form` and `kernel_basis` call it for two or more rows (and
+    columns, for the diagonal) only: with one row they read what it would
+    return off the one pivot, in closed form (`_row_kernel`).
 
     Pivot selection: entry of minimal p-adic valuation, that is of least
     gcd with p^N, ties broken by row-major position; the first unit wins
@@ -264,7 +275,9 @@ def solve_linear(m: ModularMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]
 def kernel_basis(m: ModularMatrix) -> list[tuple[int, ...]]:
     """Generators of {x : m @ x = 0} over Z/p^N: column j of the Smith
     transform times p^(N - v) for a diagonal entry p^v (none for a unit),
-    and the columns past the diagonal as they are, read off `_eliminate`.
+    and the columns past the diagonal as they are.  A matrix with two or
+    more rows is read off `_eliminate`; one with at most one row off its
+    one pivot (`_row_kernel`), with the same generators in the same order.
 
     The contract that `dieudonne._cohomology_block` relies on: the
     generators z_j are columns of one invertible transform R, each scaled
@@ -272,6 +285,8 @@ def kernel_basis(m: ModularMatrix) -> list[tuple[int, ...]]:
     a column past the diagonal).  So sum x_j z_j = 0 exactly when p^(v_j)
     divides every x_j, and gcd(p^N, z_j) = p^(N - v_j)."""
     q, cols = m.modulus.char, m.cols
+    if m.rows <= 1:
+        return _row_kernel(m.entries[0] if m.rows else (0,) * cols, q)
     right = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
     diag = _eliminate(list(map(list, m.entries)), cols, q, right)
     gens = []
@@ -282,6 +297,40 @@ def kernel_basis(m: ModularMatrix) -> list[tuple[int, ...]]:
         col = tuple([scale * row[j] % q for row in right])
         if any(col):
             gens.append(col)
+    return gens
+
+
+def _row_kernel(row: Sequence[int], q: int) -> list[tuple[int, ...]]:
+    """`kernel_basis` of the one-row matrix (row) of n residues mod q = p^N,
+    in closed form.  `_eliminate` takes as its one pivot the first a_j of
+    least gcd g = p^v with q (the first unit outright), swaps columns 0 and
+    j (the swap sigma) and scales the row by u = (a_j / g)^-1 to a'.  Its
+    transform R then has column 0 = e_j and column k = e_sigma(k) -
+    (a'_k / g) e_j for k = 1..n-1, and the generators are (q / g) e_j when
+    g > 1, then those n - 1 columns.  A zero row gives e_0..e_(n-1)."""
+    n = len(row)
+    pivot, g = -1, q
+    for j, x in enumerate(row):
+        if x:
+            h = gcd(x, q)
+            if h < g:
+                pivot, g = j, h
+                if h == 1:
+                    break
+    if pivot < 0:
+        return [tuple([int(i == j) for i in range(n)]) for j in range(n)]
+    u = pow(row[pivot] // g, -1, q)
+    gens = []
+    if g > 1:
+        gen = [0] * n
+        gen[pivot] = q // g
+        gens.append(tuple(gen))
+    for k in range(1, n):
+        i = 0 if k == pivot else k
+        gen = [0] * n
+        gen[i] = 1
+        gen[pivot] = -(row[i] * u % q // g) % q
+        gens.append(tuple(gen))
     return gens
 
 

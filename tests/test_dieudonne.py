@@ -1108,13 +1108,15 @@ def test_doctored_les_cases_match_the_reference():
 
 # -- the work of a warm checker set ---------------------------------------------------
 
-# The Howell forms and Smith eliminations of one warm bench checker set on
-# a1(2, 8, 4), and the keys its memo holds afterwards, by kind, counted
-# before those calls were made cheaper.  The checkers recompute their
+# The kernels, Smith forms, Smith eliminations (`modarith._eliminate` calls)
+# and Howell forms of one warm bench checker set on a1(2, 8, 4), and the
+# keys its memo holds afterwards, by kind.  The checkers recompute their
 # preimages, memberships and exactness spans on every call, so fewer forms
-# would mean a memo keyed on a checker call or a per-call span.
-WARM_SET_HOWELL_FORMS = 528
-WARM_SET_SMITH_ELIMINATIONS = 243
+# would mean a memo keyed on a checker call or a per-call span.  Every
+# kernel is of a one-row matrix, read off its pivot: before that closed
+# form each of the 243 kernels made an elimination.
+PARENT_WARM_SET = {"kernel": 243, "smith": 0, "eliminate": 243, "howell": 528}
+WARM_SET = {"kernel": 243, "smith": 0, "eliminate": 0, "howell": 528}
 WARM_SET_MEMO = {"table": 12, "hn": 8, "exactness": 6, "modulus": 4, "wr": 4}
 # The exactness blocks those keys hold: one per block the propagation check
 # tests and no more, so a cold pass builds no reduction kernel it never reads.
@@ -1134,68 +1136,69 @@ def bench_checker_set(m):
     frobenius_injectivity_degree0_check(m)
 
 
+def count_linear_algebra(monkeypatch):
+    """A dict that counts, from now on, the kernels and Smith forms the
+    checkers ask `modarith` for, the Smith eliminations `modarith` makes
+    and the Howell forms of every span."""
+    counts = dict.fromkeys(("kernel", "smith", "eliminate", "howell"), 0)
+
+    def counted(kind, compute):
+        def call(*args):
+            counts[kind] += 1
+            return compute(*args)
+        return call
+
+    monkeypatch.setattr(dieudonne, "kernel_basis", counted("kernel", kernel_basis))
+    monkeypatch.setattr(dieudonne, "smith_normal_form", counted("smith", smith_normal_form))
+    monkeypatch.setattr(modarith, "_eliminate", counted("eliminate", modarith._eliminate))
+    monkeypatch.setattr(SubmoduleBasis, "_howell", counted("howell", SubmoduleBasis._howell))
+    return counts
+
+
 def test_a_warm_checker_set_makes_the_pinned_howell_and_smith_forms(monkeypatch):
     m = a1_model(2, 8, 4)
     bench_checker_set(m)
-    counts = Counter()
-    howell, eliminate = SubmoduleBasis._howell, modarith._eliminate
-
-    def counted_howell(self, todo):
-        counts["howell"] += 1
-        return howell(self, todo)
-
-    def counted_eliminate(*args):
-        counts["smith"] += 1
-        return eliminate(*args)
-
-    monkeypatch.setattr(SubmoduleBasis, "_howell", counted_howell)
-    monkeypatch.setattr(modarith, "_eliminate", counted_eliminate)
+    counts = count_linear_algebra(monkeypatch)
     bench_checker_set(m)
-    assert counts == {"howell": WARM_SET_HOWELL_FORMS, "smith": WARM_SET_SMITH_ELIMINATIONS}
+    assert counts == WARM_SET
+    assert all(WARM_SET[kind] <= PARENT_WARM_SET[kind] for kind in WARM_SET)
     assert Counter(key[0] for key in m._memo) == WARM_SET_MEMO
     assert sum(len(blocks) for key, blocks in m._memo.items() if key[0] == "exactness") == WARM_SET_EXACTNESS_BLOCKS
 
 
-# The Smith eliminations (`modarith._eliminate` calls) and Howell forms of
-# one pass of the benchmark's dieudonne workload at seed 59, on fresh
-# models (cold) and then on the same models again (warm).  Before H(M/p^r)
-# had closed forms at the ends of the complex the cold pass made 6051 and
-# 6375; the warm pass made 479 and 1095, as it still does, since it reads
-# every presentation from the models.
-PARENT_COLD_PASS = {"smith": 6051, "howell": 6375}
-COLD_PASS = {"smith": 2977, "howell": 5247}
-WARM_PASS = {"smith": 479, "howell": 1095}
+# The kernels, Smith forms, Smith eliminations and Howell forms of one pass
+# of the benchmark's dieudonne workload at seed 59, on fresh models (cold)
+# and then on the same models again (warm).  Every kernel is of a one-row
+# matrix and every Smith form of a 1 x 1 matrix, so `modarith` reads each
+# off its one pivot.  The parent figures are from before those closed
+# forms, when each kernel and Smith form made one elimination; before
+# H(M/p^r) had closed forms at the ends of the complex a cold pass made
+# 6051 eliminations and 6375 Howell forms.
+PARENT_COLD_PASS = {"kernel": 1589, "smith": 1388, "eliminate": 2977, "howell": 5247}
+PARENT_WARM_PASS = {"kernel": 479, "smith": 0, "eliminate": 479, "howell": 1095}
+COLD_PASS = {"kernel": 1589, "smith": 1388, "eliminate": 0, "howell": 5247}
+WARM_PASS = {"kernel": 479, "smith": 0, "eliminate": 0, "howell": 1095}
 
 
 def test_the_bench_pass_elimination_work_is_pinned(monkeypatch):
     """A work count, not a timing: every cohomology block of the bench's
     A^1 models sits at an end of the complex, so a cold pass makes no
     preimage elimination for them, and no Smith form for those with no
-    boundaries."""
+    boundaries; every kernel and Smith form left is of a one-row or
+    one-column matrix, so no pass makes a Smith elimination."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
     from workloads import Dieudonne
 
     workload = Dieudonne()
     workload.setup()
     batch = next(workload.passes(59))
-    counts = Counter()
-    howell, eliminate = SubmoduleBasis._howell, modarith._eliminate
-
-    def counted_howell(self, todo):
-        counts["howell"] += 1
-        return howell(self, todo)
-
-    def counted_eliminate(*args):
-        counts["smith"] += 1
-        return eliminate(*args)
-
-    monkeypatch.setattr(SubmoduleBasis, "_howell", counted_howell)
-    monkeypatch.setattr(modarith, "_eliminate", counted_eliminate)
+    counts = count_linear_algebra(monkeypatch)
     passes = []
     for _ in range(2):
-        counts.clear()
+        counts.update(dict.fromkeys(counts, 0))
         assert all(op.run().passed for op in batch)
         passes.append(dict(counts))
     assert passes == [COLD_PASS, WARM_PASS]
     assert all(COLD_PASS[kind] <= PARENT_COLD_PASS[kind] for kind in COLD_PASS)
-    assert COLD_PASS["smith"] <= 3000
+    assert all(WARM_PASS[kind] <= PARENT_WARM_PASS[kind] for kind in WARM_PASS)
+    assert COLD_PASS["eliminate"] <= 3000

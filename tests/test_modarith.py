@@ -489,6 +489,87 @@ def test_ambient_one_spans_match_the_reference_howell_form(mod):
     assert zero_spans > 0
 
 
+# -- kernels of one-row matrices and Smith forms of one-row or one-column matrices --
+
+def eliminated_kernel(mat):
+    """The kernel generators read off `_eliminate` from an identity
+    transform, the route `kernel_basis` takes for two or more rows."""
+    q = mat.modulus.char
+    diag, right = smith_transform(mat)
+    gens = []
+    for j in range(mat.cols):
+        scale = q // diag[j] if j < len(diag) and diag[j] else 1
+        col = tuple(scale * row[j] % q for row in right.entries)
+        if scale < q and any(col):
+            gens.append(col)
+    return gens
+
+
+def one_pivot_draws(rng, count):
+    """`count` seeded rows over Z/p^N, p in {2, 3, 5, 7} and N <= 6, of
+    width 1 to 8: entries of every valuation and zeros, a tenth of the rows
+    all zero.  Yields (modulus, row)."""
+    for _ in range(count):
+        p, e = rng.choice((2, 3, 5, 7)), rng.randint(1, 6)
+        mod = Modulus(p, e)
+        width = rng.randint(1, 8)
+        if rng.random() < 0.1:
+            yield mod, [0] * width
+        else:
+            yield mod, [0 if rng.random() < 0.25 else rng.randrange(1, mod.char) * p ** rng.randrange(e) % mod.char
+                        for _ in range(width)]
+
+
+def test_one_pivot_forms_match_the_elimination_and_the_reference_forms():
+    """Seeded one-row matrices: `kernel_basis`, read off the one pivot, gives
+    the generators of the `_eliminate` route and of the reference, in the
+    same order.  The same rows as one-row, one-column, 0 x n and n x 0
+    matrices: `smith_normal_form` gives the diagonal of `_eliminate` and of
+    the reference.  All-zero rows, ties among the least valuations and a
+    first unit past the first entry each come up more than 100 times."""
+    rng = random.Random(38)
+    seen = dict.fromkeys(("zero row", "tie", "later unit"), 0)
+    for mod, row in one_pivot_draws(rng, 3000):
+        p, e, q, width = mod.p, mod.exponent, mod.char, len(row)
+        gcds = [math.gcd(x, q) for x in row]
+        seen["zero row"] += not any(row)
+        seen["tie"] += any(row) and gcds.count(min(gcds)) > 1
+        seen["later unit"] += gcds[0] != 1 and 1 in gcds
+        for entries, cols in (([row], width), ([], width)):
+            m = ModularMatrix(mod, entries, cols)
+            assert kernel_basis(m) == eliminated_kernel(m) == reference.kernel_generators(p, e, entries, cols)
+        for entries, cols in (([row], width), ([(x,) for x in row], 1), ([], width), ([()] * width, 0)):
+            m = ModularMatrix(mod, entries, cols)
+            eliminated = modarith._eliminate([list(r) for r in m.entries], cols, q, [])
+            assert smith_normal_form(m) == tuple(eliminated) == reference.smith_form(p, e, entries, cols)[0]
+    assert min(seen.values()) > 100, seen
+
+
+def test_one_pivot_forms_make_no_elimination(monkeypatch):
+    """With `_eliminate` refusing to run, kernels of matrices with at most
+    one row, and Smith forms of matrices with at most one row or column,
+    still answer as before; a matrix of two rows and columns does reach it."""
+    rng = random.Random(380)
+    cases = []
+    for mod, row in one_pivot_draws(rng, 200):
+        for entries, cols in (([row], len(row)), ([(x,) for x in row], 1), ([], len(row)), ([()] * len(row), 0)):
+            m = ModularMatrix(mod, entries, cols)
+            cases.append((m, smith_normal_form(m), kernel_basis(m) if m.rows <= 1 else None))
+
+    def refuse(*args):
+        raise RuntimeError("eliminated")
+
+    monkeypatch.setattr(modarith, "_eliminate", refuse)
+    for m, diag, kernel in cases:
+        assert smith_normal_form(m) == diag
+        if kernel is not None:
+            assert kernel_basis(m) == kernel
+    two_by_two = ModularMatrix(Modulus(3, 2), [[1, 3], [3, 0]])
+    for form in (smith_normal_form, kernel_basis):
+        with pytest.raises(RuntimeError, match="eliminated"):
+            form(two_by_two)
+
+
 def test_a_wrong_length_generator_is_refused():
     mod = Modulus(3, 2)
     for generators in ([(1, 2, 3)], [(1, 2), (4,)], [()]):
