@@ -27,6 +27,7 @@ from .modarith import (
     ModularMatrix,
     Modulus,
     SubmoduleBasis,
+    _row_kernel,
     check_prime,
     document_int,
     document_list,
@@ -604,7 +605,9 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                 report.inconclusive.append({"degree": degree, "weight": texts[key], "reason": "d undefined on block"})
                 continue
             # {x : dx = 0 mod p} is spanned by the kernel of d mod p and p e_i,
-            # or by every e_i when d maps the block to an empty one
+            # or by every e_i when d maps the block to an empty one; no
+            # generator is zero (a kernel's has an entry 1 or p^(N - v), and
+            # p e_i is held unreduced)
             shape = (len(block), p if d_mod_p.rows else 1)
             gens = units.get(shape) or units.setdefault(shape, _unit_vectors(*shape))
             if d_mod_p.rows:
@@ -615,14 +618,9 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                 # the F-source weight w / p = key / (scale * p) has denominator scale * p / gcd
                 top = model._scale * p
                 if depth is not None and top // gcd(key, top) > p ** depth:
-                    if any(any(g) for g in gens):
-                        report.inconclusive.append(
-                            {
-                                "degree": degree,
-                                "weight": texts[key],
-                                "reason": "F-source weight beyond depth truncation",
-                            }
-                        )
+                    report.inconclusive.append(
+                        {"degree": degree, "weight": texts[key], "reason": "F-source weight beyond depth truncation"}
+                    )
                     continue
             f_cols = f_cols_of.get(src, ())  # a key of None names no block
             if f_cols is None:
@@ -630,12 +628,9 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                     {"degree": degree, "weight": texts[key], "reason": "F undefined on the source block"}
                 )
                 continue
-            f_image = SubmoduleBasis._trusted(model.modulus, len(block), list(map(list, f_cols)))
-            for g in gens:
-                if not any(g):
-                    continue
-                report.checked += 1
-                if not f_image.contains(g):
+            report.checked += len(gens)
+            for g, member in zip(gens, _in_span(model.modulus, f_cols, len(block), gens)):
+                if not member:
                     report.violations.append(
                         {
                             "degree": degree,
@@ -644,6 +639,19 @@ def saturation_witness(model: DieudonneModel) -> CheckReport:
                         }
                     )
     return report
+
+
+def _in_span(modulus: Modulus, columns: Sequence[Sequence[int]], ambient: int,
+             vectors: Sequence[Sequence[int]]) -> list[bool]:
+    """Whether each vector lies in the span of `columns`, residues of length
+    `ambient`, as `SubmoduleBasis.contains` answers it.  On one label the
+    span is the ideal of g = gcd(p^N, columns), and g divides exactly its
+    members, so no span is built."""
+    if ambient == 1:
+        pivot = gcd(modulus.char, *[c[0] for c in columns])
+        return [v[0] % pivot == 0 for v in vectors]
+    span = SubmoduleBasis._trusted(modulus, ambient, list(map(list, columns)))
+    return [not any(span.reduce_vector(v)) for v in vectors]
 
 
 # -- level-r quotients and cohomology ---------------------------------------
@@ -857,12 +865,19 @@ def compare_wr_with_cohomology(model: DieudonneModel, degree: int, r: int) -> Ch
 def _preimage_generators(modulus: Modulus, columns: Sequence[Sequence[int]], ambient: int,
                          target: SubmoduleBasis) -> list[tuple[int, ...]]:
     """Generators of {x : sum_j x_j columns[j] in span(target)} over `modulus`,
-    for columns of residues mod `modulus` of length `ambient`.  With no rows
-    (ambient 0) the map is zero and the preimage is everything."""
-    n_src = len(columns)
-    stacked = list(columns) + [tuple([(-x) % modulus.char for x in g]) for g in target.echelon]
-    matrix = ModularMatrix._trusted_columns(modulus, stacked, ambient)
-    return [x for k in kernel_basis(matrix) if any(x := k[:n_src])]
+    for columns of residues mod `modulus` of length `ambient`: the source
+    parts of the kernel of [columns | -relations].  With no rows (ambient 0)
+    the map is zero and the preimage is everything.  On one label (ambient
+    1) that matrix is the one row [columns | -g], g the relation pivot if
+    any, and its kernel is `_row_kernel`'s, built with no matrix: the
+    generators `kernel_basis` makes of it."""
+    n_src, q = len(columns), modulus.char
+    if ambient == 1:
+        kernel = _row_kernel([c[0] for c in columns] + [-g[0] % q for g in target.echelon], q)
+    else:
+        stacked = list(columns) + [tuple([(-x) % q for x in g]) for g in target.echelon]
+        kernel = kernel_basis(ModularMatrix._trusted_columns(modulus, stacked, ambient))
+    return [x for k in kernel if any(x := k[:n_src])]
 
 
 def _cancellation_scan(model: DieudonneModel, r: int, degrees, report: CheckReport) -> None:
@@ -934,12 +949,13 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
     if rmax + 1 > model.exponent:
         raise ValueError(f"level-{rmax} statements need coefficient exponent >= {rmax + 1}")
     report = CheckReport(f"w1_vanishing_propagation(degree={degree}, rmax={rmax})")
-    levels = [hn_mod_pr(model, degree, r).by_key for r in range(1, rmax + 2)]  # levels[r - 1]: H(M/p^r)
+    # H(M/p^r) for r = 1..rmax+1, walked side by side: `_build_hn` gives
+    # every level the same weight keys in the same ascending order
+    levels = [hn_mod_pr(model, degree, r).by_key for r in range(1, rmax + 2)]
     exactness = [_exactness_blocks(model, degree, r) for r in range(1, rmax + 1)]  # exactness[r - 1]
     texts = model._texts
-    for key in sorted(levels[0]):
-        blocks = [level.get(key) for level in levels]
-        if any(b is None or not b.complete for b in blocks):
+    for key, *blocks in zip(levels[0], *[level.values() for level in levels]):
+        if not all(b.complete for b in blocks):
             report.inconclusive.append({"weight": texts[key], "reason": "d undefined on block"})
             continue
         report.checked += 1
@@ -997,11 +1013,21 @@ def _les_exactness_failure(block: _ExactnessBlock, h1: QuotientBlock, r: int) ->
     middle-cohomology statement: the H(M/p^(r+1)) generators span Z, and two
     submodules of Z agree iff their pull-backs to those generators agree.
     Z ∩ (B + p^r M) is kept with the block (`_exactness_blocks`), so a call
-    costs one Howell form.
+    costs one Howell form.  On one label (ambient 1) both spans are ideals
+    of Z/p^(r+1): span(L + B) is that of g = gcd(p^(r+1), L, B), and the
+    call compares g with the kept kernel's pivot (p^(r+1) when it is zero),
+    with no span built.
     """
     d_rows, boundaries, kernel = block
     mod_top = kernel.modulus
     q, shift = mod_top.char, mod_top.p ** r
+    if kernel.ambient == 1:
+        lifted = [shift * g[0] % q for g in h1.generators]
+        if any(row[0] * x % q for x in lifted for row in d_rows):
+            return "multiplication-by-p^r image is not a cycle combination"
+        if gcd(q, *lifted, *[b[0] for b in boundaries]) != (kernel.echelon[0][0] if kernel.echelon else q):
+            return "im(p^r) != ker(reduction) in the middle cohomology"
+        return None
     lifted = [[shift * x % q for x in g] for g in h1.generators]
     if any(sum(map(mul, row, g)) % q for g in lifted for row in d_rows):
         return "multiplication-by-p^r image is not a cycle combination"

@@ -454,6 +454,11 @@ class SubmoduleBasis:
         return tuple(r)
 
     def contains(self, vec: Sequence[int]) -> bool:
+        """Whether vec lies in this submodule: it reduces to zero.  In ambient
+        1 the echelon is () or ((g,),), so one divisibility answers it: by
+        the pivot g, or by p^N for the zero span."""
+        if self.ambient == 1 == len(vec):
+            return vec[0] % (self.echelon[0][0] if self.echelon else self.modulus.char) == 0
         return not any(self.reduce_vector(vec))
 
     def __eq__(self, other: object) -> bool:

@@ -26,6 +26,8 @@ from wittcert.dieudonne import (
     DieudonneModel,
     QuotientBlock,
     _cokernel_factors,
+    _ExactnessBlock,
+    _in_span,
     _les_exactness_failure,
     _preimage_generators,
     a1_model,
@@ -133,6 +135,47 @@ def test_block_index_matches_scans_on_generated_bases(p, cells):
     assert_index_matches_basis_scans(DieudonneModel(p, 2, basis, {}, {}, {}))
 
 
+def assert_levels_share_their_weight_keys(m):
+    """`hn_mod_pr(m, degree, r).by_key` holds the same weight keys in the
+    same ascending order at every level r <= N, those of the degree and the
+    one below it: the propagation check walks the levels side by side."""
+    degrees = m.degrees() or [0]
+    for degree in range(degrees[0] - 1, degrees[-1] + 2):
+        keys = sorted({*m._weights.get(degree, ()), *m._weights.get(degree - 1, ())})
+        for r in range(1, m.exponent + 1):
+            assert list(hn_mod_pr(m, degree, r).by_key) == keys
+
+
+def test_cohomology_levels_share_their_weight_keys():
+    """On the shipped models, the JSON fixtures and wide models."""
+    models = [a1_model(*args) for args in (*BENCH_MODELS, (3, 2, 3), (5, 1, 2))]
+    models += [trivial_model(3, 3), zero_model(2, 3)]
+    models += [DieudonneModel.from_json(json.loads(path.read_text())) for path in sorted(DATA.glob("*.json"))]
+    models += [wide_graded_model(seed) for seed in range(40)]
+    for m in models:
+        assert_levels_share_their_weight_keys(m)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(min_value=1, max_value=4),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=-1, max_value=2),
+            st.integers(min_value=0, max_value=6),
+            st.integers(min_value=0, max_value=2),
+        ),
+        max_size=24,
+    ),
+)
+def test_cohomology_levels_share_their_weight_keys_on_generated_bases(p, exponent, cells):
+    """d is zero where it is defined, on about half the labels."""
+    basis = [BasisElement(f"b{i}", degree, Fraction(m, p ** j)) for i, (degree, m, j) in enumerate(cells)]
+    d = {b.label: {} for b in basis[::2]}
+    assert_levels_share_their_weight_keys(DieudonneModel(p, exponent, basis, d, {}, {}))
+
+
 def test_weight_text_is_the_fraction_text():
     for model in (a1_model(2, 4, 4), a1_model(3, 2, 3), trivial_model(5, 2), nonsaturated_model()):
         for key in {*range(0, 3 * model._scale + 2), *(k for ks in model._weights.values() for k in ks)}:
@@ -171,10 +214,13 @@ def test_models_do_not_share_their_index_or_columns():
 GOLDEN_REPORT_DIGEST = "dd543b794069dc4b21b54a6ca29ecf2b23a9ee53de075bca162c6a53163e1ef1"
 
 
-def test_checker_reports_match_golden_digest():
+BENCH_MODELS = ((2, 4, 4), (3, 1, 4), (2, 8, 4))
+
+
+def golden_report_digest(models):
+    """The digest above, of the reports on `models`, the benchmark's three."""
     h = hashlib.sha256()
-    for p, wmax, exponent in ((2, 4, 4), (3, 1, 4), (2, 8, 4)):
-        m = a1_model(p, wmax, exponent)
+    for m in models:
         docs = [check_axioms(m).to_json(), saturation_witness(m).to_json()]
         for r in (1, 3):
             docs.append(f_cancellation_check(m, r).to_json())
@@ -185,7 +231,11 @@ def test_checker_reports_match_golden_digest():
             docs.extend([wr_quotient(m, degree, 2).to_json(), hn_mod_pr(m, degree, 2).to_json()])
         for doc in docs:
             h.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode() + b"\n")
-    assert h.hexdigest() == GOLDEN_REPORT_DIGEST
+    return h.hexdigest()
+
+
+def test_checker_reports_match_golden_digest():
+    assert golden_report_digest([a1_model(*args) for args in BENCH_MODELS]) == GOLDEN_REPORT_DIGEST
 
 
 # Sha256 over the canonical JSON of criterion 5's full check set on the
@@ -917,6 +967,101 @@ def test_preimage_generators_of_a_map_to_the_zero_module():
     assert _preimage_generators(m, [(), (), ()], 0, SubmoduleBasis(m, 0, [])) == expected
 
 
+# -- one-label answers against the general route ------------------------------------
+
+
+def _wider(vectors):
+    """The vectors one coordinate wider, with a zero there."""
+    return [tuple(v) + (0,) for v in vectors]
+
+
+def preimage_one_label_wider(modulus, columns, ambient, target):
+    """`_preimage_generators` with a one-label question asked one label
+    wider, so by `kernel_basis`'s elimination of the stacked matrix: the
+    zero second row constrains nothing and moves no pivot."""
+    if ambient == 1:
+        columns, ambient = _wider(columns), 2
+        target = SubmoduleBasis._trusted(modulus, 2, [[g[0], 0] for g in target.echelon])
+    return _preimage_generators(modulus, columns, ambient, target)
+
+
+def in_span_one_label_wider(modulus, columns, ambient, vectors):
+    """`_in_span` by the general route: a Howell form and `reduce_vector`."""
+    if ambient == 1:
+        columns, ambient, vectors = _wider(columns), 2, _wider(vectors)
+    return _in_span(modulus, columns, ambient, vectors)
+
+
+def les_one_label_wider(block, h1, r):
+    """`_les_exactness_failure` by the general route: Howell forms compared."""
+    d_rows, boundaries, kernel = block
+    if kernel.ambient == 1:
+        wide = SubmoduleBasis._trusted(kernel.modulus, 2, [[k[0], 0] for k in kernel.echelon])
+        block = _ExactnessBlock(tuple(_wider(d_rows)), tuple(_wider(boundaries)), wide)
+        h1 = dataclasses.replace(h1, generators=tuple(_wider(h1.generators)))
+    return _les_exactness_failure(block, h1, r)
+
+
+def contains_by_reduction(span, vec):
+    """`SubmoduleBasis.contains` by the general route, `reduce_vector`."""
+    return not any(span.reduce_vector(vec))
+
+
+def test_one_label_answers_match_the_general_route():
+    """The closed forms of one-label preimages, memberships, F-image spans
+    and exactness spans against the route each bypasses, at p in {2, 3, 5}
+    and N <= 5: zero, unit and all-zero columns, empty relation spans, no
+    source columns, and vectors not reduced mod p^N."""
+    rng = random.Random(39)
+    seen = Counter()
+    for _ in range(2500):
+        p, exponent = rng.choice((2, 3, 5)), rng.randint(1, 5)
+        modulus, q = Modulus(p, exponent), p ** exponent
+
+        def entry(top=q):
+            """0 (p^N), a unit or u * p^v; a fifth of them zero, a fifth units."""
+            kind = rng.random()
+            if kind < 0.2:
+                return 0
+            if kind < 0.4:
+                return rng.choice([x for x in range(1, min(top, 60)) if x % p])
+            return rng.randrange(1, top) * p ** rng.randrange(top.bit_length()) % top
+
+        columns = [(entry(),) for _ in range(rng.choice((0, 1, 1, 2, 3)))]
+        if rng.random() < 0.15:
+            columns = [(0,)] * len(columns)
+        target = SubmoduleBasis(modulus, 1, [[entry()] for _ in range(rng.choice((0, 1, 2)))])
+        preimage = _preimage_generators(modulus, columns, 1, target)
+        assert preimage == preimage_one_label_wider(modulus, columns, 1, target)
+        stacked = columns + [(-g[0] % q,) for g in target.echelon]
+        n_src = len(columns)
+        assert preimage == [x for k in kernel_basis(ModularMatrix.from_columns(modulus, stacked, 1))
+                            if any(x := k[:n_src])]
+        for x in preimage:  # each generator maps into the relation span
+            assert target.contains((sum(a * c[0] for a, c in zip(x, columns)),))
+
+        vectors = [(entry() + q * rng.randrange(-1, 2),) for _ in range(3)] + [(p,), (0,), (q,)]
+        assert [target.contains(v) for v in vectors] == [contains_by_reduction(target, v) for v in vectors]
+        assert _in_span(modulus, columns, 1, vectors) == in_span_one_label_wider(modulus, columns, 1, vectors)
+
+        if exponent >= 2:
+            r = rng.randint(1, exponent - 1)
+            top, top_q = Modulus(p, r + 1), p ** (r + 1)
+            kernel = SubmoduleBasis(top, 1, [[entry(top_q)] for _ in range(rng.choice((0, 1, 1, 2)))])
+            d_rows = tuple((entry(top_q),) for _ in range(rng.choice((0, 1, 1))))
+            boundaries = tuple((entry(top_q),) for _ in range(rng.choice((0, 1, 2))))
+            h1 = QuotientBlock(("e",), SubmoduleBasis(Modulus(p, 1), 0, []), (), True,
+                               tuple((rng.randrange(p),) for _ in range(rng.choice((0, 1, 2)))))
+            block = _ExactnessBlock(d_rows, boundaries, kernel)
+            found = _les_exactness_failure(block, h1, r)
+            assert found == les_one_label_wider(block, h1, r)
+            seen[found] += 1
+        seen["empty relation span" if target.is_zero() else "relation"] += 1
+        seen["no source columns" if not columns else "zero columns" if not any(c[0] for c in columns) else
+             "unit column" if any(c[0] % p for c in columns) else "columns"] += 1
+    assert min(seen.values()) > 50, seen
+
+
 # -- wide blocks: every checker against the reference checkers and a pinned digest --
 
 
@@ -1021,14 +1166,22 @@ WIDE_REPORT_DIGEST = "dc7e14ccc42c57d0c3ddb6fa2da0de01f57043ace4c8b0c3d4feda66e4
 MUTANT_REPORT_DIGEST = "fc991c235f3c174f4b40980a38ca57794f8d68e59c8e0681f3fdffa87eb764b2"
 
 
-def test_wide_block_reports_match_the_reference_and_the_pinned_digest():
-    """The digest covers blocks 2 and 3 labels wide, and reports with
-    violations and with inconclusive entries from the checkers."""
-    docs, widths, failing = [], Counter(), Counter()
+def wide_reports():
+    """Every report of the wide models of seeds 0-399, checked against the
+    reference checkers, and the block widths of those models."""
+    docs, widths = [], Counter()
     for seed in range(400):
         m = wide_graded_model(seed)
         widths.update(len(labels) for labels in m._blocks.values())
         docs += assert_reports_match_the_reference(m)
+    return docs, widths
+
+
+def test_wide_block_reports_match_the_reference_and_the_pinned_digest():
+    """The digest covers blocks 2 and 3 labels wide, and reports with
+    violations and with inconclusive entries from the checkers."""
+    docs, widths = wide_reports()
+    failing = Counter()
     for doc in docs:
         if doc.get("violations"):
             failing[doc["check"].split("(")[0]] += 1
@@ -1046,21 +1199,65 @@ def _f_coefficient_times_p(m, source):
     return DieudonneModel.from_json(doc)
 
 
+def mutant_models():
+    """One F coefficient multiplied by p on two A^1 models, and wide models
+    whose d^2 is not zero."""
+    return [_f_coefficient_times_p(a1_model(2, 4, 4), "[T^1]"),
+            _f_coefficient_times_p(a1_model(3, 1, 4), "V^1[T^1]"),
+            *(wide_graded_model(seed, break_d_squared=True) for seed in range(60))]
+
+
 def test_mutant_reports_match_the_reference_and_the_pinned_digest():
     """Mutants fail their checks, and report the failures as the reference
-    checkers do: one F coefficient multiplied by p on two A^1 models, which
-    breaks saturation, and wide models whose d^2 is not zero."""
-    mutants = [_f_coefficient_times_p(a1_model(2, 4, 4), "[T^1]"),
-               _f_coefficient_times_p(a1_model(3, 1, 4), "V^1[T^1]")]
-    for m in mutants:
+    checkers do: the two A^1 mutants break saturation, and at least 20 of
+    the wide ones break d^2 = 0."""
+    mutants = mutant_models()
+    for m in mutants[:2]:
         assert not saturation_witness(m).passed
-    mutants += [wide_graded_model(seed, break_d_squared=True) for seed in range(60)]
     broken = sum(any(v["axiom"] == "d_squared" for v in check_axioms(m).violations) for m in mutants)
     assert broken >= 20
     docs = []
     for m in mutants:
         docs += assert_reports_match_the_reference(m)
     assert report_digest(docs) == MUTANT_REPORT_DIGEST
+
+
+# -- both routes stay exercised: A^1 by the closed forms alone, and every fixture by the general route --
+
+
+def test_the_bench_checker_set_takes_no_general_route_once_warm(monkeypatch):
+    """Once its kept presentations are built, the benchmark's A^1 checker
+    set answers every question in closed form: with Smith elimination,
+    Howell forms, `reduce_vector` and stacked matrices raising, its reports
+    keep their golden digest."""
+    models = [a1_model(*args) for args in BENCH_MODELS]
+    assert golden_report_digest(models) == GOLDEN_REPORT_DIGEST
+
+    def general_route(*args):
+        raise AssertionError("a one-label question took the general route")
+
+    for owner, name in ((modarith, "_eliminate"), (SubmoduleBasis, "_howell"),
+                        (SubmoduleBasis, "reduce_vector"), (ModularMatrix, "_trusted_columns")):
+        monkeypatch.setattr(owner, name, general_route)
+    assert golden_report_digest(models) == GOLDEN_REPORT_DIGEST
+
+
+def test_the_fixture_reports_are_the_same_by_the_general_route(monkeypatch):
+    """With every one-label question asked one label wider, so by the
+    general route, and `_row_kernel` (the one-label preimage's closed form)
+    raising, the wide-block and mutant reports still match the reference
+    checkers and their pinned digests."""
+    def closed_form(*args):
+        raise AssertionError("a one-label closed form was taken")
+
+    monkeypatch.setattr(dieudonne, "_row_kernel", closed_form)
+    monkeypatch.setattr(dieudonne, "_preimage_generators", preimage_one_label_wider)
+    monkeypatch.setattr(dieudonne, "_in_span", in_span_one_label_wider)
+    monkeypatch.setattr(dieudonne, "_les_exactness_failure", les_one_label_wider)
+    monkeypatch.setattr(SubmoduleBasis, "contains", contains_by_reduction)
+    assert report_digest(wide_reports()[0]) == WIDE_REPORT_DIGEST
+    assert report_digest([doc for m in mutant_models() for doc in assert_reports_match_the_reference(m)]) == (
+        MUTANT_REPORT_DIGEST)
 
 
 def assert_les_matches_the_reference(m):
@@ -1108,15 +1305,20 @@ def test_doctored_les_cases_match_the_reference():
 
 # -- the work of a warm checker set ---------------------------------------------------
 
-# The kernels, Smith forms, Smith eliminations (`modarith._eliminate` calls)
-# and Howell forms of one warm bench checker set on a1(2, 8, 4), and the
-# keys its memo holds afterwards, by kind.  The checkers recompute their
-# preimages, memberships and exactness spans on every call, so fewer forms
-# would mean a memo keyed on a checker call or a per-call span.  Every
-# kernel is of a one-row matrix, read off its pivot: before that closed
-# form each of the 243 kernels made an elimination.
-PARENT_WARM_SET = {"kernel": 243, "smith": 0, "eliminate": 243, "howell": 528}
-WARM_SET = {"kernel": 243, "smith": 0, "eliminate": 0, "howell": 528}
+# The questions and the Smith and Howell work of one warm bench checker set
+# on a1(2, 8, 4), and the keys its memo holds afterwards, by kind.  The
+# questions are the kernels, preimages, memberships and exactness spans the
+# checkers ask, counted whether answered in closed form or by elimination;
+# the checkers ask them again on every call, so fewer would mean a memo
+# keyed on a checker call or a per-call span.  The parent figures are from
+# before the one-label preimages, memberships, F-image and exactness spans
+# were read off the residues: the questions were the same, and the 528
+# Howell forms were saturation's 129 F-image spans and propagation's 399
+# exactness spans, all one label wide.
+PARENT_WARM_SET = {"kernel": 128, "preimage": 115, "membership": 256, "exactness": 399,
+                   "smith": 0, "eliminate": 0, "howell": 528}
+WARM_SET = {"kernel": 128, "preimage": 115, "membership": 256, "exactness": 399,
+            "smith": 0, "eliminate": 0, "howell": 0}
 WARM_SET_MEMO = {"table": 12, "hn": 8, "exactness": 6, "modulus": 4, "wr": 4}
 # The exactness blocks those keys hold: one per block the propagation check
 # tests and no more, so a cold pass builds no reduction kernel it never reads.
@@ -1137,18 +1339,33 @@ def bench_checker_set(m):
 
 
 def count_linear_algebra(monkeypatch):
-    """A dict that counts, from now on, the kernels and Smith forms the
-    checkers ask `modarith` for, the Smith eliminations `modarith` makes
-    and the Howell forms of every span."""
-    counts = dict.fromkeys(("kernel", "smith", "eliminate", "howell"), 0)
+    """A dict that counts, from now on, the questions the checkers ask and
+    the forms `modarith` makes for them.  Questions: kernels from
+    `kernel_basis` (a kernel made inside a preimage is part of that
+    question), preimages, memberships (one per `contains` call and one per
+    vector `_in_span` tests) and exactness spans.  Forms: Smith forms the
+    checkers ask for, Smith eliminations and Howell forms of every span."""
+    counts = dict.fromkeys(("kernel", "preimage", "membership", "exactness", "smith", "eliminate", "howell"), 0)
 
-    def counted(kind, compute):
+    def counted(kind, compute, size=lambda *args: 1):
         def call(*args):
-            counts[kind] += 1
+            counts[kind] += size(*args)
             return compute(*args)
         return call
 
+    def preimage(*args):
+        counts["preimage"] += 1
+        kernels = counts["kernel"]
+        try:
+            return _preimage_generators(*args)
+        finally:
+            counts["kernel"] = kernels
+
     monkeypatch.setattr(dieudonne, "kernel_basis", counted("kernel", kernel_basis))
+    monkeypatch.setattr(dieudonne, "_preimage_generators", preimage)
+    monkeypatch.setattr(SubmoduleBasis, "contains", counted("membership", SubmoduleBasis.contains))
+    monkeypatch.setattr(dieudonne, "_in_span", counted("membership", _in_span, lambda *args: len(args[3])))
+    monkeypatch.setattr(dieudonne, "_les_exactness_failure", counted("exactness", _les_exactness_failure))
     monkeypatch.setattr(dieudonne, "smith_normal_form", counted("smith", smith_normal_form))
     monkeypatch.setattr(modarith, "_eliminate", counted("eliminate", modarith._eliminate))
     monkeypatch.setattr(SubmoduleBasis, "_howell", counted("howell", SubmoduleBasis._howell))
@@ -1166,18 +1383,44 @@ def test_a_warm_checker_set_makes_the_pinned_howell_and_smith_forms(monkeypatch)
     assert sum(len(blocks) for key, blocks in m._memo.items() if key[0] == "exactness") == WARM_SET_EXACTNESS_BLOCKS
 
 
-# The kernels, Smith forms, Smith eliminations and Howell forms of one pass
-# of the benchmark's dieudonne workload at seed 59, on fresh models (cold)
-# and then on the same models again (warm).  Every kernel is of a one-row
-# matrix and every Smith form of a 1 x 1 matrix, so `modarith` reads each
-# off its one pivot.  The parent figures are from before those closed
-# forms, when each kernel and Smith form made one elimination; before
-# H(M/p^r) had closed forms at the ends of the complex a cold pass made
-# 6051 eliminations and 6375 Howell forms.
-PARENT_COLD_PASS = {"kernel": 1589, "smith": 1388, "eliminate": 2977, "howell": 5247}
-PARENT_WARM_PASS = {"kernel": 479, "smith": 0, "eliminate": 479, "howell": 1095}
-COLD_PASS = {"kernel": 1589, "smith": 1388, "eliminate": 0, "howell": 5247}
-WARM_PASS = {"kernel": 479, "smith": 0, "eliminate": 0, "howell": 1095}
+@pytest.mark.parametrize("checker", ["saturation_witness", "f_cancellation_check",
+                                     "w1_vanishing_propagation_check", "frobenius_injectivity_degree0_check"])
+def test_a_memo_keyed_on_a_checker_call_lowers_the_warm_count(monkeypatch, checker):
+    """The pin above bites: a checker that kept its report per call would
+    ask fewer questions on a warm set, whatever route answers them."""
+    compute, reports = globals()[checker], {}
+
+    def memoized(*args):
+        if args not in reports:
+            reports[args] = compute(*args)
+        return reports[args]
+
+    monkeypatch.setitem(globals(), checker, memoized)
+    m = a1_model(2, 8, 4)
+    bench_checker_set(m)
+    counts = count_linear_algebra(monkeypatch)
+    bench_checker_set(m)
+    assert counts != WARM_SET and all(counts[kind] <= WARM_SET[kind] for kind in counts)
+
+
+# The questions and forms, counted as above, of one pass of the benchmark's
+# dieudonne workload at seed 59, on fresh models (cold) and then on the
+# same models again (warm).  Every kernel is of a one-row matrix and every
+# Smith form of a 1 x 1 matrix, so `modarith` reads each off its one pivot,
+# and no pass makes a Smith elimination.  The parent figures are from
+# before the one-label questions were read off the residues: the same
+# questions, with a Howell form for each of saturation's F-image spans and
+# propagation's exactness spans.  Before `modarith`'s one-pivot closed
+# forms a cold pass made 2977 eliminations, and before H(M/p^r) had closed
+# forms at the ends of the complex 6051 eliminations and 6375 Howell forms.
+PARENT_COLD_PASS = {"kernel": 1383, "preimage": 206, "membership": 473, "exactness": 846,
+                    "smith": 1388, "eliminate": 0, "howell": 5247}
+PARENT_WARM_PASS = {"kernel": 273, "preimage": 206, "membership": 473, "exactness": 846,
+                    "smith": 0, "eliminate": 0, "howell": 1095}
+COLD_PASS = {"kernel": 1383, "preimage": 206, "membership": 473, "exactness": 846,
+             "smith": 1388, "eliminate": 0, "howell": 4152}
+WARM_PASS = {"kernel": 273, "preimage": 206, "membership": 473, "exactness": 846,
+             "smith": 0, "eliminate": 0, "howell": 0}
 
 
 def test_the_bench_pass_elimination_work_is_pinned(monkeypatch):
