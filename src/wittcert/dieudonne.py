@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import mul
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -107,8 +106,8 @@ class DieudonneModel:
     way a block is read; the W_r quotient and mod-p^r cohomology
     presentations (`wr_quotient`, `hn_mod_pr`) per (degree, r); and per
     (degree, r) the exactness blocks of the propagation check
-    (`_exactness_blocks`: d rows, boundaries and the kernel of reduction
-    mod p^r of each block it tests).
+    (`_exactness_blocks`: the boundaries and the kernel of reduction mod
+    p^r of each block it tests).
     That is safe because the maps never change and nothing reads a kept
     value to change it.  Values made for a degree and a level are kept only
     at levels <= N and in degrees next to the model's, so a model holds at
@@ -667,9 +666,7 @@ def _cokernel_factors(relations: SubmoduleBasis) -> tuple[int, ...]:
     no transform is built.
     """
     modulus, ambient = relations.modulus, relations.ambient
-    if ambient == 0:
-        return ()
-    if not relations.echelon:
+    if not relations.echelon:  # () for ambient 0
         return tuple([modulus.exponent] * ambient)
     matrix = ModularMatrix._trusted(modulus, relations.echelon, ambient)
     exps = [modulus.valuation(d) for d in smith_normal_form(matrix)]
@@ -838,7 +835,8 @@ def compare_wr_with_cohomology(model: DieudonneModel, degree: int, r: int) -> Ch
     for key in sorted(wr.by_key):
         wr_block = wr.by_key[key]
         hn_key = key * shift
-        if not wr_block.complete or hn_key > model._cap_key:
+        # `_wr_block` marks a block complete only when hn_key <= the cap
+        if not wr_block.complete:
             report.inconclusive.append({"weight": texts[key], "reason": "truncation boundary"})
             continue
         hn_block = hn.by_key.get(hn_key)
@@ -934,7 +932,7 @@ def frobenius_injectivity_degree0_check(model: DieudonneModel) -> CheckReport:
     kernel is exactly F^{-1}(im V + im dV) / (im V + im dV) in degree 0,
     so this is the r = 1 cancellation scan restricted to degree 0.
     """
-    if any(b.degree < 0 for b in model.basis):
+    if min(model._weights, default=0) < 0:  # the degree index holds every basis degree
         raise ValueError("model has negative-degree pieces; W_1 M^0 Frobenius is not defined")
     report = CheckReport("frobenius_injectivity_W1_degree0")
     _cancellation_scan(model, 1, [0], report)
@@ -943,7 +941,10 @@ def frobenius_injectivity_degree0_check(model: DieudonneModel) -> CheckReport:
 
 def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int) -> CheckReport:
     """H^n(M/p) = 0 forces H^n(M/p^r) = 0 for all r; checked per weight,
-    together with exactness of H^n(M/p) -> H^n(M/p^(r+1)) -> H^n(M/p^r)."""
+    together with exactness of H^n(M/p) -> H^n(M/p^(r+1)) -> H^n(M/p^r).
+    A weight's top block is complete exactly when its blocks at every level
+    are: d undefined is so at every level, d of a boundary nonzero mod p^r
+    stays nonzero mod higher powers, and having cycles does not depend on r."""
     if rmax < 1:
         raise ValueError("rmax must be >= 1")
     if rmax + 1 > model.exponent:
@@ -955,7 +956,7 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
     exactness = [_exactness_blocks(model, degree, r) for r in range(1, rmax + 1)]  # exactness[r - 1]
     texts = model._texts
     for key, *blocks in zip(levels[0], *[level.values() for level in levels]):
-        if not all(b.complete for b in blocks):
+        if not blocks[-1].complete:  # decides every level (see above)
             report.inconclusive.append({"weight": texts[key], "reason": "d undefined on block"})
             continue
         report.checked += 1
@@ -991,11 +992,10 @@ def w1_vanishing_propagation_check(model: DieudonneModel, degree: int, rmax: int
 
 
 class _ExactnessBlock(NamedTuple):
-    """What the exactness test reads of one block of M/p^(r+1): the rows of
-    d out of it and the boundaries, both reduced mod p^(r+1), and the
-    kernel of reduction Z ∩ (B + p^r M) (`_reduction_kernel`)."""
+    """What the exactness test reads of one block of M/p^(r+1): the
+    boundaries, reduced mod p^(r+1), and the kernel of reduction
+    Z ∩ (B + p^r M) (`_reduction_kernel`), which lies in Z."""
 
-    d_rows: tuple[tuple[int, ...], ...]
     boundaries: tuple[tuple[int, ...], ...]
     kernel: SubmoduleBasis
 
@@ -1008,29 +1008,26 @@ def _les_exactness_failure(block: _ExactnessBlock, h1: QuotientBlock, r: int) ->
     Write Z for the cycles and B for the boundaries of the block of
     M/p^(r+1), and L for p^r * (h1 generators), lifted.  The image of p^r
     is span(L + B) / B and the kernel of reduction is (Z ∩ (B + p^r M)) / B,
-    so exactness is span(L + B) == Z ∩ (B + p^r M) once L lies in Z (the
-    guard below) and B does (a complete block).  This is the
-    middle-cohomology statement: the H(M/p^(r+1)) generators span Z, and two
-    submodules of Z agree iff their pull-backs to those generators agree.
-    Z ∩ (B + p^r M) is kept with the block (`_exactness_blocks`), so a call
-    costs one Howell form.  On one label (ambient 1) both spans are ideals
-    of Z/p^(r+1): span(L + B) is that of g = gcd(p^(r+1), L, B), and the
-    call compares g with the kept kernel's pivot (p^(r+1) when it is zero),
-    with no span built.
+    so exactness is span(L + B) == Z ∩ (B + p^r M): B lies in Z on a
+    complete block, and so does L, p^r g being a cycle mod p^(r+1) when g
+    is one mod p; an L outside Z fails the comparison, Z ∩ (B + p^r M)
+    lying in Z.  This is the middle-cohomology statement: the
+    H(M/p^(r+1)) generators span Z, and two submodules of Z agree iff
+    their pull-backs to those generators agree.  Z ∩ (B + p^r M) is kept
+    with the block (`_exactness_blocks`), so a call costs one Howell form.
+    On one label (ambient 1) both spans are ideals of Z/p^(r+1): span(L + B)
+    is that of g = gcd(p^(r+1), L, B), and the call compares g with the
+    kept kernel's pivot (p^(r+1) when it is zero), with no span built.
     """
-    d_rows, boundaries, kernel = block
+    boundaries, kernel = block
     mod_top = kernel.modulus
     q, shift = mod_top.char, mod_top.p ** r
     if kernel.ambient == 1:
         lifted = [shift * g[0] % q for g in h1.generators]
-        if any(row[0] * x % q for x in lifted for row in d_rows):
-            return "multiplication-by-p^r image is not a cycle combination"
         if gcd(q, *lifted, *[b[0] for b in boundaries]) != (kernel.echelon[0][0] if kernel.echelon else q):
             return "im(p^r) != ker(reduction) in the middle cohomology"
         return None
     lifted = [[shift * x % q for x in g] for g in h1.generators]
-    if any(sum(map(mul, row, g)) % q for g in lifted for row in d_rows):
-        return "multiplication-by-p^r image is not a cycle combination"
     image = SubmoduleBasis._trusted(mod_top, kernel.ambient, lifted + list(map(list, boundaries)))
     if image.echelon != kernel.echelon:  # one block, one level
         return "im(p^r) != ker(reduction) in the middle cohomology"
@@ -1055,9 +1052,8 @@ def _build_exactness_blocks(model: DieudonneModel, degree: int, r: int) -> dict[
     blocks = {}
     for key, block in h_top.by_key.items():
         if block.generators:  # so d is defined on the block and the one below
-            matrix = d_top[key]
             boundaries = tuple(tuple(x % q for x in c) for c in d_in.get(key, ()))
-            blocks[key] = _ExactnessBlock(matrix.entries, boundaries, _reduction_kernel(matrix, boundaries, shift))
+            blocks[key] = _ExactnessBlock(boundaries, _reduction_kernel(d_top[key], boundaries, shift))
     return blocks
 
 

@@ -290,9 +290,8 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
             n >>= 1
-            if base_needed and n:
+            if n:
                 base = base * base
         return result
 

@@ -172,6 +172,30 @@ def test_arithmetic_commutes_with_evaluation_mod_pn(seed, p):
     assert all(0 < v < p for v in (f * g).terms.values())
 
 
+def test_a_power_makes_one_product_per_bit_and_one_squaring_per_shift(monkeypatch):
+    """f ** n by binary powering: a product for each set bit of n (the first
+    one with the ring's one) and a squaring for each bit below the top."""
+    ring = PolyRing(5, ("x", "y"))
+    f = parse_polynomial("x + 2*y + 1", ring)
+    calls = 0
+    multiply = Polynomial.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    for n in range(65):
+        calls = 0
+        power = f ** n
+        assert calls == bin(n).count("1") + max(n.bit_length() - 1, 0), n
+        expected = ring.one()
+        for _ in range(n):
+            expected = multiply(expected, f)
+        assert power == expected, n
+
+
 @pytest.mark.parametrize("p,nvars", [(2, 1), (3, 2), (5, 1), (5, 3)])
 def test_trusted_matches_the_checked_constructor(p, nvars):
     """`Polynomial._trusted` skips only the exponent check: on kernel
